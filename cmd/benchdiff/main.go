@@ -14,7 +14,6 @@
 //	benchdiff -tolerance 3 -history results/BENCH_history.jsonl baseline.json new.json
 //	benchdiff -ignore-sched dynamic.json steal.json
 //	benchdiff -ignore-batch batched.json pairwise.json
-//	benchdiff -ignore-layout flat.json tiled.json
 //	benchdiff -ignore-rep tidset.json nodeset.json
 //
 // -ignore-sched strips the schedule from every cell before diffing, so
@@ -23,11 +22,9 @@
 // -ignore-batch does the same for the batch mode, so a pairwise file
 // (fimbench -json ... -batch off) compares cell-for-cell against a
 // batched baseline — the exact-itemset check then proves the two
-// combine paths mine identical sets. -ignore-layout does the same for
-// the tidset memory layout, so a tiled file (fimbench -json ...
-// -layout tiled) compares cell-for-cell against a flat baseline.
-// -ignore-rep strips the representation, so a file mined under one
-// representation (fimbench -json ... -rep nodeset) compares
+// combine paths mine identical sets. -ignore-rep strips the
+// representation, so a file mined under one representation (fimbench
+// -json ... -rep nodeset, or -rep tiled) compares
 // cell-for-cell against a baseline of another — the exact-itemset
 // check proving the representations mine identical sets.
 //
@@ -53,10 +50,9 @@ func main() {
 	label := flag.String("label", "", "label for the history entry (e.g. a git ref)")
 	ignoreSched := flag.Bool("ignore-sched", false, "collapse schedule variants onto their base cells before diffing (e.g. steal file vs default baseline)")
 	ignoreBatch := flag.Bool("ignore-batch", false, "collapse batch-mode variants onto their base cells before diffing (e.g. -batch off file vs batched baseline)")
-	ignoreLayout := flag.Bool("ignore-layout", false, "collapse tidset-layout variants onto their base cells before diffing (e.g. -layout tiled file vs flat baseline)")
 	ignoreRep := flag.Bool("ignore-rep", false, "collapse representations onto their (dataset, algorithm, threads) cells before diffing (e.g. -rep nodeset file vs tidset baseline)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tolerance R] [-history FILE] [-label S] [-ignore-sched] [-ignore-batch] [-ignore-layout] [-ignore-rep] baseline.json new.json...")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tolerance R] [-history FILE] [-label S] [-ignore-sched] [-ignore-batch] [-ignore-rep] baseline.json new.json...")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -86,9 +82,6 @@ func main() {
 		}
 		if *ignoreBatch {
 			export.StripBatch(files[i])
-		}
-		if *ignoreLayout {
-			export.StripLayout(files[i])
 		}
 		if *ignoreRep {
 			export.StripRepresentation(files[i])

@@ -13,27 +13,26 @@ import (
 // benchConfigs is the standardized real-hardware benchmark matrix: the
 // paper's two dense datasets at their default supports, the preferred
 // configuration of each algorithm family, plus Eclat under the
-// work-stealing schedule and the tidset cells under the tiled layout
-// (variant cells carry schedule "steal" / layout "tiled", so they
-// never collide with the default cells). Frozen so BENCH_*.json files
-// from different commits stay comparable.
+// work-stealing schedule (a variant cell carrying schedule "steal", so
+// it never collides with the default cell) and the tiled and nodeset
+// extensions under both miners. Frozen so BENCH_*.json files from
+// different commits stay comparable.
 var benchConfigs = []struct {
-	algo   fim.Algorithm
-	rep    fim.Representation
-	sched  string // "" = the algorithm's default schedule
-	layout string // "" = the representation's flat default
+	algo  fim.Algorithm
+	rep   fim.Representation
+	sched string // "" = the algorithm's default schedule
 }{
-	{fim.Apriori, fim.Diffset, "", ""},
-	{fim.Apriori, fim.Tidset, "", ""},
-	{fim.Apriori, fim.Bitvector, "", ""},
-	{fim.Eclat, fim.Diffset, "", ""},
-	{fim.Eclat, fim.Tidset, "", ""},
-	{fim.FPGrowth, fim.Diffset, "", ""},
-	{fim.Eclat, fim.Diffset, "steal", ""},
-	{fim.Eclat, fim.Tidset, "", "tiled"},
-	{fim.Apriori, fim.Tidset, "", "tiled"},
-	{fim.Eclat, fim.Nodeset, "", ""},
-	{fim.Apriori, fim.Nodeset, "", ""},
+	{fim.Apriori, fim.Diffset, ""},
+	{fim.Apriori, fim.Tidset, ""},
+	{fim.Apriori, fim.Bitvector, ""},
+	{fim.Eclat, fim.Diffset, ""},
+	{fim.Eclat, fim.Tidset, ""},
+	{fim.FPGrowth, fim.Diffset, ""},
+	{fim.Eclat, fim.Diffset, "steal"},
+	{fim.Eclat, fim.Tiled, ""},
+	{fim.Apriori, fim.Tiled, ""},
+	{fim.Eclat, fim.Nodeset, ""},
+	{fim.Apriori, fim.Nodeset, ""},
 }
 
 var benchDatasets = []string{"chess", "mushroom"}
@@ -71,13 +70,6 @@ func loadCalibration(path string) error {
 // baseline (benchdiff -ignore-batch) is the batching A/B, with the
 // exact-itemset check proving the two modes mine identical sets.
 //
-// A non-empty layoutOverride runs only the default-layout configs,
-// each under that tidset layout where it applies (configs whose
-// representation has no such layout are skipped), with the layout
-// recorded per cell — the way to produce a tiled-layout file to diff
-// against a flat baseline (benchdiff -ignore-layout), whose
-// exact-itemset check proves the two layouts mine identical sets.
-//
 // A non-empty repOverride runs every algorithm of the default matrix
 // once under that representation — variant cells are dropped, the rep
 // dimension collapses (an algorithm appearing with several reps runs
@@ -86,7 +78,7 @@ func loadCalibration(path string) error {
 // per cell, so diffing such a file against a baseline (benchdiff
 // -ignore-rep) is the representation A/B with the exact-itemset check
 // proving both reps mine identical sets.
-func runBenchJSON(path string, names []string, threads []int, scale float64, reps int, schedOverride string, batchOff bool, layoutOverride, repOverride string) error {
+func runBenchJSON(path string, names []string, threads []int, scale float64, reps int, schedOverride string, batchOff bool, repOverride string) error {
 	if len(threads) == 0 {
 		threads = []int{1, 2, 4}
 	}
@@ -114,7 +106,7 @@ func runBenchJSON(path string, names []string, threads []int, scale float64, rep
 		for _, c := range benchConfigs {
 			effRep, repName := c.rep, c.rep.String()
 			if repOverride != "" {
-				if c.sched != "" || c.layout != "" {
+				if c.sched != "" {
 					continue // override replaces the variant cells
 				}
 				if c.algo == fim.FPGrowth {
@@ -132,23 +124,6 @@ func runBenchJSON(path string, names []string, threads []int, scale float64, rep
 					continue // override replaces the variant cells
 				}
 				schedName = schedOverride
-			}
-			layoutName := c.layout
-			if layoutOverride != "" {
-				if c.layout != "" {
-					continue // override replaces the variant cells
-				}
-				layoutName = layoutOverride
-			}
-			if layoutName != "" {
-				var lerr error
-				effRep, lerr = fim.ApplyLayout(effRep, layoutName)
-				if lerr != nil {
-					if layoutOverride != "" {
-						continue // override only applies where the layout exists
-					}
-					return fmt.Errorf("fimbench: %w", lerr)
-				}
 			}
 			for _, th := range threads {
 				for rep := 1; rep <= reps; rep++ {
@@ -184,7 +159,6 @@ func runBenchJSON(path string, names []string, threads []int, scale float64, rep
 						Representation: repName,
 						Schedule:       schedName,
 						Batch:          batchName,
-						Layout:         layoutName,
 						Threads:        th,
 						Rep:            rep,
 						WallSeconds:    wall.Seconds(),
@@ -194,9 +168,6 @@ func runBenchJSON(path string, names []string, threads []int, scale float64, rep
 					sm := ""
 					if schedName != "" {
 						sm = "@" + schedName
-					}
-					if layoutName != "" {
-						sm += "%" + layoutName
 					}
 					fmt.Fprintf(os.Stderr, "bench %s %s/%s%s x%d rep%d: %.3fs peak=%d itemsets=%d\n",
 						name, c.algo, repName, sm, th, rep, wall.Seconds(), report.PeakLiveBytes, res.Len())

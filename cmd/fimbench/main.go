@@ -43,7 +43,6 @@ func main() {
 	benchDatasetsFlag := flag.String("datasets", strings.Join(benchDatasets, ","), "comma-separated datasets for the -json suite")
 	benchSched := flag.String("sched", "", "force every -json cell onto this loop schedule (static, dynamic, guided, steal); variant cells are dropped")
 	benchBatch := flag.String("batch", "on", "prefix-blocked batched combine kernels for the -json suite: on, off (off records batch \"off\" per cell)")
-	benchLayout := flag.String("layout", "", "force every -json cell onto this tidset memory layout (tiled, flat); variant cells are dropped, configs without the layout are skipped")
 	benchRep := flag.String("rep", "", "force every -json cell onto this representation (tidset, bitvector, diffset, hybrid, tiled, nodeset); variant cells and FP-growth are dropped, each algorithm runs once")
 	calibPath := flag.String("calibration", "", "kernel calibration JSON file (default: the FIM_CALIBRATION environment variable)")
 	flag.Parse()
@@ -81,7 +80,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fimbench: -batch must be on or off, got %q\n", *benchBatch)
 			os.Exit(2)
 		}
-		if err := runBenchJSON(*jsonPath, names, cfg.Threads, *scale, *benchReps, *benchSched, batchOff, *benchLayout, *benchRep); err != nil {
+		if err := runBenchJSON(*jsonPath, names, cfg.Threads, *scale, *benchReps, *benchSched, batchOff, *benchRep); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

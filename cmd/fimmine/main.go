@@ -48,7 +48,6 @@ func main() {
 	support := flag.Float64("support", 0.5, "relative minimum support (0..1]")
 	algoName := flag.String("algo", "eclat", "algorithm: apriori, eclat, fpgrowth")
 	repName := flag.String("rep", "diffset", "representation: tidset, bitvector, diffset, hybrid, tiled, nodeset")
-	layout := flag.String("layout", "", "tidset memory layout: tiled, flat (default: the representation as given)")
 	calibPath := flag.String("calibration", "", "per-host kernel calibration file from `calibrate -write` (default: $"+fim.CalibrationEnv+", else compiled-in)")
 	workers := flag.Int("workers", 1, "parallel workers")
 	freqOrder := flag.Bool("freq-order", false, "recode items in ascending support order")
@@ -88,9 +87,6 @@ func main() {
 		fatal(err)
 	}
 	if opt.Representation, err = fim.ParseRepresentation(*repName); err != nil {
-		fatal(err)
-	}
-	if opt.Representation, err = fim.ApplyLayout(opt.Representation, *layout); err != nil {
 		fatal(err)
 	}
 	opt.Workers = *workers

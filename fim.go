@@ -90,15 +90,6 @@ func ParseRepresentation(s string) (Representation, error) {
 	return vertical.ParseKind(s)
 }
 
-// ApplyLayout resolves a "-layout tiled|flat" selector against a
-// representation: "tiled" switches Tidset to the tiled layout (and
-// rejects representations without a tiled form), "flat" switches Tiled
-// back, and "" is the identity. Layout never changes mining semantics —
-// tiled and flat runs produce byte-identical itemsets.
-func ApplyLayout(rep Representation, layout string) (Representation, error) {
-	return vertical.WithLayout(rep, layout)
-}
-
 // LoadCalibration applies a per-host kernel calibration file (knobs
 // like the merge/gallop crossover and the tiled sparse/dense crossover,
 // produced by cmd/calibrate). The env var named by CalibrationEnv is

@@ -178,29 +178,6 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		if n == 0 {
 			break
 		}
-		// Deferred payloads (nodeset's lazy 2-itemset lists) materialize
-		// once per parent up front: the counting loop shares parents
-		// across concurrently counted blocks — a node is x in its own
-		// block and y in its elder siblings' — so the in-combine
-		// materialization that class-recursive miners rely on would race
-		// here. The prepass is itself parallel; each node is touched by
-		// exactly one iteration.
-		if len(nodes) > 0 {
-			if _, ok := nodes[0].(vertical.Preparer); ok {
-				used := make([]bool, len(nodes))
-				for i := 0; i < n; i++ {
-					used[cands.Px[i]] = true
-					used[cands.Py[i]] = true
-				}
-				if err := team.ForCtx(rc, len(nodes), schedule, func(_, i int) {
-					if used[i] {
-						nodes[i].(vertical.Preparer).Prepare()
-					}
-				}); err != nil {
-					return collect(err)
-				}
-			}
-		}
 		phaseName := fmt.Sprintf("apriori/gen%d", gen+1)
 		obs.Emit(o, obs.Event{Type: obs.LevelStart, Level: gen + 1, Phase: phaseName,
 			Candidates: generated, Pruned: pruned})

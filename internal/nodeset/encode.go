@@ -84,6 +84,10 @@ type Encoding struct {
 	// [Total, universe) of the original space and belong to no item's
 	// tidset, which the degrade complement accounts for.
 	Total int
+	// MinSup is the absolute threshold the database was recoded at: a
+	// 2-itemset the pair matrix puts below it can never be extended, so
+	// its DiffNodeset is never built.
+	MinSup int
 
 	// pairs is the flat co-occurrence matrix: pairs[x*nItems+y] for
 	// x < y is support({x, y}), tallied during the encoding walk from
@@ -94,17 +98,12 @@ type Encoding struct {
 	nItems int
 }
 
-// HasPairs reports whether the encoding carries the pair-support
-// matrix (it does unless the frequent-item universe exceeded
-// maxPairItems).
-func (e *Encoding) HasPairs() bool { return e.pairs != nil }
-
 // PairSupport returns support({x, y}) for two dense item codes and
 // true, or false when the encoding carries no pair matrix. O(1): the
 // matrix turns every 2-itemset support — the widest level of the
 // search, where most candidates die — into a lookup, so the merge
-// kernels run only for the survivors whose DiffNodesets are actually
-// extended (Deng's PrePost trick of counting 2-itemsets from the tree).
+// kernels run only for the frequent survivors (Deng's PrePost trick of
+// counting 2-itemsets from the tree).
 func (e *Encoding) PairSupport(x, y int) (int, bool) {
 	if e.pairs == nil {
 		return 0, false
@@ -132,6 +131,7 @@ func Build(rec *dataset.Recoded) *Encoding {
 	nItems := len(rec.Items)
 	enc := &Encoding{
 		NLists: make([][]L1Entry, nItems),
+		MinSup: rec.MinSup,
 		nItems: nItems,
 	}
 	if nItems <= maxPairItems {

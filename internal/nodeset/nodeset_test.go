@@ -77,9 +77,9 @@ func horizontalSupport(rec *dataset.Recoded, items []int) int {
 	return sup
 }
 
-// materialize expands a DiffNodeset to its sorted relabeled TID set via
+// expandTIDs expands a DiffNodeset to its sorted relabeled TID set via
 // the encoding's interval table — the degrade shim's kernel.
-func materialize(enc *Encoding, l List) []uint32 {
+func expandTIDs(enc *Encoding, l List) []uint32 {
 	var out []uint32
 	for _, e := range l {
 		lo := enc.Lo[e.Pre]
@@ -95,7 +95,7 @@ func l1Materialize(enc *Encoding, l []L1Entry) []uint32 {
 	for i, e := range l {
 		dn[i] = Entry{Pre: e.Pre, Count: e.Count}
 	}
-	return materialize(enc, dn)
+	return expandTIDs(enc, dn)
 }
 
 func TestEncodeInvariants(t *testing.T) {
@@ -189,7 +189,7 @@ func TestKernelSupportsMatchHorizontal(t *testing.T) {
 						t.Fatalf("%s %v: DiffSize %d != DiffInto sum %d", name, child.items, got, sum)
 					}
 					// Degrade exactness: trans(DN(X)) = t(PX) \ t(X).
-					mat := materialize(enc, dn)
+					mat := expandTIDs(enc, dn)
 					child.tids = diffU32(px.tids, mat)
 					if len(child.tids) != child.sup {
 						t.Fatalf("%s %v: materialized diff has %d TIDs, support %d",
@@ -215,7 +215,7 @@ func TestKernelSupportsMatchHorizontal(t *testing.T) {
 				if got := rec.Items[x].Support - DiffL1Size(enc.NLists[x], enc.NLists[y]); got != sup {
 					t.Fatalf("%s {%d,%d}: DiffL1Size disagrees with DiffL1Into", name, x, y)
 				}
-				tids := diffU32(xTids, materialize(enc, dn))
+				tids := diffU32(xTids, expandTIDs(enc, dn))
 				if len(tids) != sup {
 					t.Fatalf("%s {%d,%d}: materialized diff %d TIDs, support %d",
 						name, x, y, len(tids), sup)

@@ -31,12 +31,7 @@ type Bench struct {
 	// prefix-blocked batched kernels are disabled); empty means the
 	// default (batched). Same backward-compatibility story as Schedule:
 	// files written before the field existed decode with it empty.
-	Batch string `json:"batch,omitempty"`
-	// Layout names a non-default tidset memory layout ("tiled" for the
-	// tile-partitioned kernels); empty means the representation's flat
-	// default. Same backward-compatibility story as Schedule: files
-	// written before the field existed decode with it empty.
-	Layout      string  `json:"layout,omitempty"`
+	Batch       string  `json:"batch,omitempty"`
 	Threads     int     `json:"threads"`
 	Rep         int     `json:"rep"`
 	WallSeconds float64 `json:"wall_seconds"`

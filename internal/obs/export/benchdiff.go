@@ -23,7 +23,6 @@ type BenchKey struct {
 	Representation string `json:"representation,omitempty"`
 	Schedule       string `json:"schedule,omitempty"`
 	Batch          string `json:"batch,omitempty"`
-	Layout         string `json:"layout,omitempty"`
 	Threads        int    `json:"threads"`
 }
 
@@ -38,9 +37,6 @@ func (k BenchKey) String() string {
 	}
 	if k.Batch != "" {
 		s += "#" + k.Batch
-	}
-	if k.Layout != "" {
-		s += "%" + k.Layout
 	}
 	return s
 }
@@ -63,7 +59,7 @@ func BenchCells(f *BenchFile) (map[BenchKey]BenchCell, error) {
 	for _, b := range f.Results {
 		k := BenchKey{Dataset: b.Dataset, Algorithm: b.Algorithm,
 			Representation: b.Representation, Schedule: b.Schedule,
-			Batch: b.Batch, Layout: b.Layout, Threads: b.Threads}
+			Batch: b.Batch, Threads: b.Threads}
 		c, ok := cells[k]
 		if !ok {
 			cells[k] = BenchCell{Wall: b.WallSeconds, Peak: b.PeakBytes, Itemsets: b.Itemsets, Reps: 1}
@@ -130,21 +126,10 @@ func StripBatch(f *BenchFile) {
 	}
 }
 
-// StripLayout clears the tidset layout of every result, collapsing
-// each layout variant onto its base cell — the tiled-vs-flat A/B
-// comparison (-layout=tiled against a flat baseline). DiffBench's
-// exact-itemset check then proves the two layouts mine byte-identical
-// itemset counts on every shared cell.
-func StripLayout(f *BenchFile) {
-	for i := range f.Results {
-		f.Results[i].Layout = ""
-	}
-}
-
 // StripRepresentation clears the representation of every result,
 // collapsing each representation onto its (dataset, algorithm,
 // threads) base cell — the cross-representation A/B comparison
-// (-rep=nodeset against a flat-tidset or tiled baseline). DiffBench's
+// (-rep=nodeset or -rep=tiled against a flat-tidset baseline). DiffBench's
 // exact-itemset check then proves the two representations mine
 // identical sets on every shared cell. Only meaningful when each file
 // holds one representation per base cell.

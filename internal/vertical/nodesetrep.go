@@ -10,6 +10,12 @@
 // lists (and every merge over them) shorter than the equivalent
 // tidset/diffset work on dense databases.
 //
+// The encoding's pair matrix answers the infrequent 2-itemsets: a pair
+// it puts below minsup is born support-only, with an empty list, and
+// the miners release it unread. Every other pair runs the ancestor
+// merge when it is created, so a node is complete when built and never
+// written afterwards — parallel miners may share it freely.
+//
 // Mid-run degrade is exact, not approximate: the PPC pass assigns
 // every tree node a contiguous interval of relabeled TIDs, so a
 // DiffNodeset materializes to precisely d(X) = t(PX) − t(X) in the
@@ -33,57 +39,19 @@ const Nodeset Kind = 5
 // NodesetNode carries one itemset's node list: level-1 roots hold the
 // item's N-list (pre/post/count triples), deeper nodes hold the
 // DiffNodeset DN(X) = NL(parent) − NL(X). Both reference nodes of the
-// per-run Encoding that Roots built.
-//
-// A 2-itemset child born while the encoding carries the pair-support
-// matrix is deferred: its support comes from the O(1) matrix lookup
-// and lx/ly hold the parents' N-lists in place of a materialized DN.
-// The ancestor merge runs only if the child is later used as a parent
-// (or degraded) — candidates that die against minsup, and the last
-// members of exhausted classes, never pay for a list at all. Deferral
-// is single-owner: in class-recursive miners a level-2 node belongs to
-// exactly one equivalence class whose combines run within one task;
-// level-synchronous miners restore the discipline with a Prepare
-// prepass at each level boundary.
+// per-run Encoding that Roots built. A 2-itemset the pair matrix proves
+// infrequent carries only its support: its DN is empty and must not be
+// extended.
 type NodesetNode struct {
-	Enc    *nodeset.Encoding
-	L1     []nodeset.L1Entry // level-1 N-list; nil below the roots
-	DN     nodeset.List      // DiffNodeset; nil at the roots
-	lx, ly []nodeset.L1Entry // deferred 2-itemset parents; nil once materialized
-	code   int               // dense item code; meaningful at roots only
-	sup    int
-	root   bool
-	// unbilled marks a node born deferred: the miners charged it to the
-	// memory budget at zero bytes (no list existed), so Bytes must keep
-	// reporting zero after a later materialize — the miners' retirement
-	// pass re-reads Bytes, and an asymmetric answer would drive the
-	// live-bytes books negative. The materialized list is class-
-	// transient arena scratch; kcount's bytes_materialized_nodeset
-	// carries its true size.
-	unbilled bool
+	Enc  *nodeset.Encoding
+	L1   []nodeset.L1Entry // level-1 N-list; nil below the roots
+	DN   nodeset.List      // DiffNodeset; nil at the roots
+	code int               // dense item code; meaningful at roots only
+	sup  int
+	root bool
 }
 
 func (n *NodesetNode) Support() int { return n.sup }
-
-// materialize runs the deferred ancestor merge, reusing whatever DN
-// capacity the node carries from the arena. No-op on eager nodes. The
-// node and its bytes hit the kcount tallies here, not at deferral —
-// nodes_built and bytes_materialized report lists that exist.
-func (n *NodesetNode) materialize() {
-	if n.lx == nil {
-		return
-	}
-	n.DN, _ = nodeset.DiffL1Into(n.lx, n.ly, n.DN)
-	n.lx, n.ly = nil, nil
-	kcount.AddNodes(kcount.Nodeset, 0, nodeset.EntryBytes*len(n.DN))
-}
-
-// Prepare implements Preparer: level-synchronous miners call it on
-// every parent of a level before counting blocks in parallel, because
-// one node serves as x in its own block and as y in its elder
-// siblings' — concurrent tasks that would otherwise both run the
-// deferred merge.
-func (n *NodesetNode) Prepare() { n.materialize() }
 
 // Bytes is the node's own list footprint. The per-run Encoding (the
 // N-list arena and the degrade interval table) is shared by every node
@@ -91,9 +59,6 @@ func (n *NodesetNode) Prepare() { n.materialize() }
 func (n *NodesetNode) Bytes() int {
 	if n.root {
 		return nodeset.L1EntryBytes * len(n.L1)
-	}
-	if n.unbilled {
-		return 0
 	}
 	return nodeset.EntryBytes * len(n.DN)
 }
@@ -124,22 +89,25 @@ func levels(a, b *NodesetNode) bool {
 	return a.root
 }
 
+// infrequentPair returns support({x, y}) and true when the pair matrix
+// puts the 2-itemset of roots x and y below the encoding's minsup.
+func infrequentPair(x, y *NodesetNode) (int, bool) {
+	sup, ok := x.Enc.PairSupport(x.code, y.code)
+	return sup, ok && sup < x.Enc.MinSup
+}
+
 func (nodesetRep) Combine(px, py Node) Node {
 	a, b := px.(*NodesetNode), py.(*NodesetNode)
 	n := &NodesetNode{Enc: a.Enc}
 	var sum int
 	if levels(a, b) {
-		if sup, ok := a.Enc.PairSupport(a.code, b.code); ok {
+		if sup, ok := infrequentPair(a, b); ok {
 			n.sup = sup
-			n.lx, n.ly = a.L1, b.L1
-			n.unbilled = true
 			kcount.AddNode(kcount.Nodeset, 0)
 			return n
 		}
 		n.DN, sum = nodeset.DiffL1Into(a.L1, b.L1, nil)
 	} else {
-		a.materialize()
-		b.materialize()
 		n.DN, sum = nodeset.DiffInto(b.DN, a.DN, nil) // DN(PXY) = DN(PY) − DN(PX)
 	}
 	n.sup = a.sup - sum
@@ -155,8 +123,6 @@ func (nodesetRep) CombineSupport(px, py Node) int {
 		}
 		return a.sup - nodeset.DiffL1Size(a.L1, b.L1)
 	}
-	a.materialize()
-	b.materialize()
 	return a.sup - nodeset.DiffSize(b.DN, a.DN)
 }
 
@@ -173,8 +139,6 @@ func (a *Arena) getNodeset() *NodesetNode {
 		a.nodesets[n-1] = nil
 		a.nodesets = a.nodesets[:n-1]
 		nd.L1, nd.root = nil, false
-		nd.lx, nd.ly = nil, nil
-		nd.unbilled = false
 		a.hits++
 		return nd
 	}
@@ -188,11 +152,8 @@ func (nodesetRep) CombineInto(a *Arena, px, py Node) Node {
 	n.Enc = x.Enc
 	var sum int
 	if levels(x, y) {
-		if sup, ok := x.Enc.PairSupport(x.code, y.code); ok {
-			n.sup = sup
-			n.lx, n.ly = x.L1, y.L1
-			n.DN = n.DN[:0]
-			n.unbilled = true
+		if sup, ok := infrequentPair(x, y); ok {
+			n.sup, n.DN = sup, n.DN[:0]
 			kcount.AddNode(kcount.Nodeset, 0)
 			return n
 		}
@@ -202,8 +163,6 @@ func (nodesetRep) CombineInto(a *Arena, px, py Node) Node {
 		}
 		n.DN, sum = nodeset.DiffL1Into(x.L1, y.L1, n.DN)
 	} else {
-		x.materialize()
-		y.materialize()
 		// Presize: |DN(PY) − DN(PX)| ≤ |DN(PY)|.
 		if cap(n.DN) < len(y.DN) {
 			n.DN = make(nodeset.List, 0, len(y.DN))
@@ -231,6 +190,10 @@ func (a *Arena) scratchNodesets(m int) (l1s [][]nodeset.L1Entry, srcs, dsts []no
 	return a.batchNLL1[:m], a.batchNLSrc[:m], a.batchNLDst[:m], a.batchNLSum[:m]
 }
 
+// CombineManyInto runs the block's kernel over the children that need a
+// list — at the roots, the pairs the matrix does not prove infrequent —
+// packed into the first k scratch slots; the infrequent pairs are born
+// support-only in place.
 func (nodesetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 	m := len(pys)
 	if m == 0 {
@@ -238,56 +201,47 @@ func (nodesetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 	}
 	x := px.(*NodesetNode)
 	atRoots := levels(x, pys[0].(*NodesetNode))
-	if atRoots && x.Enc.HasPairs() {
-		// Deferred level-2 block: supports come from the pair matrix,
-		// lists only if a child is later extended.
-		for i, py := range pys {
-			y := py.(*NodesetNode)
-			nd := a.getNodeset()
-			nd.Enc = x.Enc
-			nd.sup, _ = x.Enc.PairSupport(x.code, y.code)
-			nd.lx, nd.ly = x.L1, y.L1
-			nd.DN = nd.DN[:0]
-			nd.unbilled = true
-			out[i] = nd
-		}
-		kcount.AddNodes(kcount.Nodeset, m, 0)
-		return
-	}
 	l1s, srcs, dsts, sums := a.scratchNodesets(m)
-	if !atRoots {
-		x.materialize()
-	}
+	k := 0
 	for i, py := range pys {
 		y := py.(*NodesetNode)
 		nd := a.getNodeset()
 		nd.Enc = x.Enc
+		out[i] = nd
 		if atRoots {
-			l1s[i] = y.L1
+			if sup, ok := infrequentPair(x, y); ok {
+				nd.sup, nd.DN = sup, nd.DN[:0]
+				continue
+			}
+			l1s[k] = y.L1
 			if cap(nd.DN) < len(x.L1) {
 				nd.DN = make(nodeset.List, 0, len(x.L1))
 			}
 		} else {
-			y.materialize()
-			srcs[i] = y.DN
+			srcs[k] = y.DN
 			if cap(nd.DN) < len(y.DN) {
 				nd.DN = make(nodeset.List, 0, len(y.DN))
 			}
 		}
-		dsts[i] = nd.DN
-		out[i] = nd
+		dsts[k] = nd.DN
+		k++
 	}
 	if atRoots {
-		nodeset.DiffL1ManyInto(x.L1, l1s, dsts, sums)
+		nodeset.DiffL1ManyInto(x.L1, l1s[:k], dsts[:k], sums[:k])
 	} else {
-		nodeset.DiffManyInto(x.DN, srcs, dsts, sums)
+		nodeset.DiffManyInto(x.DN, srcs[:k], dsts[:k], sums[:k])
 	}
-	bytes := 0
-	for i := range dsts {
+	bytes, k := 0, 0
+	for i, py := range pys {
+		if atRoots {
+			if _, ok := infrequentPair(x, py.(*NodesetNode)); ok {
+				continue
+			}
+		}
 		nd := out[i].(*NodesetNode)
-		nd.DN = dsts[i]
-		nd.sup = x.sup - sums[i]
+		nd.DN, nd.sup = dsts[k], x.sup-sums[k]
 		bytes += nd.Bytes()
+		k++
 	}
 	kcount.AddNodes(kcount.Nodeset, m, bytes)
 }
@@ -299,7 +253,6 @@ func (nodesetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 // nodeset representation to the diffset one: trans(DN(X)) = t(PX) −
 // t(X) in the relabeled transaction space.
 func (n *NodesetNode) diffTIDs() tidset.Set {
-	n.materialize()
 	out := make(tidset.Set, 0, n.DN.CountSum())
 	for _, e := range n.DN {
 		lo := n.Enc.Lo[e.Pre]

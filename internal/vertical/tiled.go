@@ -11,8 +11,6 @@
 package vertical
 
 import (
-	"fmt"
-
 	"repro/internal/dataset"
 	"repro/internal/kcount"
 	"repro/internal/tidset"
@@ -21,31 +19,6 @@ import (
 // Tiled is the tile-partitioned tidset layout (an extension beyond the
 // paper's three representations, like Hybrid).
 const Tiled Kind = 4
-
-// WithLayout resolves a layout selector against a representation: the
-// cmd-layer "-layout tiled|flat" flag maps onto Kinds rather than a
-// separate Options field, because the tiled layout IS the tidset
-// representation under a different memory layout. "" keeps k; "flat"
-// maps Tiled back to Tidset; "tiled" maps Tidset (or Tiled) to Tiled
-// and rejects representations that have no tiled form.
-func WithLayout(k Kind, layout string) (Kind, error) {
-	switch layout {
-	case "":
-		return k, nil
-	case "flat":
-		if k == Tiled {
-			return Tidset, nil
-		}
-		return k, nil
-	case "tiled":
-		switch k {
-		case Tidset, Tiled:
-			return Tiled, nil
-		}
-		return 0, fmt.Errorf("vertical: layout %q applies to the tidset representation, not %v", layout, k)
-	}
-	return 0, fmt.Errorf("vertical: unknown layout %q (want tiled or flat)", layout)
-}
 
 // TiledNode carries t(X) in tiled form for one itemset.
 type TiledNode struct {

@@ -96,16 +96,6 @@ type Node interface {
 	Bytes() int
 }
 
-// Preparer is implemented by nodes that defer part of their payload
-// past construction (the nodeset representation's lazy 2-itemset
-// lists); Prepare forces the deferred work and is a no-op otherwise.
-// Deferral is single-owner: class-recursive miners never race on it
-// because every combine touching a node runs in the task that owns its
-// class, but level-synchronous miners share parents across blocks
-// counted in parallel, so they must Prepare every parent exactly once
-// before fanning a level out.
-type Preparer interface{ Prepare() }
-
 // Representation builds and combines Nodes of one Kind.
 type Representation interface {
 	Kind() Kind

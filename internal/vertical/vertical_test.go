@@ -2,12 +2,14 @@ package vertical
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dataset"
 	"repro/internal/itemset"
+	"repro/internal/nodeset"
 )
 
 // paperDB is the 6-item example of the paper's Figure 2 discussion:
@@ -176,6 +178,55 @@ func TestBytesAccounting(t *testing.T) {
 	}
 	if got := CombineCost(tn, tn); got != 2*tn.Bytes() {
 		t.Errorf("CombineCost = %d", got)
+	}
+
+	// Nodeset level 2, on every combine path: a pair the matrix puts
+	// below minsup is born support-only (empty DN, zero bytes); a
+	// frequent pair carries its full DiffNodeset, charged at its real
+	// size. At minsup 4 the example has both kinds of pair.
+	rec = exampleRecoded(t, 4)
+	rep := New(Nodeset)
+	roots := rep.Roots(rec)
+	troots := New(Tidset).Roots(rec)
+	var infrequent, frequent int
+	for i := range roots {
+		x := roots[i].(*NodesetNode)
+		many := make([]Node, len(roots)-i-1)
+		rep.CombineManyInto(x, roots[i+1:], many, NewArena())
+		for j := i + 1; j < len(roots); j++ {
+			y := roots[j].(*NodesetNode)
+			sup := New(Tidset).Combine(troots[i], troots[j]).Support()
+			want, _ := nodeset.DiffL1Into(x.L1, y.L1, nil)
+			for _, c := range []struct {
+				path string
+				n    Node
+			}{
+				{"Combine", rep.Combine(x, y)},
+				{"CombineInto", rep.(IntoCombiner).CombineInto(NewArena(), x, y)},
+				{"CombineManyInto", many[j-i-1]},
+			} {
+				nd := c.n.(*NodesetNode)
+				if nd.Support() != sup {
+					t.Errorf("%s {%d,%d}: support %d, want %d", c.path, i, j, nd.Support(), sup)
+				}
+				if sup < rec.MinSup {
+					infrequent++
+					if len(nd.DN) != 0 || nd.Bytes() != 0 {
+						t.Errorf("%s {%d,%d}: infrequent pair has %d entries, %d bytes; want none",
+							c.path, i, j, len(nd.DN), nd.Bytes())
+					}
+					continue
+				}
+				frequent++
+				if !slices.Equal(nd.DN, want) || nd.Bytes() != nodeset.EntryBytes*len(want) {
+					t.Errorf("%s {%d,%d}: DN %v (%d bytes), want %v (%d bytes)",
+						c.path, i, j, nd.DN, nd.Bytes(), want, nodeset.EntryBytes*len(want))
+				}
+			}
+		}
+	}
+	if infrequent == 0 || frequent == 0 {
+		t.Fatalf("fixture has %d infrequent and %d frequent pair nodes; want both", infrequent, frequent)
 	}
 }
 

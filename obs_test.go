@@ -69,76 +69,86 @@ func countType(events []Event, ty EventType) int {
 // ordered level_start/level_end pairs with consistent counts, one
 // phase_end per scheduler loop, and a run_end whose totals match the
 // Result — with the stream identical in shape under -race at 4 workers.
+// Nodeset runs too: its pair-matrix children are charged at their real
+// list size, so no level_end may report negative live bytes.
 func TestObserverEventOrder(t *testing.T) {
 	db := runctlDB(t)
-	for _, algo := range []Algorithm{Apriori, Eclat, FPGrowth} {
-		res, err, events := mineRecorded(t, db, Options{
-			Algorithm: algo, Representation: Diffset, Workers: 4,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		assertStream(t, algo.String(), events)
-
-		first, last := events[0], events[len(events)-1]
-		if first.Algorithm != algo.String() || first.Workers != 4 || first.Transactions != db.NumTransactions() {
-			t.Errorf("%v: run_start = %+v", algo, first)
-		}
-		if first.MinSupport < 1 {
-			t.Errorf("%v: run_start min_support = %d", algo, first.MinSupport)
-		}
-		if last.Itemsets != int64(res.Len()) || last.MaxK != res.MaxK {
-			t.Errorf("%v: run_end totals (%d, %d) disagree with result (%d, %d)",
-				algo, last.Itemsets, last.MaxK, res.Len(), res.MaxK)
-		}
-		if last.Incomplete || last.DegradedRun {
-			t.Errorf("%v: complete run marked incomplete/degraded in run_end", algo)
-		}
-		if last.PeakLiveBytes <= 0 {
-			t.Errorf("%v: run_end peak_live_bytes = %d", algo, last.PeakLiveBytes)
-		}
-
-		starts, ends := countType(events, EventLevelStart), countType(events, EventLevelEnd)
-		if starts == 0 || starts != ends {
-			t.Errorf("%v: %d level_start vs %d level_end", algo, starts, ends)
-		}
-		if countType(events, EventPhaseEnd) == 0 {
-			t.Errorf("%v: no phase_end events", algo)
-		}
-		if countType(events, EventStop)+countType(events, EventBudgetWarning)+countType(events, EventDegraded) != 0 {
-			t.Errorf("%v: control-plane events on a clean run", algo)
-		}
-
-		// Levels arrive in search order: Apriori generations strictly
-		// ascending, Eclat's flattened stages non-descending.
-		lastLevel := 0
-		for _, e := range events {
-			if e.Type != EventLevelEnd || e.Level == 0 {
-				continue
+	for _, rep := range []Representation{Diffset, Nodeset} {
+		for _, algo := range []Algorithm{Apriori, Eclat, FPGrowth} {
+			label := rep.String() + "/" + algo.String()
+			res, err, events := mineRecorded(t, db, Options{
+				Algorithm: algo, Representation: rep, Workers: 4,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-			if algo == Apriori && e.Level != lastLevel+1 {
-				t.Errorf("apriori: level %d after %d", e.Level, lastLevel)
+			assertStream(t, label, events)
+			for _, e := range events {
+				if e.Type == EventLevelEnd && e.LiveBytes < 0 {
+					t.Errorf("%s: level_end %q live_bytes %d < 0", label, e.Phase, e.LiveBytes)
+				}
 			}
-			if e.Level < lastLevel {
-				t.Errorf("%v: level %d after %d", algo, e.Level, lastLevel)
-			}
-			lastLevel = e.Level
-		}
 
-		// Frequent counts per level sum to the result (Eclat's stream
-		// omits the size-1 roots, which the recode pass already counted).
-		sum := 0
-		for _, e := range events {
-			if e.Type == EventLevelEnd {
-				sum += e.Frequent
+			first, last := events[0], events[len(events)-1]
+			if first.Algorithm != algo.String() || first.Workers != 4 || first.Transactions != db.NumTransactions() {
+				t.Errorf("%s: run_start = %+v", label, first)
 			}
-		}
-		want := res.Len()
-		if algo == Eclat {
-			want -= len(res.Rec.Items)
-		}
-		if sum != want {
-			t.Errorf("%v: level frequent counts sum to %d, result has %d", algo, sum, want)
+			if first.MinSupport < 1 {
+				t.Errorf("%s: run_start min_support = %d", label, first.MinSupport)
+			}
+			if last.Itemsets != int64(res.Len()) || last.MaxK != res.MaxK {
+				t.Errorf("%s: run_end totals (%d, %d) disagree with result (%d, %d)",
+					label, last.Itemsets, last.MaxK, res.Len(), res.MaxK)
+			}
+			if last.Incomplete || last.DegradedRun {
+				t.Errorf("%s: complete run marked incomplete/degraded in run_end", label)
+			}
+			if last.PeakLiveBytes <= 0 {
+				t.Errorf("%s: run_end peak_live_bytes = %d", label, last.PeakLiveBytes)
+			}
+
+			starts, ends := countType(events, EventLevelStart), countType(events, EventLevelEnd)
+			if starts == 0 || starts != ends {
+				t.Errorf("%s: %d level_start vs %d level_end", label, starts, ends)
+			}
+			if countType(events, EventPhaseEnd) == 0 {
+				t.Errorf("%s: no phase_end events", label)
+			}
+			if countType(events, EventStop)+countType(events, EventBudgetWarning)+countType(events, EventDegraded) != 0 {
+				t.Errorf("%s: control-plane events on a clean run", label)
+			}
+
+			// Levels arrive in search order: Apriori generations strictly
+			// ascending, Eclat's flattened stages non-descending.
+			lastLevel := 0
+			for _, e := range events {
+				if e.Type != EventLevelEnd || e.Level == 0 {
+					continue
+				}
+				if algo == Apriori && e.Level != lastLevel+1 {
+					t.Errorf("%s: level %d after %d", label, e.Level, lastLevel)
+				}
+				if e.Level < lastLevel {
+					t.Errorf("%s: level %d after %d", label, e.Level, lastLevel)
+				}
+				lastLevel = e.Level
+			}
+
+			// Frequent counts per level sum to the result (Eclat's stream
+			// omits the size-1 roots, which the recode pass already counted).
+			sum := 0
+			for _, e := range events {
+				if e.Type == EventLevelEnd {
+					sum += e.Frequent
+				}
+			}
+			want := res.Len()
+			if algo == Eclat {
+				want -= len(res.Rec.Items)
+			}
+			if sum != want {
+				t.Errorf("%s: level frequent counts sum to %d, result has %d", label, sum, want)
+			}
 		}
 	}
 }
