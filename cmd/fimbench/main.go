@@ -7,12 +7,9 @@
 //	fimbench -exp all
 //	fimbench -exp table2+fig5 -scale 0.25
 //	fimbench -exp eclat-tidset -threads 1,16,64,256
-//	fimbench -json results/BENCH_bench.json -scale 0.4
 //
-// -json skips the simulator entirely: it times the standardized suite
-// (chess and mushroom at their default supports, Apriori/Eclat over
-// diffsets plus FP-growth, across -threads) on the host and writes the
-// fim-bench/v1 result document, the format future commits diff against.
+// Host wall-clock measurement is the repository benchmark's job
+// (benchmark/, run with `bash benchmark/run.sh`), not this command's.
 //
 // Experiments: table1, table2+fig5 (apriori-diffset), table3+fig6
 // (eclat-tidset), table6+fig7 (eclat-bitvector), table5+fig8
@@ -28,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/vertical"
@@ -37,17 +35,11 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (see doc comment)")
 	csv := flag.Bool("csv", false, "emit scalability tables as plot-ready CSV")
 	scale := flag.Float64("scale", experiments.DefaultScale, "dataset scale factor")
-	threadsFlag := flag.String("threads", "", "comma-separated thread counts (default 1,16,32,64,128,256; 1,2,4 for -json)")
-	jsonPath := flag.String("json", "", "run the standardized real-hardware bench suite and write fim-bench/v1 JSON to this file (e.g. results/BENCH_bench.json)")
-	benchReps := flag.Int("reps", 1, "repetitions per -json bench cell")
-	benchDatasetsFlag := flag.String("datasets", strings.Join(benchDatasets, ","), "comma-separated datasets for the -json suite")
-	benchSched := flag.String("sched", "", "force every -json cell onto this loop schedule (static, dynamic, guided, steal); variant cells are dropped")
-	benchBatch := flag.String("batch", "on", "prefix-blocked batched combine kernels for the -json suite: on, off (off records batch \"off\" per cell)")
-	benchRep := flag.String("rep", "", "force every -json cell onto this representation (tidset, bitvector, diffset, hybrid, tiled, nodeset); variant cells and FP-growth are dropped, each algorithm runs once")
+	threadsFlag := flag.String("threads", "", "comma-separated thread counts (default 1,16,32,64,128,256)")
 	calibPath := flag.String("calibration", "", "kernel calibration JSON file (default: the FIM_CALIBRATION environment variable)")
 	flag.Parse()
 
-	if err := loadCalibration(*calibPath); err != nil {
+	if err := fim.LoadCalibration(*calibPath); err != nil {
 		fmt.Fprintf(os.Stderr, "fimbench: %v\n", err)
 		os.Exit(2)
 	}
@@ -62,29 +54,6 @@ func main() {
 			}
 			cfg.Threads = append(cfg.Threads, t)
 		}
-	}
-
-	if *jsonPath != "" {
-		var names []string
-		for _, n := range strings.Split(*benchDatasetsFlag, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-		batchOff := false
-		switch *benchBatch {
-		case "on":
-		case "off":
-			batchOff = true
-		default:
-			fmt.Fprintf(os.Stderr, "fimbench: -batch must be on or off, got %q\n", *benchBatch)
-			os.Exit(2)
-		}
-		if err := runBenchJSON(*jsonPath, names, cfg.Threads, *scale, *benchReps, *benchSched, batchOff, *benchRep); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	printTable := func(t *experiments.Table) {

@@ -73,7 +73,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
 	flag.Parse()
 
-	if err := loadCalibration(*calibPath); err != nil {
+	if err := fim.LoadCalibration(*calibPath); err != nil {
 		fatal(err)
 	}
 
@@ -306,18 +306,6 @@ func parseAlgo(s string) (fim.Algorithm, error) {
 		return fim.FPGrowth, nil
 	}
 	return 0, fmt.Errorf("fimmine: unknown algorithm %q", s)
-}
-
-// loadCalibration installs per-host kernel knobs: the -calibration flag
-// wins, else the FIM_CALIBRATION env var, else compiled-in defaults.
-func loadCalibration(path string) error {
-	if path != "" {
-		return fim.LoadCalibration(path)
-	}
-	if env := os.Getenv(fim.CalibrationEnv); env != "" {
-		return fim.LoadCalibration(env)
-	}
-	return nil
 }
 
 func decodeAll(res *fim.Result, cs []fim.ItemsetCount) []fim.ItemsetCount {

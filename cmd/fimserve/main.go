@@ -34,6 +34,9 @@
 // (budget-stopping stragglers after the grace period), optionally
 // writes a shutdown report and the flight-recorder dump (-flight), and
 // exits 0.
+//
+// Kernel calibration comes from the file named by $FIM_CALIBRATION, as
+// in the other binaries; unset means the compiled-in defaults.
 package main
 
 import (
@@ -50,6 +53,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro"
 	"repro/internal/serve"
 )
 
@@ -73,6 +77,10 @@ func main() {
 		incDir      = flag.String("incident-dir", "", "persist each incident bundle to <dir>/incident-<id>.json")
 	)
 	flag.Parse()
+
+	if err := fim.LoadCalibration(""); err != nil {
+		log.Fatalf("fimserve: %v", err)
+	}
 
 	cacheBytes := *cacheMB << 20
 	if *cacheMB < 0 {

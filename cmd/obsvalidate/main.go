@@ -1,7 +1,6 @@
 // Command obsvalidate checks observability artifacts against their
 // schemas: a JSON-lines event stream (fimmine -events), a run report
-// (fimmine -report, fim-run-report/v1), a benchmark result file
-// (fimbench -json, fim-bench/v1), a span timeline (fimmine -trace,
+// (fimmine -report, fim-run-report/v1), a span timeline (fimmine -trace,
 // Chrome trace-event JSON), Prometheus text-exposition scrapes
 // (fimserve GET /metrics), and incident bundles (fimserve
 // GET /debug/incidents/{id} or -incident-dir files,
@@ -22,7 +21,6 @@
 //	2  usage error (no artifacts requested)
 //	3  event stream invalid
 //	4  run report invalid
-//	5  bench file invalid
 //	6  trace file invalid
 //	7  trace/events busy-time cross-check failed
 //	8  metrics scrape invalid (parse, histogram consistency, or
@@ -32,7 +30,7 @@
 //
 // Usage:
 //
-//	obsvalidate -events run.jsonl -report run.json -trace run.trace.json -bench results/BENCH_bench.json
+//	obsvalidate -events run.jsonl -report run.json -trace run.trace.json
 //	obsvalidate -metrics scrape1.prom -metrics2 scrape2.prom
 //	obsvalidate -incident incident-1.json
 package main
@@ -49,14 +47,14 @@ import (
 	"repro/internal/serve"
 )
 
-// Exit codes, one per validator class.
+// Exit codes, one per validator class. 5 is retired (it was the
+// bench-file class), so every other code keeps its number.
 const (
 	exitOK       = 0
 	exitIO       = 1
 	exitUsage    = 2
 	exitEvents   = 3
 	exitReport   = 4
-	exitBench    = 5
 	exitTrace    = 6
 	exitCrossChk = 7
 	exitMetrics  = 8
@@ -71,15 +69,14 @@ const crossCheckTol = 0.05
 func main() {
 	eventsPath := flag.String("events", "", "JSON-lines event stream to validate")
 	reportPath := flag.String("report", "", "fim-run-report/v1 document to validate")
-	benchPath := flag.String("bench", "", "fim-bench/v1 document to validate")
 	tracePath := flag.String("trace", "", "Chrome trace-event JSON timeline to validate")
 	metricsPath := flag.String("metrics", "", "Prometheus text-exposition scrape to validate")
 	metrics2Path := flag.String("metrics2", "", "later scrape of the same target, checked monotone against -metrics")
 	incidentPath := flag.String("incident", "", "fimserve-incident/v1 bundle to validate")
 	flag.Parse()
 
-	if *eventsPath == "" && *reportPath == "" && *benchPath == "" && *tracePath == "" && *metricsPath == "" && *incidentPath == "" {
-		fmt.Fprintln(os.Stderr, "obsvalidate: nothing to validate (pass -events, -report, -bench, -trace, -metrics and/or -incident)")
+	if *eventsPath == "" && *reportPath == "" && *tracePath == "" && *metricsPath == "" && *incidentPath == "" {
+		fmt.Fprintln(os.Stderr, "obsvalidate: nothing to validate (pass -events, -report, -trace, -metrics and/or -incident)")
 		os.Exit(exitUsage)
 	}
 	if *metrics2Path != "" && *metricsPath == "" {
@@ -117,19 +114,6 @@ func main() {
 		}
 		fmt.Printf("%s: %s %s x%d, %d levels, %d itemsets, report valid\n",
 			*reportPath, rep.Schema, rep.Algorithm, rep.Workers, len(rep.Levels), rep.Itemsets)
-		checked++
-	}
-	if *benchPath != "" {
-		f, err := os.Open(*benchPath)
-		if err != nil {
-			fail(exitIO, *benchPath, err)
-		}
-		bf, err := export.ReadBenchFile(f)
-		f.Close()
-		if err != nil {
-			fail(exitBench, *benchPath, err)
-		}
-		fmt.Printf("%s: %s, %d results, bench file valid\n", *benchPath, bf.Schema, len(bf.Results))
 		checked++
 	}
 	var trace *export.TraceFile

@@ -92,11 +92,17 @@ func ParseRepresentation(s string) (Representation, error) {
 
 // LoadCalibration applies a per-host kernel calibration file (knobs
 // like the merge/gallop crossover and the tiled sparse/dense crossover,
-// produced by cmd/calibrate). The env var named by CalibrationEnv is
-// honored automatically by the shipped binaries; embedders call this
-// directly. All knobs are speed dials only — results are identical for
-// any legal calibration.
+// produced by cmd/calibrate). An empty path falls back to the file
+// named by the CalibrationEnv environment variable, and does nothing
+// when that is unset too; fimmine, fimbench and fimserve all load
+// through this one path. All knobs are speed dials only — results are
+// identical for any legal calibration.
 func LoadCalibration(path string) error {
+	if path == "" {
+		if path = os.Getenv(CalibrationEnv); path == "" {
+			return nil
+		}
+	}
 	_, err := tidset.LoadCalibrationFile(path)
 	return err
 }

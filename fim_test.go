@@ -3,9 +3,11 @@ package fim
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/tidset"
 	"repro/internal/verify"
 )
 
@@ -207,5 +209,45 @@ func TestOrderByFrequencyAgrees(t *testing.T) {
 		if !a[i].Items.Equal(b[i].Items) || a[i].Support != b[i].Support {
 			t.Errorf("mismatch at %d: %v/%d vs %v/%d", i, a[i].Items, a[i].Support, b[i].Items, b[i].Support)
 		}
+	}
+}
+
+// TestLoadCalibrationEnv: with no path, LoadCalibration loads the file
+// named by $FIM_CALIBRATION, does nothing when that is unset, and an
+// explicit path wins over the variable.
+func TestLoadCalibrationEnv(t *testing.T) {
+	prev := tidset.CurrentCalibration()
+	t.Cleanup(func() {
+		if _, err := tidset.ApplyCalibration(prev); err != nil {
+			t.Error(err)
+		}
+	})
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	bad := write("bad.json", `{"tile_bits": 64}`)
+	good := write("good.json", `{"gallop_ratio": 12}`)
+
+	t.Setenv(CalibrationEnv, "")
+	if err := LoadCalibration(""); err != nil {
+		t.Errorf("env unset: %v", err)
+	}
+	if got := tidset.CurrentCalibration(); got != prev {
+		t.Errorf("env unset changed the knobs: %+v, was %+v", got, prev)
+	}
+	t.Setenv(CalibrationEnv, bad)
+	if err := LoadCalibration(""); err == nil {
+		t.Error("invalid file named by the env var accepted")
+	}
+	if err := LoadCalibration(good); err != nil {
+		t.Errorf("explicit path with an invalid env file: %v", err)
+	}
+	if got := tidset.CurrentCalibration().GallopRatio; got != 12 {
+		t.Errorf("gallop ratio %d after loading %s, want 12", got, good)
 	}
 }

@@ -284,38 +284,3 @@ func TestServeEndpoints(t *testing.T) {
 		resp2.Body.Close()
 	}
 }
-
-// TestBenchFileRoundTrip and schema rejection.
-func TestBenchFileRoundTrip(t *testing.T) {
-	f := NewBenchFile([]Bench{{
-		Schema: BenchSchema, Dataset: "chess", Algorithm: "eclat",
-		Representation: "diffset", Threads: 4, Rep: 1,
-		WallSeconds: 0.5, PeakBytes: 1 << 20, Itemsets: 1000,
-	}})
-	var buf bytes.Buffer
-	if err := WriteBenchFile(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBenchFile(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Results) != 1 || back.Results[0].Dataset != "chess" {
-		t.Errorf("round-trip = %+v", back)
-	}
-
-	bad := []func(*BenchFile){
-		func(f *BenchFile) { f.Schema = "x" },
-		func(f *BenchFile) { f.Results = nil },
-		func(f *BenchFile) { f.Results[0].Dataset = "" },
-		func(f *BenchFile) { f.Results[0].Threads = 0 },
-		func(f *BenchFile) { f.Results[0].WallSeconds = -1 },
-	}
-	for i, brk := range bad {
-		g := NewBenchFile([]Bench{f.Results[0]})
-		brk(g)
-		if err := ValidateBenchFile(g); err == nil {
-			t.Errorf("case %d: violation not caught", i)
-		}
-	}
-}

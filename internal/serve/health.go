@@ -8,11 +8,11 @@ package serve
 
 import (
 	"runtime"
+	"runtime/debug"
 	"runtime/metrics"
 	"sync"
 	"time"
 
-	"repro/internal/obs/export"
 	obsmetrics "repro/internal/obs/metrics"
 )
 
@@ -76,18 +76,33 @@ func registerHealthGauges(reg *obsmetrics.Registry) {
 		func() float64 { return h.read(func(h *healthSampler) float64 { return h.lastGCPause }) })
 }
 
-// registerBuildInfo adds the info-style build identity gauge, value
-// fixed at 1 with the identity in labels — the standard pattern for
-// joining scrapes to builds. The commit comes from the same Provenance
-// stamping fimbench writes into bench files, so a /metrics scrape and a
-// bench artifact from one binary carry the same identity.
-func registerBuildInfo(reg *obsmetrics.Registry) {
-	p := export.CollectProvenance()
-	commit := p.GitCommit
-	if commit == "" {
-		commit = "unknown"
+// provenance is the serving binary's build identity: the vcs revision
+// the Go linker embedded ("unknown" for non-VCS builds and plain
+// `go run`) and the toolchain version.
+type provenance struct {
+	commit    string
+	goVersion string
+}
+
+// collectProvenance stamps the running binary's build facts.
+func collectProvenance() provenance {
+	p := provenance{commit: "unknown", goVersion: runtime.Version()}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" && s.Value != "" {
+				p.commit = s.Value
+			}
+		}
 	}
+	return p
+}
+
+// registerBuildInfo adds the info-style build identity gauge, value
+// fixed at 1 with the provenance in labels — the standard pattern for
+// joining scrapes to builds.
+func registerBuildInfo(reg *obsmetrics.Registry) {
+	p := collectProvenance()
 	reg.GaugeVec("fimserve_build_info",
 		"Build identity of the serving binary; value is always 1.",
-		"commit", "go_version").With(commit, p.GoVersion).Set(1)
+		"commit", "go_version").With(p.commit, p.goVersion).Set(1)
 }

@@ -155,20 +155,6 @@ func LoadCalibrationFile(path string) (Calibration, error) {
 	return c, nil
 }
 
-// LoadCalibrationEnv applies the file named by FIM_CALIBRATION if the
-// variable is set, returning the path it loaded ("" when unset). Called
-// by every binary's main before mining starts.
-func LoadCalibrationEnv() (string, error) {
-	path := os.Getenv(CalibrationEnv)
-	if path == "" {
-		return "", nil
-	}
-	if _, err := LoadCalibrationFile(path); err != nil {
-		return path, err
-	}
-	return path, nil
-}
-
 // WriteCalibrationFile writes c as indented JSON — the output side of
 // cmd/calibrate's sweep.
 func WriteCalibrationFile(path string, c Calibration) error {
