@@ -155,61 +155,150 @@ func (d *DB) Recode(minSup int) *Recoded {
 	return d.RecodeOrdered(minSup, ByCode)
 }
 
-// RecodeOrdered is Recode with an explicit dense-code order.
+// sparseSlack is how far the largest item id may exceed the number of
+// item occurrences before RecodeOrdered counts in maps instead of dense
+// tables: below it a table indexed by item id is never larger than the
+// input plus 256 KB.
+const sparseSlack = 1 << 16
+
+// RecodeOrdered is Recode with an explicit dense-code order. Every
+// transaction must be sorted ascending, as ReadFIMI and itemset.New
+// leave them.
+//
+// Supports are counted in a table indexed by item id, which then maps
+// each item to its dense code (-1 when infrequent), unless the ids are
+// so sparse that the table would outgrow the input; then two maps do the
+// same job. The recoded transactions share one exactly sized backing
+// array, each capped at its own end so an append copies instead of
+// overwriting its neighbour.
 func (d *DB) RecodeOrdered(minSup int, order ItemOrder) *Recoded {
 	if minSup < 1 {
 		minSup = 1
 	}
-	counts := d.ItemCounts()
-	var keep []itemset.Item
-	for it, c := range counts {
-		if c >= minSup {
-			keep = append(keep, it)
+	var maxItem itemset.Item
+	occurrences := 0
+	for _, tr := range d.Transactions {
+		if n := len(tr); n > 0 {
+			occurrences += n
+			maxItem = max(maxItem, tr[n-1])
 		}
 	}
-	switch order {
-	case ByFrequency:
-		slices.SortFunc(keep, func(a, b itemset.Item) int {
-			if c := cmp.Compare(counts[a], counts[b]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
-	default:
-		slices.Sort(keep)
+	var items []FrequentItem
+	var translate func(dst []itemset.Item, tr Transaction) []itemset.Item
+	if uint64(maxItem) >= uint64(occurrences)+sparseSlack {
+		items, translate = d.sparseCodes(minSup, order)
+	} else {
+		items, translate = d.denseCodes(int(maxItem)+1, minSup, order)
 	}
-	code := make(map[itemset.Item]itemset.Item, len(keep))
-	items := make([]FrequentItem, len(keep))
-	for i, it := range keep {
-		code[it] = itemset.Item(i)
-		items[i] = FrequentItem{Original: it, Support: counts[it]}
+
+	// Transactions are sets, so the frequent occurrences number exactly
+	// the sum of the frequent supports.
+	size := 0
+	for _, fi := range items {
+		size += fi.Support
 	}
+	flat := make([]itemset.Item, size)
 	out := &DB{Name: d.Name, Transactions: make([]Transaction, len(d.Transactions))}
+	s := 0
 	for tid, tr := range d.Transactions {
-		nt := make(Transaction, 0, len(tr))
-		for _, it := range tr {
-			if c, ok := code[it]; ok {
-				nt = append(nt, c)
-			}
-		}
+		e := s + len(translate(flat[s:s], tr))
+		nt := flat[s:e:e]
 		if order != ByCode {
 			// Frequency order permutes the codes; restore sortedness.
 			slices.Sort(nt)
 		}
 		out.Transactions[tid] = nt
+		s = e
 	}
 	return &Recoded{DB: out, Items: items, MinSup: minSup, Universe: len(d.Transactions)}
 }
 
-// Decode maps a dense-coded itemset back to original item codes.
+// denseCodes counts supports in a table of n entries indexed by item id
+// and turns the same table into the dense-code translation.
+func (d *DB) denseCodes(n, minSup int, order ItemOrder) ([]FrequentItem, func([]itemset.Item, Transaction) []itemset.Item) {
+	table := make([]int32, n)
+	for _, tr := range d.Transactions {
+		for _, it := range tr {
+			table[it]++
+		}
+	}
+	items := []FrequentItem{}
+	for it, c := range table {
+		if int(c) >= minSup {
+			items = append(items, FrequentItem{Original: itemset.Item(it), Support: int(c)})
+		}
+	}
+	orderItems(items, order)
+	for i := range table {
+		table[i] = -1
+	}
+	for code, fi := range items {
+		table[fi.Original] = int32(code)
+	}
+	return items, func(dst []itemset.Item, tr Transaction) []itemset.Item {
+		for _, it := range tr {
+			if c := table[it]; c >= 0 {
+				dst = append(dst, itemset.Item(c))
+			}
+		}
+		return dst
+	}
+}
+
+// sparseCodes is denseCodes with maps in place of the table, for item
+// ids far sparser than the data.
+func (d *DB) sparseCodes(minSup int, order ItemOrder) ([]FrequentItem, func([]itemset.Item, Transaction) []itemset.Item) {
+	items := []FrequentItem{}
+	for it, c := range d.ItemCounts() {
+		if c >= minSup {
+			items = append(items, FrequentItem{Original: it, Support: c})
+		}
+	}
+	orderItems(items, order)
+	code := make(map[itemset.Item]itemset.Item, len(items))
+	for c, fi := range items {
+		code[fi.Original] = itemset.Item(c)
+	}
+	return items, func(dst []itemset.Item, tr Transaction) []itemset.Item {
+		for _, it := range tr {
+			if c, ok := code[it]; ok {
+				dst = append(dst, c)
+			}
+		}
+		return dst
+	}
+}
+
+// orderItems sorts items into dense-code order: ascending original id,
+// or under ByFrequency ascending support with ties by original id.
+func orderItems(items []FrequentItem, order ItemOrder) {
+	slices.SortFunc(items, func(a, b FrequentItem) int {
+		if order == ByFrequency {
+			if c := cmp.Compare(a.Support, b.Support); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(a.Original, b.Original)
+	})
+}
+
+// Decode maps a dense-coded itemset back to original item codes. Under
+// ByCode recoding the result is already ascending; frequency order
+// permutes the codes, so it is sorted then. Codes are distinct, so the
+// result needs no deduplication.
 func (r *Recoded) Decode(s itemset.Itemset) itemset.Itemset {
 	out := make(itemset.Itemset, len(s))
+	sorted := true
 	for i, c := range s {
 		out[i] = r.Items[c].Original
+		if i > 0 && out[i] < out[i-1] {
+			sorted = false
+		}
 	}
-	// Under ByCode recoding out is already sorted; frequency order
-	// permutes the codes, so normalize.
-	return itemset.New(out...)
+	if !sorted {
+		slices.Sort(out)
+	}
+	return out
 }
 
 // TidsetOf returns the tidset of each dense item: the inverted index that
@@ -278,6 +367,11 @@ func ReadFIMI(name string, r io.Reader) (*DB, error) {
 	return ReadFIMILimits(name, r, Limits{})
 }
 
+// arenaChunk is the largest item capacity of a ReadFIMILimits arena
+// chunk (256 KB): the parsed transactions are carved out of chunks, so
+// the reader allocates per chunk, not per line.
+const arenaChunk = 1 << 16
+
 // ReadFIMILimits is ReadFIMI under explicit input limits; any breach
 // returns a typed *ParseError locating the offending line.
 func ReadFIMILimits(name string, r io.Reader, lim Limits) (*DB, error) {
@@ -297,36 +391,13 @@ func ReadFIMILimits(name string, r io.Reader, lim Limits) (*DB, error) {
 	sc.Buffer(make([]byte, 0, initBuf), maxLine+1)
 	lineNo := 0
 	var totalItems int64
+	var items, arena []itemset.Item
 	for sc.Scan() {
 		lineNo++
-		line := sc.Bytes()
-		var items []itemset.Item
-		i := 0
-		for i < len(line) {
-			// skip whitespace
-			for i < len(line) && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r') {
-				i++
-			}
-			if i >= len(line) {
-				break
-			}
-			start := i
-			for i < len(line) && line[i] != ' ' && line[i] != '\t' && line[i] != '\r' {
-				i++
-			}
-			tok := string(line[start:i])
-			if tok[0] == '-' {
-				return nil, &ParseError{Name: name, Line: lineNo, Token: tok, Msg: "negative item"}
-			}
-			v, err := strconv.ParseUint(tok, 10, 32)
-			if err != nil {
-				msg := "bad item"
-				if ne, ok := err.(*strconv.NumError); ok && ne.Err == strconv.ErrRange {
-					msg = "item out of range"
-				}
-				return nil, &ParseError{Name: name, Line: lineNo, Token: tok, Msg: msg}
-			}
-			items = append(items, itemset.Item(v))
+		var perr *ParseError
+		if items, perr = parseLine(sc.Bytes(), items[:0]); perr != nil {
+			perr.Name, perr.Line = name, lineNo
+			return nil, perr
 		}
 		if len(items) == 0 {
 			continue
@@ -340,7 +411,18 @@ func ReadFIMILimits(name string, r io.Reader, lim Limits) (*DB, error) {
 			return nil, &ParseError{Name: name, Line: lineNo,
 				Msg: fmt.Sprintf("transaction count exceeds limit %d", lim.MaxTransactions)}
 		}
-		db.Transactions = append(db.Transactions, itemset.New(items...))
+		if !itemset.Itemset(items).IsSorted() {
+			slices.Sort(items)
+			items = slices.Compact(items)
+		}
+		if cap(arena)-len(arena) < len(items) {
+			// Chunks double up to arenaChunk, so a short input stays cheap.
+			size := min(max(2*cap(arena), 256), arenaChunk)
+			arena = make([]itemset.Item, 0, max(size, len(items)))
+		}
+		s := len(arena)
+		arena = append(arena, items...)
+		db.Transactions = append(db.Transactions, arena[s:len(arena):len(arena)])
 	}
 	if err := sc.Err(); err != nil {
 		if err == bufio.ErrTooLong {
@@ -353,6 +435,51 @@ func ReadFIMILimits(name string, r io.Reader, lim Limits) (*DB, error) {
 	}
 	return db, nil
 }
+
+// parseLine appends the items of one FIMI line to items, in input order.
+// A malformed token yields a *ParseError without Name and Line.
+func parseLine(line []byte, items []itemset.Item) ([]itemset.Item, *ParseError) {
+	for i := 0; i < len(line); {
+		if isSpace(line[i]) {
+			i++
+			continue
+		}
+		start := i
+		for i < len(line) && !isSpace(line[i]) {
+			i++
+		}
+		it, msg := parseItem(line[start:i])
+		if msg != "" {
+			return items, &ParseError{Token: string(line[start:i]), Msg: msg}
+		}
+		items = append(items, it)
+	}
+	return items, nil
+}
+
+// parseItem parses one token the way strconv.ParseUint(tok, 10, 32)
+// does, checking bytes in the same order, so a token is "item out of
+// range" exactly when its digits pass 2^32-1 before any non-digit
+// appears. It returns the failure message, or "" on success.
+func parseItem(tok []byte) (itemset.Item, string) {
+	if tok[0] == '-' {
+		return 0, "negative item"
+	}
+	var v uint64
+	for _, c := range tok {
+		d := c - '0'
+		if d > 9 {
+			return 0, "bad item"
+		}
+		if v = v*10 + uint64(d); v > math.MaxUint32 {
+			return 0, "item out of range"
+		}
+	}
+	return itemset.Item(v), ""
+}
+
+// isSpace reports whether c separates FIMI items.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
 
 // WriteFIMI writes the database in FIMI text format.
 func WriteFIMI(w io.Writer, db *DB) error {

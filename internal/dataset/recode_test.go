@@ -1,0 +1,199 @@
+package dataset_test
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/datasets"
+	"repro/internal/itemset"
+)
+
+// oracleRecode is the map-based first pass RecodeOrdered must reproduce:
+// count supports in a map, code the frequent items through a second map,
+// and give every transaction its own slice.
+func oracleRecode(d *dataset.DB, minSup int, order dataset.ItemOrder) *dataset.Recoded {
+	if minSup < 1 {
+		minSup = 1
+	}
+	counts := d.ItemCounts()
+	var keep []itemset.Item
+	for it, c := range counts {
+		if c >= minSup {
+			keep = append(keep, it)
+		}
+	}
+	if order == dataset.ByFrequency {
+		slices.SortFunc(keep, func(a, b itemset.Item) int {
+			if c := cmp.Compare(counts[a], counts[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+	} else {
+		slices.Sort(keep)
+	}
+	code := make(map[itemset.Item]itemset.Item, len(keep))
+	items := make([]dataset.FrequentItem, len(keep))
+	for i, it := range keep {
+		code[it] = itemset.Item(i)
+		items[i] = dataset.FrequentItem{Original: it, Support: counts[it]}
+	}
+	out := &dataset.DB{Name: d.Name, Transactions: make([]dataset.Transaction, len(d.Transactions))}
+	for tid, tr := range d.Transactions {
+		nt := make(dataset.Transaction, 0, len(tr))
+		for _, it := range tr {
+			if c, ok := code[it]; ok {
+				nt = append(nt, c)
+			}
+		}
+		slices.Sort(nt)
+		out.Transactions[tid] = nt
+	}
+	return &dataset.Recoded{DB: out, Items: items, MinSup: minSup, Universe: len(d.Transactions)}
+}
+
+// sameRecode fails t unless RecodeOrdered matches the oracle on db.
+func sameRecode(t *testing.T, name string, db *dataset.DB, minSup int, order dataset.ItemOrder) *dataset.Recoded {
+	t.Helper()
+	got, want := db.RecodeOrdered(minSup, order), oracleRecode(db, minSup, order)
+	if !slices.Equal(got.Items, want.Items) {
+		t.Fatalf("%s: items %v, want %v", name, got.Items, want.Items)
+	}
+	if got.MinSup != want.MinSup || got.Universe != want.Universe || got.DB.Name != want.DB.Name {
+		t.Fatalf("%s: MinSup/Universe/Name %d/%d/%q, want %d/%d/%q", name,
+			got.MinSup, got.Universe, got.DB.Name, want.MinSup, want.Universe, want.DB.Name)
+	}
+	if len(got.DB.Transactions) != len(want.DB.Transactions) {
+		t.Fatalf("%s: %d transactions, want %d", name, len(got.DB.Transactions), len(want.DB.Transactions))
+	}
+	for tid, tr := range got.DB.Transactions {
+		if !slices.Equal(tr, want.DB.Transactions[tid]) {
+			t.Fatalf("%s: transaction %d = %v, want %v", name, tid, tr, want.DB.Transactions[tid])
+		}
+		if tr == nil {
+			t.Fatalf("%s: transaction %d is nil", name, tid)
+		}
+	}
+	return got
+}
+
+var orders = []dataset.ItemOrder{dataset.ByCode, dataset.ByFrequency}
+
+// TestRecodeMatchesOracle checks RecodeOrdered against the map-based
+// oracle on every generator, both orders and three supports.
+func TestRecodeMatchesOracle(t *testing.T) {
+	for _, def := range datasets.All() {
+		db := def.Build(0.01)
+		for _, order := range orders {
+			for _, rel := range []float64{0.05, def.DefaultSupport, 0.9} {
+				sameRecode(t, fmt.Sprintf("%s/order=%d/support=%g", def.Name, order, rel),
+					db, db.AbsoluteSupport(rel), order)
+			}
+		}
+	}
+}
+
+// TestRecodeEdgeDatabases covers the inputs the generators never make:
+// ids near 2^32-1 (the sparse-id fallback), empty and all-infrequent
+// databases, and rows that filtering empties.
+func TestRecodeEdgeDatabases(t *testing.T) {
+	top := itemset.Item(math.MaxUint32)
+	cases := []struct {
+		name   string
+		trs    []dataset.Transaction
+		minSup int
+	}{
+		{"sparse-ids", []dataset.Transaction{
+			itemset.New(0, 7, top), itemset.New(7, top-1, top), itemset.New(3, top-1),
+			itemset.New(top), itemset.New(0, 3, 7),
+		}, 2},
+		{"sparse-ids-minsup-1", []dataset.Transaction{itemset.New(1, top), itemset.New(1 << 31)}, 1},
+		{"empty", nil, 1},
+		{"all-infrequent", []dataset.Transaction{itemset.New(1), itemset.New(2, 3), itemset.New(4)}, 2},
+		{"emptied-rows", []dataset.Transaction{
+			itemset.New(1, 2), itemset.New(9), itemset.New(1, 5), itemset.New(), itemset.New(6, 8), itemset.New(2),
+		}, 2},
+	}
+	for _, tc := range cases {
+		db := &dataset.DB{Name: tc.name, Transactions: tc.trs}
+		for _, order := range orders {
+			rec := sameRecode(t, fmt.Sprintf("%s/order=%d", tc.name, order), db, tc.minSup, order)
+			if tc.name == "emptied-rows" {
+				// Rows 1, 3 and 4 hold only infrequent items (or none) and
+				// keep their TIDs, so the kept rows stay at 0, 2 and 5.
+				for tid, want := range []int{2, 0, 1, 0, 0, 1} {
+					if got := len(rec.DB.Transactions[tid]); got != want {
+						t.Errorf("%s: row %d has %d items, want %d", tc.name, tid, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRecodedTransactionsAreCapped checks that the transactions sharing
+// one backing array cannot overwrite each other through append.
+func TestRecodedTransactionsAreCapped(t *testing.T) {
+	db := &dataset.DB{Transactions: []dataset.Transaction{
+		itemset.New(1, 2), itemset.New(9), itemset.New(1, 2, 3), itemset.New(2, 3),
+	}}
+	for _, order := range orders {
+		rec := db.RecodeOrdered(1, order)
+		next := slices.Clone(rec.DB.Transactions[1])
+		_ = append(rec.DB.Transactions[0], 99)
+		if !slices.Equal(rec.DB.Transactions[1], next) {
+			t.Fatalf("order=%d: appending to transaction 0 changed transaction 1 to %v", order, rec.DB.Transactions[1])
+		}
+	}
+}
+
+// accidentsFIMI is the FIMI text of an accidents-shaped database: tall,
+// about 34 items per row over a few hundred ids.
+func accidentsFIMI(b *testing.B) []byte {
+	var buf bytes.Buffer
+	if err := dataset.WriteFIMI(&buf, datasets.Accidents(0.1)); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkRecodeOrdered times the first pass at the support
+// fim.Mine's recode runs at on the accidents_tall workload.
+func BenchmarkRecodeOrdered(b *testing.B) {
+	db := datasets.Accidents(0.1)
+	minSup := db.AbsoluteSupport(0.20)
+	for _, order := range orders {
+		name := "ByCode"
+		if order == dataset.ByFrequency {
+			name = "ByFrequency"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink = db.RecodeOrdered(minSup, order)
+			}
+		})
+	}
+}
+
+// BenchmarkReadFIMI times parsing accidents-shaped FIMI text.
+func BenchmarkReadFIMI(b *testing.B) {
+	text := accidentsFIMI(b)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db, err := dataset.ReadFIMI("accidents", bytes.NewReader(text))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink = db
+	}
+}
+
+var sink any

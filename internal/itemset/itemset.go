@@ -64,7 +64,7 @@ func (s Itemset) Contains(x Item) bool {
 }
 
 // IsSorted reports whether s satisfies the package invariant
-// (strictly ascending). Intended for tests and debug assertions.
+// (strictly ascending).
 func (s Itemset) IsSorted() bool {
 	for i := 1; i < len(s); i++ {
 		if s[i-1] >= s[i] {

@@ -1,6 +1,7 @@
 package tidset
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -188,6 +189,121 @@ func TestTiledSummarySkips(t *testing.T) {
 	tc := FromSet(c)
 	if got := ta.IntersectInto(tc, &Tiled{}).ToSet(); !got.Equal(a.Intersect(c)) {
 		t.Fatal("offset-disjoint intersect wrong")
+	}
+}
+
+// naiveSummary is the summary by definition: bit b is set iff in-tile
+// offset 2b or 2b+1 is present in the 128-bit tile w0|w1<<64.
+func naiveSummary(w0, w1 uint64) uint64 {
+	var sum uint64
+	for off := 0; off < TileBits; off++ {
+		w := w0
+		if off >= 64 {
+			w = w1
+		}
+		if w>>(off%64)&1 != 0 {
+			sum |= 1 << (off / 2)
+		}
+	}
+	return sum
+}
+
+// checkSummaries fails t unless every stored summary of x equals the
+// naive summary of its tile's payload, whichever form the tile is in.
+func checkSummaries(t *testing.T, name string, x *Tiled) {
+	t.Helper()
+	for i := range x.keys {
+		w0, w1 := x.tileWordsAt(i)
+		if got, want := x.sums[i], naiveSummary(w0, w1); got != want {
+			t.Fatalf("%s: tile %d (key %d, dense %v): summary %#x, want %#x",
+				name, i, x.keys[i], x.meta[i]&tileDenseFlag != 0, got, want)
+		}
+	}
+}
+
+// TestTiledSummarySound checks the invariant the prefilter's skips rest
+// on: summaries are exact, so a zero summary AND proves two tiles
+// disjoint. It covers summaryOf on random and single-bit words, every
+// tile-building path (FromSet, IntersectInto, DiffInto) under
+// all-sparse, default and all-dense crossovers, and adversarial pairs:
+// the same summary bit from different offsets (a false positive the
+// in-tile kernel must resolve), neighbouring pairs (a true skip), and
+// TIDs 0, 127, 128 and 255 at the tile edges.
+func TestTiledSummarySound(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	words := [][2]uint64{{0, 0}, {^uint64(0), ^uint64(0)}, {0x5555555555555555, 0}, {0, 0xaaaaaaaaaaaaaaaa}}
+	for off := 0; off < TileBits; off++ {
+		var w [2]uint64
+		w[off/64] = 1 << (off % 64)
+		words = append(words, w)
+	}
+	for i := 0; i < 2000; i++ {
+		words = append(words, [2]uint64{rng.Uint64() & rng.Uint64(), rng.Uint64() & rng.Uint64() & rng.Uint64()})
+	}
+	for _, w := range words {
+		if got, want := summaryOf(w[0], w[1]), naiveSummary(w[0], w[1]); got != want {
+			t.Fatalf("summaryOf(%#x, %#x) = %#x, want %#x", w[0], w[1], got, want)
+		}
+	}
+
+	adversarial := [][2]Set{
+		{{0, 2, 4, 126}, {1, 3, 5, 127}},          // same summary bits, disjoint offsets
+		{{0, 4, 8}, {2, 6, 10}},                   // neighbouring pairs: summaries disjoint
+		{{0, 127, 128, 255}, {127, 128}},          // tile edges, shared
+		{{0, 127, 128, 255}, {1, 126, 129, 254}},  // tile edges, same bits, disjoint
+		{{0, 127}, {128, 255}},                    // no shared key
+		{{127, 128}, {0, 1, 2, 3, 124, 125, 126}}, // only the first tile shared
+	}
+	var full Set
+	for tid := TID(0); tid < 4*TileBits; tid++ {
+		full = append(full, tid)
+	}
+	adversarial = append(adversarial, [2]Set{full, {0, 127, 128, 255, 511}})
+	for round := 0; round < 200; round++ {
+		p := []float64{0.005, 0.05, 0.3, 0.7, 0.98}
+		adversarial = append(adversarial, [2]Set{
+			randSetDensity(rng, 4*TileBits, p[rng.Intn(len(p))]),
+			randSetDensity(rng, 4*TileBits, p[rng.Intn(len(p))]),
+		})
+	}
+
+	build := func(s Set, sm int) *Tiled {
+		prev, err := ApplyCalibration(Calibration{TileSparseMax: sm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if _, err := ApplyCalibration(prev); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		return FromSet(s)
+	}
+	for n, pair := range adversarial {
+		for _, sms := range [][2]int{{1, 1}, {TileSparseMax(), TileSparseMax()}, {TileBits, TileBits}, {1, TileBits}, {TileBits, 1}} {
+			a, b := build(pair[0], sms[0]), build(pair[1], sms[1])
+			name := fmt.Sprintf("pair %d, crossovers %v", n, sms)
+			checkSummaries(t, name+", a", a)
+			checkSummaries(t, name+", b", b)
+			for i := range a.keys {
+				for j := range b.keys {
+					if a.keys[i] != b.keys[j] || a.sums[i]&b.sums[j] != 0 {
+						continue
+					}
+					a0, a1 := a.tileWordsAt(i)
+					b0, b1 := b.tileWordsAt(j)
+					if a0&b0 != 0 || a1&b1 != 0 {
+						t.Fatalf("%s: key %d: zero summary AND over intersecting tiles", name, a.keys[i])
+					}
+				}
+			}
+			inter, diff := a.IntersectInto(b, &Tiled{}), a.DiffInto(b, &Tiled{})
+			checkSummaries(t, name+", a∩b", inter)
+			checkSummaries(t, name+", a\\b", diff)
+			if got, want := inter.ToSet(), pair[0].Intersect(pair[1]); !got.Equal(want) {
+				t.Fatalf("%s: intersect %v, want %v", name, got, want)
+			}
+		}
 	}
 }
 
