@@ -106,8 +106,6 @@ func main() {
 			fmt.Print(experiments.FormatHT(experiments.HTAblation(cfg)))
 		case "order-ablation":
 			fmt.Print(experiments.FormatOrder(experiments.OrderAblation(cfg)))
-		case "lazy-ablation":
-			fmt.Print(experiments.FormatLazy(experiments.LazyAblation(cfg)))
 		case "memory-footprint":
 			fmt.Print(experiments.FormatFootprint(experiments.MemoryFootprint(cfg)))
 		default:
@@ -121,7 +119,7 @@ func main() {
 			"table1", "table2+fig5", "apriori-flat", "table3+fig6",
 			"table6+fig7", "table5+fig8", "eclat-hybrid", "sparse-limit",
 			"schedule-ablation", "chunk-ablation", "depth-ablation", "baselines",
-			"ht-ablation", "order-ablation", "lazy-ablation", "memory-footprint",
+			"ht-ablation", "order-ablation", "memory-footprint",
 		} {
 			run(id)
 			fmt.Println()

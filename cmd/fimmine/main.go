@@ -54,8 +54,6 @@ func main() {
 	depth := flag.Int("depth", 0, "Eclat flattening depth (0 = default)")
 	schedName := flag.String("sched", "", "override the loop schedule: static, dynamic, guided, steal (default: the algorithm's choice)")
 	schedChunk := flag.Int("sched-chunk", 0, "chunk size for -sched (0 = the policy's default)")
-	lazy := flag.Bool("lazy", false, "Apriori: count supports before materializing payloads")
-	batch := flag.String("batch", "on", "prefix-blocked batched combine kernels: on, off")
 	rules := flag.Float64("rules", 0, "also emit association rules at this confidence (0 = off)")
 	closedOnly := flag.Bool("closed", false, "print only closed itemsets")
 	maximalOnly := flag.Bool("maximal", false, "print only maximal itemsets")
@@ -92,14 +90,6 @@ func main() {
 	opt.Workers = *workers
 	opt.OrderByFrequency = *freqOrder
 	opt.EclatDepth = *depth
-	opt.LazyMaterialize = *lazy
-	switch *batch {
-	case "on":
-	case "off":
-		opt.DisableBatch = true
-	default:
-		fatal(fmt.Errorf("fimmine: -batch must be on or off, got %q", *batch))
-	}
 	if *schedName != "" {
 		if opt.SchedulePolicy, err = fim.ParseSchedulePolicy(*schedName); err != nil {
 			fatal(err)

@@ -199,7 +199,7 @@ type Options struct {
 	// Algorithm selects the miner (Apriori, Eclat, FPGrowth).
 	Algorithm Algorithm
 	// Representation selects the vertical layout (Tidset, Bitvector,
-	// Diffset, Hybrid).
+	// Diffset, Hybrid, Tiled, Nodeset).
 	Representation Representation
 	// Workers is the parallel team size; 0 means serial.
 	Workers int
@@ -210,11 +210,6 @@ type Options struct {
 	SetSchedule    bool
 	// DisablePruning turns off Apriori's subset pruning.
 	DisablePruning bool
-	// DisableBatch turns off the prefix-blocked batched combine kernels
-	// and runs the miners' combine loops pairwise — the escape hatch and
-	// A/B lever for the batching optimization. Results are identical
-	// either way.
-	DisableBatch bool
 	// EclatDepth sets Eclat's flattening depth (see internal/eclat);
 	// 0 uses the default.
 	EclatDepth int
@@ -222,9 +217,6 @@ type Options struct {
 	// mining (the classic search-tree balancing optimization; ablation
 	// A9). Results are identical after decoding.
 	OrderByFrequency bool
-	// LazyMaterialize makes Apriori prune candidates before allocating
-	// their payloads (ablation A10).
-	LazyMaterialize bool
 	// Trace, when non-nil, records the run for NUMA replay via Simulate.
 	Trace *Trace
 	// Observer, when non-nil, receives the run's structured event stream
@@ -388,14 +380,12 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 		rc.AttachPool(opt.SharedPool)
 	}
 	copt := core.Options{
-		Representation:  opt.Representation,
-		Workers:         opt.Workers,
-		Collector:       opt.Trace,
-		Control:         rc,
-		Prune:           !opt.DisablePruning,
-		Batch:           !opt.DisableBatch,
-		EclatDepth:      opt.EclatDepth,
-		LazyMaterialize: opt.LazyMaterialize,
+		Representation: opt.Representation,
+		Workers:        opt.Workers,
+		Collector:      opt.Trace,
+		Control:        rc,
+		Prune:          !opt.DisablePruning,
+		EclatDepth:     opt.EclatDepth,
 	}
 	if opt.SetSchedule {
 		copt.Schedule = sched.Schedule{Policy: opt.SchedulePolicy, Chunk: opt.ScheduleChunk}

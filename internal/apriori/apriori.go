@@ -1,8 +1,8 @@
 // Package apriori implements Algorithm 1 of the paper: generational
 // (breadth-first) frequent itemset mining over any vertical
-// representation (the paper's three plus the hybrid extension), with the
-// support-counting loop parallelized by an OpenMP-style worker team
-// under static scheduling (§III).
+// representation (the paper's three plus the hybrid, tiled and nodeset
+// extensions), with the support-counting loop parallelized by an
+// OpenMP-style worker team under static scheduling (§III).
 //
 // Per generation the miner:
 //
@@ -10,9 +10,10 @@
 //     (candidate_generation),
 //  2. optionally prunes candidates with an infrequent subset,
 //  3. counts every candidate's support in parallel — each iteration
-//     combines the candidate's two parent payloads into its own payload,
-//     with no shared mutable state ("each thread calculates an
-//     independent support and does not have data dependency"),
+//     combines one parent payload with its whole sibling run into the
+//     candidates' own payloads, with no shared mutable state ("each
+//     thread calculates an independent support and does not have data
+//     dependency"), and recycles the infrequent ones on the spot,
 //  4. commits the frequent survivors as the next trie level
 //     (candidate_pruning).
 //
@@ -122,8 +123,8 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		return true
 	}
 
-	// Per-worker arenas for the batched combine path: candidate payloads
-	// recycle generation over generation, so once the free lists warm up
+	// Per-worker arenas for the combine loop: candidate payloads recycle
+	// within and across generations, so once the free lists warm up
 	// the counting loop stops touching the allocator.
 	arenas := make([]*vertical.Arena, team.Workers())
 	for w := range arenas {
@@ -192,76 +193,59 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 			phase.UniqueParent = MemoryFootprint(nodes)
 		}
 
-		counter, lazy := rep.(vertical.SupportOnly)
-		lazy = lazy && opt.LazyMaterialize
-		batch := opt.Batch && !lazy // CombineSupport has no batched form
-
-		// Parallel support counting (Algorithm 1 line 8). The batched
-		// path iterates prefix blocks — each iteration keeps one parent
-		// px resident and combines it against its entire sibling run in
-		// a single kernel call — with the static schedule's contiguous
-		// cuts weighted by estimated combine cost so block granularity
-		// keeps the paper's balance properties. The pairwise path is the
-		// paper's literal per-candidate loop; lazy materialization only
-		// computes supports here and allocates the frequent survivors
-		// afterwards.
+		// Parallel support counting (Algorithm 1 line 8) over prefix
+		// blocks: each iteration keeps one parent px resident and
+		// combines it against its entire sibling run in a single kernel
+		// call, with the static schedule's contiguous cuts weighted by
+		// estimated combine cost so block granularity keeps the paper's
+		// balance properties. An infrequent child goes straight back to
+		// the worker's arena inside the block that built it, so the live
+		// footprint holds only frequent children and a later block reuses
+		// the buffer; the model still charges every candidate's payload.
 		childNodes := make([]vertical.Node, n)
-		var err error
-		if batch {
-			nBlocks := len(cands.Blocks) - 1
-			weights := make([]int64, nBlocks)
-			for b := 0; b < nBlocks; b++ {
-				lo, hi := cands.Blocks[b], cands.Blocks[b+1]
-				w := int64(hi-lo) * int64(nodes[cands.Px[lo]].Bytes())
-				for i := lo; i < hi; i++ {
-					w += int64(nodes[cands.Py[i]].Bytes())
-				}
-				weights[b] = w
+		nBlocks := len(cands.Blocks) - 1
+		weights := make([]int64, nBlocks)
+		for b := 0; b < nBlocks; b++ {
+			lo, hi := cands.Blocks[b], cands.Blocks[b+1]
+			w := int64(hi-lo) * int64(nodes[cands.Px[lo]].Bytes())
+			for i := lo; i < hi; i++ {
+				w += int64(nodes[cands.Py[i]].Bytes())
 			}
-			err = team.ForWeightedCtx(rc, nBlocks, weights, schedule, func(worker, b int) {
-				lo, hi := int(cands.Blocks[b]), int(cands.Blocks[b+1])
-				m := hi - lo
-				px := nodes[cands.Px[lo]]
-				a := arenas[worker]
-				pys, out := a.NodeScratch(m)
-				for k := 0; k < m; k++ {
-					pys[k] = nodes[cands.Py[lo+k]]
-				}
-				rep.CombineManyInto(px, pys, out, a)
-				pxBytes := int64(px.Bytes())
-				remoteParent := pxBytes // px streamed once per block
-				var mem int64
-				for k := 0; k < m; k++ {
-					i := lo + k
-					child := out[k]
-					childNodes[i] = child
-					cands.Level.Supports[i] = child.Support()
-					cb := int64(child.Bytes())
-					mem += cb
-					cost := pxBytes + int64(pys[k].Bytes())
-					phase.Add(i, cost+cb, remoteParent+int64(pys[k].Bytes()), cb)
-					remoteParent = 0
-				}
-				rc.ChargeMem(mem)
-				a.Flush()
-			})
-		} else {
-			err = team.ForCtx(rc, n, schedule, func(_, i int) {
-				px := nodes[cands.Px[i]]
-				py := nodes[cands.Py[i]]
-				cost := int64(vertical.CombineCost(px, py))
-				if lazy {
-					cands.Level.Supports[i] = counter.CombineSupport(px, py)
-					phase.Add(i, cost, cost, 0)
-					return
-				}
-				child := rep.Combine(px, py)
-				childNodes[i] = child
-				cands.Level.Supports[i] = child.Support()
-				rc.ChargeMem(int64(child.Bytes()))
-				phase.Add(i, cost+int64(child.Bytes()), cost, int64(child.Bytes()))
-			})
+			weights[b] = w
 		}
+		err := team.ForWeightedCtx(rc, nBlocks, weights, schedule, func(worker, b int) {
+			lo, hi := int(cands.Blocks[b]), int(cands.Blocks[b+1])
+			m := hi - lo
+			px := nodes[cands.Px[lo]]
+			a := arenas[worker]
+			pys, out := a.NodeScratch(m)
+			for k := 0; k < m; k++ {
+				pys[k] = nodes[cands.Py[lo+k]]
+			}
+			rep.CombineManyInto(px, pys, out, a)
+			pxBytes := int64(px.Bytes())
+			remoteParent := pxBytes // px streamed once per block
+			var mem int64
+			for k := 0; k < m; k++ {
+				i := lo + k
+				child := out[k]
+				cands.Level.Supports[i] = child.Support()
+				cb := int64(child.Bytes())
+				cost := pxBytes + int64(pys[k].Bytes())
+				phase.Add(i, cost+cb, remoteParent+int64(pys[k].Bytes()), cb)
+				remoteParent = 0
+				if child.Support() < minSup {
+					// Children never alias parents or each other, so
+					// recycling an infrequent one is safe.
+					a.Release(child)
+					continue
+				}
+				childNodes[i] = child
+				mem += cb
+			}
+			rc.ChargeMem(mem)
+			a.Flush()
+		})
 		core.EmitPhases(o, met)
 		if err != nil {
 			return collect(err)
@@ -269,63 +253,18 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 
 		level, kept := tr.Commit(cands, minSup)
 		phase.AddSerial(int64(n) * 8)
-		// Carry forward only the frequent payloads, aligned with the new
-		// level; lazy runs materialize the survivors here, paying the
-		// parent reads a second time but allocating nothing for the
-		// pruned candidates.
+		// Carry forward the frequent payloads, aligned with the new level.
 		next := make([]vertical.Node, level.Len())
-		if lazy {
-			parents := nodes
-			pxs := make([]int32, len(kept))
-			pys := make([]int32, len(kept))
-			for w, i := range kept {
-				pxs[w], pys[w] = cands.Px[i], cands.Py[i]
-			}
-			matName := fmt.Sprintf("apriori/gen%d-materialize", gen+1)
-			met.Label(matName)
-			mat := col.NewPhase(matName, schedule, true, len(kept))
-			if mat != nil {
-				mat.UniqueParent = MemoryFootprint(parents)
-			}
-			err := team.ForCtx(rc, len(kept), schedule, func(_, w int) {
-				px := parents[pxs[w]]
-				py := parents[pys[w]]
-				child := rep.Combine(px, py)
-				next[w] = child
-				cost := int64(vertical.CombineCost(px, py))
-				rc.ChargeMem(int64(child.Bytes()))
-				mat.Add(w, cost+int64(child.Bytes()), cost, int64(child.Bytes()))
-			})
-			core.EmitPhases(o, met)
-			if err != nil {
-				return collect(err)
-			}
-		} else {
-			for w, i := range kept {
-				next[w] = childNodes[i]
-			}
-			// Release the infrequent candidates' payloads.
-			rc.ChargeMem(vertical.NodesBytes(next) - vertical.NodesBytes(childNodes))
-			if batch {
-				// Recycle the infrequent children's buffers: nil out the
-				// survivors, then release the rest round-robin so every
-				// worker's free list warms up, not just worker 0's.
-				// Children never alias parents or each other, so the kept
-				// payloads are safe.
-				for _, i := range kept {
-					childNodes[i] = nil
-				}
-				for j, c := range childNodes {
-					arenas[j%len(arenas)].Release(c)
-				}
-			}
+		for w, i := range kept {
+			next[w] = childNodes[i]
 		}
 		if err := rc.AddItemsets(level.Len()); err != nil {
 			return collect(err)
 		}
 
-		// Memory-budget decision point: the new level is materialized
-		// and its parents are still live — the generation's peak.
+		// Memory-budget decision point: the frequent children are live
+		// and their parents are still live — the generation's peak, since
+		// infrequent children were recycled as they were built.
 		if rc.OverMemory() {
 			parents := nodes
 			ok := rc.Budget().DegradeToDiffset && degrade(gen+1, next, func(w int) vertical.Node {
@@ -339,7 +278,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 			}
 		}
 		rc.ChargeMem(-MemoryFootprint(nodes)) // retire the parent level
-		if batch && parentsReleasable {
+		if parentsReleasable {
 			for j, p := range nodes {
 				arenas[j%len(arenas)].Release(p)
 			}

@@ -1,6 +1,7 @@
 package apriori
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/itemset"
 	"repro/internal/perf"
+	"repro/internal/runctl"
 	"repro/internal/sched"
 	"repro/internal/verify"
 	"repro/internal/vertical"
@@ -223,22 +225,11 @@ func TestQuickAgainstReference(t *testing.T) {
 	}
 }
 
-func TestLazyMaterializeMatchesEager(t *testing.T) {
-	rec := classicRecoded(t, 2)
-	for _, kind := range vertical.AllKinds() {
-		eager := mine(rec, 2, core.DefaultOptions(kind, 2))
-		opt := core.DefaultOptions(kind, 2)
-		opt.LazyMaterialize = true
-		lazy := mine(rec, 2, opt)
-		if !lazy.Equal(eager) {
-			t.Errorf("%v: lazy disagrees with eager:\n%s", kind, verify.Diff(lazy, eager))
-		}
-	}
-}
-
-func TestLazyMaterializeReducesAllocation(t *testing.T) {
-	// A workload with many infrequent candidates: lazy materialization
-	// must allocate strictly less payload.
+// sparseRecoded builds a sparse random database (80 rows, 10 items,
+// each present with probability 1/3) recoded at minsup 0.2: most
+// candidates of every generation are infrequent.
+func sparseRecoded(t *testing.T) *dataset.Recoded {
+	t.Helper()
 	var sb strings.Builder
 	r := rand.New(rand.NewSource(17))
 	for i := 0; i < 80; i++ {
@@ -254,20 +245,47 @@ func TestLazyMaterializeReducesAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := db.Recode(db.AbsoluteSupport(0.2))
-	colE, colL := &perf.Collector{}, &perf.Collector{}
-	optE := core.DefaultOptions(vertical.Tidset, 1)
-	optE.Collector = colE
-	optL := core.DefaultOptions(vertical.Tidset, 1)
-	optL.Collector = colL
-	optL.LazyMaterialize = true
-	a := mine(rec, rec.MinSup, optE)
-	b := mine(rec, rec.MinSup, optL)
-	if !a.Equal(b) {
-		t.Fatalf("results differ:\n%s", verify.Diff(a, b))
+	return db.Recode(db.AbsoluteSupport(0.2))
+}
+
+// TestPeakLiveBoundedByFrequentLevels: infrequent children are recycled
+// inside the block that built them, so the accounted live footprint
+// never exceeds two adjacent frequent levels — the parents being joined
+// plus the frequent children built from them. The perf model still
+// charges every candidate's payload, so its allocation total does not
+// move.
+func TestPeakLiveBoundedByFrequentLevels(t *testing.T) {
+	rec := sparseRecoded(t)
+	rc := runctl.New(context.Background(), runctl.Budget{})
+	defer rc.Close()
+	rc.TrackMemory()
+	col := &perf.Collector{}
+	opt := core.DefaultOptions(vertical.Tidset, 2)
+	opt.Control = rc
+	opt.Collector = col
+	res := mine(rec, rec.MinSup, opt)
+	if ref := verify.Reference(rec, rec.MinSup); !res.Equal(ref) {
+		t.Fatalf("vs reference:\n%s", verify.Diff(res, ref))
 	}
-	if colL.TotalAlloc() >= colE.TotalAlloc() {
-		t.Errorf("lazy alloc %d not below eager %d", colL.TotalAlloc(), colE.TotalAlloc())
+
+	// A frequent k-set's tidset holds 4 bytes per supporting TID.
+	levelBytes := make([]int64, res.MaxK+2)
+	for _, c := range res.Counts {
+		levelBytes[len(c.Items)] += 4 * int64(c.Support)
+	}
+	var bound int64
+	for k := 2; k < len(levelBytes); k++ {
+		if b := levelBytes[k-1] + levelBytes[k]; b > bound {
+			bound = b
+		}
+	}
+	if peak := rc.PeakMem(); peak > bound {
+		t.Errorf("peak live %d B exceeds two frequent levels (%d B)", peak, bound)
+	}
+	// Every generated candidate's payload, as the model charges it.
+	const modelAlloc = 2832
+	if got := col.TotalAlloc(); got != modelAlloc {
+		t.Errorf("model TotalAlloc = %d, want %d", got, modelAlloc)
 	}
 }
 

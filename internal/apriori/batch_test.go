@@ -1,7 +1,9 @@
-// Batch on/off equivalence for Apriori's counting loop: the
-// prefix-blocked path must produce exactly the same frequent itemsets
-// and supports as the pairwise loop, with and without pruning, across
+// The prefix-blocked counting loop, which recycles infrequent children
+// inside the block that built them, must mine exactly the reference
+// miner's itemsets and supports, with and without pruning, across
 // representations and worker counts.
+// The tests keep the "Pairwise" names they had when the oracle was the
+// per-candidate loop, so their IDs stay stable across history.
 package apriori
 
 import (
@@ -18,17 +20,15 @@ import (
 
 func TestBatchMatchesPairwise(t *testing.T) {
 	rec := classicRecoded(t, 2)
+	ref := verify.Reference(rec, 2)
 	for _, kind := range vertical.AllKinds() {
 		for _, workers := range []int{1, 4} {
 			for _, prune := range []bool{true, false} {
-				on := core.DefaultOptions(kind, workers)
-				on.Prune = prune
-				off := on
-				off.Batch = false
-				a, b := mine(rec, 2, on), mine(rec, 2, off)
-				if !a.Equal(b) {
-					t.Errorf("%v workers=%d prune=%v: batch != pairwise:\n%s",
-						kind, workers, prune, verify.Diff(a, b))
+				opt := core.DefaultOptions(kind, workers)
+				opt.Prune = prune
+				if res := mine(rec, 2, opt); !res.Equal(ref) {
+					t.Errorf("%v workers=%d prune=%v vs reference:\n%s",
+						kind, workers, prune, verify.Diff(res, ref))
 				}
 			}
 		}
@@ -37,6 +37,7 @@ func TestBatchMatchesPairwise(t *testing.T) {
 
 func TestQuickBatchMatchesPairwise(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30}
+	kinds := vertical.AllKinds()
 	law := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		db := &dataset.DB{Name: "rand"}
@@ -56,12 +57,10 @@ func TestQuickBatchMatchesPairwise(t *testing.T) {
 		}
 		minSup := 1 + r.Intn(nTrans/2+1)
 		rec := db.Recode(minSup)
-		on := core.DefaultOptions(vertical.AllKinds()[r.Intn(4)], []int{1, 4}[r.Intn(2)])
-		off := on
-		off.Batch = false
-		return mine(rec, minSup, on).Equal(mine(rec, minSup, off))
+		opt := core.DefaultOptions(kinds[r.Intn(len(kinds))], []int{1, 4}[r.Intn(2)])
+		return mine(rec, minSup, opt).Equal(verify.Reference(rec, minSup))
 	}
 	if err := quick.Check(law, cfg); err != nil {
-		t.Errorf("batch vs pairwise: %v", err)
+		t.Errorf("batch vs reference: %v", err)
 	}
 }

@@ -128,18 +128,6 @@ func (v *Vector) AndInto(a, b *Vector) *Vector {
 	return v
 }
 
-// AndCount returns popcount(v AND u) without materializing the result.
-func (v *Vector) AndCount(u *Vector) int {
-	checkLen(v, u)
-	c := 0
-	for i := range v.words {
-		c += bits.OnesCount64(v.words[i] & u.words[i])
-	}
-	kcount.AddWordsANDed(len(v.words))
-	kcount.AddWordsPopcounted(len(v.words))
-	return c
-}
-
 // andTileWords is the strip width of AndManyInto in 64-bit words:
 // 512 words = 4 KiB of parent payload per tile, small enough that a
 // tile stays cache-resident while it is ANDed against every child of a

@@ -59,9 +59,6 @@ func TestAndOrAndNot(t *testing.T) {
 	if got := a.And(b).TIDs(); !got.Equal(tidset.New(2, 3)) {
 		t.Errorf("And = %v", got)
 	}
-	if got := a.AndCount(b); got != 2 {
-		t.Errorf("AndCount = %d", got)
-	}
 	if got := a.Or(b).TIDs(); !got.Equal(tidset.New(1, 2, 3, 4, 70, 99)) {
 		t.Errorf("Or = %v", got)
 	}
@@ -154,24 +151,13 @@ func TestQuickAgreesWithTidset(t *testing.T) {
 		if !va.Or(vb).TIDs().Equal(ta.Union(tb)) {
 			return false
 		}
-		if va.AndCount(vb) != ta.IntersectSize(tb) {
+		if va.And(vb).Count() != len(ta.Intersect(tb)) {
 			return false
 		}
 		return va.Not().TIDs().Equal(ta.Complement(n))
 	}
 	if err := quick.Check(law, cfg); err != nil {
 		t.Errorf("bitvec/tidset agreement: %v", err)
-	}
-}
-
-func BenchmarkAndCount(b *testing.B) {
-	r := rand.New(rand.NewSource(5))
-	n := 1 << 16
-	x := FromTIDs(n, randomTIDs(r, n))
-	y := FromTIDs(n, randomTIDs(r, n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.AndCount(y)
 	}
 }
 
@@ -228,13 +214,4 @@ func TestRangeFullIteration(t *testing.T) {
 	if !got.Equal(s) {
 		t.Errorf("Range visited %v", got)
 	}
-}
-
-func TestAndCountMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("AndCount mismatch did not panic")
-		}
-	}()
-	New(8).AndCount(New(9))
 }

@@ -85,20 +85,6 @@ type Options struct {
 	// Prune enables Apriori's subset-based candidate pruning
 	// (on by default via DefaultOptions).
 	Prune bool
-	// LazyMaterialize makes Apriori count candidate supports without
-	// allocating payloads, materializing only the frequent survivors
-	// (ablation A10). Requires a representation implementing
-	// vertical.SupportOnly; ignored otherwise.
-	LazyMaterialize bool
-	// Batch routes the miners' combine loops through the prefix-blocked
-	// batched kernels (vertical.CombineManyInto): one resident parent is
-	// combined against its whole sibling run per kernel call, streaming
-	// the shared parent once per block instead of once per candidate.
-	// On by default via DefaultOptions; Apriori's lazy-materialization
-	// counting stays pairwise regardless (CombineSupport has no batched
-	// form). Results are identical either way — only the loop structure
-	// and the memory traffic change.
-	Batch bool
 	// EclatDepth selects Eclat's parallel decomposition: 1 parallelizes
 	// the literal outer loop of Algorithm 2 (one task per first-level
 	// equivalence class — the paper's text reading, whose parallelism is
@@ -114,7 +100,7 @@ type Options struct {
 // the given representation and worker count, pruning on, the algorithm's
 // own default schedule.
 func DefaultOptions(rep vertical.Kind, workers int) Options {
-	return Options{Representation: rep, Workers: workers, Prune: true, Batch: true}
+	return Options{Representation: rep, Workers: workers, Prune: true}
 }
 
 // EmitPhases forwards every scheduler loop finished since the last call

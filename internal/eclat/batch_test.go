@@ -1,6 +1,8 @@
-// Batch on/off equivalence: the prefix-blocked combine path must emit
-// exactly the same itemsets with the same supports as the pairwise
-// loop, for every representation, decomposition depth, and schedule.
+// The prefix-blocked combine loop must emit exactly the reference
+// miner's itemsets and supports for every representation,
+// decomposition depth, and schedule.
+// The tests keep the "Pairwise" names they had when the oracle was the
+// per-candidate loop, so their IDs stay stable across history.
 package eclat
 
 import (
@@ -18,17 +20,15 @@ import (
 
 func TestBatchMatchesPairwise(t *testing.T) {
 	rec := classicRecoded(t, 2)
+	ref := verify.Reference(rec, 2)
 	for _, kind := range vertical.AllKinds() {
 		for _, depth := range []int{1, 2, 3, 0} {
 			for _, workers := range []int{1, 4} {
-				on := core.DefaultOptions(kind, workers)
-				on.EclatDepth = depth
-				off := on
-				off.Batch = false
-				a, b := mine(rec, 2, on), mine(rec, 2, off)
-				if !a.Equal(b) {
-					t.Errorf("%v depth=%d workers=%d: batch != pairwise:\n%s",
-						kind, depth, workers, verify.Diff(a, b))
+				opt := core.DefaultOptions(kind, workers)
+				opt.EclatDepth = depth
+				if res := mine(rec, 2, opt); !res.Equal(ref) {
+					t.Errorf("%v depth=%d workers=%d vs reference:\n%s",
+						kind, depth, workers, verify.Diff(res, ref))
 				}
 			}
 		}
@@ -42,20 +42,19 @@ func TestBatchMatchesPairwiseSteal(t *testing.T) {
 	stealSpawnWork = 1
 	defer func() { stealSpawnWork = old }()
 	rec := classicRecoded(t, 2)
+	ref := verify.Reference(rec, 2)
 	for _, kind := range vertical.Kinds() {
-		on := core.DefaultOptions(kind, 4)
-		on.Schedule, on.HasSchedule = sched.Schedule{Policy: sched.Steal}, true
-		off := on
-		off.Batch = false
-		a, b := mine(rec, 2, on), mine(rec, 2, off)
-		if !a.Equal(b) {
-			t.Errorf("%v steal: batch != pairwise:\n%s", kind, verify.Diff(a, b))
+		opt := core.DefaultOptions(kind, 4)
+		opt.Schedule, opt.HasSchedule = sched.Schedule{Policy: sched.Steal}, true
+		if res := mine(rec, 2, opt); !res.Equal(ref) {
+			t.Errorf("%v steal vs reference:\n%s", kind, verify.Diff(res, ref))
 		}
 	}
 }
 
 func TestQuickBatchMatchesPairwise(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30}
+	kinds := vertical.AllKinds()
 	law := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		db := &dataset.DB{Name: "rand"}
@@ -75,13 +74,11 @@ func TestQuickBatchMatchesPairwise(t *testing.T) {
 		}
 		minSup := 1 + r.Intn(nTrans/2+1)
 		rec := db.Recode(minSup)
-		on := core.DefaultOptions(vertical.AllKinds()[r.Intn(4)], []int{1, 4}[r.Intn(2)])
-		on.EclatDepth = 1 + r.Intn(4)
-		off := on
-		off.Batch = false
-		return mine(rec, minSup, on).Equal(mine(rec, minSup, off))
+		opt := core.DefaultOptions(kinds[r.Intn(len(kinds))], []int{1, 4}[r.Intn(2)])
+		opt.EclatDepth = 1 + r.Intn(4)
+		return mine(rec, minSup, opt).Equal(verify.Reference(rec, minSup))
 	}
 	if err := quick.Check(law, cfg); err != nil {
-		t.Errorf("batch vs pairwise: %v", err)
+		t.Errorf("batch vs reference: %v", err)
 	}
 }

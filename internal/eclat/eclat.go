@@ -172,9 +172,9 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	}
 	var err error
 	if depth == 1 {
-		err = mineDepth1(rep, roots, rootBytes, minSup, opt.Batch, team, schedule, col, rc, o, met, private, arenas)
+		err = mineDepth1(rep, roots, rootBytes, minSup, team, schedule, col, rc, o, met, private, arenas)
 	} else {
-		m := &flattenedMiner{rep: rep, minSup: minSup, depth: depth, batch: opt.Batch,
+		m := &flattenedMiner{rep: rep, minSup: minSup, depth: depth,
 			team: team, schedule: schedule, col: col, rc: rc, o: o, met: met, res: res,
 			private: private, arenas: arenas}
 		err = m.run(roots, rootBytes)
@@ -199,7 +199,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 // mineDepth1 runs the paper-literal decomposition: one task per
 // first-level class.
 func mineDepth1(rep vertical.Representation, roots []vertical.Node, rootBytes int64,
-	minSup int, batch bool, team *sched.Team, schedule sched.Schedule, col *perf.Collector,
+	minSup int, team *sched.Team, schedule sched.Schedule, col *perf.Collector,
 	rc *runctl.Control, o obs.Observer, met *sched.Metrics,
 	private [][]core.ItemsetCount, arenas []*vertical.Arena) error {
 
@@ -211,39 +211,20 @@ func mineDepth1(rep vertical.Representation, roots []vertical.Node, rootBytes in
 	if phase != nil {
 		phase.UniqueParent = rootBytes
 	}
-	// Shared read-only atom view of the roots, so the batched path can
-	// hand class i the sibling run roots[i+1:] without per-task copies.
+	// Shared read-only atom view of the roots, so class i gets the
+	// sibling run roots[i+1:] without per-task copies.
 	rootAtoms := make([]atom, n)
 	for j := range roots {
 		rootAtoms[j] = atom{item: itemset.Item(j), node: roots[j]}
 	}
-	cc := &classCtx{rep: rep, minSup: minSup, batch: batch, phase: phase, rc: rc,
+	cc := &classCtx{rep: rep, minSup: minSup, phase: phase, rc: rc,
 		arenas: arenas, private: private}
 	mineClass := func(w, i int, sp sched.SpawnFunc) {
 		m := cc.newMiner(w, i, sp)
 		// The first-level combines read globally shared root data; the
 		// recursion below reads only worker-local payloads.
 		prefix := itemset.New(itemset.Item(i))
-		var class []atom
-		if batch {
-			class = m.batchCombine(prefix, roots[i], rootAtoms[i+1:], false)
-		} else {
-			for j := i + 1; j < n; j++ {
-				if m.rc.Stopped() {
-					break
-				}
-				child := m.combine(roots[i], roots[j])
-				cost := int64(vertical.CombineCost(roots[i], roots[j]))
-				m.add(cost+int64(child.Bytes()), cost, int64(child.Bytes()))
-				if child.Support() >= minSup {
-					m.emit(prefix.Extend(itemset.Item(j)), child.Support())
-					m.rc.ChargeMem(int64(child.Bytes()))
-					class = append(class, atom{item: itemset.Item(j), node: child})
-				} else {
-					m.arena.Release(child)
-				}
-			}
-		}
+		class := m.batchCombine(prefix, roots[i], rootAtoms[i+1:], false)
 		m.recurse(prefix, class)
 		m.releaseAtoms(class)
 		cc.finishMiner(w, m)
@@ -312,7 +293,6 @@ type flattenedMiner struct {
 	rep      vertical.Representation
 	minSup   int
 	depth    int
-	batch    bool
 	team     *sched.Team
 	schedule sched.Schedule
 	col      *perf.Collector
@@ -462,7 +442,7 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 		phase.UniqueParent = maxClassBytes(classes)
 	}
 	rep = f.rep
-	cc := &classCtx{rep: rep, minSup: f.minSup, batch: f.batch, phase: phase,
+	cc := &classCtx{rep: rep, minSup: f.minSup, phase: phase,
 		rc: f.rc, arenas: f.arenas, private: f.private}
 	mineSubtree := func(w, t int, sp sched.SpawnFunc) {
 		e := tasks[t]
@@ -523,7 +503,7 @@ func (f *flattenedMiner) expandLevel(classes []eqClass, memberSize int) ([]eqCla
 		// Frequent children become the next flattened level and stay
 		// live past this stage, so they are never released back; only
 		// the infrequent majority recycles through the arena.
-		m := &minerState{rep: rep, minSup: f.minSup, batch: f.batch, phase: phase,
+		m := &minerState{rep: rep, minSup: f.minSup, phase: phase,
 			task: t, rc: f.rc, arena: f.arenas[w]}
 		sub := m.expandOne(class, int(e.pos))
 		if len(sub) > 0 {
@@ -565,32 +545,7 @@ func (f *flattenedMiner) expandLevel(classes []eqClass, memberSize int) ([]eqCla
 // atom stays local after the first touch.
 func (m *minerState) expandOne(class eqClass, pos int) []atom {
 	a := class.atoms[pos]
-	newPrefix := class.prefix.Extend(a.item)
-	if m.batch {
-		return m.batchCombine(newPrefix, a.node, class.atoms[pos+1:], false)
-	}
-	var sub []atom
-	for k := pos + 1; k < len(class.atoms); k++ {
-		if m.rc.Stopped() {
-			break
-		}
-		b := class.atoms[k]
-		child := m.combine(a.node, b.node)
-		cost := int64(vertical.CombineCost(a.node, b.node))
-		remote := int64(b.node.Bytes())
-		if k == pos+1 {
-			remote += int64(a.node.Bytes())
-		}
-		m.add(cost+int64(child.Bytes()), remote, int64(child.Bytes()))
-		if child.Support() >= m.minSup {
-			m.emit(newPrefix.Extend(b.item), child.Support())
-			m.rc.ChargeMem(int64(child.Bytes()))
-			sub = append(sub, atom{item: b.item, node: child})
-		} else {
-			m.arena.Release(child)
-		}
-	}
-	return sub
+	return m.batchCombine(class.prefix.Extend(a.item), a.node, class.atoms[pos+1:], false)
 }
 
 // classCtx carries the per-stage state shared by every recursion task
@@ -600,7 +555,6 @@ func (m *minerState) expandOne(class eqClass, pos int) []atom {
 type classCtx struct {
 	rep     vertical.Representation
 	minSup  int
-	batch   bool
 	phase   *perf.Phase
 	rc      *runctl.Control
 	arenas  []*vertical.Arena
@@ -614,7 +568,7 @@ type classCtx struct {
 // originating task's slot (Phase.Add is atomic, so concurrent charges
 // to one slot are safe).
 func (cc *classCtx) newMiner(w, task int, sp sched.SpawnFunc) *minerState {
-	return &minerState{rep: cc.rep, minSup: cc.minSup, batch: cc.batch,
+	return &minerState{rep: cc.rep, minSup: cc.minSup,
 		phase: cc.phase, task: task, rc: cc.rc, arena: cc.arenas[w], spawn: sp, cc: cc}
 }
 
@@ -640,7 +594,6 @@ var stealSpawnWork int64 = 1 << 16
 type minerState struct {
 	rep    vertical.Representation
 	minSup int
-	batch  bool
 	phase  *perf.Phase
 	task   int
 	rc     *runctl.Control
@@ -650,20 +603,14 @@ type minerState struct {
 	out    []core.ItemsetCount
 }
 
-// combine is the miners' single combine entry point: arena-backed when
-// the representation supports recycling, allocating otherwise.
-func (m *minerState) combine(px, py vertical.Node) vertical.Node {
-	return vertical.CombineWith(m.rep, m.arena, px, py)
-}
-
-// batchCombine is the prefix-blocked form of the class-extension loop:
-// one CombineManyInto call joins base against the entire sibling run, so
-// the resident base payload streams once per class instead of once per
-// sibling. Results, emissions and arena recycling are identical to the
-// pairwise loop; only the kernel call structure (and the remote-traffic
-// model, which now charges base once per class) changes. Cancellation
-// coarsens to whole-class granularity: the stop flag is checked before
-// the kernel call, not between siblings.
+// batchCombine is the class-extension loop, prefix-blocked: one
+// CombineManyInto call joins base against the entire sibling run, so the
+// resident base payload streams once per class instead of once per
+// sibling (the remote-traffic model charges it once per class too).
+// Frequent children are emitted and charged to the memory budget;
+// infrequent ones go straight back to the arena. Cancellation is
+// whole-class granular: the stop flag is checked before the kernel call,
+// not between siblings.
 //
 // The gather/output slices come from the arena's NodeScratch and are
 // reused across recursion depths — safe because every surviving child is
@@ -757,23 +704,7 @@ func (m *minerState) recurse(prefix itemset.Itemset, class []atom) {
 			return
 		}
 		newPrefix := prefix.Extend(class[i].item)
-		var sub []atom
-		if m.batch {
-			sub = m.batchCombine(newPrefix, class[i].node, class[i+1:], true)
-		} else {
-			for j := i + 1; j < len(class); j++ {
-				child := m.combine(class[i].node, class[j].node)
-				cost := int64(vertical.CombineCost(class[i].node, class[j].node))
-				m.addLocal(cost+int64(child.Bytes()), int64(child.Bytes()))
-				if child.Support() >= m.minSup {
-					m.emit(newPrefix.Extend(class[j].item), child.Support())
-					m.rc.ChargeMem(int64(child.Bytes()))
-					sub = append(sub, atom{item: class[j].item, node: child})
-				} else {
-					m.arena.Release(child)
-				}
-			}
-		}
+		sub := m.batchCombine(newPrefix, class[i].node, class[i+1:], true)
 		if m.spawn != nil && len(sub) > 1 &&
 			int64(len(sub))*atomsBytes(sub) >= stealSpawnWork {
 			m.spawnSubtree(newPrefix, sub)

@@ -611,62 +611,6 @@ func FormatOrder(rows []OrderRow) string {
 	return b.String()
 }
 
-// LazyRow is one row of ablation A10: Apriori payload allocation with
-// and without lazy materialization.
-type LazyRow struct {
-	Dataset    string
-	Support    float64
-	EagerAlloc int64
-	LazyAlloc  int64
-}
-
-// LazyAblation runs ablation A10 over Apriori/tidset (the representation
-// with the heaviest payloads, where pruning-before-allocating pays most).
-func LazyAblation(cfg Config) []LazyRow {
-	cfg = cfg.defaults()
-	defs := cfg.Datasets
-	if defs == nil {
-		defs = datasets.Dense()
-	}
-	var rows []LazyRow
-	for _, d := range defs {
-		db := d.Build(cfg.Scale * d.ExperimentScale)
-		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
-		row := LazyRow{Dataset: d.Name, Support: d.DefaultSupport}
-		for _, lazyOn := range []bool{false, true} {
-			col := &perf.Collector{}
-			opt := core.DefaultOptions(vertical.Tidset, 1)
-			opt.Collector = col
-			opt.LazyMaterialize = lazyOn
-			mustMine(apriori.Mine(rec, rec.MinSup, opt))
-			if lazyOn {
-				row.LazyAlloc = col.TotalAlloc()
-			} else {
-				row.EagerAlloc = col.TotalAlloc()
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// FormatLazy renders ablation A10.
-func FormatLazy(rows []LazyRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "A10 — Lazy-materialization ablation (Apriori/tidset payload allocation)\n")
-	fmt.Fprintf(&b, "%-22s %14s %14s %10s\n", "dataset@support", "eager alloc", "lazy alloc", "saved")
-	for _, r := range rows {
-		saved := 0.0
-		if r.EagerAlloc > 0 {
-			saved = 100 * (1 - float64(r.LazyAlloc)/float64(r.EagerAlloc))
-		}
-		fmt.Fprintf(&b, "%-22s %12.1fMB %12.1fMB %9.1f%%\n",
-			fmt.Sprintf("%s@%g", r.Dataset, r.Support),
-			float64(r.EagerAlloc)/(1<<20), float64(r.LazyAlloc)/(1<<20), saved)
-	}
-	return b.String()
-}
-
 // --- formatting --------------------------------------------------------
 
 // Format renders the table the way the paper's tables + figures read:

@@ -281,17 +281,3 @@ func TestTableCSV(t *testing.T) {
 		t.Errorf("csv row = %q", lines[1])
 	}
 }
-
-func TestLazyAblation(t *testing.T) {
-	rows := LazyAblation(tinyConfig(t))
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	r := rows[0]
-	if r.LazyAlloc >= r.EagerAlloc {
-		t.Errorf("lazy alloc %d not below eager %d", r.LazyAlloc, r.EagerAlloc)
-	}
-	if out := FormatLazy(rows); !strings.Contains(out, "saved") {
-		t.Errorf("FormatLazy:\n%s", out)
-	}
-}

@@ -63,27 +63,6 @@ func DiffL1Into(nx, ny []L1Entry, dst List) (List, int) {
 	return dst, sum
 }
 
-// DiffL1Size returns DiffL1Into's count sum without materializing the
-// list — the SupportOnly form of the 2-itemset kernel.
-func DiffL1Size(nx, ny []L1Entry) int {
-	sum, i, steps := 0, 0, 0
-	for j := 0; j < len(ny) && i < len(nx); j++ {
-		yPre, yPost := ny[j].Pre, ny[j].Post
-		for i < len(nx) && nx[i].Pre < yPre && nx[i].Post < yPost {
-			sum += int(nx[i].Count)
-			i++
-			steps++
-		}
-		i, steps = seekPost(nx, i, yPost, steps)
-	}
-	for ; i < len(nx); i++ {
-		sum += int(nx[i].Count)
-		steps++
-	}
-	kcount.AddNListMerge(steps + len(ny))
-	return sum
-}
-
 // seekPost returns the first index ≥ i whose Post rank reaches limit,
 // by exponential probing then bisection — O(log run) probes to skip a
 // covered run of any length. steps is advanced by the probe count so
@@ -145,26 +124,6 @@ func DiffInto(src, sub, dst List) (List, int) {
 	}
 	kcount.AddNListMerge(len(src) + len(sub))
 	return dst, sum
-}
-
-// DiffSize returns DiffInto's count sum without materializing the list.
-func DiffSize(src, sub List) int {
-	sum, i := 0, 0
-	for j := 0; j < len(sub) && i < len(src); j++ {
-		b := sub[j].Pre
-		for i < len(src) && src[i].Pre < b {
-			sum += int(src[i].Count)
-			i++
-		}
-		if i < len(src) && src[i].Pre == b {
-			i++
-		}
-	}
-	for ; i < len(src); i++ {
-		sum += int(src[i].Count)
-	}
-	kcount.AddNListMerge(len(src) + len(sub))
-	return sum
 }
 
 // DiffL1ManyInto is the prefix-blocked form of DiffL1Into: one resident

@@ -185,9 +185,6 @@ func TestKernelSupportsMatchHorizontal(t *testing.T) {
 					if want := horizontalSupport(rec, child.items); child.sup != want {
 						t.Fatalf("%s %v: support %d, want %d", name, child.items, child.sup, want)
 					}
-					if got := DiffSize(py.dn, px.dn); got != sum {
-						t.Fatalf("%s %v: DiffSize %d != DiffInto sum %d", name, child.items, got, sum)
-					}
 					// Degrade exactness: trans(DN(X)) = t(PX) \ t(X).
 					mat := expandTIDs(enc, dn)
 					child.tids = diffU32(px.tids, mat)
@@ -211,9 +208,6 @@ func TestKernelSupportsMatchHorizontal(t *testing.T) {
 				sup := rec.Items[x].Support - sum
 				if want := horizontalSupport(rec, []int{x, y}); sup != want {
 					t.Fatalf("%s {%d,%d}: support %d, want %d", name, x, y, sup, want)
-				}
-				if got := rec.Items[x].Support - DiffL1Size(enc.NLists[x], enc.NLists[y]); got != sup {
-					t.Fatalf("%s {%d,%d}: DiffL1Size disagrees with DiffL1Into", name, x, y)
 				}
 				tids := diffU32(xTids, expandTIDs(enc, dn))
 				if len(tids) != sup {

@@ -48,7 +48,6 @@ type mineRequest struct {
 	maxItemsets int64
 	maxDuration time.Duration
 	degrade     bool
-	batch       bool
 	limit       int // cap on itemsets echoed in the response body
 }
 
@@ -113,7 +112,6 @@ func (s *Server) parseMine(w http.ResponseWriter, r *http.Request) (*mineRequest
 		maxMemory:   s.cfg.MaxRunMemory,
 		maxDuration: s.cfg.MaxRunDuration,
 		degrade:     true,
-		batch:       true,
 	}
 	if mr.tenant == "" {
 		mr.tenant = "anon"
@@ -247,9 +245,6 @@ func (s *Server) parseMine(w http.ResponseWriter, r *http.Request) (*mineRequest
 	}
 	if q.Get("degrade") == "off" {
 		mr.degrade = false
-	}
-	if q.Get("batch") == "off" {
-		mr.batch = false
 	}
 	if lv := q.Get("limit"); lv != "" {
 		n, err := strconv.Atoi(lv)
@@ -456,7 +451,6 @@ func (s *Server) runLeader(r *http.Request, mr *mineRequest, ck cacheKey) *runOu
 		MaxItemsets:      mr.maxItemsets,
 		MaxDuration:      mr.maxDuration,
 		DegradeToDiffset: mr.degrade,
-		DisableBatch:     !mr.batch,
 		SharedPool:       s.pool,
 	}
 	start := time.Now()

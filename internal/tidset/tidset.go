@@ -284,26 +284,6 @@ func (s Set) DiffInto(t Set, dst Set) Set {
 	return append(dst, s[i:]...)
 }
 
-// DiffSize returns |s \ t| without materializing the difference.
-func (s Set) DiffSize(t Set) int {
-	n, i, j := 0, 0, 0
-	for i < len(s) && j < len(t) {
-		a, b := s[i], t[j]
-		switch {
-		case a < b:
-			n++
-			i++
-		case a > b:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	kcount.AddMergeSteps(i + j)
-	return n + len(s) - i
-}
-
 // Union returns s ∪ t as a new set.
 func (s Set) Union(t Set) Set {
 	dst := make(Set, 0, len(s)+len(t))
@@ -326,29 +306,6 @@ func (s Set) Union(t Set) Set {
 	kcount.AddMergeSteps(i + j)
 	dst = append(dst, s[i:]...)
 	return append(dst, t[j:]...)
-}
-
-// IntersectSize returns |s ∩ t| without materializing the intersection.
-func (s Set) IntersectSize(t Set) int {
-	if len(s) > len(t) {
-		s, t = t, s
-	}
-	n, i, j := 0, 0, 0
-	for i < len(s) && j < len(t) {
-		a, b := s[i], t[j]
-		switch {
-		case a < b:
-			i++
-		case a > b:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	kcount.AddMergeSteps(i + j)
-	return n
 }
 
 // Complement returns {0..n-1} \ s: the tids absent from s in a universe of

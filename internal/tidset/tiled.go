@@ -41,7 +41,7 @@ const (
 	// TileBits is the number of TIDs covered by one tile.
 	TileBits = 128
 	// TileShift converts a TID to its tile key: key = tid >> TileShift.
-	TileShift = 7
+	TileShift     = 7
 	tileMask      = TileBits - 1
 	tileWordCount = TileBits / 64
 
@@ -471,44 +471,6 @@ func (dst *Tiled) diffTile(a *Tiled, i int, b *Tiled, j int, sm int, sparseK, de
 		dst.appendWordsTile(key, w0, w1, sm)
 	}
 }
-
-// IntersectSize returns |t ∩ u| without materializing the result, with
-// the same prefilter accounting as IntersectInto.
-func (t *Tiled) IntersectSize(u *Tiled) int {
-	i, j, n := 0, 0, 0
-	summaryANDs, skipped, sparseK, denseK := 0, 0, 0, 0
-	for i < len(t.keys) && j < len(u.keys) {
-		a, b := t.keys[i], u.keys[j]
-		if a < b {
-			i++
-			continue
-		}
-		if b < a {
-			j++
-			continue
-		}
-		summaryANDs++
-		if t.sums[i]&u.sums[j] == 0 {
-			skipped++
-		} else {
-			a0, a1 := t.tileWordsAt(i)
-			b0, b1 := u.tileWordsAt(j)
-			if t.meta[i]&u.meta[j]&tileDenseFlag != 0 {
-				denseK++
-			} else {
-				sparseK++
-			}
-			n += bits.OnesCount64(a0&b0) + bits.OnesCount64(a1&b1)
-		}
-		i++
-		j++
-	}
-	kcount.AddTileKernel(summaryANDs, skipped, sparseK, denseK)
-	return n
-}
-
-// DiffSize returns |t \ u| without materializing the result.
-func (t *Tiled) DiffSize(u *Tiled) int { return t.n - t.IntersectSize(u) }
 
 // TiledIntersectManyInto intersects one resident parent px against
 // every sibling in pys, rebuilding dsts[i] (entries must be non-nil,

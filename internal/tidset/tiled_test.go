@@ -81,12 +81,6 @@ func TestTiledKernelsMatchFlat(t *testing.T) {
 		if got, want := ta.DiffInto(tb, dst).ToSet(), a.Diff(b); !got.Equal(want) {
 			t.Errorf("%s: diff %d TIDs, want %d", name, len(got), len(want))
 		}
-		if got, want := ta.IntersectSize(tb), a.IntersectSize(b); got != want {
-			t.Errorf("%s: IntersectSize %d want %d", name, got, want)
-		}
-		if got, want := ta.DiffSize(tb), a.DiffSize(b); got != want {
-			t.Errorf("%s: DiffSize %d want %d", name, got, want)
-		}
 	}
 	for round := 0; round < 3; round++ {
 		for _, pa := range densities {

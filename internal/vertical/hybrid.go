@@ -84,19 +84,3 @@ func (hybridRep) Combine(px, py Node) Node {
 		return n(&HybridNode{set: d, isDiff: true, sup: a.sup - len(d)})
 	}
 }
-
-// CombineSupport computes the candidate's support without materializing
-// its payload, using the count-only forms of the four hybrid cases.
-func (hybridRep) CombineSupport(px, py Node) int {
-	a, b := px.(*HybridNode), py.(*HybridNode)
-	switch {
-	case !a.isDiff && !b.isDiff:
-		return a.set.IntersectSize(b.set)
-	case !a.isDiff && b.isDiff:
-		return a.set.DiffSize(b.set)
-	case a.isDiff && !b.isDiff:
-		return b.set.DiffSize(a.set)
-	default:
-		return a.sup - b.set.DiffSize(a.set)
-	}
-}

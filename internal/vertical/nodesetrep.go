@@ -5,8 +5,7 @@
 // are plain sorted differences of DiffNodesets — the diffset
 // recurrence d(PXY) = d(PY) − d(PX) with tree nodes in place of
 // transactions, which is why the miners' combine order, the arena free
-// lists, the prefix-blocked batch path and lazy materialization all
-// apply unchanged. The co-occurrence compression of the tree makes the
+// lists and the prefix-blocked batch path all apply unchanged. The co-occurrence compression of the tree makes the
 // lists (and every merge over them) shorter than the equivalent
 // tidset/diffset work on dense databases.
 //
@@ -113,17 +112,6 @@ func (nodesetRep) Combine(px, py Node) Node {
 	n.sup = a.sup - sum
 	kcount.AddNode(kcount.Nodeset, n.Bytes())
 	return n
-}
-
-func (nodesetRep) CombineSupport(px, py Node) int {
-	a, b := px.(*NodesetNode), py.(*NodesetNode)
-	if levels(a, b) {
-		if sup, ok := a.Enc.PairSupport(a.code, b.code); ok {
-			return sup
-		}
-		return a.sup - nodeset.DiffL1Size(a.L1, b.L1)
-	}
-	return a.sup - nodeset.DiffSize(b.DN, a.DN)
 }
 
 // getNodeset pops a recycled nodeset node (list truncated, capacity

@@ -2,9 +2,9 @@
 // t(PY), support = cardinality) over the tile-partitioned layout of
 // tidset.Tiled — 128-TID tiles with exact occupancy summaries and a
 // per-tile sparse/dense payload switch. It is a full Representation
-// peer: it implements SupportOnly, IntoCombiner and CombineManyInto,
-// so lazy materialization, the recycling arena and the prefix-blocked
-// batch path all ride for free, and it is Degradable like the other
+// peer: it implements IntoCombiner and CombineManyInto, so the
+// recycling arena and the prefix-blocked batch path ride for free, and
+// it is Degradable like the other
 // unbounded layouts. Everything above vertical (Eclat, Apriori, the
 // hybrid degrade machinery, runctl budgets) is layout-oblivious.
 
@@ -47,10 +47,6 @@ func (tiledRep) Combine(px, py Node) Node {
 	n := &TiledNode{T: a.T.IntersectInto(b.T, &tidset.Tiled{})}
 	kcount.AddNode(kcount.Tiled, n.Bytes())
 	return n
-}
-
-func (tiledRep) CombineSupport(px, py Node) int {
-	return px.(*TiledNode).T.IntersectSize(py.(*TiledNode).T)
 }
 
 // getTiled pops a recycled tiled node (backing arrays truncated,

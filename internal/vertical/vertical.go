@@ -26,8 +26,9 @@ import (
 	"repro/internal/tidset"
 )
 
-// Kind selects a vertical representation: the paper's three plus the
-// Hybrid extension (hybrid.go).
+// Kind selects a vertical representation: the paper's three (Tidset,
+// Bitvector, Diffset) plus the Hybrid, Tiled and Nodeset extensions
+// (hybrid.go, tiled.go, nodesetrep.go); AllKinds lists all six.
 type Kind int
 
 const (
@@ -67,7 +68,8 @@ func Kinds() []Kind { return []Kind{Tidset, Bitvector, Diffset} }
 // non-exhaustive switches below cannot silently skip a new entry.
 func AllKinds() []Kind { return []Kind{Tidset, Bitvector, Diffset, Hybrid, Tiled, Nodeset} }
 
-// ParseKind maps a name ("tidset", "bitvector", "diffset") to its Kind.
+// ParseKind maps a name ("tidset", "bitvector", "diffset", "hybrid",
+// "tiled", "nodeset") to its Kind.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "tidset":
@@ -240,30 +242,6 @@ func (diffsetRep) Combine(px, py Node) Node {
 	d := b.Diff.Diff(a.Diff) // d(PXY) = d(PY) − d(PX)
 	kcount.AddNode(kcount.Diffset, 4*len(d))
 	return &DiffsetNode{Diff: d, sup: a.sup - len(d)}
-}
-
-// SupportOnly is implemented by representations that can compute a
-// candidate's support without materializing its payload — the kernel of
-// Apriori's lazy-materialization optimization (core.Options
-// LazyMaterialize, ablation A10): infrequent candidates are pruned
-// before their sets are ever allocated.
-type SupportOnly interface {
-	// CombineSupport returns Combine(px, py).Support() without
-	// allocating the child payload.
-	CombineSupport(px, py Node) int
-}
-
-func (tidsetRep) CombineSupport(px, py Node) int {
-	return px.(*TidsetNode).TIDs.IntersectSize(py.(*TidsetNode).TIDs)
-}
-
-func (bitvectorRep) CombineSupport(px, py Node) int {
-	return px.(*BitvectorNode).Bits.AndCount(py.(*BitvectorNode).Bits)
-}
-
-func (diffsetRep) CombineSupport(px, py Node) int {
-	a, b := px.(*DiffsetNode), py.(*DiffsetNode)
-	return a.sup - b.Diff.DiffSize(a.Diff)
 }
 
 // Degradable reports whether a run over kind can degrade to diffsets

@@ -3,7 +3,7 @@ package fim
 // Miner-level equivalence harness for every representation: full mines
 // over the real dataset comparing each kind against the flat tidset
 // representation across algorithms, worker counts, flattening depths,
-// loop schedules and batch modes. The vertical-level legs (payload
+// and loop schedules. The vertical-level legs (payload
 // equality per combine) live in internal/vertical; here the property is
 // end-to-end — identical decoded (itemset, support) content — because
 // everything above the representation is supposed to be
@@ -20,8 +20,8 @@ import (
 	"repro/internal/vertical"
 )
 
-// TestKindsMatchFlatMining: every (algorithm, workers, depth, schedule,
-// batch) cell mines the same decoded itemsets and supports under every
+// TestKindsMatchFlatMining: every (algorithm, workers, depth, schedule)
+// cell mines the same decoded itemsets and supports under every
 // representation as under flat tidsets. Decoded views are compared, not
 // Result.Equal, because nodeset mines under frequency order and its
 // dense codes differ from a by-code run.
@@ -46,8 +46,8 @@ func TestNodesetMatchesFlatMining(t *testing.T) { checkKindsMatchFlat(t, Nodeset
 // checkKindsMatchFlat mines every harness cell under flat tidsets and
 // under each of kinds, and fails on any difference in decoded content.
 // The flat result of every cell is itself checked against the
-// independent reference miner, so a defect shared by every kind (in
-// batching or a schedule, say) cannot pass as agreement.
+// independent reference miner, so a defect shared by every kind (in the
+// combine loop or a schedule, say) cannot pass as agreement.
 func checkKindsMatchFlat(t *testing.T, kinds ...vertical.Kind) {
 	t.Helper()
 	db := runctlDB(t)
@@ -58,21 +58,18 @@ func checkKindsMatchFlat(t *testing.T, kinds ...vertical.Kind) {
 		t.Fatal(err)
 	}
 	type cell struct {
-		algo     Algorithm
-		workers  int
-		depth    int
-		steal    bool
-		batchOff bool
+		algo    Algorithm
+		workers int
+		depth   int
+		steal   bool
 	}
 	var cells []cell
 	for _, w := range []int{1, 4} {
-		for _, batchOff := range []bool{false, true} {
-			cells = append(cells, cell{Apriori, w, 0, false, batchOff})
-			for _, depth := range []int{0, 2} {
-				cells = append(cells, cell{Eclat, w, depth, false, batchOff})
-			}
-			cells = append(cells, cell{Eclat, w, 0, true, batchOff})
+		cells = append(cells, cell{Apriori, w, 0, false})
+		for _, depth := range []int{0, 2} {
+			cells = append(cells, cell{Eclat, w, depth, false})
 		}
+		cells = append(cells, cell{Eclat, w, 0, true})
 	}
 	for _, c := range cells {
 		opt := Options{
@@ -80,7 +77,6 @@ func checkKindsMatchFlat(t *testing.T, kinds ...vertical.Kind) {
 			Representation: Tidset,
 			Workers:        c.workers,
 			EclatDepth:     c.depth,
-			DisableBatch:   c.batchOff,
 		}
 		if c.steal {
 			opt.SchedulePolicy, opt.SetSchedule = steal, true
