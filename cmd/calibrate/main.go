@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"repro/internal/apriori"
 	"repro/internal/core"
@@ -32,7 +33,7 @@ func main() {
 	gallop := flag.Bool("gallop", false, "re-time the tidset merge-vs-gallop crossover on this host and exit")
 	tiles := flag.Bool("tiles", false, "re-time the tiled layout's sparse/dense crossover and tile-width kernels on this host and exit")
 	nodesetSweep := flag.Bool("nodeset", false, "re-time the nodeset-vs-tiled density crossover on this host and exit")
-	write := flag.String("write", "", "with -tiles or -nodeset: also write the derived calibration JSON to this path (load via -calibration or FIM_CALIBRATION)")
+	write := flag.String("write", "", "with -tiles: also write the derived calibration JSON to this path (load via -calibration or FIM_CALIBRATION)")
 	flag.Parse()
 	if *gallop {
 		calibrateGallop()
@@ -43,7 +44,11 @@ func main() {
 		return
 	}
 	if *nodesetSweep {
-		calibrateNodeset(*write)
+		if *write != "" {
+			fmt.Fprintln(os.Stderr, "calibrate: -write applies to -tiles only; -nodeset prints its recommendation")
+			os.Exit(2)
+		}
+		calibrateNodeset()
 		return
 	}
 	cfg := machine.Blacklight()

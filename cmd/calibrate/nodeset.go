@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eclat"
 	"repro/internal/gen"
-	"repro/internal/tidset"
 	"repro/internal/vertical"
 )
 
@@ -31,13 +30,11 @@ import (
 // configurations — tiled under code order, nodeset under the frequency
 // order fim.go forces for it — and the PPC build is charged to nodeset,
 // the tile build to tiled: the crossover must price the encodings, not
-// just the kernels. The recommended nodeset_density_min is the smallest
-// measured density from which nodeset wins contiguously through the top
-// of the sweep; with -write it lands in the calibration JSON that
-// FIM_CALIBRATION feeds to every binary. Advisory: representations are
-// caller-chosen, so the knob informs the choice and changes no kernel
-// behavior.
-func calibrateNodeset(writePath string) {
+// just the kernels. The recommended density is the smallest measured
+// density from which nodeset wins contiguously through the top of the
+// sweep. It is printed, not written: representations are caller-chosen,
+// so no code reads it.
+func calibrateNodeset() {
 	const (
 		nTrans = 1600
 		minRel = 0.40 // relative support per cell, chess-like
@@ -77,20 +74,9 @@ func calibrateNodeset(writePath string) {
 		rec = densities[i]
 	}
 	if rec == 0 {
-		fmt.Println("# nodeset never won contiguously from the top; keeping the current calibration")
+		fmt.Println("# nodeset never won contiguously from the top")
 	} else {
-		fmt.Printf("# recommended nodeset_density_min: %.2f (nodeset wins from this measured density up)\n", rec)
-	}
-
-	if writePath != "" {
-		c := tidset.CurrentCalibration()
-		if rec != 0 {
-			c.NodesetDensityMin = rec
-		}
-		if err := tidset.WriteCalibrationFile(writePath, c); err != nil {
-			panic(err)
-		}
-		fmt.Printf("# wrote calibration to %s\n", writePath)
+		fmt.Printf("# recommended nodeset density minimum: %.2f (nodeset wins from this measured density up)\n", rec)
 	}
 }
 

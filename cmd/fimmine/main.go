@@ -28,6 +28,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -52,7 +53,7 @@ func main() {
 	workers := flag.Int("workers", 1, "parallel workers")
 	freqOrder := flag.Bool("freq-order", false, "recode items in ascending support order")
 	depth := flag.Int("depth", 0, "Eclat flattening depth (0 = default)")
-	schedName := flag.String("sched", "", "override the loop schedule: static, dynamic, guided, steal (default: the algorithm's choice)")
+	schedName := flag.String("sched", "", "override the loop schedule: static, dynamic, guided (default: the algorithm's choice)")
 	schedChunk := flag.Int("sched-chunk", 0, "chunk size for -sched (0 = the policy's default)")
 	rules := flag.Float64("rules", 0, "also emit association rules at this confidence (0 = off)")
 	closedOnly := flag.Bool("closed", false, "print only closed itemsets")
@@ -96,6 +97,8 @@ func main() {
 		}
 		opt.ScheduleChunk = *schedChunk
 		opt.SetSchedule = true
+	} else if *schedChunk != 0 {
+		fatal(errors.New("-sched-chunk needs -sched"))
 	}
 	opt.MaxMemoryBytes = int64(*maxMemMB * (1 << 20))
 	opt.MaxItemsets = *maxItemsets

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/apriori"
@@ -177,18 +178,15 @@ const (
 // entries are skipped; zero or one live observer keeps the cheap path.
 func MultiObserver(os ...Observer) Observer { return obs.Multi(os...) }
 
-// Loop schedule policies. Steal is the work-stealing extension: flat
-// loops run like Dynamic with chunk 1, and Eclat's recursion spawns
-// stealable subtree tasks so fat classes no longer pin a worker.
+// Loop schedule policies: the paper's three OpenMP schedules.
 const (
 	Static  = sched.Static
 	Dynamic = sched.Dynamic
 	Guided  = sched.Guided
-	Steal   = sched.Steal
 )
 
 // ParseSchedulePolicy maps a schedule name ("static", "dynamic",
-// "guided", "steal") to its policy, for flag parsing.
+// "guided") to its policy, for flag parsing.
 func ParseSchedulePolicy(s string) (SchedulePolicy, error) { return sched.ParsePolicy(s) }
 
 // Options configures Mine. The zero value mines with Apriori over
@@ -357,6 +355,14 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 	case core.Apriori, core.Eclat, core.FPGrowth:
 	default:
 		return nil, fmt.Errorf("fim: unknown algorithm %v", opt.Algorithm)
+	}
+	if !slices.Contains(vertical.AllKinds(), opt.Representation) {
+		return nil, fmt.Errorf("fim: unknown representation %v", opt.Representation)
+	}
+	if opt.SetSchedule {
+		if _, err := sched.ParsePolicy(opt.SchedulePolicy.String()); err != nil {
+			return nil, fmt.Errorf("fim: unknown schedule policy %v", opt.SchedulePolicy)
+		}
 	}
 	// The nodeset representation always mines in frequency order: the
 	// PPC tree inserts items by descending dense code, so ascending-

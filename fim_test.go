@@ -65,6 +65,34 @@ func TestMineValidation(t *testing.T) {
 	}
 }
 
+// TestMineRejectsOutOfRangeOptions: an enum option outside its range is
+// an error from the entry point, never a panic deep inside a miner.
+// Schedule policy 3 was the deleted work-stealing policy.
+func TestMineRejectsOutOfRangeOptions(t *testing.T) {
+	db := classicDB(t)
+	cases := []struct {
+		name string
+		opt  Options
+	}{
+		{"algorithm", Options{Algorithm: Algorithm(99)}},
+		{"representation", Options{Algorithm: Eclat, Representation: Representation(99)}},
+		{"schedule-policy", Options{Algorithm: Eclat, SchedulePolicy: SchedulePolicy(99), SetSchedule: true}},
+		{"schedule-policy-3", Options{Algorithm: Eclat, SchedulePolicy: SchedulePolicy(3), SetSchedule: true}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if _, err := MineAbsolute(db, 2, c.opt); err == nil {
+				t.Error("out-of-range option accepted")
+			}
+		})
+	}
+}
+
 func TestMineAgainstReference(t *testing.T) {
 	db := classicDB(t)
 	rec := db.Recode(2)
@@ -231,7 +259,9 @@ func TestLoadCalibrationEnv(t *testing.T) {
 		return path
 	}
 	bad := write("bad.json", `{"tile_bits": 64}`)
-	good := write("good.json", `{"gallop_ratio": 12}`)
+	// nodeset_density_min is a key older calibrate -nodeset runs wrote;
+	// it is no longer a knob, and a file carrying it must still load.
+	good := write("good.json", `{"gallop_ratio": 12, "nodeset_density_min": 0.55}`)
 
 	t.Setenv(CalibrationEnv, "")
 	if err := LoadCalibration(""); err != nil {

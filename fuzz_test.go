@@ -46,7 +46,7 @@ func fuzzDB(rows []byte) *DB {
 //
 //	bits 0-2   representation, vertical.AllKinds()[v % 6]
 //	bit  3     Eclat (else Apriori)
-//	bits 4-6   schedule, v % 5: default, static, dynamic, guided, steal
+//	bits 4-6   schedule, v % 4: default, static, dynamic, guided
 //	bits 7-9   Eclat depth, v % 5 (0 = default)
 //	bit  10    OrderByFrequency
 //	bit  11    2 workers (else 1)
@@ -66,8 +66,8 @@ func fuzzOptions(cfg uint32) Options {
 	if cfg&(1<<3) != 0 {
 		opt.Algorithm = Eclat
 	}
-	if s := int(cfg>>4&7) % 5; s > 0 {
-		opt.SchedulePolicy = []SchedulePolicy{Static, Dynamic, Guided, Steal}[s-1]
+	if s := int(cfg>>4&7) % 4; s > 0 {
+		opt.SchedulePolicy = []SchedulePolicy{Static, Dynamic, Guided}[s-1]
 		opt.ScheduleChunk = int(cfg >> 24 & 7)
 		opt.SetSchedule = true
 	}

@@ -124,7 +124,6 @@ func EmitPhases(o obs.Observer, m *sched.Metrics) {
 		for w, ws := range ps.Workers {
 			e.Load = append(e.Load, obs.WorkerLoad{
 				Worker: w, BusyNS: int64(ws.Busy), Tasks: ws.Tasks, Chunks: ws.Chunks,
-				Spawned: ws.Spawned, Stolen: ws.Stolen,
 			})
 		}
 		o.Event(e)

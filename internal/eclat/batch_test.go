@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/itemset"
-	"repro/internal/sched"
 	"repro/internal/verify"
 	"repro/internal/vertical"
 )
@@ -31,23 +30,6 @@ func TestBatchMatchesPairwise(t *testing.T) {
 						kind, depth, workers, verify.Diff(res, ref))
 				}
 			}
-		}
-	}
-}
-
-func TestBatchMatchesPairwiseSteal(t *testing.T) {
-	// Force aggressive subtree spawning so batched combines run on
-	// stolen subtrees (thief-owned arenas) too.
-	old := stealSpawnWork
-	stealSpawnWork = 1
-	defer func() { stealSpawnWork = old }()
-	rec := classicRecoded(t, 2)
-	ref := verify.Reference(rec, 2)
-	for _, kind := range vertical.Kinds() {
-		opt := core.DefaultOptions(kind, 4)
-		opt.Schedule, opt.HasSchedule = sched.Schedule{Policy: sched.Steal}, true
-		if res := mine(rec, 2, opt); !res.Equal(ref) {
-			t.Errorf("%v steal vs reference:\n%s", kind, verify.Diff(res, ref))
 		}
 	}
 }

@@ -26,19 +26,11 @@
 // there is no cross-worker memory traffic — the data-independence
 // property the paper credits for Eclat's scalability.
 //
-// Two optimizations beyond the paper close the remaining gaps:
-//
-//   - Work stealing (schedule "steal", sched.Steal): the recursion
-//     spawns a stealable task for any subclass whose estimated work
-//     clears stealSpawnWork, so an idle worker can take the far half of
-//     a fat subtree instead of watching one worker grind it. Root
-//     hand-out stays dynamic, results are identical, and stolen
-//     subtrees appear marked in the span trace.
-//   - Zero-allocation combine: every recursion-scoped payload comes
-//     from a per-worker vertical.Arena and returns to it when its
-//     subtree is mined, so the depth-first hot loop stops paying the Go
-//     allocator per candidate (hit/miss rates are visible as the
-//     arena_hits/arena_misses kernel counters).
+// One optimization goes beyond the paper: zero-allocation combine.
+// Every recursion-scoped payload comes from a per-worker vertical.Arena
+// and returns to it when its subtree is mined, so the depth-first hot
+// loop stops paying the Go allocator per candidate (hit/miss rates are
+// visible as the arena_hits/arena_misses kernel counters).
 package eclat
 
 import (
@@ -219,8 +211,8 @@ func mineDepth1(rep vertical.Representation, roots []vertical.Node, rootBytes in
 	}
 	cc := &classCtx{rep: rep, minSup: minSup, phase: phase, rc: rc,
 		arenas: arenas, private: private}
-	mineClass := func(w, i int, sp sched.SpawnFunc) {
-		m := cc.newMiner(w, i, sp)
+	err := team.ForCtx(rc, n, schedule, func(w, i int) {
+		m := cc.newMiner(w, i)
 		// The first-level combines read globally shared root data; the
 		// recursion below reads only worker-local payloads.
 		prefix := itemset.New(itemset.Item(i))
@@ -228,13 +220,7 @@ func mineDepth1(rep vertical.Representation, roots []vertical.Node, rootBytes in
 		m.recurse(prefix, class)
 		m.releaseAtoms(class)
 		cc.finishMiner(w, m)
-	}
-	var err error
-	if schedule.Policy == sched.Steal {
-		err = team.ForTreeCtx(rc, n, mineClass)
-	} else {
-		err = team.ForCtx(rc, n, schedule, func(w, i int) { mineClass(w, i, nil) })
-	}
+	})
 	core.EmitPhases(o, met)
 	if err == nil {
 		obs.Emit(o, obs.Event{Type: obs.LevelEnd, Phase: "eclat/classes",
@@ -444,20 +430,15 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 	rep = f.rep
 	cc := &classCtx{rep: rep, minSup: f.minSup, phase: phase,
 		rc: f.rc, arenas: f.arenas, private: f.private}
-	mineSubtree := func(w, t int, sp sched.SpawnFunc) {
+	err = f.team.ForCtx(f.rc, len(tasks), f.schedule, func(w, t int) {
 		e := tasks[t]
 		class := classes[e.class]
-		m := cc.newMiner(w, t, sp)
+		m := cc.newMiner(w, t)
 		sub := m.expandOne(class, int(e.pos))
 		m.recurse(class.prefix.Extend(class.atoms[e.pos].item), sub)
 		m.releaseAtoms(sub)
 		cc.finishMiner(w, m)
-	}
-	if f.schedule.Policy == sched.Steal {
-		err = f.team.ForTreeCtx(f.rc, len(tasks), mineSubtree)
-	} else {
-		err = f.team.ForCtx(f.rc, len(tasks), f.schedule, func(w, t int) { mineSubtree(w, t, nil) })
-	}
+	})
 	core.EmitPhases(f.o, f.met)
 	f.rc.ChargeMem(-levelBytes(classes))
 	if err == nil {
@@ -549,9 +530,7 @@ func (m *minerState) expandOne(class eqClass, pos int) []atom {
 }
 
 // classCtx carries the per-stage state shared by every recursion task
-// of one parallel mining stage — including tasks spawned onto the
-// stealing deques mid-stage, which may run (and must be re-equipped
-// with an arena and output slot) on whichever worker takes them.
+// of one parallel mining stage.
 type classCtx struct {
 	rep     vertical.Representation
 	minSup  int
@@ -562,14 +541,11 @@ type classCtx struct {
 	emitted atomic.Int64
 }
 
-// newMiner equips a task running on worker w with that worker's arena
-// and, in steal mode, the spawn hook. task is the perf-phase slot the
-// task's modelled work is charged to — a spawned subtree keeps its
-// originating task's slot (Phase.Add is atomic, so concurrent charges
-// to one slot are safe).
-func (cc *classCtx) newMiner(w, task int, sp sched.SpawnFunc) *minerState {
+// newMiner equips a task running on worker w with that worker's arena.
+// task is the perf-phase slot the task's modelled work is charged to.
+func (cc *classCtx) newMiner(w, task int) *minerState {
 	return &minerState{rep: cc.rep, minSup: cc.minSup,
-		phase: cc.phase, task: task, rc: cc.rc, arena: cc.arenas[w], spawn: sp, cc: cc}
+		phase: cc.phase, task: task, rc: cc.rc, arena: cc.arenas[w]}
 }
 
 // finishMiner publishes a completed task's results into the stage
@@ -580,15 +556,6 @@ func (cc *classCtx) finishMiner(w int, m *minerState) {
 	cc.private[w] = append(cc.private[w], m.out...)
 }
 
-// stealSpawnWork is the estimated-work threshold — subclass size times
-// payload bytes — above which recurse offloads a subclass to the
-// stealing deques instead of descending inline. Around 64 KiB·members,
-// tiny subtrees stay inline (a deque round-trip costs more than mining
-// them) while the fat near-root subclasses that pin a worker under
-// dynamic scheduling become stealable. A variable so the tests can
-// force aggressive spawning on small databases.
-var stealSpawnWork int64 = 1 << 16
-
 // minerState carries one task's recursion context: its output buffer,
 // run control, and instrumentation coordinates.
 type minerState struct {
@@ -598,8 +565,6 @@ type minerState struct {
 	task   int
 	rc     *runctl.Control
 	arena  *vertical.Arena
-	spawn  sched.SpawnFunc
-	cc     *classCtx
 	out    []core.ItemsetCount
 }
 
@@ -680,8 +645,7 @@ func atomsBytes(class []atom) int64 {
 // releaseAtoms returns a class's payload bytes to the memory budget and
 // its nodes to the task's arena when the recursion scope ends. The
 // nodes are dead here by construction: the subtree below the class is
-// fully mined, and spawned subtrees only ever reference their own
-// class's nodes (combine results never alias their parents).
+// fully mined (combine results never alias their parents).
 func (m *minerState) releaseAtoms(class []atom) {
 	m.rc.ChargeMem(-atomsBytes(class))
 	for _, a := range class {
@@ -694,10 +658,6 @@ func (m *minerState) releaseAtoms(class []atom) {
 // the frequent joins and descend into the new class. The stop flag is
 // checked at every class descent, so a cancelled or over-budget run
 // unwinds without finishing the subtree.
-//
-// In steal mode (m.spawn non-nil), a subclass whose estimated work
-// clears stealSpawnWork is handed to the deques instead of descended
-// inline; ownership of its payloads transfers with it.
 func (m *minerState) recurse(prefix itemset.Itemset, class []atom) {
 	for i := 0; i+1 < len(class); i++ {
 		if m.rc.Stopped() {
@@ -705,29 +665,9 @@ func (m *minerState) recurse(prefix itemset.Itemset, class []atom) {
 		}
 		newPrefix := prefix.Extend(class[i].item)
 		sub := m.batchCombine(newPrefix, class[i].node, class[i+1:], true)
-		if m.spawn != nil && len(sub) > 1 &&
-			int64(len(sub))*atomsBytes(sub) >= stealSpawnWork {
-			m.spawnSubtree(newPrefix, sub)
-			continue
-		}
 		if len(sub) > 0 {
 			m.recurse(newPrefix, sub)
 		}
 		m.releaseAtoms(sub)
 	}
-}
-
-// spawnSubtree enqueues the class rooted at prefix as a stealable task.
-// The task rebuilds a miner on whichever worker runs it — possibly a
-// thief on the far side of the machine — which mines the subtree with
-// its own arena, releases the class, and publishes its results. The
-// subtree's modelled work stays charged to the originating perf task.
-func (m *minerState) spawnSubtree(prefix itemset.Itemset, sub []atom) {
-	cc, task := m.cc, m.task
-	m.spawn(func(w int, sp sched.SpawnFunc) {
-		sm := cc.newMiner(w, task, sp)
-		sm.recurse(prefix, sub)
-		sm.releaseAtoms(sub)
-		cc.finishMiner(w, sm)
-	})
 }

@@ -308,18 +308,15 @@ func ValidateReport(r *Report) error {
 		if p.Imbalance != 0 && p.Imbalance < 1 {
 			return fmt.Errorf("export: phase %q imbalance %v below 1", p.Phase, p.Imbalance)
 		}
-		var tasks, spawned int64
+		var tasks int64
 		for _, w := range p.Workers {
-			if w.BusyNS < 0 || w.Tasks < 0 || w.Chunks < 0 || w.Spawned < 0 || w.Stolen < 0 {
+			if w.BusyNS < 0 || w.Tasks < 0 || w.Chunks < 0 {
 				return fmt.Errorf("export: phase %q worker %d has negative counters", p.Phase, w.Worker)
 			}
 			tasks += w.Tasks
-			spawned += w.Spawned
 		}
-		// A work-stealing loop executes its n roots plus every spawned
-		// subtask; chunked loops have spawned == 0 and reduce to tasks == n.
-		if len(p.Workers) > 0 && tasks != int64(p.N)+spawned {
-			return fmt.Errorf("export: phase %q worker tasks sum %d != n %d + spawned %d", p.Phase, tasks, p.N, spawned)
+		if len(p.Workers) > 0 && tasks != int64(p.N) {
+			return fmt.Errorf("export: phase %q worker tasks sum %d != n %d", p.Phase, tasks, p.N)
 		}
 	}
 	for k, v := range r.KernelCounters {

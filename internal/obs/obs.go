@@ -82,12 +82,6 @@ type WorkerLoad struct {
 	Tasks int64 `json:"tasks"`
 	// Chunks is the number of chunks the worker claimed.
 	Chunks int64 `json:"chunks"`
-	// Spawned is the number of stealable subtasks the worker enqueued
-	// during a work-stealing loop; zero in chunked loops.
-	Spawned int64 `json:"spawned,omitempty"`
-	// Stolen is the number of tasks the worker ran after taking them
-	// from another worker's deque; zero in chunked loops.
-	Stolen int64 `json:"stolen,omitempty"`
 }
 
 // Event is one observation. It is a flat union: Type says which fields

@@ -1,5 +1,5 @@
 // Fault injection for the scheduler: a hook invoked at every chunk
-// boundary of ForCtx/ForChunksCtx, used by the robustness tests to
+// boundary of ForCtx/ForWeightedCtx, used by the robustness tests to
 // inject panics, delays, and cancellations at chosen points and prove
 // the miners unwind cleanly.
 //

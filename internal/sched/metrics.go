@@ -1,5 +1,5 @@
 // Per-worker load metrics for the scheduler: when a Metrics is attached
-// to a Team, every ForCtx/ForChunksCtx loop records, per worker, the
+// to a Team, every ForCtx/ForWeightedCtx loop records, per worker, the
 // busy time spent executing chunk bodies, the iterations executed, and
 // the chunks claimed. The max/mean busy-time ratio per loop is the
 // paper's load-imbalance quantity (§IV's argument for dynamic chunk-1
@@ -26,12 +26,6 @@ type WorkerStats struct {
 	Tasks int64
 	// Chunks is the number of chunks the worker claimed.
 	Chunks int64
-	// Spawned is the number of stealable subtasks the worker enqueued
-	// during a work-stealing loop (ForTreeCtx); zero in chunked loops.
-	Spawned int64
-	// Stolen is the number of tasks the worker executed after taking
-	// them from another worker's deque; zero in chunked loops.
-	Stolen int64
 }
 
 // PhaseStats is the record of one scheduler loop: its label, schedule,
@@ -63,26 +57,6 @@ func (p *PhaseStats) TotalChunks() int64 {
 	var t int64
 	for _, w := range p.Workers {
 		t += w.Chunks
-	}
-	return t
-}
-
-// TotalSpawned sums the stealable subtasks enqueued across workers
-// (zero for chunked loops). On a work-stealing loop that ran to
-// completion, TotalTasks == N + TotalSpawned.
-func (p *PhaseStats) TotalSpawned() int64 {
-	var t int64
-	for _, w := range p.Workers {
-		t += w.Spawned
-	}
-	return t
-}
-
-// TotalStolen sums the tasks executed after a steal across workers.
-func (p *PhaseStats) TotalStolen() int64 {
-	var t int64
-	for _, w := range p.Workers {
-		t += w.Stolen
 	}
 	return t
 }
@@ -262,35 +236,4 @@ func (r *phaseRec) addChunk(w, lo, hi int, tasks int64, t0 time.Time, busy time.
 	if r.tracer != nil {
 		r.tracer.ChunkSpan(r.ps.Name, w, lo, hi, tasks, t0, busy)
 	}
-}
-
-// StolenSpanSuffix marks a stolen task's span name, so stolen subtrees
-// are visually distinct from locally-run ones in an exported timeline.
-const StolenSpanSuffix = " [stolen]"
-
-// addTask accounts one executed tree task (ForTreeCtx) for worker w.
-// id is the task's unique span id — the root index for root tasks, a
-// fresh id past the root range for spawned ones. Stolen tasks carry
-// StolenSpanSuffix on their span so imbalance repair is visible in the
-// trace.
-func (r *phaseRec) addTask(w, id int, stolen bool, t0 time.Time, busy time.Duration) {
-	ws := &r.ps.Workers[w]
-	ws.Busy += busy
-	ws.Tasks++
-	ws.Chunks++
-	if stolen {
-		ws.Stolen++
-	}
-	if r.tracer != nil {
-		name := r.ps.Name
-		if stolen {
-			name += StolenSpanSuffix
-		}
-		r.tracer.ChunkSpan(name, w, id, id+1, 1, t0, busy)
-	}
-}
-
-// addSpawn accounts one stealable subtask enqueued by worker w.
-func (r *phaseRec) addSpawn(w int) {
-	r.ps.Workers[w].Spawned++
 }

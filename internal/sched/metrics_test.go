@@ -116,11 +116,18 @@ func TestMetricsCountersSumForCtx(t *testing.T) {
 	}
 }
 
-// TestMetricsCountersSumForChunksCtx: the chunk-granular loop accounts
-// hi-lo tasks per claimed chunk; the sums match the same invariants.
-func TestMetricsCountersSumForChunksCtx(t *testing.T) {
+// TestMetricsCountersSumForWeightedCtx: the weighted loop (Apriori's
+// counting loop) accounts exactly N tasks and the exact chunk count,
+// whether static cuts its blocks by weight or another schedule ignores
+// the weights. Under weighted static each worker's tasks are its
+// weight-cut block.
+func TestMetricsCountersSumForWeightedCtx(t *testing.T) {
 	const n = 777
 	const workers = 3
+	weights := make([]int64, n)
+	for i := range weights {
+		weights[i] = int64((i%13)*(i%13)) + 1
+	}
 	for _, s := range []Schedule{
 		{Policy: Static},
 		{Policy: Dynamic, Chunk: 10},
@@ -131,10 +138,8 @@ func TestMetricsCountersSumForChunksCtx(t *testing.T) {
 			m := NewMetrics()
 			team.SetMetrics(m)
 			touched := make([]atomic.Int32, n)
-			if err := team.ForChunksCtx(nil, n, s, func(w, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					touched[i].Add(1)
-				}
+			if err := team.ForWeightedCtx(nil, n, weights, s, func(w, i int) {
+				touched[i].Add(1)
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -150,8 +155,23 @@ func TestMetricsCountersSumForChunksCtx(t *testing.T) {
 			if got := ps.TotalTasks(); got != n {
 				t.Errorf("TotalTasks = %d, want %d", got, n)
 			}
-			if want := countChunks(n, workers, s); ps.TotalChunks() != want {
-				t.Errorf("TotalChunks = %d, want %d", ps.TotalChunks(), want)
+			wantChunks := countChunks(n, workers, s)
+			if s.Policy == Static {
+				blocks := newWeightedStaticChunker(n, workers, weights)
+				wantChunks = 0
+				for w, ws := range ps.Workers {
+					var want int64
+					for _, c := range blocks.chunks[w] {
+						want += int64(c[1] - c[0])
+					}
+					wantChunks += int64(len(blocks.chunks[w]))
+					if ws.Tasks != want {
+						t.Errorf("worker %d Tasks = %d, want its weighted block %d", w, ws.Tasks, want)
+					}
+				}
+			}
+			if ps.TotalChunks() != wantChunks {
+				t.Errorf("TotalChunks = %d, want %d", ps.TotalChunks(), wantChunks)
 			}
 		})
 	}

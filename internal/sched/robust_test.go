@@ -160,28 +160,6 @@ func TestForCtxCancelledBeforeLoop(t *testing.T) {
 	}
 }
 
-// TestForChunksCtxCancel: chunk-granular loops drain at the next chunk
-// hand-out after a stop.
-func TestForChunksCtxCancel(t *testing.T) {
-	team := NewTeam(2)
-	rc := runctl.New(context.Background(), runctl.Budget{})
-	defer rc.Close()
-	var chunks atomic.Int64
-	err := team.ForChunksCtx(rc, 10000, Schedule{Policy: Dynamic, Chunk: 10}, func(_, lo, hi int) {
-		if chunks.Add(1) == 3 {
-			rc.Stop(context.Canceled)
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// 3 chunks triggered the stop; each worker may have had one more in
-	// flight.
-	if c := chunks.Load(); c > 3+int64(team.Workers()) {
-		t.Errorf("%d chunks ran after stop at 3", c)
-	}
-}
-
 // TestFaultHookPanic injects a panic via the chunk-boundary hook and
 // asserts containment — the mechanism the miner-level fault tests rely
 // on.

@@ -35,13 +35,6 @@ const (
 	// ceil(remaining/workers) iterations, bounded below by the chunk
 	// size (default 1).
 	Guided
-	// Steal selects work-stealing execution: tree-shaped loops
-	// (Team.ForTreeCtx) run on per-worker deques whose tasks may spawn
-	// stealable subtasks, so one oversized subtree no longer pins its
-	// worker. Flat loops run under it exactly like Dynamic with chunk 1
-	// — OpenMP has no such schedule, which is why the paper stops at
-	// dynamic,1; see DESIGN.md for the fidelity argument.
-	Steal
 )
 
 func (p Policy) String() string {
@@ -52,8 +45,6 @@ func (p Policy) String() string {
 		return "dynamic"
 	case Guided:
 		return "guided"
-	case Steal:
-		return "steal"
 	}
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
@@ -67,10 +58,8 @@ func ParsePolicy(s string) (Policy, error) {
 		return Dynamic, nil
 	case "guided":
 		return Guided, nil
-	case "steal":
-		return Steal, nil
 	}
-	return 0, fmt.Errorf("sched: unknown policy %q", s)
+	return 0, fmt.Errorf("sched: unknown policy %q (want static, dynamic or guided)", s)
 }
 
 // Schedule pairs a policy with its chunk size. Chunk 0 means the policy's
@@ -107,10 +96,7 @@ func NewChunker(n, p int, s Schedule) Chunker {
 	switch s.Policy {
 	case Static:
 		return newStaticChunker(n, p, s.Chunk)
-	case Dynamic, Steal:
-		// Flat loops have no subtree structure to steal; under Steal
-		// they use the dynamic chunker (chunk 1 unless overridden),
-		// matching the paper's dynamic,1 baseline.
+	case Dynamic:
 		c := s.Chunk
 		if c < 1 {
 			c = 1
@@ -281,7 +267,7 @@ func NewTeam(n int) *Team {
 func (t *Team) Workers() int { return t.workers }
 
 // SetMetrics attaches a per-worker load recorder: every subsequent
-// ForCtx/ForChunksCtx loop appends one PhaseStats to m. nil detaches.
+// ForCtx/ForWeightedCtx loop appends one PhaseStats to m. nil detaches.
 func (t *Team) SetMetrics(m *Metrics) { t.metrics = m }
 
 // cancelStride bounds how many iterations a worker runs between stop
@@ -438,10 +424,8 @@ func (t *Team) runLoop(ls *loopState, p int, ch Chunker, body func(worker, i int
 // iteration count — the paper's static-balance property preserved when
 // iterations are whole prefix blocks of very different combine cost.
 // Every other schedule self-balances by handing out work on demand, so
-// the weights are ignored and the call is exactly ForCtx (under Steal
-// a flat loop is dynamic with chunk 1, so each hand-out is a single
-// whole iteration either way). len(weights) must be n; anything else
-// (including nil) degrades to ForCtx.
+// the weights are ignored and the call is exactly ForCtx. len(weights)
+// must be n; anything else (including nil) degrades to ForCtx.
 func (t *Team) ForWeightedCtx(rc *runctl.Control, n int, weights []int64, s Schedule, body func(worker, i int)) error {
 	if len(weights) != n || n == 0 || s.Policy != Static || s.Chunk > 0 {
 		return t.ForCtx(rc, n, s, body)
@@ -467,69 +451,6 @@ func (t *Team) ForWeightedCtx(rc *runctl.Control, n int, weights []int64, s Sche
 // goroutine; use ForCtx to receive it as an error instead.
 func (t *Team) For(n int, s Schedule, body func(worker, i int)) {
 	if err := t.ForCtx(nil, n, s, body); err != nil {
-		panic(err)
-	}
-}
-
-// ForChunksCtx is ForCtx over whole chunks: the body receives [lo, hi)
-// ranges, for callers that amortize per-chunk setup (e.g. scratch
-// buffers sized once). Stop checks and fault injection run at chunk
-// boundaries only — a chunk is the unit of cancellation here.
-func (t *Team) ForChunksCtx(rc *runctl.Control, n int, s Schedule, body func(worker, lo, hi int)) error {
-	ls := &loopState{rc: rc}
-	if err := rc.Err(); err != nil {
-		return err
-	}
-	if n == 0 {
-		return nil
-	}
-	p := t.workers
-	if p > n {
-		p = n
-	}
-	ls.rec = t.metrics.begin(n, p, s)
-	defer ls.rec.finish(t.metrics)
-	ch := NewChunker(n, p, s)
-	run := func(w int) {
-		defer ls.recover(w)
-		for {
-			if ls.stopped() {
-				return
-			}
-			lo, hi, ok := ch.Next(w)
-			if !ok {
-				return
-			}
-			injectFault(w, lo, hi, ls.rc)
-			if ls.rec == nil {
-				body(w, lo, hi)
-				continue
-			}
-			t0 := time.Now()
-			body(w, lo, hi)
-			ls.rec.addChunk(w, lo, hi, int64(hi-lo), t0, time.Since(t0))
-		}
-	}
-	if p == 1 {
-		run(0)
-		return ls.err()
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			run(w)
-		}(w)
-	}
-	wg.Wait()
-	return ls.err()
-}
-
-// ForChunks is like For but hands whole chunks to the body. Panics are
-// contained and re-raised like For's.
-func (t *Team) ForChunks(n int, s Schedule, body func(worker, lo, hi int)) {
-	if err := t.ForChunksCtx(nil, n, s, body); err != nil {
 		panic(err)
 	}
 }

@@ -168,22 +168,6 @@ func TestTeamForExecutesEachIterationOnce(t *testing.T) {
 	}
 }
 
-func TestTeamForChunks(t *testing.T) {
-	team := NewTeam(3)
-	const n = 100
-	counts := make([]int64, n)
-	team.ForChunks(n, Schedule{Dynamic, 5}, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt64(&counts[i], 1)
-		}
-	})
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("iteration %d ran %d times", i, c)
-		}
-	}
-}
-
 func TestTeamForZeroIterations(t *testing.T) {
 	ran := false
 	NewTeam(4).For(0, Schedule{Dynamic, 1}, func(_, _ int) { ran = true })
@@ -320,17 +304,16 @@ func TestPolicyStrings(t *testing.T) {
 	if Policy(9).String() != "Policy(9)" {
 		t.Error("unknown policy name")
 	}
-	if Steal.String() != "steal" {
-		t.Error("steal policy name")
-	}
-	for _, name := range []string{"static", "dynamic", "guided", "steal"} {
+	for _, name := range []string{"static", "dynamic", "guided"} {
 		p, err := ParsePolicy(name)
 		if err != nil || p.String() != name {
 			t.Errorf("ParsePolicy(%q) = %v, %v", name, p, err)
 		}
 	}
-	if _, err := ParsePolicy("work-stealing"); err == nil {
-		t.Error("ParsePolicy accepted unknown name")
+	for _, name := range []string{"steal", "work-stealing"} {
+		if _, err := ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy accepted unknown name %q", name)
+		}
 	}
 	if got := (Schedule{Dynamic, 4}).String(); got != "dynamic,4" {
 		t.Errorf("Schedule.String = %q", got)
@@ -356,21 +339,6 @@ func TestNewChunkerPanics(t *testing.T) {
 			f()
 		}()
 	}
-}
-
-func TestForChunksSingleWorkerAndZero(t *testing.T) {
-	team := NewTeam(1)
-	calls := 0
-	team.ForChunks(10, Schedule{Policy: Static}, func(w, lo, hi int) {
-		calls++
-		if w != 0 || lo != 0 || hi != 10 {
-			t.Errorf("single-worker chunk = (%d, %d, %d)", w, lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Errorf("calls = %d", calls)
-	}
-	team.ForChunks(0, Schedule{Policy: Static}, func(int, int, int) { t.Error("ran for n=0") })
 }
 
 func TestForSingleWorkerSequential(t *testing.T) {

@@ -86,7 +86,6 @@ func TestForWeightedCtxRunsAll(t *testing.T) {
 		{Policy: Static, Chunk: 2},
 		{Policy: Dynamic},
 		{Policy: Guided},
-		{Policy: Steal},
 	} {
 		for _, weights := range [][]int64{nil, {5, 1, 1, 9, 0, 3, 3, 2, 1, 7}} {
 			const n = 10

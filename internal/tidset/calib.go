@@ -14,7 +14,6 @@ package tidset
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sync/atomic"
 )
@@ -32,32 +31,17 @@ const (
 	defaultTileSparseMax = 16
 )
 
-// defaultNodesetDensityMin is the database fill density (average
-// recoded transaction length over the frequent-item count) at or above
-// which the nodeset (DiffNodeset) representation beat tiled tidsets on
-// the reference host's correlated categorical sweep
-// (results/CALIBRATE_nodeset.txt). Density is a proxy, not the cause:
-// what nodeset monetizes is co-occurrence — rows sharing long prefixes
-// compress into few PPC-tree nodes — and high fill on the real
-// categorical datasets comes with exactly that structure, while
-// uncorrelated data never reaches this fill at mining supports.
-// Advisory: representations are chosen by the caller, never switched
-// mid-run, so this knob only informs that choice.
-const defaultNodesetDensityMin = 0.55
-
 // The live knobs. Atomics because calibration may be applied by a main
 // goroutine while a server is already mining on others; kernels load
 // them once per call, never per element.
 var (
-	gallopRatioV       atomic.Int32
-	tileSparseMaxV     atomic.Int32
-	nodesetDensityMinV atomic.Uint64 // math.Float64bits
+	gallopRatioV   atomic.Int32
+	tileSparseMaxV atomic.Int32
 )
 
 func init() {
 	gallopRatioV.Store(defaultGallopRatio)
 	tileSparseMaxV.Store(defaultTileSparseMax)
-	nodesetDensityMinV.Store(math.Float64bits(defaultNodesetDensityMin))
 }
 
 // gallopRatio is the length disparity at which intersection switches
@@ -68,12 +52,6 @@ func gallopRatio() int { return int(gallopRatioV.Load()) }
 // stored (and intersected) as sorted u8 offsets rather than a 128-bit
 // bitmap. Exported read-only for cmd/calibrate's sweep reporting.
 func TileSparseMax() int { return int(tileSparseMaxV.Load()) }
-
-// NodesetDensityMin is the measured density crossover above which the
-// nodeset representation is expected to beat tiled tidsets on this
-// host. Advisory — consulted when picking a representation, never read
-// by the kernels.
-func NodesetDensityMin() float64 { return math.Float64frombits(nodesetDensityMinV.Load()) }
 
 // CalibrationEnv names the environment variable holding the path of a
 // calibration file to load at startup.
@@ -94,19 +72,14 @@ type Calibration struct {
 	// TileSparseMax: tiles with at most this many TIDs use the sparse
 	// u8-offset form. Must be in [1, TileBits].
 	TileSparseMax int `json:"tile_sparse_max,omitempty"`
-	// NodesetDensityMin: the density crossover from calibrate -nodeset —
-	// databases at least this dense favor the nodeset representation
-	// over tiled tidsets on this host. Advisory; must be in (0, 1].
-	NodesetDensityMin float64 `json:"nodeset_density_min,omitempty"`
 }
 
 // CurrentCalibration snapshots the live knob values.
 func CurrentCalibration() Calibration {
 	return Calibration{
-		GallopRatio:       gallopRatio(),
-		TileBits:          TileBits,
-		TileSparseMax:     TileSparseMax(),
-		NodesetDensityMin: NodesetDensityMin(),
+		GallopRatio:   gallopRatio(),
+		TileBits:      TileBits,
+		TileSparseMax: TileSparseMax(),
 	}
 }
 
@@ -124,17 +97,11 @@ func ApplyCalibration(c Calibration) (prev Calibration, err error) {
 	if c.TileSparseMax != 0 && (c.TileSparseMax < 1 || c.TileSparseMax > TileBits) {
 		return prev, fmt.Errorf("tidset: calibration tile_sparse_max %d out of range [1, %d]", c.TileSparseMax, TileBits)
 	}
-	if c.NodesetDensityMin != 0 && (c.NodesetDensityMin < 0 || c.NodesetDensityMin > 1) {
-		return prev, fmt.Errorf("tidset: calibration nodeset_density_min %v out of range (0, 1]", c.NodesetDensityMin)
-	}
 	if c.GallopRatio != 0 {
 		gallopRatioV.Store(int32(c.GallopRatio))
 	}
 	if c.TileSparseMax != 0 {
 		tileSparseMaxV.Store(int32(c.TileSparseMax))
-	}
-	if c.NodesetDensityMin != 0 {
-		nodesetDensityMinV.Store(math.Float64bits(c.NodesetDensityMin))
 	}
 	return prev, nil
 }

@@ -2,14 +2,13 @@ package fim
 
 // Miner-level equivalence harness for every representation: full mines
 // over the real dataset comparing each kind against the flat tidset
-// representation across algorithms, worker counts, flattening depths,
-// and loop schedules. The vertical-level legs (payload
-// equality per combine) live in internal/vertical; here the property is
-// end-to-end — identical decoded (itemset, support) content — because
-// everything above the representation is supposed to be
-// representation-oblivious. Run under -race at GOMAXPROCS ≥ 2 this
-// also checks that nodes shared between parallel tasks are never
-// written after they are built.
+// representation across algorithms, worker counts and flattening
+// depths. The vertical-level legs (payload equality per combine) live
+// in internal/vertical; here the property is end-to-end — identical
+// decoded (itemset, support) content — because everything above the
+// representation is supposed to be representation-oblivious. Run under
+// -race at GOMAXPROCS ≥ 2 this also checks that nodes shared between
+// parallel tasks are never written after they are built.
 
 import (
 	"fmt"
@@ -20,11 +19,11 @@ import (
 	"repro/internal/vertical"
 )
 
-// TestKindsMatchFlatMining: every (algorithm, workers, depth, schedule)
-// cell mines the same decoded itemsets and supports under every
-// representation as under flat tidsets. Decoded views are compared, not
-// Result.Equal, because nodeset mines under frequency order and its
-// dense codes differ from a by-code run.
+// TestKindsMatchFlatMining: every (algorithm, workers, depth) cell mines
+// the same decoded itemsets and supports under every representation as
+// under flat tidsets. Decoded views are compared, not Result.Equal,
+// because nodeset mines under frequency order and its dense codes
+// differ from a by-code run.
 func TestKindsMatchFlatMining(t *testing.T) {
 	var kinds []vertical.Kind
 	for _, kind := range vertical.AllKinds() {
@@ -53,23 +52,17 @@ func checkKindsMatchFlat(t *testing.T, kinds ...vertical.Kind) {
 	db := runctlDB(t)
 	minSup := db.AbsoluteSupport(0.5)
 	ref := verify.Reference(db.Recode(minSup), minSup).Decoded()
-	steal, err := ParseSchedulePolicy("steal")
-	if err != nil {
-		t.Fatal(err)
-	}
 	type cell struct {
 		algo    Algorithm
 		workers int
 		depth   int
-		steal   bool
 	}
 	var cells []cell
 	for _, w := range []int{1, 4} {
-		cells = append(cells, cell{Apriori, w, 0, false})
-		for _, depth := range []int{0, 2} {
-			cells = append(cells, cell{Eclat, w, depth, false})
+		cells = append(cells, cell{Apriori, w, 0})
+		for _, depth := range []int{0, 1, 2} {
+			cells = append(cells, cell{Eclat, w, depth})
 		}
-		cells = append(cells, cell{Eclat, w, 0, true})
 	}
 	for _, c := range cells {
 		opt := Options{
@@ -77,9 +70,6 @@ func checkKindsMatchFlat(t *testing.T, kinds ...vertical.Kind) {
 			Representation: Tidset,
 			Workers:        c.workers,
 			EclatDepth:     c.depth,
-		}
-		if c.steal {
-			opt.SchedulePolicy, opt.SetSchedule = steal, true
 		}
 		flat, err := MineAbsolute(db, minSup, opt)
 		if err != nil {
