@@ -26,11 +26,10 @@ import (
 // stays low and tiled keeps winning, exactly as it should.
 //
 // Each cell mines the same synthetic database end to end with
-// single-threaded Eclat under both representations in their production
-// configurations — tiled under code order, nodeset under the frequency
-// order fim.go forces for it — and the PPC build is charged to nodeset,
-// the tile build to tiled: the crossover must price the encodings, not
-// just the kernels. The recommended density is the smallest measured
+// single-threaded Eclat under both representations, in the ascending-
+// support item order fim.Mine recodes every run in. The PPC build is
+// charged to nodeset and the tile build to tiled: the crossover must
+// price the encodings, not just the kernels. The recommended density is the smallest measured
 // density from which nodeset wins contiguously through the top of the
 // sweep. It is printed, not written: representations are caller-chosen,
 // so no code reads it.
@@ -48,22 +47,22 @@ func calibrateNodeset() {
 	densities := make([]float64, len(conformities))
 	nodesetWins := make([]bool, len(conformities))
 	for i, cf := range conformities {
-		byCode, byFreq := syntheticRecoded(int64(100+i), nTrans, cf, minRel)
-		densities[i] = fillDensity(byCode)
-		if len(byCode.Items) < 3 {
+		rec := syntheticRecoded(int64(100+i), nTrans, cf, minRel)
+		densities[i] = fillDensity(rec)
+		if len(rec.Items) < 3 {
 			fmt.Printf("%8.2f %8.2f %8d %12s %12s %8s %8s\n",
-				cf, densities[i], len(byCode.Items), "-", "-", "-", "skip")
+				cf, densities[i], len(rec.Items), "-", "-", "-", "skip")
 			continue
 		}
-		tiledMs := timeMine(byCode, vertical.Tiled)
-		nodeMs := timeMine(byFreq, vertical.Nodeset)
+		tiledMs := timeMine(rec, vertical.Tiled)
+		nodeMs := timeMine(rec, vertical.Nodeset)
 		winner := "tiled"
 		if nodeMs < tiledMs {
 			winner = "nodeset"
 			nodesetWins[i] = true
 		}
 		fmt.Printf("%8.2f %8.2f %8d %12.3f %12.3f %7.2fx %8s\n",
-			cf, densities[i], len(byCode.Items), tiledMs, nodeMs, nodeMs/tiledMs, winner)
+			cf, densities[i], len(rec.Items), tiledMs, nodeMs, nodeMs/tiledMs, winner)
 	}
 
 	rec := 0.0
@@ -82,9 +81,9 @@ func calibrateNodeset() {
 
 // syntheticRecoded builds a deterministic chess-shaped categorical
 // database — 30 binary attributes plus two wider ones, two latent
-// groups — at the given conformist fraction, and returns it recoded
-// both by code order and by frequency order.
-func syntheticRecoded(seed int64, nTrans int, conformist, minRel float64) (byCode, byFreq *dataset.Recoded) {
+// groups — at the given conformist fraction, and returns it recoded by
+// ascending support, as fim.Mine recodes.
+func syntheticRecoded(seed int64, nTrans int, conformist, minRel float64) *dataset.Recoded {
 	attrs := make([]gen.AttrSpec, 0, 32)
 	for i := 0; i < 30; i++ {
 		attrs = append(attrs, gen.AttrSpec{Domain: 2})
@@ -104,7 +103,7 @@ func syntheticRecoded(seed int64, nTrans int, conformist, minRel float64) (byCod
 		NonConfFactor:   0.5,
 	})
 	minSup := db.AbsoluteSupport(minRel)
-	return db.Recode(minSup), db.RecodeOrdered(minSup, dataset.ByFrequency)
+	return db.RecodeOrdered(minSup, dataset.ByFrequency)
 }
 
 // fillDensity measures a recoded database's fill ratio: average

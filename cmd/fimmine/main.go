@@ -51,7 +51,6 @@ func main() {
 	repName := flag.String("rep", "diffset", "representation: tidset, bitvector, diffset, hybrid, tiled, nodeset")
 	calibPath := flag.String("calibration", "", "per-host kernel calibration file from `calibrate -write` (default: $"+fim.CalibrationEnv+", else compiled-in)")
 	workers := flag.Int("workers", 1, "parallel workers")
-	freqOrder := flag.Bool("freq-order", false, "recode items in ascending support order")
 	depth := flag.Int("depth", 0, "Eclat flattening depth (0 = default)")
 	schedName := flag.String("sched", "", "override the loop schedule: static, dynamic, guided (default: the algorithm's choice)")
 	schedChunk := flag.Int("sched-chunk", 0, "chunk size for -sched (0 = the policy's default)")
@@ -89,7 +88,6 @@ func main() {
 		fatal(err)
 	}
 	opt.Workers = *workers
-	opt.OrderByFrequency = *freqOrder
 	opt.EclatDepth = *depth
 	if *schedName != "" {
 		if opt.SchedulePolicy, err = fim.ParseSchedulePolicy(*schedName); err != nil {

@@ -211,10 +211,6 @@ type Options struct {
 	// EclatDepth sets Eclat's flattening depth (see internal/eclat);
 	// 0 uses the default.
 	EclatDepth int
-	// OrderByFrequency recodes items in ascending support order before
-	// mining (the classic search-tree balancing optimization; ablation
-	// A9). Results are identical after decoding.
-	OrderByFrequency bool
 	// Trace, when non-nil, records the run for NUMA replay via Simulate.
 	Trace *Trace
 	// Observer, when non-nil, receives the run's structured event stream
@@ -310,6 +306,13 @@ type WorkerPanicError = runctl.WorkerPanicError
 // Mine finds all itemsets with relative support >= minSupport (a
 // fraction of the transaction count, e.g. 0.02 for 2%) in db. It is
 // MineContext with a background context.
+//
+// Every run codes the frequent items densely in ascending support
+// order, ties by item id: rare items anchor the classes near the root,
+// where Eclat's fan-out and diffsets are largest, and FP-growth's tree
+// and the nodeset PPC tree, which insert in descending code order, put
+// frequent items near their roots. Result holds these codes; Decoded
+// maps them back to the original items.
 func Mine(db *DB, minSupport float64, opt Options) (*Result, error) {
 	return MineContext(context.Background(), db, minSupport, opt)
 }
@@ -364,17 +367,7 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 			return nil, fmt.Errorf("fim: unknown schedule policy %v", opt.SchedulePolicy)
 		}
 	}
-	// The nodeset representation always mines in frequency order: the
-	// PPC tree inserts items by descending dense code, so ascending-
-	// support codes put frequent items near the root — Deng's
-	// compressed-tree order, which both shrinks the tree and makes the
-	// class anchor the least frequent member. The order changes only
-	// internal codes; mined itemsets are identical after decoding.
-	order := dataset.ByCode
-	if opt.OrderByFrequency || opt.Representation == Nodeset {
-		order = dataset.ByFrequency
-	}
-	rec := db.RecodeOrdered(minSupport, order)
+	rec := db.RecodeOrdered(minSupport, dataset.ByFrequency)
 	rc := runctl.New(ctx, runctl.Budget{
 		MaxMemoryBytes:   opt.MaxMemoryBytes,
 		MaxItemsets:      opt.MaxItemsets,

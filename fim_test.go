@@ -2,13 +2,17 @@ package fim
 
 import (
 	"bytes"
+	"cmp"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/tidset"
 	"repro/internal/verify"
+	"repro/internal/vertical"
 )
 
 const classic = `1 2 5
@@ -93,16 +97,23 @@ func TestMineRejectsOutOfRangeOptions(t *testing.T) {
 	}
 }
 
+// TestMineAgainstReference: each algorithm mines the classic database
+// to the reference miner's itemsets and supports. Mine codes items by
+// ascending support and the reference runs over a by-code recode, so
+// the two are compared by decoded content.
 func TestMineAgainstReference(t *testing.T) {
 	db := classicDB(t)
-	rec := db.Recode(2)
-	ref := verify.Reference(rec, 2)
-	res, err := Mine(db, 2.0/9.0, DefaultOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Equal(ref) {
-		t.Errorf("facade result differs:\n%s", verify.Diff(res, ref))
+	want := verify.Reference(db.Recode(2), 2).Decoded()
+	for _, algo := range []Algorithm{Apriori, Eclat, FPGrowth} {
+		opt := DefaultOptions(4)
+		opt.Algorithm = algo
+		res, err := Mine(db, 2.0/9.0, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		if d := decodedDiff(res.Decoded(), want); d != "" {
+			t.Errorf("%v vs reference: %s", algo, d)
+		}
 	}
 }
 
@@ -216,28 +227,44 @@ func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
 
-func TestOrderByFrequencyAgrees(t *testing.T) {
-	db := classicDB(t)
-	base, err := Mine(db, 2.0/9.0, DefaultOptions(2))
+// TestMineCodesByAscendingSupport checks the engine-wide item order:
+// for every algorithm and representation, the dense codes of the result
+// ascend by support, ties by item id, and the decoded result equals the
+// reference. The mushroom build's support order differs from its id
+// order, so a run that kept by-code order would fail the first check.
+func TestMineCodesByAscendingSupport(t *testing.T) {
+	db, err := Dataset("mushroom", 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions(2)
-	opt.OrderByFrequency = true
-	reord, err := Mine(db, 2.0/9.0, opt)
-	if err != nil {
-		t.Fatal(err)
+	minSup := db.AbsoluteSupport(0.4)
+	byCode := db.Recode(minSup)
+	if slices.IsSortedFunc(byCode.Items, bySupport) {
+		t.Fatal("test database has its item ids already in support order")
 	}
-	// Dense codes differ; decoded itemsets must be identical.
-	a, b := base.Decoded(), reord.Decoded()
-	if len(a) != len(b) {
-		t.Fatalf("itemset counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !a[i].Items.Equal(b[i].Items) || a[i].Support != b[i].Support {
-			t.Errorf("mismatch at %d: %v/%d vs %v/%d", i, a[i].Items, a[i].Support, b[i].Items, b[i].Support)
+	want := verify.Reference(byCode, minSup).Decoded()
+	for _, algo := range []Algorithm{Apriori, Eclat, FPGrowth} {
+		for _, rep := range vertical.AllKinds() {
+			res, err := MineAbsolute(db, minSup, Options{Algorithm: algo, Representation: rep, Workers: 2})
+			if err != nil {
+				t.Fatalf("%v/%v: %v", algo, rep, err)
+			}
+			if !slices.IsSortedFunc(res.Rec.Items, bySupport) {
+				t.Errorf("%v/%v: codes not in ascending support order: %+v", algo, rep, res.Rec.Items)
+			}
+			if d := decodedDiff(res.Decoded(), want); d != "" {
+				t.Errorf("%v/%v vs reference: %s", algo, rep, d)
+			}
 		}
 	}
+}
+
+// bySupport orders frequent items by support, ties by item id.
+func bySupport(a, b dataset.FrequentItem) int {
+	if c := cmp.Compare(a.Support, b.Support); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Original, b.Original)
 }
 
 // TestLoadCalibrationEnv: with no path, LoadCalibration loads the file

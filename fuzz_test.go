@@ -3,7 +3,7 @@ package fim
 // Differential fuzzing of the whole miner against the independent
 // reference miner: every input is a small database, a minimum support
 // and one point of the configuration space (representation, algorithm,
-// schedule, depth, item order, workers, memory budget, degrade). A
+// schedule, depth, workers, memory budget, degrade). A
 // completed run must mine exactly the reference's decoded itemsets and
 // supports; a run stopped by its memory budget must keep the run-control
 // contract instead — a subset of the reference, every support exact.
@@ -48,7 +48,8 @@ func fuzzDB(rows []byte) *DB {
 //	bit  3     Eclat (else Apriori)
 //	bits 4-6   schedule, v % 4: default, static, dynamic, guided
 //	bits 7-9   Eclat depth, v % 5 (0 = default)
-//	bit  10    OrderByFrequency
+//	bit  10    reserved, ignored (was the item-order knob; every run
+//	           now codes items by ascending support)
 //	bit  11    2 workers (else 1)
 //	bit  12    memory budget of 32·(bits 16-23 + 1) bytes
 //	bit  13    DegradeToDiffset
@@ -59,7 +60,6 @@ func fuzzOptions(cfg uint32) Options {
 		Algorithm:        Apriori,
 		Representation:   kinds[int(cfg&7)%len(kinds)],
 		EclatDepth:       int(cfg>>7&7) % 5,
-		OrderByFrequency: cfg&(1<<10) != 0,
 		Workers:          1,
 		DegradeToDiffset: cfg&(1<<13) != 0,
 	}

@@ -63,8 +63,9 @@ func TestGrandCrossCheck(t *testing.T) {
 }
 
 // TestCrossCheckFrequencyOrder repeats the cross-check under
-// frequency-ordered recoding: all engines must agree there too, and the
-// decoded result must match the code-ordered run.
+// frequency-ordered recoding, the order every fim.Mine run uses: Apriori
+// and Eclat over every representation and FP-growth must agree there
+// too, and the decoded result must match the code-ordered run.
 func TestCrossCheckFrequencyOrder(t *testing.T) {
 	db := datasets.Mushroom(0.02)
 	minSup := db.AbsoluteSupport(0.4)
@@ -72,12 +73,18 @@ func TestCrossCheckFrequencyOrder(t *testing.T) {
 	byFreq := db.RecodeOrdered(minSup, dataset.ByFrequency)
 	refCode := verify.Reference(byCode, minSup)
 	refFreq := verify.Reference(byFreq, minSup)
-	for _, rep := range vertical.AllKinds() {
-		res := must(eclat.Mine(byFreq, minSup, core.DefaultOptions(rep, 2)))
+	check := func(name string, res *core.Result) {
+		t.Helper()
 		if !res.Equal(refFreq) {
-			t.Errorf("eclat/%v under frequency order:\n%s", rep, verify.Diff(res, refFreq))
+			t.Errorf("%s under frequency order:\n%s", name, verify.Diff(res, refFreq))
 		}
 	}
+	for _, rep := range vertical.AllKinds() {
+		check("apriori/"+rep.String(), must(apriori.Mine(byFreq, minSup, core.DefaultOptions(rep, 2))))
+		check("eclat/"+rep.String(), must(eclat.Mine(byFreq, minSup, core.DefaultOptions(rep, 2))))
+	}
+	check("fpgrowth/serial", must(fpgrowth.Mine(byFreq, minSup, core.DefaultOptions(vertical.Tidset, 1))))
+	check("fpgrowth/parallel", must(fpgrowth.Mine(byFreq, minSup, core.DefaultOptions(vertical.Tidset, 2))))
 	// Decoded views agree across orders.
 	a := refCode.Decoded()
 	b := refFreq.Decoded()

@@ -100,29 +100,40 @@ func TestRecodeMatchesOracle(t *testing.T) {
 
 // TestRecodeEdgeDatabases covers the inputs the generators never make:
 // ids near 2^32-1 (the sparse-id fallback), empty and all-infrequent
-// databases, and rows that filtering empties.
+// databases, rows that filtering empties, and both row-bitmap widths at
+// their boundary (64 and 65 frequent items) and well past it, with
+// supports that fall as ids rise so frequency order reverses every row.
 func TestRecodeEdgeDatabases(t *testing.T) {
 	top := itemset.Item(math.MaxUint32)
 	cases := []struct {
 		name   string
 		trs    []dataset.Transaction
 		minSup int
+		items  int // frequent items, the edge the case exists for
 	}{
 		{"sparse-ids", []dataset.Transaction{
 			itemset.New(0, 7, top), itemset.New(7, top-1, top), itemset.New(3, top-1),
 			itemset.New(top), itemset.New(0, 3, 7),
-		}, 2},
-		{"sparse-ids-minsup-1", []dataset.Transaction{itemset.New(1, top), itemset.New(1 << 31)}, 1},
-		{"empty", nil, 1},
-		{"all-infrequent", []dataset.Transaction{itemset.New(1), itemset.New(2, 3), itemset.New(4)}, 2},
+		}, 2, 5},
+		{"sparse-ids-minsup-1", []dataset.Transaction{itemset.New(1, top), itemset.New(1 << 31)}, 1, 3},
+		{"empty", nil, 1, 0},
+		{"all-infrequent", []dataset.Transaction{itemset.New(1), itemset.New(2, 3), itemset.New(4)}, 2, 0},
 		{"emptied-rows", []dataset.Transaction{
 			itemset.New(1, 2), itemset.New(9), itemset.New(1, 5), itemset.New(), itemset.New(6, 8), itemset.New(2),
-		}, 2},
+		}, 2, 2},
+		{"falling-64", fallingRows(64, 1), 2, 64},
+		{"falling-65", fallingRows(65, 1), 2, 65},
+		{"falling-200", fallingRows(200, 1), 2, 200},
+		{"sparse-falling-65", fallingRows(65, 1<<24), 2, 65},
+		{"sparse-falling-200", fallingRows(200, 1<<24), 2, 200},
 	}
 	for _, tc := range cases {
 		db := &dataset.DB{Name: tc.name, Transactions: tc.trs}
 		for _, order := range orders {
 			rec := sameRecode(t, fmt.Sprintf("%s/order=%d", tc.name, order), db, tc.minSup, order)
+			if len(rec.Items) != tc.items {
+				t.Errorf("%s: %d frequent items, want %d", tc.name, len(rec.Items), tc.items)
+			}
 			if tc.name == "emptied-rows" {
 				// Rows 1, 3 and 4 hold only infrequent items (or none) and
 				// keep their TIDs, so the kept rows stay at 0, 2 and 5.
@@ -134,6 +145,25 @@ func TestRecodeEdgeDatabases(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fallingRows builds n+1 rows over the items i*stride, i < n, where item
+// i sits in the first n-i+1 rows: support falls as the id rises, so
+// frequency order reverses the id order of every row. Each row also
+// holds one item of its own (support 1), and an empty row and a row of
+// only those single-support items follow. At minsup 2 exactly the n
+// strided items are frequent; a stride of 2^24 makes the ids sparse.
+func fallingRows(n int, stride itemset.Item) []dataset.Transaction {
+	own := itemset.Item(n) * stride
+	var trs []dataset.Transaction
+	for r := 0; r <= n; r++ {
+		row := []itemset.Item{own + itemset.Item(r)}
+		for i := 0; i < n-max(r, 1)+1; i++ {
+			row = append(row, itemset.Item(i)*stride)
+		}
+		trs = append(trs, itemset.New(row...))
+	}
+	return append(trs, itemset.New(), itemset.New(own+itemset.Item(n)+1, own+itemset.Item(n)+2))
 }
 
 // TestRecodedTransactionsAreCapped checks that the transactions sharing
@@ -162,22 +192,33 @@ func accidentsFIMI(b *testing.B) []byte {
 	return buf.Bytes()
 }
 
-// BenchmarkRecodeOrdered times the first pass at the support
-// fim.Mine's recode runs at on the accidents_tall workload.
+// BenchmarkRecodeOrdered times the first pass at the supports fim.Mine
+// recodes at on the accidents_tall workload (at most 64 frequent items,
+// one-word row bitmaps) and the t40_wide workload (333 frequent items,
+// six-word row bitmaps).
 func BenchmarkRecodeOrdered(b *testing.B) {
-	db := datasets.Accidents(0.1)
-	minSup := db.AbsoluteSupport(0.20)
-	for _, order := range orders {
-		name := "ByCode"
-		if order == dataset.ByFrequency {
-			name = "ByFrequency"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sink = db.RecodeOrdered(minSup, order)
+	shapes := []struct {
+		name    string
+		db      *dataset.DB
+		support float64
+	}{
+		{"accidents", datasets.Accidents(0.1), 0.20},
+		{"t40", datasets.T40I10D100K(0.05), 0.04},
+	}
+	for _, sh := range shapes {
+		minSup := sh.db.AbsoluteSupport(sh.support)
+		for _, order := range orders {
+			name := sh.name + "/ByCode"
+			if order == dataset.ByFrequency {
+				name = sh.name + "/ByFrequency"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sink = sh.db.RecodeOrdered(minSup, order)
+				}
+			})
+		}
 	}
 }
 

@@ -6,19 +6,20 @@
 // and benchmarked.
 //
 // The implementation is the classic Han/Pei/Yin design: an FP-tree
-// (prefix tree of transactions with items in descending frequency order,
-// with per-item header chains), mined by recursively building conditional
-// pattern bases and conditional trees. The tree structure itself lives
-// in package nodeset — the PPC-tree of the DiffNodeset representation
-// is the same prefix tree under a different item order — and is shared
-// through nodeset.Tree. Parallelism follows the same
+// (prefix tree of transactions with items in descending dense-code
+// order, with per-item header chains), mined by recursively building
+// conditional pattern bases and conditional trees. fim.Mine codes items
+// by ascending support, so that is the classic descending-frequency
+// order; any fixed order mines the same itemsets. The tree structure
+// itself lives in package nodeset — the PPC-tree of the DiffNodeset
+// representation is the same prefix tree in the same order — and is
+// shared through nodeset.Tree. Parallelism follows the same
 // pattern as the paper's Eclat: the top-level loop over header items is
 // a set of independent tasks (each conditional tree is private to its
 // worker), scheduled dynamically.
 package fpgrowth
 
 import (
-	"cmp"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -66,27 +67,17 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		return res, err
 	}
 
-	// Global frequency order: descending support, ties by ascending code.
-	// The recode pass already filtered to frequent items.
 	n := len(rec.Items)
 	if n == 0 {
 		return finish(nil)
 	}
-	order := make([]int32, n) // rank -> item
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortStableFunc(order, func(a, b int32) int {
-		return cmp.Compare(rec.Items[b].Support, rec.Items[a].Support)
-	})
-	rank := make([]int32, n) // item -> rank
-	for r, it := range order {
-		rank[it] = int32(r)
-	}
 
-	// Build the global tree serially: items within a transaction sorted
-	// by rank. The stop flag is polled every insertStride transactions so
-	// a cancelled run does not first pay for the whole tree.
+	// Build the global tree serially, each row inserted in descending
+	// code order: under fim.Mine's ascending-support codes that is the
+	// classic descending-frequency FP-tree order, and a recoded row is
+	// ascending, so walking it backwards needs no sort. The stop flag is
+	// polled every insertStride transactions so a cancelled run does not
+	// first pay for the whole tree.
 	const insertStride = 1024
 	t := nodeset.NewTreeSized(n)
 	buf := make([]int32, 0, 64)
@@ -95,10 +86,9 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 			return finish(rc.Cause())
 		}
 		buf = buf[:0]
-		for _, it := range tr {
-			buf = append(buf, int32(it))
+		for i := len(tr) - 1; i >= 0; i-- {
+			buf = append(buf, int32(tr[i]))
 		}
-		slices.SortFunc(buf, func(a, b int32) int { return cmp.Compare(rank[a], rank[b]) })
 		t.Insert(buf, 1)
 	}
 	rc.ChargeMem(t.Bytes())
@@ -131,7 +121,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	var emitted atomic.Int64
 	err := team.ForCtx(rc, n, schedule, func(w, i int) {
 		it := int32(i)
-		m := &grower{rank: rank, minSup: minSup, rc: rc}
+		m := &grower{minSup: minSup, rc: rc}
 		pattern := itemset.New(itemset.Item(it))
 		m.emit(pattern, rec.Items[it].Support)
 		cond := t.Conditional(it)
@@ -164,7 +154,6 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 
 // grower carries one top-level task's recursion state.
 type grower struct {
-	rank   []int32
 	minSup int
 	rc     *runctl.Control
 	out    []core.ItemsetCount
@@ -182,9 +171,10 @@ func (g *grower) emit(items itemset.Itemset, support int) {
 // checking the stop flag per conditional tree and charging each one
 // against the memory budget for its lifetime.
 func (g *grower) grow(t *nodeset.Tree, suffix itemset.Itemset) {
-	// Visit items in reverse frequency order (deepest first).
+	// Visit items in ascending code order, the reverse of the tree
+	// order: deepest first.
 	items := slices.Clone(t.Items())
-	slices.SortFunc(items, func(a, b int32) int { return cmp.Compare(g.rank[b], g.rank[a]) })
+	slices.Sort(items)
 	for _, it := range items {
 		if g.rc.Stopped() {
 			return

@@ -21,9 +21,8 @@ import (
 
 // TestKindsMatchFlatMining: every (algorithm, workers, depth) cell mines
 // the same decoded itemsets and supports under every representation as
-// under flat tidsets. Decoded views are compared, not Result.Equal,
-// because nodeset mines under frequency order and its dense codes
-// differ from a by-code run.
+// under flat tidsets. Decoded views are compared, not Result.Equal, so
+// the check holds whatever dense codes a run mines under.
 func TestKindsMatchFlatMining(t *testing.T) {
 	var kinds []vertical.Kind
 	for _, kind := range vertical.AllKinds() {
