@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/kcount"
 	"repro/internal/tidset"
 )
 
@@ -68,14 +69,14 @@ func randomSet(r *rand.Rand, n, universe int) tidset.Set {
 
 // timeIntersect runs fn(short, long) repeatedly for at least minTime
 // and returns the mean nanoseconds per call.
-func timeIntersect(fn func(s, t, dst tidset.Set) tidset.Set, short, long tidset.Set, minTime time.Duration) float64 {
+func timeIntersect(fn func(s, t, dst tidset.Set, st *kcount.Stats) tidset.Set, short, long tidset.Set, minTime time.Duration) float64 {
 	dst := make(tidset.Set, 0, len(short))
 	// Warm up once so first-touch page faults stay out of the timing.
-	dst = fn(short, long, dst)
+	dst = fn(short, long, dst, nil)
 	iters := 0
 	start := time.Now()
 	for time.Since(start) < minTime {
-		dst = fn(short, long, dst)
+		dst = fn(short, long, dst, nil)
 		iters++
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(iters)

@@ -117,11 +117,11 @@ func timeTiledIntersect(a, b tidset.Set, forcedSparseMax int, minTime time.Durat
 	defer tidset.ApplyCalibration(prev)
 	ta, tb := tidset.FromSet(a), tidset.FromSet(b)
 	dst := &tidset.Tiled{}
-	ta.IntersectInto(tb, dst) // warm-up: page in the destination
+	ta.IntersectInto(tb, dst, nil) // warm-up: page in the destination
 	iters := 0
 	start := time.Now()
 	for time.Since(start) < minTime {
-		ta.IntersectInto(tb, dst)
+		ta.IntersectInto(tb, dst, nil)
 		iters++
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(iters)

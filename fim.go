@@ -151,10 +151,6 @@ type (
 	SpanRecorder = obs.TraceRecorder
 	// Span is one recorded interval of a span timeline.
 	Span = obs.Span
-	// KernelStats is a snapshot of the per-kernel operation counters
-	// (tidset merge/gallop steps, bitvector word ops, nodes built and
-	// bytes materialized per representation).
-	KernelStats = kcount.Stats
 )
 
 // NewSpanRecorder returns an empty span-timeline recorder for
@@ -408,23 +404,13 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 	if opt.RunID != 0 {
 		o = obs.WithRunID(o, opt.RunID)
 	}
-	var ktok kcount.RunToken
-	kdone := false
 	if o != nil {
 		copt.Observer = o
 		copt.Metrics = sched.NewMetrics()
 		if opt.SpanTrace != nil {
 			copt.Metrics.SetTracer(opt.SpanTrace)
 		}
-		// Kernel counters are process-global; the token detects whether
-		// another instrumented run overlapped this one, in which case the
-		// delta is not attributable to this run and is not reported.
-		ktok = kcount.BeginRun()
-		defer func() {
-			if !kdone {
-				ktok.End()
-			}
-		}()
+		copt.Kernels = &kcount.Stats{}
 		rc.TrackMemory()
 		fracs := opt.BudgetWarnAt
 		if len(fracs) == 0 {
@@ -476,11 +462,7 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 		// Flush scheduler loops that finished after the last level
 		// boundary (early-stopped runs leave undrained phases behind).
 		core.EmitPhases(o, copt.Metrics)
-		delta, exclusive := ktok.End()
-		kdone = true
-		if exclusive {
-			o.Event(obs.Event{Type: obs.KernelCounters, Counters: delta.Map()})
-		}
+		o.Event(obs.Event{Type: obs.KernelCounters, Counters: copt.Kernels.Map()})
 		if err != nil {
 			o.Event(obs.Event{Type: obs.Stop, Reason: StopReason(err), Err: err.Error()})
 		}

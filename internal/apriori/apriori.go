@@ -69,6 +69,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	o := opt.Observer
 	met := opt.Metrics
 	team.SetMetrics(met)
+	kc := opt.Kernels
 
 	res := &core.Result{
 		Algorithm:      core.Apriori,
@@ -80,15 +81,28 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	// Generation 1: the recode pass already counted item supports.
 	tr := trie.NewRoot(itemSupports(rec))
 	nodes := rep.Roots(rec) // payload of each level-1 node, index-aligned with the trie level
+	vertical.CountRoots(kc, rep.Kind(), nodes)
 	if root := col.NewPhase("apriori/roots", schedule, true, len(nodes)); root != nil {
 		for i, n := range nodes {
 			root.Add(i, int64(n.Bytes()), 0, int64(n.Bytes()))
 		}
 	}
 
-	// collect gathers every committed level into res; valid at any stop
-	// point because Commit only ever appends whole frequent levels.
+	// Per-worker arenas for the combine loop: candidate payloads recycle
+	// within and across generations, so once the free lists warm up
+	// the counting loop stops touching the allocator.
+	arenas := make([]*vertical.Arena, team.Workers())
+	for w := range arenas {
+		arenas[w] = vertical.NewArena()
+	}
+
+	// collect gathers every committed level into res and the workers'
+	// kernel counts into kc; valid at any stop point because Commit only
+	// ever appends whole frequent levels, and the team has joined.
 	collect := func(err error) (*core.Result, error) {
+		for _, a := range arenas {
+			kc.Merge(&a.Kernels)
+		}
 		sets, sups := tr.FrequentItemsets()
 		res.Counts = make([]core.ItemsetCount, len(sets))
 		for i := range sets {
@@ -113,7 +127,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		}
 		before := vertical.NodesBytes(level)
 		for w, n := range level {
-			level[w] = vertical.DegradeChild(parentOf(w), n)
+			level[w] = vertical.DegradeChild(parentOf(w), n, kc)
 		}
 		rc.ChargeMem(vertical.NodesBytes(level) - before)
 		rep = vertical.New(vertical.Diffset)
@@ -123,13 +137,6 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		return true
 	}
 
-	// Per-worker arenas for the combine loop: candidate payloads recycle
-	// within and across generations, so once the free lists warm up
-	// the counting loop stops touching the allocator.
-	arenas := make([]*vertical.Arena, team.Workers())
-	for w := range arenas {
-		arenas[w] = vertical.NewArena()
-	}
 	// Roots are seeded from the recoded database and may share backing
 	// storage with it, so they are never recycled; every later level is
 	// miner-owned and safe to release once retired.
@@ -244,7 +251,6 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 				mem += cb
 			}
 			rc.ChargeMem(mem)
-			a.Flush()
 		})
 		core.EmitPhases(o, met)
 		if err != nil {

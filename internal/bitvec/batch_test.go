@@ -22,14 +22,14 @@ func TestAndManyIntoMatchesPairwise(t *testing.T) {
 			outs[j] = New(n)
 			sups[j] = -1 // must be overwritten, not accumulated into
 		}
-		AndManyInto(px, pys, outs, sups)
+		AndManyInto(px, pys, outs, sups, nil)
 		for j := range pys {
 			want := px.And(pys[j])
 			if !outs[j].Equal(want) {
 				t.Fatalf("n=%d child %d: AND payload mismatch", n, j)
 			}
-			if sups[j] != want.Count() {
-				t.Fatalf("n=%d child %d: sup %d, want %d", n, j, sups[j], want.Count())
+			if sups[j] != want.Count(nil) {
+				t.Fatalf("n=%d child %d: sup %d, want %d", n, j, sups[j], want.Count(nil))
 			}
 		}
 	}
@@ -38,7 +38,7 @@ func TestAndManyIntoMatchesPairwise(t *testing.T) {
 // TestAndManyIntoEmptyBlock: a zero-length block is a no-op.
 func TestAndManyIntoEmptyBlock(t *testing.T) {
 	px := New(100)
-	AndManyInto(px, nil, nil, nil)
+	AndManyInto(px, nil, nil, nil, nil)
 }
 
 // TestAndManyIntoLengthMismatch: the batch kernel keeps AndInto's
@@ -49,7 +49,7 @@ func TestAndManyIntoLengthMismatch(t *testing.T) {
 			t.Fatal("no panic on length mismatch")
 		}
 	}()
-	AndManyInto(New(100), []*Vector{New(99)}, []*Vector{New(100)}, []int{0})
+	AndManyInto(New(100), []*Vector{New(99)}, []*Vector{New(100)}, []int{0}, nil)
 }
 
 // The batched-vs-pairwise AND micro-benchmark pair over a block of 16
@@ -75,7 +75,7 @@ func BenchmarkAndManyInto(b *testing.B) {
 	px, pys, outs, sups := benchVecBlock(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AndManyInto(px, pys, outs, sups)
+		AndManyInto(px, pys, outs, sups, nil)
 	}
 }
 
@@ -84,8 +84,8 @@ func BenchmarkAndPairwiseBlock(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range pys {
-			outs[j].AndInto(px, pys[j])
-			sups[j] = outs[j].Count()
+			outs[j].AndInto(px, pys[j], nil)
+			sups[j] = outs[j].Count(nil)
 		}
 	}
 }

@@ -10,6 +10,10 @@
 // weakness: candidates deep in the search keep paying for the full
 // transaction universe even when their support is tiny — the memory
 // pressure behind Apriori-bitvector's scalability collapse (§V-A).
+//
+// The Into kernels, AndManyInto and Count charge their word operations to
+// the kcount shard they are given (nil counts nothing); the allocating
+// And and AndNot count nothing.
 package bitvec
 
 import (
@@ -79,13 +83,14 @@ func (v *Vector) Test(t tidset.TID) bool {
 }
 
 // Count returns the number of set bits — the support of the itemset the
-// vector represents.
-func (v *Vector) Count() int {
+// vector represents — charging the popcounted words to st (nil counts
+// nothing).
+func (v *Vector) Count(st *kcount.Stats) int {
 	c := 0
 	for _, w := range v.words {
 		c += bits.OnesCount64(w)
 	}
-	kcount.AddWordsPopcounted(len(v.words))
+	st.AddWords(0, len(v.words))
 	return c
 }
 
@@ -112,19 +117,20 @@ func (v *Vector) Equal(u *Vector) bool {
 // And returns v AND u as a new vector.
 func (v *Vector) And(u *Vector) *Vector {
 	out := New(v.n)
-	out.AndInto(v, u)
+	out.AndInto(v, u, nil)
 	return out
 }
 
 // AndInto stores a AND b into v (which must have the same length) and
 // returns v, allowing per-worker scratch reuse in the mining hot loop.
-func (v *Vector) AndInto(a, b *Vector) *Vector {
+// The ANDed words are charged to st (nil counts nothing).
+func (v *Vector) AndInto(a, b *Vector, st *kcount.Stats) *Vector {
 	checkLen(a, b)
 	checkLen(v, a)
 	for i := range v.words {
 		v.words[i] = a.words[i] & b.words[i]
 	}
-	kcount.AddWordsANDed(len(v.words))
+	st.AddWords(len(v.words), 0)
 	return v
 }
 
@@ -159,7 +165,7 @@ const stripSparseMax = 32
 // (tiles_sparse), and only genuinely dense strips stream word-for-word
 // (tiles_dense). The words_anded counter records the words actually
 // touched, so the saving is visible in the evidence trail.
-func AndManyInto(px *Vector, pys, outs []*Vector, sups []int) {
+func AndManyInto(px *Vector, pys, outs []*Vector, sups []int, st *kcount.Stats) {
 	m := len(pys)
 	if m == 0 {
 		return
@@ -170,13 +176,12 @@ func AndManyInto(px *Vector, pys, outs []*Vector, sups []int) {
 		sups[j] = 0
 	}
 	nw := len(px.words)
-	tiles, skipped, sparse, dense := 0, 0, 0, 0
+	skipped, sparse, dense := 0, 0, 0
 	wordsANDed := 0
 	var nz [stripSparseMax]int32
 	for lo := 0; lo < nw; lo += andTileWords {
 		hi := min(lo+andTileWords, nw)
 		pw := px.words[lo:hi]
-		tiles++
 
 		// Classify the parent strip: positions of its nonzero words,
 		// bailing to the dense path past stripSparseMax.
@@ -231,28 +236,26 @@ func AndManyInto(px *Vector, pys, outs []*Vector, sups []int) {
 			}
 		}
 	}
-	kcount.AddWordsANDed(wordsANDed)
-	kcount.AddWordsPopcounted(wordsANDed)
-	kcount.AddTiles(tiles)
-	kcount.AddStripKinds(skipped, sparse, dense)
-	kcount.AddBatch(m, nw)
+	st.AddWords(wordsANDed, wordsANDed)
+	st.AddStrips(skipped, sparse, dense)
+	st.AddBatch(m, nw)
 }
 
 // AndNot returns v AND NOT u as a new vector (set difference).
 func (v *Vector) AndNot(u *Vector) *Vector {
 	out := New(v.n)
-	out.AndNotInto(v, u)
+	out.AndNotInto(v, u, nil)
 	return out
 }
 
 // AndNotInto stores a AND NOT b into v and returns v.
-func (v *Vector) AndNotInto(a, b *Vector) *Vector {
+func (v *Vector) AndNotInto(a, b *Vector, st *kcount.Stats) *Vector {
 	checkLen(a, b)
 	checkLen(v, a)
 	for i := range v.words {
 		v.words[i] = a.words[i] &^ b.words[i]
 	}
-	kcount.AddWordsANDed(len(v.words))
+	st.AddWords(len(v.words), 0)
 	return v
 }
 
@@ -286,7 +289,7 @@ func (v *Vector) maskTail() {
 
 // TIDs returns the set bits as a tidset, ascending.
 func (v *Vector) TIDs() tidset.Set {
-	out := make(tidset.Set, 0, v.Count())
+	out := make(tidset.Set, 0, v.Count(nil))
 	for wi, w := range v.words {
 		base := tidset.TID(wi * wordBits)
 		for w != 0 {

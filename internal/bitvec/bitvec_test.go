@@ -14,7 +14,7 @@ func TestSetTestClearCount(t *testing.T) {
 	for _, x := range tids {
 		v.Set(x)
 	}
-	if got := v.Count(); got != len(tids) {
+	if got := v.Count(nil); got != len(tids) {
 		t.Fatalf("Count = %d, want %d", got, len(tids))
 	}
 	for _, x := range tids {
@@ -26,7 +26,7 @@ func TestSetTestClearCount(t *testing.T) {
 		t.Error("Test reports unset bits")
 	}
 	v.Clear(64)
-	if v.Test(64) || v.Count() != len(tids)-1 {
+	if v.Test(64) || v.Count(nil) != len(tids)-1 {
 		t.Error("Clear failed")
 	}
 	if v.Test(500) {
@@ -45,10 +45,10 @@ func TestSetOutOfRangePanics(t *testing.T) {
 
 func TestZeroLength(t *testing.T) {
 	v := New(0)
-	if v.Count() != 0 || v.Len() != 0 {
+	if v.Count(nil) != 0 || v.Len() != 0 {
 		t.Error("zero-length vector misbehaves")
 	}
-	if got := v.Not().Count(); got != 0 {
+	if got := v.Not().Count(nil); got != 0 {
 		t.Errorf("Not of empty = %d bits", got)
 	}
 }
@@ -70,7 +70,7 @@ func TestAndOrAndNot(t *testing.T) {
 func TestNotMasksTail(t *testing.T) {
 	v := FromTIDs(70, tidset.New(0, 69))
 	n := v.Not()
-	if got := n.Count(); got != 68 {
+	if got := n.Count(nil); got != 68 {
 		t.Errorf("Not.Count = %d, want 68", got)
 	}
 	if n.Test(0) || n.Test(69) {
@@ -115,10 +115,10 @@ func TestIntoFormsMatchAllocating(t *testing.T) {
 	a := FromTIDs(256, tidset.New(0, 100, 200, 255))
 	b := FromTIDs(256, tidset.New(100, 255))
 	scratch := New(256)
-	if !scratch.AndInto(a, b).Equal(a.And(b)) {
+	if !scratch.AndInto(a, b, nil).Equal(a.And(b)) {
 		t.Error("AndInto != And")
 	}
-	if !scratch.AndNotInto(a, b).Equal(a.AndNot(b)) {
+	if !scratch.AndNotInto(a, b, nil).Equal(a.AndNot(b)) {
 		t.Error("AndNotInto != AndNot")
 	}
 }
@@ -151,7 +151,7 @@ func TestQuickAgreesWithTidset(t *testing.T) {
 		if !va.Or(vb).TIDs().Equal(ta.Union(tb)) {
 			return false
 		}
-		if va.And(vb).Count() != len(ta.Intersect(tb)) {
+		if va.And(vb).Count(nil) != len(ta.Intersect(tb)) {
 			return false
 		}
 		return va.Not().TIDs().Equal(ta.Complement(n))
@@ -169,7 +169,7 @@ func BenchmarkAndInto(b *testing.B) {
 	dst := New(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst.AndInto(x, y)
+		dst.AndInto(x, y, nil)
 	}
 }
 

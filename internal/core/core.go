@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/itemset"
+	"repro/internal/kcount"
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/runctl"
@@ -76,6 +77,11 @@ type Options struct {
 	// scheduler loop; the miners forward each finished loop to Observer
 	// as a phase_end event.
 	Metrics *sched.Metrics
+	// Kernels, when non-nil, receives the run's kernel operation counts:
+	// the miner charges its root build and coordinator-side work here
+	// and sums its workers' arena shards into it once the team has
+	// joined. Nil (an unobserved run) counts nothing.
+	Kernels *kcount.Stats
 	// Control, when non-nil, is the run-control handle: cooperative
 	// cancellation and resource budgets, checked by the scheduler at
 	// chunk boundaries and by the miners at level/class boundaries. A

@@ -41,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/itemset"
+	"repro/internal/kcount"
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/runctl"
@@ -102,6 +103,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	}
 
 	roots := rep.Roots(rec)
+	vertical.CountRoots(opt.Kernels, rep.Kind(), roots)
 	n := len(roots)
 	// Level-1 itemsets are frequent by construction of the recode pass.
 	for i := 0; i < n; i++ {
@@ -168,13 +170,12 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	} else {
 		m := &flattenedMiner{rep: rep, minSup: minSup, depth: depth,
 			team: team, schedule: schedule, col: col, rc: rc, o: o, met: met, res: res,
-			private: private, arenas: arenas}
+			kc: opt.Kernels, private: private, arenas: arenas}
 		err = m.run(roots, rootBytes)
 	}
-	// Tallies from the flattening stages (whose tasks do not run through
-	// finishMiner) land in kcount here.
+	// The team has joined: sum the workers' kernel counts.
 	for _, a := range arenas {
-		a.Flush()
+		opt.Kernels.Merge(&a.Kernels)
 	}
 
 	for _, p := range private {
@@ -286,6 +287,7 @@ type flattenedMiner struct {
 	o        obs.Observer
 	met      *sched.Metrics
 	res      *core.Result
+	kc       *kcount.Stats // coordinator-side kernel counts (degrade)
 	private  [][]core.ItemsetCount
 	arenas   []*vertical.Arena
 }
@@ -301,7 +303,7 @@ func (f *flattenedMiner) degradeClasses(classes []eqClass, parentOf func(c int) 
 		parent := parentOf(ci)
 		for ai, a := range classes[ci].atoms {
 			before += int64(a.node.Bytes())
-			d := vertical.DegradeChild(parent, a.node)
+			d := vertical.DegradeChild(parent, a.node, f.kc)
 			classes[ci].atoms[ai].node = d
 			after += int64(d.Bytes())
 		}
@@ -357,7 +359,7 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 	pairNodes := make([]vertical.Node, nPairs)
 	err := f.team.ForCtx(f.rc, nPairs, f.schedule, func(w, t int) {
 		i, j := pi[t], pj[t]
-		child := vertical.CombineWith(rep, f.arenas[w], roots[i], roots[j])
+		child := rep.CombineInto(f.arenas[w], roots[i], roots[j])
 		cost := int64(vertical.CombineCost(roots[i], roots[j]))
 		phaseA.Add(t, cost+int64(child.Bytes()), cost, int64(child.Bytes()))
 		if child.Support() >= f.minSup {
@@ -549,9 +551,8 @@ func (cc *classCtx) newMiner(w, task int) *minerState {
 }
 
 // finishMiner publishes a completed task's results into the stage
-// totals and worker w's private output, and flushes the arena tallies.
+// totals and worker w's private output.
 func (cc *classCtx) finishMiner(w int, m *minerState) {
-	m.arena.Flush()
 	cc.emitted.Add(int64(len(m.out)))
 	cc.private[w] = append(cc.private[w], m.out...)
 }

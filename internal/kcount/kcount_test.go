@@ -5,40 +5,41 @@ import (
 	"testing"
 )
 
-// TestDisabledNoOp: with no enabler, the Add helpers record nothing.
+// addAll charges one of everything, the same amounts on every call.
+func addAll(s *Stats) {
+	s.AddMergeSteps(10)
+	s.AddMergeSteps(5)
+	s.AddGallop(3, 7)
+	s.AddWords(4, 6)
+	s.AddNode(Diffset, 128)
+	s.AddNode(Diffset, 32)
+	s.AddNodes(Hybrid, 2, 8)
+	s.AddHybridFlip()
+	s.AddBatch(3, 10)
+	s.AddTiles(9, 1, 2, 3)
+	s.AddStrips(1, 1, 1)
+	s.AddNListMerge(11)
+	s.AddPPCNodes(12)
+}
+
+// TestDisabledNoOp: a nil shard — how an unobserved run counts — records
+// nothing and does not panic, on either side of Merge.
 func TestDisabledNoOp(t *testing.T) {
-	if Enabled() {
-		t.Fatal("counters enabled at package init")
-	}
-	before := Snapshot()
-	AddMergeSteps(10)
-	AddGallop(3, 7)
-	AddWordsANDed(5)
-	AddWordsPopcounted(5)
-	AddNode(Tidset, 64)
-	AddHybridFlip()
-	if d := Snapshot().Sub(before); len(d.Map()) != 0 {
-		t.Fatalf("disabled counters recorded %v", d.Map())
+	var s *Stats
+	addAll(s)
+	s.Merge(&Stats{TidsCompared: 1})
+	var z Stats
+	z.Merge(nil)
+	if m := z.Map(); len(m) != 0 {
+		t.Fatalf("Merge(nil) recorded %v", m)
 	}
 }
 
-// TestEnableRecordsAndSub: enabled counters accumulate, Sub isolates a
-// window, and Map emits only the non-zero wire fields.
-func TestEnableRecordsAndSub(t *testing.T) {
-	Enable()
-	defer Disable()
-	base := Snapshot()
-	AddMergeSteps(10)
-	AddMergeSteps(5)
-	AddGallop(3, 7)
-	AddWordsANDed(4)
-	AddWordsPopcounted(6)
-	AddNode(Diffset, 128)
-	AddNode(Diffset, 32)
-	AddNode(Hybrid, 8)
-	AddHybridFlip()
-	d := Snapshot().Sub(base)
-	m := d.Map()
+// TestShardMapWireNames: a shard accumulates with plain adds, and Map
+// emits exactly the non-zero counters under their wire names.
+func TestShardMapWireNames(t *testing.T) {
+	var s Stats
+	addAll(&s)
 	want := map[string]int64{
 		"tids_compared":              15 + 7, // merge steps + gallop steps
 		"merge_picks":                2,      // two merge dispatches
@@ -48,10 +49,20 @@ func TestEnableRecordsAndSub(t *testing.T) {
 		"words_popcounted":           6,
 		"nodes_built_diffset":        2,
 		"bytes_materialized_diffset": 160,
-		"nodes_built_hybrid":         1,
+		"nodes_built_hybrid":         2,
 		"bytes_materialized_hybrid":  8,
 		"hybrid_flips":               1,
+		"batch_calls":                1,
+		"parent_words_saved":         20, // (3−1) × 10
+		"summary_words_anded":        9,
+		"tiles_skipped":              2, // tiled 1 + strip 1
+		"tiles_sparse":               3,
+		"tiles_dense":                4,
+		"tiles_processed":            3, // the strips only
+		"nlist_nodes_merged":         11,
+		"ppc_nodes_built":            12,
 	}
+	m := s.Map()
 	for k, v := range want {
 		if m[k] != v {
 			t.Errorf("Map()[%q] = %d, want %d", k, m[k], v)
@@ -62,103 +73,57 @@ func TestEnableRecordsAndSub(t *testing.T) {
 			t.Errorf("Map() has unexpected key %q = %d", k, m[k])
 		}
 	}
-}
-
-// TestRefcount: nested enablers keep counting until the last Disable.
-func TestRefcount(t *testing.T) {
-	Enable()
-	Enable()
-	Disable()
-	if !Enabled() {
-		t.Fatal("inner Disable turned counters off under an outer enabler")
-	}
-	Disable()
-	if Enabled() {
-		t.Fatal("counters still on after matching Disables")
+	s.ArenaHits, s.ArenaMisses = 5, 6
+	if m := s.Map(); m["arena_hits"] != 5 || m["arena_misses"] != 6 {
+		t.Errorf("arena counters map to %d/%d, want 5/6", m["arena_hits"], m["arena_misses"])
 	}
 }
 
-// TestUnpairedDisablePanics: a Disable without an Enable is a bug.
-func TestUnpairedDisablePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unpaired Disable did not panic")
-		}
-	}()
-	Disable()
-}
-
-// TestRunTokenExclusive: a lone instrumented run gets an exclusive
-// delta attributing exactly its own operations.
-func TestRunTokenExclusive(t *testing.T) {
-	tok := BeginRun()
-	AddMergeSteps(7)
-	AddWordsANDed(3)
-	d, excl := tok.End()
-	if !excl {
-		t.Fatal("lone run's delta not exclusive")
+// TestKindBounds: a node kind outside the mirrored range is ignored
+// rather than indexing out of bounds or landing on another kind.
+func TestKindBounds(t *testing.T) {
+	var s Stats
+	s.AddNode(-1, 8)
+	s.AddNode(numKinds, 8)
+	s.AddNodes(numKinds, 3, 8)
+	if m := s.Map(); len(m) != 0 {
+		t.Fatalf("out-of-range kinds recorded %v", m)
 	}
-	if d.TidsCompared != 7 || d.WordsANDed != 3 {
-		t.Fatalf("delta = %+v, want 7 tids / 3 words", d)
-	}
-	if Enabled() {
-		t.Fatal("counters still enabled after End")
+	s.AddNode(Nodeset, 0)
+	if m := s.Map(); m["nodes_built_nodeset"] != 1 || len(m) != 1 {
+		t.Fatalf("zero-byte node: Map() = %v, want only nodes_built_nodeset = 1", m)
 	}
 }
 
-// TestRunTokenOverlapPoisonsBoth: two overlapping instrumented runs
-// both report non-exclusive deltas, whichever started first.
-func TestRunTokenOverlapPoisonsBoth(t *testing.T) {
-	a := BeginRun()
-	AddMergeSteps(1)
-	b := BeginRun() // overlaps a
-	AddMergeSteps(1)
-	if _, excl := b.End(); excl {
-		t.Error("second (overlapping) run claims exclusivity")
-	}
-	if _, excl := a.End(); excl {
-		t.Error("first run claims exclusivity despite overlap")
-	}
-	// A fresh run after both ended is exclusive again.
-	c := BeginRun()
-	AddMergeSteps(1)
-	if _, excl := c.End(); !excl {
-		t.Error("fresh run after overlap not exclusive")
-	}
-}
-
-// TestRunTokenOverlapEnded: exclusivity is poisoned even when the
-// overlapping run ends before the first run does.
-func TestRunTokenOverlapEnded(t *testing.T) {
-	a := BeginRun()
-	b := BeginRun()
-	b.End()
-	if _, excl := a.End(); excl {
-		t.Error("run overlapped by a shorter run claims exclusivity")
-	}
-}
-
-// TestConcurrentAdds: parallel kernels may add while another goroutine
-// snapshots; run with -race this verifies the atomics.
+// TestConcurrentAdds: concurrent workers each count into their own
+// shard, and the shards summed after the join lose nothing; run with
+// -race this verifies no shard is shared.
 func TestConcurrentAdds(t *testing.T) {
-	Enable()
-	defer Disable()
-	base := Snapshot()
+	const workers = 8
+	shards := make([]Stats, workers)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := range shards {
 		wg.Add(1)
-		go func() {
+		go func(s *Stats) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				AddMergeSteps(1)
-				AddWordsANDed(2)
-				_ = Snapshot()
+				addAll(s)
 			}
-		}()
+		}(&shards[g])
 	}
 	wg.Wait()
-	d := Snapshot().Sub(base)
-	if d.MergePicks != 8000 || d.WordsANDed != 16000 {
-		t.Fatalf("concurrent adds lost updates: merge=%d anded=%d", d.MergePicks, d.WordsANDed)
+	var total, one Stats
+	for g := range shards {
+		total.Merge(&shards[g])
+	}
+	addAll(&one)
+	m, per := total.Map(), one.Map()
+	for k, v := range per {
+		if m[k] != v*workers*1000 {
+			t.Errorf("%s = %d, want %d", k, m[k], v*workers*1000)
+		}
+	}
+	if len(m) != len(per) {
+		t.Errorf("summed shards have %d keys, want %d", len(m), len(per))
 	}
 }

@@ -35,8 +35,8 @@ func benchOperands(b *testing.B) (nx, ny []L1Entry, dnA, dnB List, tx, ty tidset
 	rec := benchRecoded(b)
 	enc := Build(rec)
 	nx, ny = enc.NLists[0], enc.NLists[1]
-	dnA, _ = DiffL1Into(nx, enc.NLists[2], nil)
-	dnB, _ = DiffL1Into(nx, enc.NLists[3], nil)
+	dnA, _ = DiffL1Into(nx, enc.NLists[2], nil, nil)
+	dnB, _ = DiffL1Into(nx, enc.NLists[3], nil, nil)
 	sets := rec.TidsetOf()
 	return nx, ny, dnA, dnB, sets[0], sets[1]
 }
@@ -49,7 +49,7 @@ func BenchmarkDiffL1Into(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, _ = DiffL1Into(nx, ny, dst)
+		dst, _ = DiffL1Into(nx, ny, dst, nil)
 	}
 }
 
@@ -61,7 +61,7 @@ func BenchmarkDiffInto(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, _ = DiffInto(dnB, dnA, dst)
+		dst, _ = DiffInto(dnB, dnA, dst, nil)
 	}
 }
 
@@ -75,7 +75,7 @@ func BenchmarkFlatIntersectIntoSameData(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = tx.IntersectInto(ty, dst)
+		dst = tx.IntersectInto(ty, dst, nil)
 	}
 }
 
@@ -89,7 +89,7 @@ func BenchmarkTiledIntersectIntoSameData(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.IntersectInto(c, dst)
+		a.IntersectInto(c, dst, nil)
 	}
 }
 
@@ -108,7 +108,7 @@ func BenchmarkDiffL1ManyInto(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DiffL1ManyInto(nx, nys, dsts, sums)
+		DiffL1ManyInto(nx, nys, dsts, sums, nil)
 	}
 }
 
@@ -117,17 +117,17 @@ func BenchmarkDiffManyInto(b *testing.B) {
 	enc := Build(rec)
 	nx := enc.NLists[0]
 	m := len(enc.NLists) - 2
-	sub, _ := DiffL1Into(nx, enc.NLists[1], nil)
+	sub, _ := DiffL1Into(nx, enc.NLists[1], nil, nil)
 	srcs := make([]List, m)
 	dsts := make([]List, m)
 	sums := make([]int, m)
 	for i := 0; i < m; i++ {
-		srcs[i], _ = DiffL1Into(nx, enc.NLists[i+2], nil)
+		srcs[i], _ = DiffL1Into(nx, enc.NLists[i+2], nil, nil)
 		dsts[i] = make(List, 0, len(srcs[i]))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DiffManyInto(sub, srcs, dsts, sums)
+		DiffManyInto(sub, srcs, dsts, sums, nil)
 	}
 }

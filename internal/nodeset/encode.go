@@ -18,7 +18,6 @@ import (
 	"slices"
 
 	"repro/internal/dataset"
-	"repro/internal/kcount"
 )
 
 // L1Entry is one element of a level-1 N-list: a PPC-tree node carrying
@@ -255,6 +254,5 @@ func Build(rec *dataset.Recoded) *Encoding {
 	}
 	enc.Lo = lo
 	enc.Nodes = int(preN)
-	kcount.AddPPCNodes(enc.Nodes)
 	return enc
 }

@@ -41,7 +41,7 @@ import (
 // frequent item's node near the root covers whole subtrees of the
 // deeper item's nodes, so the seek turns the dominant case from
 // O(|nx|) into O(|ny| log |nx| + output).
-func DiffL1Into(nx, ny []L1Entry, dst List) (List, int) {
+func DiffL1Into(nx, ny []L1Entry, dst List, st *kcount.Stats) (List, int) {
 	dst = dst[:0]
 	sum, i, steps := 0, 0, 0
 	for j := 0; j < len(ny) && i < len(nx); j++ {
@@ -59,7 +59,7 @@ func DiffL1Into(nx, ny []L1Entry, dst List) (List, int) {
 		sum += int(nx[i].Count)
 		steps++
 	}
-	kcount.AddNListMerge(steps + len(ny))
+	st.AddNListMerge(steps + len(ny))
 	return dst, sum
 }
 
@@ -104,7 +104,7 @@ func seekPost(nx []L1Entry, i int, limit uint32, steps int) (int, int) {
 // on the common long-run case), then a single comparison cancels the
 // shared node if present. Everything after the last subtrahend entry
 // is appended wholesale.
-func DiffInto(src, sub, dst List) (List, int) {
+func DiffInto(src, sub, dst List, st *kcount.Stats) (List, int) {
 	dst = dst[:0]
 	sum, i := 0, 0
 	for j := 0; j < len(sub) && i < len(src); j++ {
@@ -122,7 +122,7 @@ func DiffInto(src, sub, dst List) (List, int) {
 		dst = append(dst, src[i])
 		sum += int(src[i].Count)
 	}
-	kcount.AddNListMerge(len(src) + len(sub))
+	st.AddNListMerge(len(src) + len(sub))
 	return dst, sum
 }
 
@@ -131,7 +131,7 @@ func DiffInto(src, sub, dst List) (List, int) {
 // N-list, storing child i's DiffNodeset in dsts[i] (appended to
 // dsts[i][:0]) and its count sum in sums[i]. Charges the batch
 // counters with nx's payload words as the parent traffic saved.
-func DiffL1ManyInto(nx []L1Entry, nys [][]L1Entry, dsts []List, sums []int) {
+func DiffL1ManyInto(nx []L1Entry, nys [][]L1Entry, dsts []List, sums []int, st *kcount.Stats) {
 	m := len(nys)
 	if m == 0 {
 		return
@@ -158,8 +158,8 @@ func DiffL1ManyInto(nx []L1Entry, nys [][]L1Entry, dsts []List, sums []int) {
 		dsts[bi], sums[bi] = dst, sum
 		steps += len(ny)
 	}
-	kcount.AddNListMerge(steps)
-	kcount.AddBatch(m, len(nx)*L1EntryBytes/4)
+	st.AddNListMerge(steps)
+	st.AddBatch(m, len(nx)*L1EntryBytes/4)
 }
 
 // DiffManyInto is the prefix-blocked form of DiffInto: the block's
@@ -167,7 +167,7 @@ func DiffL1ManyInto(nx []L1Entry, nys [][]L1Entry, dsts []List, sums []int) {
 // from every sibling's srcs[i] = DN(PY_i). Like tidset.DiffManyInto,
 // the resident subtrahend is trimmed to each source's Pre window
 // before the merge.
-func DiffManyInto(sub List, srcs []List, dsts []List, sums []int) {
+func DiffManyInto(sub List, srcs []List, dsts []List, sums []int, st *kcount.Stats) {
 	m := len(srcs)
 	if m == 0 {
 		return
@@ -177,9 +177,9 @@ func DiffManyInto(sub List, srcs []List, dsts []List, sums []int) {
 		if len(src) > 0 && len(t) > 0 {
 			t = trimList(t, src[0].Pre, src[len(src)-1].Pre)
 		}
-		dsts[i], sums[i] = DiffInto(src, t, dsts[i])
+		dsts[i], sums[i] = DiffInto(src, t, dsts[i], st)
 	}
-	kcount.AddBatch(m, len(sub)*EntryBytes/4)
+	st.AddBatch(m, len(sub)*EntryBytes/4)
 }
 
 // trimList returns the sub-slice of l whose Pre ranks lie in the closed

@@ -176,7 +176,7 @@ func TestKernelSupportsMatchHorizontal(t *testing.T) {
 				var next []member
 				for j := i + 1; j < len(class); j++ {
 					px, py := class[i], class[j]
-					dn, sum := DiffInto(py.dn, px.dn, nil)
+					dn, sum := DiffInto(py.dn, px.dn, nil, nil)
 					child := member{
 						items: append(append([]int{}, px.items...), py.items[len(py.items)-1]),
 						dn:    dn,
@@ -204,7 +204,7 @@ func TestKernelSupportsMatchHorizontal(t *testing.T) {
 			xTids := l1Materialize(enc, enc.NLists[x])
 			var class []member
 			for y := x + 1; y < len(rec.Items); y++ {
-				dn, sum := DiffL1Into(enc.NLists[x], enc.NLists[y], nil)
+				dn, sum := DiffL1Into(enc.NLists[x], enc.NLists[y], nil, nil)
 				sup := rec.Items[x].Support - sum
 				if want := horizontalSupport(rec, []int{x, y}); sup != want {
 					t.Fatalf("%s {%d,%d}: support %d, want %d", name, x, y, sup, want)
@@ -255,13 +255,13 @@ func TestBatchedMatchesPairwise(t *testing.T) {
 		)
 		for y := x + 1; y < n; y++ {
 			nys = append(nys, enc.NLists[y])
-			dn, sum := DiffL1Into(enc.NLists[x], enc.NLists[y], nil)
+			dn, sum := DiffL1Into(enc.NLists[x], enc.NLists[y], nil, nil)
 			want = append(want, dn)
 			sums = append(sums, sum)
 		}
 		dsts := make([]List, len(nys))
 		gotSums := make([]int, len(nys))
-		DiffL1ManyInto(enc.NLists[x], nys, dsts, gotSums)
+		DiffL1ManyInto(enc.NLists[x], nys, dsts, gotSums, nil)
 		for i := range nys {
 			if gotSums[i] != sums[i] || !listsEqual(dsts[i], want[i]) {
 				t.Fatalf("DiffL1ManyInto block %d child %d disagrees with pairwise", x, i)
@@ -273,9 +273,9 @@ func TestBatchedMatchesPairwise(t *testing.T) {
 			srcs := want[1:]
 			dsts := make([]List, len(srcs))
 			gotSums := make([]int, len(srcs))
-			DiffManyInto(sub, srcs, dsts, gotSums)
+			DiffManyInto(sub, srcs, dsts, gotSums, nil)
 			for i, src := range srcs {
-				pw, sum := DiffInto(src, sub, nil)
+				pw, sum := DiffInto(src, sub, nil, nil)
 				if gotSums[i] != sum || !listsEqual(dsts[i], pw) {
 					t.Fatalf("DiffManyInto block %d child %d disagrees with pairwise", x, i)
 				}

@@ -91,7 +91,7 @@ func newServerMetrics(s *Server, tenantCap int) *serverMetrics {
 		"End-to-end /mine latency including queueing, for every terminal outcome.", nil)
 
 	m.kernel = reg.CounterVec("fimserve_kernel_ops_total",
-		"Kernel-operation roll-ups from exclusively attributed runs (internal/kcount wire names).",
+		"Kernel-operation roll-ups summed over runs (internal/kcount wire names).",
 		"op")
 	m.imbalance = reg.Histogram("fimserve_sched_imbalance",
 		"Per-scheduler-loop max/mean busy-time imbalance across all runs.",
@@ -151,10 +151,9 @@ func (m *serverMetrics) outcome(tenant, outcome string) {
 }
 
 // eventTap is the Observer leg that folds a run's event stream into
-// the service time series: scheduler imbalance per loop, and kernel
-// counter roll-ups when the run's delta was exclusively attributable
-// (overlapping instrumented runs drop the kernel_counters event
-// upstream, so the roll-up only ever sums clean deltas).
+// the service time series: scheduler imbalance per loop, and the run's
+// kernel counters (exact per run, overlapping runs included) summed
+// into the kernel-operation roll-ups.
 type eventTap struct{ m *serverMetrics }
 
 func (t *eventTap) Event(e obs.Event) {

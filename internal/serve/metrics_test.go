@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,6 +96,55 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := sum(second, metrics.FoldValue); got == 0 {
 		t.Fatalf("no folded tenant series; tenants: %v", second.Samples("fimserve_tenant_requests_total"))
+	}
+}
+
+// TestKernelRollupUnderOverlap: two runs that overlap in time both add
+// their exact kernel counts to fimserve_kernel_ops_total. Each run's
+// nodes_built_diffset is measured solo first; the gated pair, held
+// until both occupy a worker slot, must then add exactly the sum.
+func TestKernelRollupUnderOverlap(t *testing.T) {
+	gate := make(chan struct{})
+	gateSentinelRuns(t, gate)
+	s, ts := newTestServer(t, Config{Workers: 2, PerTenant: 8, CacheBytes: -1})
+	op := map[string]string{"op": "nodes_built_diffset"}
+	built := func() float64 {
+		v, _ := scrape(t, ts.URL).Value("fimserve_kernel_ops_total", op)
+		return v
+	}
+	// Distinct thresholds keep the pair out of each other's
+	// single-flight join.
+	queries := []string{"abssup=2&algo=eclat&rep=diffset", "abssup=3&algo=eclat&rep=diffset"}
+	var solo float64
+	for _, q := range queries {
+		before := built()
+		if resp, mr := postMine(t, ts, q, uploadFIMI, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("solo %s: status %d, %+v", q, resp.StatusCode, mr)
+		}
+		d := built() - before
+		if d <= 0 {
+			t.Fatalf("solo %s added %v nodes_built_diffset, want > 0", q, d)
+		}
+		solo += d
+	}
+
+	before := built()
+	var wg sync.WaitGroup
+	for _, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, mr := postMine(t, ts, fmt.Sprintf("%s&max-itemsets=%d", q, sentinelItemsets), uploadFIMI, nil)
+			if resp.StatusCode != http.StatusOK || mr.Incomplete {
+				t.Errorf("overlapped %s: status %d, %+v", q, resp.StatusCode, mr)
+			}
+		}()
+	}
+	waitFor(t, "both runs to hold a slot", func() bool { return s.adm.runningLen() == 2 })
+	close(gate)
+	wg.Wait()
+	if got := built() - before; got != solo {
+		t.Fatalf("overlapped runs added %v nodes_built_diffset, want the solo runs' %v", got, solo)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestIntersectManyIntoMatchesPairwise(t *testing.T) {
 				dsts[i] = make(Set, 0, 8) // pre-owned buffer, like an arena node
 			}
 		}
-		IntersectManyInto(px, pys, dsts)
+		IntersectManyInto(px, pys, dsts, nil)
 		for i := range pys {
 			if want := px.Intersect(pys[i]); !dsts[i].Equal(want) {
 				t.Fatalf("trial %d child %d: got %v, want %v (px=%v py=%v)",
@@ -54,7 +54,7 @@ func TestDiffManyIntoMatchesPairwise(t *testing.T) {
 		for i := range srcs {
 			srcs[i] = sparseSet(r, r.Intn(80), 1+r.Intn(400))
 		}
-		DiffManyInto(sub, srcs, dsts)
+		DiffManyInto(sub, srcs, dsts, nil)
 		for i := range srcs {
 			if want := srcs[i].Diff(sub); !dsts[i].Equal(want) {
 				t.Fatalf("trial %d child %d: got %v, want %v (sub=%v src=%v)",
@@ -81,7 +81,7 @@ func FuzzIntersectManyInto(f *testing.F) {
 		px := byteSet(a)
 		pys := []Set{byteSet(b), byteSet(c), nil}
 		dsts := make([]Set, len(pys))
-		IntersectManyInto(px, pys, dsts)
+		IntersectManyInto(px, pys, dsts, nil)
 		for i, py := range pys {
 			if want := px.Intersect(py); !dsts[i].Equal(want) {
 				t.Fatalf("child %d: got %v, want %v", i, dsts[i], want)
@@ -97,7 +97,7 @@ func FuzzDiffManyInto(f *testing.F) {
 		sub := byteSet(a)
 		srcs := []Set{byteSet(b), byteSet(c), nil}
 		dsts := make([]Set, len(srcs))
-		DiffManyInto(sub, srcs, dsts)
+		DiffManyInto(sub, srcs, dsts, nil)
 		for i, src := range srcs {
 			if want := src.Diff(sub); !dsts[i].Equal(want) {
 				t.Fatalf("child %d: got %v, want %v", i, dsts[i], want)
@@ -127,7 +127,7 @@ func BenchmarkIntersectManyInto(b *testing.B) {
 	px, pys, dsts := benchBlock(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		IntersectManyInto(px, pys, dsts)
+		IntersectManyInto(px, pys, dsts, nil)
 	}
 }
 
@@ -136,7 +136,7 @@ func BenchmarkIntersectPairwiseBlock(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range pys {
-			dsts[j] = px.IntersectInto(pys[j], dsts[j])
+			dsts[j] = px.IntersectInto(pys[j], dsts[j], nil)
 		}
 	}
 }
@@ -145,6 +145,6 @@ func BenchmarkDiffManyInto(b *testing.B) {
 	sub, srcs, dsts := benchBlock(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DiffManyInto(sub, srcs, dsts)
+		DiffManyInto(sub, srcs, dsts, nil)
 	}
 }

@@ -9,7 +9,10 @@
 //
 // All operations come in two forms: an allocating form and an "Into" form
 // that appends into a caller-owned buffer, so the miners' hot loops can
-// recycle per-worker scratch space without touching the allocator.
+// recycle per-worker scratch space without touching the allocator. The
+// Into and Many kernels charge their steps to the kcount shard they are
+// given (nil counts nothing); the allocating forms are conveniences for
+// callers outside a mine and count nothing.
 package tidset
 
 import (
@@ -86,14 +89,14 @@ func (s Set) Equal(t Set) bool {
 
 // Intersect returns s ∩ t as a new set.
 func (s Set) Intersect(t Set) Set {
-	return s.IntersectInto(t, make(Set, 0, min(len(s), len(t))))
+	return s.IntersectInto(t, make(Set, 0, min(len(s), len(t))), nil)
 }
 
 // IntersectInto appends s ∩ t to dst[:0] and returns it. dst may be nil.
 // When one operand is much shorter than the other it switches to a
 // galloping (exponential search) strategy, which matters for skewed dense
 // data where one parent's tidset is tiny.
-func (s Set) IntersectInto(t Set, dst Set) Set {
+func (s Set) IntersectInto(t Set, dst Set, st *kcount.Stats) Set {
 	dst = dst[:0]
 	// Ensure s is the shorter operand.
 	if len(s) > len(t) {
@@ -103,14 +106,14 @@ func (s Set) IntersectInto(t Set, dst Set) Set {
 		return dst
 	}
 	if len(t)/len(s) >= gallopRatio() {
-		return gallopIntersect(s, t, dst)
+		return gallopIntersect(s, t, dst, st)
 	}
-	return mergeIntersect(s, t, dst)
+	return mergeIntersect(s, t, dst, st)
 }
 
 // mergeIntersect is the linear two-pointer intersection; s must be the
 // shorter operand and non-empty.
-func mergeIntersect(s, t Set, dst Set) Set {
+func mergeIntersect(s, t Set, dst Set, st *kcount.Stats) Set {
 	i, j := 0, 0
 	for i < len(s) && j < len(t) {
 		a, b := s[i], t[j]
@@ -125,7 +128,7 @@ func mergeIntersect(s, t Set, dst Set) Set {
 			j++
 		}
 	}
-	kcount.AddMergeSteps(i + j)
+	st.AddMergeSteps(i + j)
 	return dst
 }
 
@@ -134,7 +137,7 @@ func mergeIntersect(s, t Set, dst Set) Set {
 // switch. They exist for cmd/calibrate -gallop, which re-times the
 // merge-vs-gallop crossover on a new host to validate gallopRatio;
 // every other caller should use IntersectInto, which picks for itself.
-func MergeIntersectInto(s, t Set, dst Set) Set {
+func MergeIntersectInto(s, t Set, dst Set, st *kcount.Stats) Set {
 	dst = dst[:0]
 	if len(s) > len(t) {
 		s, t = t, s
@@ -142,11 +145,11 @@ func MergeIntersectInto(s, t Set, dst Set) Set {
 	if len(s) == 0 {
 		return dst
 	}
-	return mergeIntersect(s, t, dst)
+	return mergeIntersect(s, t, dst, st)
 }
 
 // GallopIntersectInto is MergeIntersectInto's exponential-search twin.
-func GallopIntersectInto(s, t Set, dst Set) Set {
+func GallopIntersectInto(s, t Set, dst Set, st *kcount.Stats) Set {
 	dst = dst[:0]
 	if len(s) > len(t) {
 		s, t = t, s
@@ -154,15 +157,15 @@ func GallopIntersectInto(s, t Set, dst Set) Set {
 	if len(s) == 0 {
 		return dst
 	}
-	return gallopIntersect(s, t, dst)
+	return gallopIntersect(s, t, dst, st)
 }
 
 // gallopIntersect intersects short s against long t by exponential +
 // binary search. The kernel counter charges one gallop pick per call
 // and one probe sequence per short-side element actually processed;
-// the counts come from the loop index, so the disabled path pays
-// nothing inside the loop.
-func gallopIntersect(s, t Set, dst Set) Set {
+// the counts come from the loop index, so counting pays nothing inside
+// the loop.
+func gallopIntersect(s, t Set, dst Set, st *kcount.Stats) Set {
 	lo := 0
 	si := 0
 	for ; si < len(s); si++ {
@@ -190,7 +193,7 @@ func gallopIntersect(s, t Set, dst Set) Set {
 			break
 		}
 	}
-	kcount.AddGallop(si, si)
+	st.AddGallop(si, si)
 	return dst
 }
 
@@ -203,7 +206,7 @@ func gallopIntersect(s, t Set, dst Set) Set {
 // region that can intersect — so sibling tails outside the parent's
 // range are skipped without entering the merge loop. Charges one
 // batch_calls tick and (m−1)×len(px) parent_words_saved.
-func IntersectManyInto(px Set, pys []Set, dsts []Set) {
+func IntersectManyInto(px Set, pys []Set, dsts []Set, st *kcount.Stats) {
 	m := len(pys)
 	if m == 0 {
 		return
@@ -212,14 +215,14 @@ func IntersectManyInto(px Set, pys []Set, dsts []Set) {
 		for i := range dsts[:m] {
 			dsts[i] = dsts[i][:0]
 		}
-		kcount.AddBatch(m, 0)
+		st.AddBatch(m, 0)
 		return
 	}
 	lo, hi := px[0], px[len(px)-1]
 	for i, py := range pys {
-		dsts[i] = px.IntersectInto(trim(py, lo, hi), dsts[i])
+		dsts[i] = px.IntersectInto(trim(py, lo, hi), dsts[i], st)
 	}
-	kcount.AddBatch(m, len(px))
+	st.AddBatch(m, len(px))
 }
 
 // DiffManyInto appends srcs[i] \ sub to dsts[i][:0] for every sibling.
@@ -228,7 +231,7 @@ func IntersectManyInto(px Set, pys []Set, dsts []Set) {
 // sibling to the window that can actually cancel elements, and its
 // re-streaming is charged to the kernel counters once per block
 // instead of once per sibling.
-func DiffManyInto(sub Set, srcs []Set, dsts []Set) {
+func DiffManyInto(sub Set, srcs []Set, dsts []Set, st *kcount.Stats) {
 	m := len(srcs)
 	if m == 0 {
 		return
@@ -238,9 +241,9 @@ func DiffManyInto(sub Set, srcs []Set, dsts []Set) {
 		if len(src) > 0 && len(t) > 0 {
 			t = trim(t, src[0], src[len(src)-1])
 		}
-		dsts[i] = src.DiffInto(t, dsts[i])
+		dsts[i] = src.DiffInto(t, dsts[i], st)
 	}
-	kcount.AddBatch(m, len(sub))
+	st.AddBatch(m, len(sub))
 }
 
 // trim returns the sub-slice of s inside the closed window [lo, hi],
@@ -260,11 +263,11 @@ func trim(s Set, lo, hi TID) Set {
 
 // Diff returns s \ t as a new set.
 func (s Set) Diff(t Set) Set {
-	return s.DiffInto(t, make(Set, 0, len(s)))
+	return s.DiffInto(t, make(Set, 0, len(s)), nil)
 }
 
 // DiffInto appends s \ t to dst[:0] and returns it.
-func (s Set) DiffInto(t Set, dst Set) Set {
+func (s Set) DiffInto(t Set, dst Set, st *kcount.Stats) Set {
 	dst = dst[:0]
 	i, j := 0, 0
 	for i < len(s) && j < len(t) {
@@ -280,7 +283,7 @@ func (s Set) DiffInto(t Set, dst Set) Set {
 			j++
 		}
 	}
-	kcount.AddMergeSteps(i + j)
+	st.AddMergeSteps(i + j)
 	return append(dst, s[i:]...)
 }
 
@@ -303,7 +306,6 @@ func (s Set) Union(t Set) Set {
 			j++
 		}
 	}
-	kcount.AddMergeSteps(i + j)
 	dst = append(dst, s[i:]...)
 	return append(dst, t[j:]...)
 }

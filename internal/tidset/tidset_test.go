@@ -115,14 +115,14 @@ func TestComplement(t *testing.T) {
 func TestIntoFormsReuseBuffer(t *testing.T) {
 	a, b := New(1, 2, 3, 4), New(2, 4, 6)
 	buf := make(Set, 0, 8)
-	got := a.IntersectInto(b, buf)
+	got := a.IntersectInto(b, buf, nil)
 	if !got.Equal(New(2, 4)) {
 		t.Errorf("IntersectInto = %v", got)
 	}
 	if cap(got) != cap(buf) {
 		t.Error("IntersectInto reallocated despite sufficient capacity")
 	}
-	got = a.DiffInto(b, buf)
+	got = a.DiffInto(b, buf, nil)
 	if !got.Equal(New(1, 3)) {
 		t.Errorf("DiffInto = %v", got)
 	}
@@ -240,7 +240,7 @@ func BenchmarkIntersectInto(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = x.IntersectInto(y, buf)
+		buf = x.IntersectInto(y, buf, nil)
 	}
 }
 
@@ -258,7 +258,7 @@ func BenchmarkDiffDense(b *testing.B) {
 	buf := make(Set, 0, 1<<16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = x.DiffInto(y, buf)
+		buf = x.DiffInto(y, buf, nil)
 	}
 }
 
@@ -268,7 +268,7 @@ func BenchmarkIntersectSkewedGallop(b *testing.B) {
 	buf := make(Set, 0, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = short.IntersectInto(long, buf)
+		buf = short.IntersectInto(long, buf, nil)
 	}
 }
 

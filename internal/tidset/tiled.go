@@ -282,8 +282,8 @@ func (t *Tiled) copyTile(src *Tiled, i int) {
 // alias t or u (the arena's combine paths guarantee this). Phase one
 // merges the two key directories and ANDs summary words; phase two runs
 // the sparse/dense in-tile kernel only where the prefilter passed. One
-// AddTileKernel charge per call, from loop-local tallies.
-func (t *Tiled) IntersectInto(u, dst *Tiled) *Tiled {
+// AddTiles charge per call, from loop-local tallies.
+func (t *Tiled) IntersectInto(u, dst *Tiled, st *kcount.Stats) *Tiled {
 	dst.reset()
 	sm := TileSparseMax()
 	i, j := 0, 0
@@ -307,7 +307,7 @@ func (t *Tiled) IntersectInto(u, dst *Tiled) *Tiled {
 		i++
 		j++
 	}
-	kcount.AddTileKernel(summaryANDs, skipped, sparseK, denseK)
+	st.AddTiles(summaryANDs, skipped, sparseK, denseK)
 	return dst
 }
 
@@ -377,7 +377,7 @@ func (dst *Tiled) intersectTile(a *Tiled, i int, b *Tiled, j int, sm int, sparse
 // DiffInto rebuilds dst as t \ u and returns it. dst must not alias t
 // or u. Tiles of t with no key match in u — or a zero summary AND —
 // copy through without touching payloads.
-func (t *Tiled) DiffInto(u, dst *Tiled) *Tiled {
+func (t *Tiled) DiffInto(u, dst *Tiled, st *kcount.Stats) *Tiled {
 	dst.reset()
 	sm := TileSparseMax()
 	i, j := 0, 0
@@ -402,7 +402,7 @@ func (t *Tiled) DiffInto(u, dst *Tiled) *Tiled {
 		i++
 		j++
 	}
-	kcount.AddTileKernel(summaryANDs, skipped, sparseK, denseK)
+	st.AddTiles(summaryANDs, skipped, sparseK, denseK)
 	return dst
 }
 
@@ -478,29 +478,29 @@ func (dst *Tiled) diffTile(a *Tiled, i int, b *Tiled, j int, sm int, sparseK, de
 // residency: px's directory and payloads stay cache-hot across the
 // whole sibling run instead of being re-streamed per pair. Charges one
 // batch_calls tick and (m−1)×px.Words() parent_words_saved.
-func TiledIntersectManyInto(px *Tiled, pys []*Tiled, dsts []*Tiled) {
+func TiledIntersectManyInto(px *Tiled, pys []*Tiled, dsts []*Tiled, st *kcount.Stats) {
 	m := len(pys)
 	if m == 0 {
 		return
 	}
 	for i, py := range pys {
-		px.IntersectInto(py, dsts[i])
+		px.IntersectInto(py, dsts[i], st)
 	}
-	kcount.AddBatch(m, px.Words())
+	st.AddBatch(m, px.Words())
 }
 
 // TiledDiffManyInto rebuilds dsts[i] as srcs[i] \ sub for every
 // sibling — the diffset combine d(PXY) = d(PY) − d(PX) batched over a
 // prefix block with the shared subtrahend resident.
-func TiledDiffManyInto(sub *Tiled, srcs []*Tiled, dsts []*Tiled) {
+func TiledDiffManyInto(sub *Tiled, srcs []*Tiled, dsts []*Tiled, st *kcount.Stats) {
 	m := len(srcs)
 	if m == 0 {
 		return
 	}
 	for i, src := range srcs {
-		src.DiffInto(sub, dsts[i])
+		src.DiffInto(sub, dsts[i], st)
 	}
-	kcount.AddBatch(m, sub.Words())
+	st.AddBatch(m, sub.Words())
 }
 
 // Poison overwrites every backing array, through its full capacity,

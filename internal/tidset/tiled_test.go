@@ -75,10 +75,10 @@ func TestTiledKernelsMatchFlat(t *testing.T) {
 	check := func(name string, a, b Set, ta, tb *Tiled) {
 		t.Helper()
 		dst := &Tiled{}
-		if got, want := ta.IntersectInto(tb, dst).ToSet(), a.Intersect(b); !got.Equal(want) {
+		if got, want := ta.IntersectInto(tb, dst, nil).ToSet(), a.Intersect(b); !got.Equal(want) {
 			t.Errorf("%s: intersect %d TIDs, want %d", name, len(got), len(want))
 		}
-		if got, want := ta.DiffInto(tb, dst).ToSet(), a.Diff(b); !got.Equal(want) {
+		if got, want := ta.DiffInto(tb, dst, nil).ToSet(), a.Diff(b); !got.Equal(want) {
 			t.Errorf("%s: diff %d TIDs, want %d", name, len(got), len(want))
 		}
 	}
@@ -128,16 +128,16 @@ func TestTiledManyMatchesPairwise(t *testing.T) {
 	for i := range dsts {
 		dsts[i] = FromSet(randSetDensity(rng, 8192, 0.5)) // stale content
 	}
-	TiledIntersectManyInto(px, pys, dsts)
+	TiledIntersectManyInto(px, pys, dsts, nil)
 	for i, py := range pys {
-		want := px.IntersectInto(py, &Tiled{})
+		want := px.IntersectInto(py, &Tiled{}, nil)
 		if !dsts[i].Equal(want) {
 			t.Errorf("intersect many: sibling %d disagrees with pairwise", i)
 		}
 	}
-	TiledDiffManyInto(px, pys, dsts)
+	TiledDiffManyInto(px, pys, dsts, nil)
 	for i, py := range pys {
-		want := py.DiffInto(px, &Tiled{})
+		want := py.DiffInto(px, &Tiled{}, nil)
 		if !dsts[i].Equal(want) {
 			t.Errorf("diff many: sibling %d disagrees with pairwise", i)
 		}
@@ -162,7 +162,7 @@ func TestTiledSummarySkips(t *testing.T) {
 		}
 	}
 	ta, tb := FromSet(a), FromSet(b)
-	got := ta.IntersectInto(tb, &Tiled{}).ToSet()
+	got := ta.IntersectInto(tb, &Tiled{}, nil).ToSet()
 	if want := a.Intersect(b); !got.Equal(want) {
 		t.Fatalf("intersect %d TIDs, want %d", len(got), len(want))
 	}
@@ -181,7 +181,7 @@ func TestTiledSummarySkips(t *testing.T) {
 		}
 	}
 	tc := FromSet(c)
-	if got := ta.IntersectInto(tc, &Tiled{}).ToSet(); !got.Equal(a.Intersect(c)) {
+	if got := ta.IntersectInto(tc, &Tiled{}, nil).ToSet(); !got.Equal(a.Intersect(c)) {
 		t.Fatal("offset-disjoint intersect wrong")
 	}
 }
@@ -291,7 +291,7 @@ func TestTiledSummarySound(t *testing.T) {
 					}
 				}
 			}
-			inter, diff := a.IntersectInto(b, &Tiled{}), a.DiffInto(b, &Tiled{})
+			inter, diff := a.IntersectInto(b, &Tiled{}, nil), a.DiffInto(b, &Tiled{}, nil)
 			checkSummaries(t, name+", a∩b", inter)
 			checkSummaries(t, name+", a\\b", diff)
 			if got, want := inter.ToSet(), pair[0].Intersect(pair[1]); !got.Equal(want) {
@@ -337,7 +337,7 @@ func tiledBenchPair(b *testing.B, pa, pb float64, universe int) (x, y, dst *Tile
 	x = FromSet(randSetDensity(rng, universe, pa))
 	y = FromSet(randSetDensity(rng, universe, pb))
 	dst = &Tiled{}
-	x.IntersectInto(y, dst) // grow dst to steady state
+	x.IntersectInto(y, dst, nil) // grow dst to steady state
 	return
 }
 
@@ -362,7 +362,7 @@ func BenchmarkTiledIntersectInto(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				x.IntersectInto(y, dst)
+				x.IntersectInto(y, dst, nil)
 			}
 		})
 	}
@@ -389,7 +389,7 @@ func BenchmarkFlatIntersectIntoRegimes(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = x.IntersectInto(y, dst)
+				dst = x.IntersectInto(y, dst, nil)
 			}
 		})
 	}
@@ -409,11 +409,11 @@ func BenchmarkTiledDiffInto(b *testing.B) {
 	for _, r := range regimes {
 		b.Run(r.name, func(b *testing.B) {
 			x, y, dst := tiledBenchPair(b, r.pa, r.pb, 1<<15)
-			x.DiffInto(y, dst)
+			x.DiffInto(y, dst, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				x.DiffInto(y, dst)
+				x.DiffInto(y, dst, nil)
 			}
 		})
 	}
@@ -430,10 +430,10 @@ func BenchmarkTiledIntersectManyInto(b *testing.B) {
 		pys = append(pys, FromSet(randSetDensity(rng, 1<<15, 0.3)))
 		dsts[i] = &Tiled{}
 	}
-	TiledIntersectManyInto(px, pys, dsts)
+	TiledIntersectManyInto(px, pys, dsts, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TiledIntersectManyInto(px, pys, dsts)
+		TiledIntersectManyInto(px, pys, dsts, nil)
 	}
 }

@@ -7,8 +7,9 @@
 // a per-worker free list of nodes: CombineInto takes the child's node
 // and backing storage from the arena when it can (a hit) and falls
 // through to the allocator when it cannot (a miss), and Release
-// returns a node whose subtree is fully mined. Hits and misses are
-// tallied locally and flushed to kcount in batches.
+// returns a node whose subtree is fully mined. Each arena owns its
+// worker's kcount shard: every combine through the arena charges its
+// kernel counts there, along with the arena's own hits and misses.
 //
 // Ownership discipline: a node released to an arena must have no live
 // children in flight — the miners release a class's atoms only after
@@ -31,16 +32,18 @@ const arenaMaxFree = 1 << 14
 
 // Arena is a single-worker recycling store of payload nodes. It is NOT
 // safe for concurrent use: each worker owns one. Nodes released into
-// an arena may have been allocated by another worker's arena (a stolen
-// subtree releases its class wherever it ran); buffers simply migrate.
+// an arena may have been allocated by another worker's arena (a class
+// built on one worker is mined on another); buffers simply migrate.
 type Arena struct {
+	// Kernels is the worker's counter shard. The miners sum their
+	// arenas' shards once the team has joined.
+	Kernels kcount.Stats
+
 	tidsets  []*TidsetNode
 	diffsets []*DiffsetNode
 	bitvecs  []*BitvectorNode
 	tileds   []*TiledNode
 	nodesets []*NodesetNode
-	hits     int64
-	misses   int64
 
 	// Batched-combine scratch (batch.go), reused across CombineManyInto
 	// calls so the block loop never allocates slice headers. Safe
@@ -95,15 +98,13 @@ func (a *Arena) Release(n Node) {
 	}
 }
 
-// Flush folds the arena's local hit/miss tallies into the process-wide
-// kernel counters. The miners call it at task boundaries so the hot
-// loop never touches an atomic. Nil-safe.
-func (a *Arena) Flush() {
+// kernels returns the arena's counter shard; a nil arena counts
+// nothing.
+func (a *Arena) kernels() *kcount.Stats {
 	if a == nil {
-		return
+		return nil
 	}
-	kcount.AddArena(a.hits, a.misses)
-	a.hits, a.misses = 0, 0
+	return &a.Kernels
 }
 
 // getTidset pops a recycled tidset node (buffer truncated, capacity
@@ -117,10 +118,10 @@ func (a *Arena) getTidset() *TidsetNode {
 		nd := a.tidsets[n-1]
 		a.tidsets[n-1] = nil
 		a.tidsets = a.tidsets[:n-1]
-		a.hits++
+		a.Kernels.ArenaHits++
 		return nd
 	}
-	a.misses++
+	a.Kernels.ArenaMisses++
 	return &TidsetNode{}
 }
 
@@ -132,10 +133,10 @@ func (a *Arena) getDiffset() *DiffsetNode {
 		nd := a.diffsets[n-1]
 		a.diffsets[n-1] = nil
 		a.diffsets = a.diffsets[:n-1]
-		a.hits++
+		a.Kernels.ArenaHits++
 		return nd
 	}
-	a.misses++
+	a.Kernels.ArenaMisses++
 	return &DiffsetNode{}
 }
 
@@ -154,33 +155,12 @@ func (a *Arena) getBitvec(nbits int) *BitvectorNode {
 		a.bitvecs[i] = nil
 		a.bitvecs = a.bitvecs[:i]
 		if nd.Bits.Len() == nbits {
-			a.hits++
+			a.Kernels.ArenaHits++
 			return nd
 		}
 	}
-	a.misses++
+	a.Kernels.ArenaMisses++
 	return &BitvectorNode{Bits: bitvec.New(nbits)}
-}
-
-// IntoCombiner is implemented by representations whose Combine can
-// recycle arena storage. CombineInto(a, px, py) is semantically
-// identical to Combine(px, py) — same support, same logical set — but
-// the child's node and backing buffer come from a when possible. The
-// result never shares backing memory with px or py.
-type IntoCombiner interface {
-	CombineInto(a *Arena, px, py Node) Node
-}
-
-// CombineWith dispatches to rep's CombineInto when it has one and an
-// arena is supplied, else to the allocating Combine. This is the
-// single combine entry point of the miners' recursion hot loops.
-func CombineWith(rep Representation, a *Arena, px, py Node) Node {
-	if a != nil {
-		if ic, ok := rep.(IntoCombiner); ok {
-			return ic.CombineInto(a, px, py)
-		}
-	}
-	return rep.Combine(px, py)
 }
 
 func (tidsetRep) CombineInto(a *Arena, px, py Node) Node {
@@ -191,8 +171,8 @@ func (tidsetRep) CombineInto(a *Arena, px, py Node) Node {
 	if bound := min(len(x.TIDs), len(y.TIDs)); cap(n.TIDs) < bound {
 		n.TIDs = make(tidset.Set, 0, bound)
 	}
-	n.TIDs = x.TIDs.IntersectInto(y.TIDs, n.TIDs)
-	kcount.AddNode(kcount.Tidset, n.Bytes())
+	n.TIDs = x.TIDs.IntersectInto(y.TIDs, n.TIDs, a.kernels())
+	a.kernels().AddNode(kcount.Tidset, n.Bytes())
 	return n
 }
 
@@ -202,22 +182,17 @@ func (diffsetRep) CombineInto(a *Arena, px, py Node) Node {
 	if cap(n.Diff) < len(y.Diff) { // |d(PY) − d(PX)| ≤ |d(PY)|
 		n.Diff = make(tidset.Set, 0, len(y.Diff))
 	}
-	n.Diff = y.Diff.DiffInto(x.Diff, n.Diff) // d(PXY) = d(PY) − d(PX)
+	n.Diff = y.Diff.DiffInto(x.Diff, n.Diff, a.kernels()) // d(PXY) = d(PY) − d(PX)
 	n.sup = x.sup - len(n.Diff)
-	kcount.AddNode(kcount.Diffset, n.Bytes())
+	a.kernels().AddNode(kcount.Diffset, n.Bytes())
 	return n
 }
 
 func (bitvectorRep) CombineInto(a *Arena, px, py Node) Node {
 	x, y := px.(*BitvectorNode), py.(*BitvectorNode)
 	n := a.getBitvec(x.Bits.Len())
-	n.Bits.AndInto(x.Bits, y.Bits)
-	n.sup = n.Bits.Count()
-	kcount.AddNode(kcount.Bitvector, n.Bytes())
+	n.Bits.AndInto(x.Bits, y.Bits, a.kernels())
+	n.sup = n.Bits.Count(a.kernels())
+	a.kernels().AddNode(kcount.Bitvector, n.Bytes())
 	return n
 }
-
-// hybridRep deliberately has no CombineInto: a hybrid node flips
-// between tidset and diffset form per combine, so recycled storage
-// would have to be re-typed per call; the flip bookkeeping costs more
-// than the allocation it saves. CombineWith falls back to Combine.

@@ -80,10 +80,10 @@ func scribble(n Node) {
 	}
 }
 
-// intoKinds are the kinds with an IntoCombiner: the paper's three plus
-// the tiled layout and the nodeset representation (hybrid deliberately
-// has none).
-func intoKinds() []Kind { return append(Kinds(), Tiled, Nodeset) }
+// recyclingKinds are the kinds whose CombineInto recycles arena nodes:
+// the paper's three plus the tiled layout and the nodeset
+// representation (hybrid's arena only counts).
+func recyclingKinds() []Kind { return append(Kinds(), Tiled, Nodeset) }
 
 func randomRecoded(t testing.TB, rng *rand.Rand, items, txns int) *dataset.Recoded {
 	t.Helper()
@@ -111,7 +111,7 @@ func randomRecoded(t testing.TB, rng *rand.Rand, items, txns int) *dataset.Recod
 	return db.Recode(1)
 }
 
-// TestCombineIntoMatchesCombine: CombineWith through an arena is
+// TestCombineIntoMatchesCombine: CombineInto through an arena is
 // semantically identical to the allocating Combine — same support and
 // same logical set — across representations, pairs, and a second
 // level, with released nodes recycled in between.
@@ -125,7 +125,7 @@ func TestCombineIntoMatchesCombine(t *testing.T) {
 		for i := 0; i < len(roots); i++ {
 			for j := i + 1; j < len(roots); j++ {
 				want := rep.Combine(roots[i], roots[j])
-				got := CombineWith(rep, a, roots[i], roots[j])
+				got := rep.CombineInto(a, roots[i], roots[j])
 				if got.Support() != want.Support() {
 					t.Fatalf("%v {%d,%d}: support %d, want %d", kind, i, j, got.Support(), want.Support())
 				}
@@ -150,8 +150,8 @@ func TestCombineIntoMatchesCombine(t *testing.T) {
 func TestCombineIntoNeverAliasesParents(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rec := randomRecoded(t, rng, 7, 50)
-	for _, kind := range intoKinds() {
-		rep := New(kind).(IntoCombiner)
+	for _, kind := range recyclingKinds() {
+		rep := New(kind)
 		a := NewArena()
 		for round := 0; round < 3; round++ { // round > 0 uses recycled buffers
 			var released []Node
@@ -194,30 +194,26 @@ func TestCombineIntoNeverAliasesParents(t *testing.T) {
 }
 
 // TestArenaHitMissAccounting: first combine misses (empty free list),
-// a released node turns the next combine into a hit, and Flush resets
-// the local tallies.
+// and a released node turns the next combine into a hit, both counted
+// in the arena's own shard.
 func TestArenaHitMissAccounting(t *testing.T) {
 	rec := exampleRecoded(t, 1)
-	for _, kind := range intoKinds() {
-		rep := New(kind).(IntoCombiner)
+	for _, kind := range recyclingKinds() {
+		rep := New(kind)
 		roots := New(kind).Roots(rec)
 		a := NewArena()
 		c1 := rep.CombineInto(a, roots[0], roots[1])
-		if a.hits != 0 || a.misses != 1 {
-			t.Fatalf("%v: after first combine hits=%d misses=%d, want 0/1", kind, a.hits, a.misses)
+		if a.Kernels.ArenaHits != 0 || a.Kernels.ArenaMisses != 1 {
+			t.Fatalf("%v: after first combine hits=%d misses=%d, want 0/1", kind, a.Kernels.ArenaHits, a.Kernels.ArenaMisses)
 		}
 		want := New(kind).Combine(roots[0], roots[2]).Support()
 		a.Release(c1)
 		c2 := rep.CombineInto(a, roots[0], roots[2])
-		if a.hits != 1 || a.misses != 1 {
-			t.Fatalf("%v: after recycled combine hits=%d misses=%d, want 1/1", kind, a.hits, a.misses)
+		if a.Kernels.ArenaHits != 1 || a.Kernels.ArenaMisses != 1 {
+			t.Fatalf("%v: after recycled combine hits=%d misses=%d, want 1/1", kind, a.Kernels.ArenaHits, a.Kernels.ArenaMisses)
 		}
 		if c2.Support() != want {
 			t.Fatalf("%v: recycled node support = %d, want %d", kind, c2.Support(), want)
-		}
-		a.Flush()
-		if a.hits != 0 || a.misses != 0 {
-			t.Errorf("%v: Flush left hits=%d misses=%d", kind, a.hits, a.misses)
 		}
 	}
 }
@@ -226,13 +222,13 @@ func TestArenaHitMissAccounting(t *testing.T) {
 // universe length is dropped (a miss), never handed out.
 func TestArenaBitvecLengthMismatch(t *testing.T) {
 	rec := exampleRecoded(t, 1)
-	rep := New(Bitvector).(IntoCombiner)
+	rep := New(Bitvector)
 	roots := New(Bitvector).Roots(rec)
 	a := NewArena()
 	a.Release(&BitvectorNode{Bits: bitvec.New(3)})
 	c := rep.CombineInto(a, roots[0], roots[1])
-	if a.hits != 0 || a.misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want the mismatched node dropped as a miss", a.hits, a.misses)
+	if a.Kernels.ArenaHits != 0 || a.Kernels.ArenaMisses != 1 {
+		t.Fatalf("hits=%d misses=%d, want the mismatched node dropped as a miss", a.Kernels.ArenaHits, a.Kernels.ArenaMisses)
 	}
 	want := New(Bitvector).Combine(roots[0], roots[1])
 	if c.Support() != want.Support() || !samePayload(payload(c), payload(want)) {
@@ -241,19 +237,18 @@ func TestArenaBitvecLengthMismatch(t *testing.T) {
 }
 
 // TestArenaNilSafe: nil arenas and nil nodes are ignored everywhere,
-// and CombineWith without an arena is the plain Combine.
+// and CombineInto without an arena matches CombineInto through one.
 func TestArenaNilSafe(t *testing.T) {
 	var a *Arena
 	a.Release(nil)
-	a.Flush()
 	NewArena().Release(nil)
 	rec := exampleRecoded(t, 1)
 	rep := New(Diffset)
 	roots := rep.Roots(rec)
-	got := CombineWith(rep, nil, roots[0], roots[1])
-	want := rep.Combine(roots[0], roots[1])
+	got := rep.CombineInto(nil, roots[0], roots[1])
+	want := rep.CombineInto(NewArena(), roots[0], roots[1])
 	if got.Support() != want.Support() || !samePayload(payload(got), payload(want)) {
-		t.Fatal("CombineWith(nil arena) diverges from Combine")
+		t.Fatal("CombineInto(nil arena) diverges from CombineInto through an arena")
 	}
 }
 
@@ -283,7 +278,7 @@ func benchCombineRoots(b *testing.B, kind Kind) (Representation, []Node) {
 }
 
 func BenchmarkCombine(b *testing.B) {
-	for _, kind := range intoKinds() {
+	for _, kind := range recyclingKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
 			rep, roots := benchCombineRoots(b, kind)
 			b.ReportAllocs()
@@ -296,14 +291,14 @@ func BenchmarkCombine(b *testing.B) {
 }
 
 func BenchmarkCombineInto(b *testing.B) {
-	for _, kind := range intoKinds() {
+	for _, kind := range recyclingKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
 			rep, roots := benchCombineRoots(b, kind)
 			a := NewArena()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.Release(CombineWith(rep, a, roots[i%4], roots[4+i%4]))
+				a.Release(rep.CombineInto(a, roots[i%4], roots[4+i%4]))
 			}
 		})
 	}

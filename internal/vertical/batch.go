@@ -11,9 +11,10 @@
 //
 // The aliasing and ownership discipline is exactly CombineInto's:
 // results never share backing memory with px or any pys element, and
-// arena storage recycles node buffers when an arena is supplied. A nil
-// arena allocates fresh nodes (and fresh scratch), so the batched path
-// is usable without per-worker state.
+// arena storage recycles node buffers — with the kernel work charged to
+// the arena's counter shard — when an arena is supplied. A nil arena
+// allocates fresh nodes (and fresh scratch) and counts nothing, so the
+// batched path is usable without per-worker state.
 
 package vertical
 
@@ -86,14 +87,14 @@ func (tidsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 		dsts[i] = nd.TIDs
 		out[i] = nd
 	}
-	tidset.IntersectManyInto(x.TIDs, srcs, dsts)
+	tidset.IntersectManyInto(x.TIDs, srcs, dsts, a.kernels())
 	bytes := 0
 	for i := range dsts {
 		nd := out[i].(*TidsetNode)
 		nd.TIDs = dsts[i]
 		bytes += nd.Bytes()
 	}
-	kcount.AddNodes(kcount.Tidset, m, bytes)
+	a.kernels().AddNodes(kcount.Tidset, m, bytes)
 }
 
 func (diffsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
@@ -114,7 +115,7 @@ func (diffsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 		dsts[i] = nd.Diff
 		out[i] = nd
 	}
-	tidset.DiffManyInto(x.Diff, srcs, dsts) // d(PXY) = d(PY) − d(PX)
+	tidset.DiffManyInto(x.Diff, srcs, dsts, a.kernels()) // d(PXY) = d(PY) − d(PX)
 	bytes := 0
 	for i := range dsts {
 		nd := out[i].(*DiffsetNode)
@@ -122,7 +123,7 @@ func (diffsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 		nd.sup = x.sup - len(nd.Diff)
 		bytes += nd.Bytes()
 	}
-	kcount.AddNodes(kcount.Diffset, m, bytes)
+	a.kernels().AddNodes(kcount.Diffset, m, bytes)
 }
 
 func (bitvectorRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
@@ -138,22 +139,22 @@ func (bitvectorRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 		vouts[i] = nd.Bits
 		out[i] = nd
 	}
-	bitvec.AndManyInto(x.Bits, vys, vouts, sups)
+	bitvec.AndManyInto(x.Bits, vys, vouts, sups, a.kernels())
 	bytes := 0
 	for i := range sups {
 		nd := out[i].(*BitvectorNode)
 		nd.sup = sups[i]
 		bytes += nd.Bytes()
 	}
-	kcount.AddNodes(kcount.Bitvector, m, bytes)
+	a.kernels().AddNodes(kcount.Bitvector, m, bytes)
 }
 
-// hybridRep batches by falling back to pairwise Combine: a hybrid node
-// flips between tidset and diffset form per child, so there is no
+// hybridRep batches by falling back to pairwise CombineInto: a hybrid
+// node flips between tidset and diffset form per child, so there is no
 // shared-parent kernel to amortize — and no batch counters are
 // charged, since no parent words are actually saved.
-func (h hybridRep) CombineManyInto(px Node, pys []Node, out []Node, _ *Arena) {
+func (h hybridRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 	for i, py := range pys {
-		out[i] = h.Combine(px, py)
+		out[i] = h.CombineInto(a, px, py)
 	}
 }

@@ -53,7 +53,7 @@ func TestCombineManyIntoMatchesCombine(t *testing.T) {
 func TestCombineManyIntoNeverAliases(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rec := randomRecoded(t, rng, 7, 50)
-	for _, kind := range intoKinds() {
+	for _, kind := range recyclingKinds() {
 		rep := New(kind)
 		a := NewArena()
 		for round := 0; round < 3; round++ {
@@ -150,8 +150,8 @@ func TestTiledLayoutMatchesFlat(t *testing.T) {
 			}
 		}
 		for j := 1; j < len(fOut); j++ {
-			f3 := CombineWith(flat, a, fOut[0], fOut[j])
-			t3 := CombineWith(tiled, a, tOut[0], tOut[j])
+			f3 := flat.CombineInto(a, fOut[0], fOut[j])
+			t3 := tiled.CombineInto(a, tOut[0], tOut[j])
 			if f3.Support() != t3.Support() || !samePayload(payload(f3), payload(t3)) {
 				t.Fatalf("round %d depth-3 pair %d: layouts disagree", round, j)
 			}
@@ -170,7 +170,7 @@ func TestTiledLayoutMatchesFlat(t *testing.T) {
 // state. The batched form is the per-block inner loop of the miners.
 
 func BenchmarkCombineManyInto(b *testing.B) {
-	for _, kind := range intoKinds() {
+	for _, kind := range recyclingKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
 			rep, roots := benchCombineRoots(b, kind)
 			px, pys := roots[0], roots[1:]
@@ -189,10 +189,9 @@ func BenchmarkCombineManyInto(b *testing.B) {
 }
 
 func BenchmarkCombinePairwiseBlock(b *testing.B) {
-	for _, kind := range intoKinds() {
+	for _, kind := range recyclingKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
 			rep, roots := benchCombineRoots(b, kind)
-			ic := rep.(IntoCombiner)
 			px, pys := roots[0], roots[1:]
 			out := make([]Node, len(pys))
 			a := NewArena()
@@ -200,7 +199,7 @@ func BenchmarkCombinePairwiseBlock(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j, py := range pys {
-					out[j] = ic.CombineInto(a, px, py)
+					out[j] = rep.CombineInto(a, px, py)
 				}
 				for _, n := range out {
 					a.Release(n)

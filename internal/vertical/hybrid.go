@@ -41,12 +41,13 @@ func (hybridRep) Roots(rec *dataset.Recoded) []Node {
 	nodes := make([]Node, len(sets))
 	for i, s := range sets {
 		nodes[i] = &HybridNode{set: s, sup: len(s)}
-		kcount.AddNode(kcount.Hybrid, 4*len(s))
 	}
 	return nodes
 }
 
-// Combine merges PX and PY (sharing prefix P, PX's last item first)
+func (h hybridRep) Combine(px, py Node) Node { return h.CombineInto(nil, px, py) }
+
+// CombineInto merges PX and PY (sharing prefix P, PX's last item first)
 // using whichever identities their stored forms allow:
 //
 //	t,t: t(PXY) = t(PX) ∩ t(PY)
@@ -56,31 +57,36 @@ func (hybridRep) Roots(rec *dataset.Recoded) []Node {
 //
 // When the child's tidset is materialized, the smaller of it and its
 // diffset relative to PX (d = t(PX) \ t(PXY), available only in the t,t
-// case) is kept.
-func (hybridRep) Combine(px, py Node) Node {
+// case) is kept. The arena only counts: a hybrid node flips between
+// tidset and diffset form per combine, so recycled storage would have
+// to be re-typed per call, and the flip bookkeeping costs more than the
+// allocation it saves.
+func (hybridRep) CombineInto(arena *Arena, px, py Node) Node {
 	a, b := px.(*HybridNode), py.(*HybridNode)
+	st := arena.kernels()
+	diff := func(s, t tidset.Set) tidset.Set { return s.DiffInto(t, make(tidset.Set, 0, len(s)), st) }
 	n := func(h *HybridNode) Node {
-		kcount.AddNode(kcount.Hybrid, h.Bytes())
+		st.AddNode(kcount.Hybrid, h.Bytes())
 		return h
 	}
 	switch {
 	case !a.isDiff && !b.isDiff:
-		t := a.set.Intersect(b.set)
+		t := a.set.IntersectInto(b.set, make(tidset.Set, 0, min(len(a.set), len(b.set))), st)
 		// Diffset relative to PX: what PX has that the child lost.
 		if d := len(a.set) - len(t); d < len(t) {
 			// The dEclat switch-over: a tidset lineage turning diffset.
-			kcount.AddHybridFlip()
-			return n(&HybridNode{set: a.set.Diff(t), isDiff: true, sup: len(t)})
+			st.AddHybridFlip()
+			return n(&HybridNode{set: diff(a.set, t), isDiff: true, sup: len(t)})
 		}
 		return n(&HybridNode{set: t, sup: len(t)})
 	case !a.isDiff && b.isDiff:
-		t := a.set.Diff(b.set)
+		t := diff(a.set, b.set)
 		return n(&HybridNode{set: t, sup: len(t)})
 	case a.isDiff && !b.isDiff:
-		t := b.set.Diff(a.set)
+		t := diff(b.set, a.set)
 		return n(&HybridNode{set: t, sup: len(t)})
 	default:
-		d := b.set.Diff(a.set)
+		d := diff(b.set, a.set)
 		return n(&HybridNode{set: d, isDiff: true, sup: a.sup - len(d)})
 	}
 }

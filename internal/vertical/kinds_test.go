@@ -69,15 +69,15 @@ func TestAllKindsCoverage(t *testing.T) {
 			}
 		}
 
-		// Arena coverage: a kind with an IntoCombiner must also be
-		// accepted by the Release switch, or recycling silently never
-		// happens for it.
-		if ic, ok := rep.(IntoCombiner); ok {
-			a := NewArena()
-			a.Release(ic.CombineInto(a, roots[0], roots[1]))
-			c := ic.CombineInto(a, roots[0], roots[2])
-			if a.hits != 1 {
-				t.Fatalf("%v: Release/CombineInto recycled nothing (hits=%d) — kind missing from the Release switch?", kind, a.hits)
+		// Arena coverage: a kind whose CombineInto draws nodes from the
+		// arena must also be accepted by the Release switch, or recycling
+		// silently never happens for it.
+		a := NewArena()
+		a.Release(rep.CombineInto(a, roots[0], roots[1]))
+		if a.Kernels.ArenaMisses != 0 {
+			c := rep.CombineInto(a, roots[0], roots[2])
+			if a.Kernels.ArenaHits != 1 {
+				t.Fatalf("%v: Release/CombineInto recycled nothing (hits=%d) — kind missing from the Release switch?", kind, a.Kernels.ArenaHits)
 			}
 			if want := rep.Combine(roots[0], roots[2]).Support(); c.Support() != want {
 				t.Fatalf("%v: recycled combine support %d, want %d", kind, c.Support(), want)
@@ -89,7 +89,7 @@ func TestAllKindsCoverage(t *testing.T) {
 		// diffsets must preserve supports and continue combining
 		// exactly (the degraded pair and sibling recombine to the
 		// reference triple support).
-		dc := DegradeChild(roots[0], pair)
+		dc := DegradeChild(roots[0], pair, nil)
 		dr := DegradeRoot(roots[0], rec.Universe)
 		if Degradable(kind) != (dc != nil) || Degradable(kind) != (dr != nil) {
 			t.Fatalf("%v: Degradable=%v but DegradeChild=%v DegradeRoot=%v — kind missing from a degrade switch?",
@@ -102,21 +102,26 @@ func TestAllKindsCoverage(t *testing.T) {
 			if dr.Support() != roots[0].Support() {
 				t.Fatalf("%v: degraded root support %d, want %d", kind, dr.Support(), roots[0].Support())
 			}
-			ds := DegradeChild(roots[0], sib).(*DiffsetNode)
+			ds := DegradeChild(roots[0], sib, nil).(*DiffsetNode)
 			dTriple := New(Diffset).Combine(dc, ds)
 			if dTriple.Support() != refTriple.Support() {
 				t.Fatalf("%v: post-degrade combine support %d, want %d", kind, dTriple.Support(), refTriple.Support())
 			}
 		}
 
-		// kcount mirror: Combine must charge the kind's own counter
-		// under the matching wire name (vertical.Kind and kcount's kind
-		// indices are maintained in parallel).
-		tok := kcount.BeginRun()
-		rep.Combine(roots[0], roots[1])
-		delta, _ := tok.End()
-		if delta.Map()["nodes_built_"+name] == 0 {
-			t.Fatalf("%v: Combine charged no nodes_built_%s — kcount kind mirror out of sync?", kind, name)
+		// kcount mirror: CountRoots and a combine through an arena must
+		// charge the kind's own counter under the matching wire name
+		// (vertical.Kind and kcount's kind indices are maintained in
+		// parallel).
+		var st kcount.Stats
+		CountRoots(&st, kind, roots)
+		if got := st.Map()["nodes_built_"+name]; got != int64(len(roots)) {
+			t.Fatalf("%v: CountRoots charged nodes_built_%s = %d, want %d — kcount kind mirror out of sync?", kind, name, got, len(roots))
+		}
+		shard := NewArena()
+		rep.CombineInto(shard, roots[0], roots[1])
+		if shard.Kernels.Map()["nodes_built_"+name] == 0 {
+			t.Fatalf("%v: CombineInto charged no nodes_built_%s — kcount kind mirror out of sync?", kind, name)
 		}
 	}
 }

@@ -70,9 +70,7 @@ func (nodesetRep) Roots(rec *dataset.Recoded) []Node {
 	enc := nodeset.Build(rec)
 	nodes := make([]Node, len(rec.Items))
 	for i := range rec.Items {
-		n := &NodesetNode{Enc: enc, L1: enc.NLists[i], code: i, sup: rec.Items[i].Support, root: true}
-		nodes[i] = n
-		kcount.AddNode(kcount.Nodeset, n.Bytes())
+		nodes[i] = &NodesetNode{Enc: enc, L1: enc.NLists[i], code: i, sup: rec.Items[i].Support, root: true}
 	}
 	return nodes
 }
@@ -95,24 +93,7 @@ func infrequentPair(x, y *NodesetNode) (int, bool) {
 	return sup, ok && sup < x.Enc.MinSup
 }
 
-func (nodesetRep) Combine(px, py Node) Node {
-	a, b := px.(*NodesetNode), py.(*NodesetNode)
-	n := &NodesetNode{Enc: a.Enc}
-	var sum int
-	if levels(a, b) {
-		if sup, ok := infrequentPair(a, b); ok {
-			n.sup = sup
-			kcount.AddNode(kcount.Nodeset, 0)
-			return n
-		}
-		n.DN, sum = nodeset.DiffL1Into(a.L1, b.L1, nil)
-	} else {
-		n.DN, sum = nodeset.DiffInto(b.DN, a.DN, nil) // DN(PXY) = DN(PY) − DN(PX)
-	}
-	n.sup = a.sup - sum
-	kcount.AddNode(kcount.Nodeset, n.Bytes())
-	return n
-}
+func (r nodesetRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }
 
 // getNodeset pops a recycled nodeset node (list truncated, capacity
 // kept) or allocates one. Nil-safe like its siblings. Recycled nodes
@@ -127,10 +108,10 @@ func (a *Arena) getNodeset() *NodesetNode {
 		a.nodesets[n-1] = nil
 		a.nodesets = a.nodesets[:n-1]
 		nd.L1, nd.root = nil, false
-		a.hits++
+		a.Kernels.ArenaHits++
 		return nd
 	}
-	a.misses++
+	a.Kernels.ArenaMisses++
 	return &NodesetNode{}
 }
 
@@ -142,23 +123,23 @@ func (nodesetRep) CombineInto(a *Arena, px, py Node) Node {
 	if levels(x, y) {
 		if sup, ok := infrequentPair(x, y); ok {
 			n.sup, n.DN = sup, n.DN[:0]
-			kcount.AddNode(kcount.Nodeset, 0)
+			a.kernels().AddNode(kcount.Nodeset, 0)
 			return n
 		}
 		// Presize: DN(xy) ⊆ N(x).
 		if cap(n.DN) < len(x.L1) {
 			n.DN = make(nodeset.List, 0, len(x.L1))
 		}
-		n.DN, sum = nodeset.DiffL1Into(x.L1, y.L1, n.DN)
+		n.DN, sum = nodeset.DiffL1Into(x.L1, y.L1, n.DN, a.kernels())
 	} else {
 		// Presize: |DN(PY) − DN(PX)| ≤ |DN(PY)|.
 		if cap(n.DN) < len(y.DN) {
 			n.DN = make(nodeset.List, 0, len(y.DN))
 		}
-		n.DN, sum = nodeset.DiffInto(y.DN, x.DN, n.DN)
+		n.DN, sum = nodeset.DiffInto(y.DN, x.DN, n.DN, a.kernels()) // DN(PXY) = DN(PY) − DN(PX)
 	}
 	n.sup = x.sup - sum
-	kcount.AddNode(kcount.Nodeset, n.Bytes())
+	a.kernels().AddNode(kcount.Nodeset, n.Bytes())
 	return n
 }
 
@@ -215,9 +196,9 @@ func (nodesetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 		k++
 	}
 	if atRoots {
-		nodeset.DiffL1ManyInto(x.L1, l1s[:k], dsts[:k], sums[:k])
+		nodeset.DiffL1ManyInto(x.L1, l1s[:k], dsts[:k], sums[:k], a.kernels())
 	} else {
-		nodeset.DiffManyInto(x.DN, srcs[:k], dsts[:k], sums[:k])
+		nodeset.DiffManyInto(x.DN, srcs[:k], dsts[:k], sums[:k], a.kernels())
 	}
 	bytes, k := 0, 0
 	for i, py := range pys {
@@ -231,7 +212,7 @@ func (nodesetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 		bytes += nd.Bytes()
 		k++
 	}
-	kcount.AddNodes(kcount.Nodeset, m, bytes)
+	a.kernels().AddNodes(kcount.Nodeset, m, bytes)
 }
 
 // diffTIDs materializes a DiffNodeset to its relabeled TID set via the

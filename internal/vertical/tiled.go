@@ -2,10 +2,9 @@
 // t(PY), support = cardinality) over the tile-partitioned layout of
 // tidset.Tiled — 128-TID tiles with exact occupancy summaries and a
 // per-tile sparse/dense payload switch. It is a full Representation
-// peer: it implements IntoCombiner and CombineManyInto, so the
-// recycling arena and the prefix-blocked batch path ride for free, and
-// it is Degradable like the other
-// unbounded layouts. Everything above vertical (Eclat, Apriori, the
+// peer: its CombineInto and CombineManyInto recycle through the arena
+// and run the prefix-blocked batch path, and it is Degradable like the
+// other unbounded layouts. Everything above vertical (Eclat, Apriori, the
 // hybrid degrade machinery, runctl budgets) is layout-oblivious.
 
 package vertical
@@ -37,17 +36,11 @@ func (tiledRep) Roots(rec *dataset.Recoded) []Node {
 	nodes := make([]Node, len(sets))
 	for i, s := range sets {
 		nodes[i] = &TiledNode{T: tidset.FromSet(s)}
-		kcount.AddNode(kcount.Tiled, nodes[i].Bytes())
 	}
 	return nodes
 }
 
-func (tiledRep) Combine(px, py Node) Node {
-	a, b := px.(*TiledNode), py.(*TiledNode)
-	n := &TiledNode{T: a.T.IntersectInto(b.T, &tidset.Tiled{})}
-	kcount.AddNode(kcount.Tiled, n.Bytes())
-	return n
-}
+func (r tiledRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }
 
 // getTiled pops a recycled tiled node (backing arrays truncated,
 // capacity kept) or allocates one. Nil-safe like its siblings.
@@ -59,10 +52,10 @@ func (a *Arena) getTiled() *TiledNode {
 		nd := a.tileds[n-1]
 		a.tileds[n-1] = nil
 		a.tileds = a.tileds[:n-1]
-		a.hits++
+		a.Kernels.ArenaHits++
 		return nd
 	}
-	a.misses++
+	a.Kernels.ArenaMisses++
 	return &TiledNode{T: &tidset.Tiled{}}
 }
 
@@ -71,8 +64,8 @@ func (tiledRep) CombineInto(a *Arena, px, py Node) Node {
 	n := a.getTiled()
 	// No presizing needed: IntersectInto rebuilds from length zero and
 	// the recycled arrays keep their high-water capacity.
-	x.T.IntersectInto(y.T, n.T)
-	kcount.AddNode(kcount.Tiled, n.Bytes())
+	x.T.IntersectInto(y.T, n.T, a.kernels())
+	a.kernels().AddNode(kcount.Tiled, n.Bytes())
 	return n
 }
 
@@ -103,10 +96,10 @@ func (tiledRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 		dsts[i] = nd.T
 		out[i] = nd
 	}
-	tidset.TiledIntersectManyInto(x.T, srcs, dsts)
+	tidset.TiledIntersectManyInto(x.T, srcs, dsts, a.kernels())
 	bytes := 0
 	for i := range dsts {
 		bytes += out[i].Bytes()
 	}
-	kcount.AddNodes(kcount.Tiled, m, bytes)
+	a.kernels().AddNodes(kcount.Tiled, m, bytes)
 }

@@ -102,18 +102,27 @@ type Node interface {
 type Representation interface {
 	Kind() Kind
 	// Roots builds the level-1 node for every frequent item of rec,
-	// indexed by dense item code.
+	// indexed by dense item code. It counts nothing; the miners charge
+	// the roots with CountRoots.
 	Roots(rec *dataset.Recoded) []Node
 	// Combine produces the node for candidate PXY from the nodes of PX
 	// and PY, where PX's last item orders before PY's. The result's
-	// Support is the candidate's support.
+	// Support is the candidate's support. It is CombineInto with no
+	// arena: fresh storage, nothing counted.
 	Combine(px, py Node) Node
+	// CombineInto is Combine with the child's node and backing buffer
+	// taken from arena when it can recycle them (arena.go), and the
+	// kernel work charged to the arena's counter shard. The result never
+	// shares backing memory with px or py. A nil arena allocates fresh
+	// storage and counts nothing.
+	CombineInto(arena *Arena, px, py Node) Node
 	// CombineManyInto combines one parent px against every sibling of a
 	// prefix block, storing child i in out[i] (len(out) must be at
 	// least len(pys)). Semantically identical to len(pys) Combine
 	// calls, but the batched kernels stream the shared parent once per
-	// block (batch.go); node storage recycles through arena when one is
-	// supplied — nil is allowed and falls back to fresh allocation.
+	// block (batch.go); node storage recycles through arena, and the
+	// kernel work is charged to its counter shard, when one is supplied
+	// — nil is allowed and falls back to fresh allocation.
 	CombineManyInto(px Node, pys []Node, out []Node, arena *Arena)
 }
 
@@ -155,17 +164,11 @@ func (tidsetRep) Roots(rec *dataset.Recoded) []Node {
 	nodes := make([]Node, len(sets))
 	for i, s := range sets {
 		nodes[i] = &TidsetNode{TIDs: s}
-		kcount.AddNode(kcount.Tidset, 4*len(s))
 	}
 	return nodes
 }
 
-func (tidsetRep) Combine(px, py Node) Node {
-	a, b := px.(*TidsetNode), py.(*TidsetNode)
-	n := &TidsetNode{TIDs: a.TIDs.Intersect(b.TIDs)}
-	kcount.AddNode(kcount.Tidset, n.Bytes())
-	return n
-}
+func (r tidsetRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }
 
 // --- bitvector --------------------------------------------------------
 
@@ -188,18 +191,11 @@ func (bitvectorRep) Roots(rec *dataset.Recoded) []Node {
 	nodes := make([]Node, len(sets))
 	for i, s := range sets {
 		nodes[i] = &BitvectorNode{Bits: bitvec.FromTIDs(n, s), sup: len(s)}
-		kcount.AddNode(kcount.Bitvector, nodes[i].Bytes())
 	}
 	return nodes
 }
 
-func (bitvectorRep) Combine(px, py Node) Node {
-	a, b := px.(*BitvectorNode), py.(*BitvectorNode)
-	v := a.Bits.And(b.Bits)
-	n := &BitvectorNode{Bits: v, sup: v.Count()}
-	kcount.AddNode(kcount.Bitvector, n.Bytes())
-	return n
-}
+func (r bitvectorRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }
 
 // --- diffset ----------------------------------------------------------
 
@@ -232,17 +228,11 @@ func (diffsetRep) Roots(rec *dataset.Recoded) []Node {
 	nodes := make([]Node, len(sets))
 	for i, s := range sets {
 		nodes[i] = &DiffsetNode{Diff: s.Complement(n), sup: len(s)}
-		kcount.AddNode(kcount.Diffset, nodes[i].Bytes())
 	}
 	return nodes
 }
 
-func (diffsetRep) Combine(px, py Node) Node {
-	a, b := px.(*DiffsetNode), py.(*DiffsetNode)
-	d := b.Diff.Diff(a.Diff) // d(PXY) = d(PY) − d(PX)
-	kcount.AddNode(kcount.Diffset, 4*len(d))
-	return &DiffsetNode{Diff: d, sup: a.sup - len(d)}
-}
+func (r diffsetRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }
 
 // Degradable reports whether a run over kind can degrade to diffsets
 // mid-run when its memory budget is crossed. Diffset needs no cure and
@@ -259,22 +249,23 @@ func Degradable(kind Kind) bool {
 // DiffsetNode relative to its generation parent: d(X) = t(parent) −
 // t(X), the standard diffset layout, so subsequent sibling Combines
 // under diffsetRep are exact. Returns nil for kinds Degradable rejects.
+// The conversion's kernel work is charged to st (nil counts nothing).
 //
 // This is the engine's adaptive application of the paper's own remedy:
 // when the breadth-first payload footprint crosses the run's memory
 // budget, a level of tidsets/bitvectors is rewritten in place as
 // diffsets and the run continues under the bounded representation.
-func DegradeChild(parent, child Node) Node {
+func DegradeChild(parent, child Node, st *kcount.Stats) Node {
 	switch c := child.(type) {
 	case *TidsetNode:
 		p := parent.(*TidsetNode)
-		return &DiffsetNode{Diff: p.TIDs.Diff(c.TIDs), sup: len(c.TIDs)}
+		return &DiffsetNode{Diff: p.TIDs.DiffInto(c.TIDs, make(tidset.Set, 0, len(p.TIDs)), st), sup: len(c.TIDs)}
 	case *BitvectorNode:
 		p := parent.(*BitvectorNode)
-		return &DiffsetNode{Diff: p.Bits.AndNot(c.Bits).TIDs(), sup: c.sup}
+		return &DiffsetNode{Diff: bitvec.New(p.Bits.Len()).AndNotInto(p.Bits, c.Bits, st).TIDs(), sup: c.sup}
 	case *TiledNode:
 		p := parent.(*TiledNode)
-		d := p.T.DiffInto(c.T, &tidset.Tiled{})
+		d := p.T.DiffInto(c.T, &tidset.Tiled{}, st)
 		return &DiffsetNode{Diff: d.AppendTo(nil), sup: c.T.Len()}
 	case *NodesetNode:
 		// The DiffNodeset already IS d(X) = t(PX) − t(X), with tree
@@ -306,6 +297,20 @@ func DegradeRoot(n Node, universe int) Node {
 		return &DiffsetNode{Diff: c.rootTIDs().Complement(universe), sup: c.sup}
 	}
 	return nil
+}
+
+// CountRoots charges a representation's level-1 nodes to st: their
+// count and bytes under the kind's nodes_built / bytes_materialized
+// counters, and for nodeset roots the PPC tree the encoding pass ranked
+// (ppc_nodes_built). The miners call it right after Roots, which counts
+// nothing itself.
+func CountRoots(st *kcount.Stats, kind Kind, roots []Node) {
+	st.AddNodes(int(kind), len(roots), int(NodesBytes(roots)))
+	if len(roots) > 0 {
+		if n, ok := roots[0].(*NodesetNode); ok {
+			st.AddPPCNodes(n.Enc.Nodes)
+		}
+	}
 }
 
 // NodesBytes sums the payload footprint of a node slice (nil entries

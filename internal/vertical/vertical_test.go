@@ -196,13 +196,13 @@ func TestBytesAccounting(t *testing.T) {
 		for j := i + 1; j < len(roots); j++ {
 			y := roots[j].(*NodesetNode)
 			sup := New(Tidset).Combine(troots[i], troots[j]).Support()
-			want, _ := nodeset.DiffL1Into(x.L1, y.L1, nil)
+			want, _ := nodeset.DiffL1Into(x.L1, y.L1, nil, nil)
 			for _, c := range []struct {
 				path string
 				n    Node
 			}{
 				{"Combine", rep.Combine(x, y)},
-				{"CombineInto", rep.(IntoCombiner).CombineInto(NewArena(), x, y)},
+				{"CombineInto", rep.CombineInto(NewArena(), x, y)},
 				{"CombineManyInto", many[j-i-1]},
 			} {
 				nd := c.n.(*NodesetNode)

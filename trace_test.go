@@ -9,9 +9,13 @@ package fim
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"maps"
+	"sync"
 	"testing"
 
 	"repro/internal/obs/export"
+	"repro/internal/vertical"
 )
 
 // mineTraced runs one mine with a span recorder attached alongside an
@@ -106,41 +110,81 @@ func TestTraceCrossCheck(t *testing.T) {
 	}
 }
 
-// TestKernelCountersEmitted: an observed run ends with one
-// kernel_counters event whose contents match the representation that
-// ran.
+// TestKernelCountersEmitted: every observed run emits exactly one
+// kernel_counters event with nonzero work for the representation that
+// ran, for both vertical miners over every kind — and the counts are
+// exact per run, so four identical runs overlapping each other each
+// report the solo run's map. Which worker served which arena request
+// varies between runs, so arena_hits and arena_misses compare as one
+// sum.
 func TestKernelCountersEmitted(t *testing.T) {
 	db := runctlDB(t)
-	cases := []struct {
-		rep  Representation
-		want string
-	}{
-		{Tidset, "tids_compared"},
-		{Bitvector, "words_anded"},
-		{Diffset, "tids_compared"},
-		{Hybrid, "nodes_built_hybrid"},
-		{Tiled, "summary_words_anded"},
+	want := map[Representation][]string{
+		Tidset:    {"tids_compared"},
+		Bitvector: {"words_anded", "words_popcounted"},
+		Diffset:   {"tids_compared"},
+		Hybrid:    {"tids_compared"},
+		Tiled:     {"summary_words_anded"},
+		Nodeset:   {"nlist_nodes_merged", "ppc_nodes_built"},
 	}
-	for _, c := range cases {
-		_, err, events := mineRecorded(t, db, Options{
-			Algorithm: Eclat, Representation: c.rep, Workers: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
+	// counters mines once and returns the run's one counter map, with
+	// the arena split folded into its sum.
+	counters := func(algo Algorithm, rep Representation) (map[string]int64, error) {
+		rec := &EventRecorder{}
+		if _, err := MineContext(context.Background(), db, 0.5, Options{
+			Algorithm: algo, Representation: rep, Workers: 2, Observer: rec,
+		}); err != nil {
+			return nil, err
 		}
-		var counters map[string]int64
+		var m map[string]int64
 		n := 0
-		for _, e := range events {
+		for _, e := range rec.Events() {
 			if e.Type == EventKernelCounters {
-				counters = e.Counters
+				m = maps.Clone(e.Counters)
 				n++
 			}
 		}
 		if n != 1 {
-			t.Fatalf("%v: %d kernel_counters events, want 1", c.rep, n)
+			return nil, fmt.Errorf("%d kernel_counters events, want 1", n)
 		}
-		if counters[c.want] <= 0 {
-			t.Errorf("%v: counter %q = %d, want > 0 (counters: %v)", c.rep, c.want, counters[c.want], counters)
+		m["arena_hits+misses"] = m["arena_hits"] + m["arena_misses"]
+		delete(m, "arena_hits")
+		delete(m, "arena_misses")
+		return m, nil
+	}
+	for _, algo := range []Algorithm{Apriori, Eclat} {
+		for _, rep := range vertical.AllKinds() {
+			label := algo.String() + "/" + rep.String()
+			solo, err := counters(algo, rep)
+			if err != nil {
+				t.Fatalf("%s solo: %v", label, err)
+			}
+			for _, k := range append(want[rep], "nodes_built_"+rep.String()) {
+				if solo[k] <= 0 {
+					t.Errorf("%s: counter %q = %d, want > 0 (counters: %v)", label, k, solo[k], solo)
+				}
+			}
+
+			const overlap = 4
+			got := make([]map[string]int64, overlap)
+			errs := make([]error, overlap)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], errs[i] = counters(algo, rep)
+				}()
+			}
+			wg.Wait()
+			for i := range got {
+				if errs[i] != nil {
+					t.Fatalf("%s overlapped run %d: %v", label, i, errs[i])
+				}
+				if !maps.Equal(got[i], solo) {
+					t.Errorf("%s overlapped run %d: counters %v, want the solo run's %v", label, i, got[i], solo)
+				}
+			}
 		}
 	}
 }
