@@ -15,7 +15,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/eclat"
 	"repro/internal/machine"
-	"repro/internal/perf"
+	"repro/internal/sched"
 	"repro/internal/vertical"
 )
 
@@ -67,28 +67,28 @@ func main() {
 			// Apriori pools per representation.
 			fmt.Printf("%s@%.3f freqItems=%d\n", d.Name, sup, len(rec.Items))
 			for _, rep := range []vertical.Kind{vertical.Tidset, vertical.Diffset, vertical.Bitvector} {
-				col := &perf.Collector{}
+				trace := &sched.Record{}
 				opt := core.DefaultOptions(rep, 1)
-				opt.Collector = col
+				opt.Record = trace
 				res := mustMine(apriori.Mine(rec, rec.MinSup, opt))
 				var maxPool int64
-				for _, p := range col.Phases {
-					if p.UniqueParent > maxPool {
-						maxPool = p.UniqueParent
+				for _, l := range trace.Loops {
+					if l.Modelled() {
+						maxPool = max(maxPool, l.Model.UniqueParent)
 					}
 				}
-				_, sp := machine.Speedup(col, threads, cfg)
+				_, sp := machine.Speedup(trace, threads, cfg)
 				fmt.Printf("  apriori/%-10v itemsets=%-7d maxPool=%6.2fMB  speedup16=%6.1f speedup256=%6.1f\n",
 					rep, res.Len(), float64(maxPool)/(1<<20), sp[0], sp[1])
 			}
 			for _, rep := range []vertical.Kind{vertical.Tidset, vertical.Diffset} {
 				for _, depth := range []int{3, 4} {
-					col := &perf.Collector{}
+					trace := &sched.Record{}
 					opt := core.DefaultOptions(rep, 1)
-					opt.Collector = col
+					opt.Record = trace
 					opt.EclatDepth = depth
 					mustMine(eclat.Mine(rec, rec.MinSup, opt))
-					_, sp := machine.Speedup(col, threads, cfg)
+					_, sp := machine.Speedup(trace, threads, cfg)
 					fmt.Printf("  eclat/%-7v d=%d speedup16=%6.1f speedup256=%6.1f\n", rep, depth, sp[0], sp[1])
 				}
 			}

@@ -61,9 +61,10 @@ const (
 	exitIncident = 9
 )
 
-// crossCheckTol matches the acceptance bound: span totals and
-// sched.Metrics busy time derive from the same chunk timings, so 5%
-// covers only encoding rounding.
+// crossCheckTol matches the acceptance bound: span totals and the
+// phase_end busy time (the measured half of each loop's sched.Record
+// entry) derive from the same chunk timings, so 5% covers only encoding
+// rounding.
 const crossCheckTol = 0.05
 
 func main() {

@@ -47,7 +47,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/obs/prof"
-	"repro/internal/perf"
 	"repro/internal/runctl"
 	"repro/internal/sched"
 	"repro/internal/tidset"
@@ -123,8 +122,10 @@ type (
 	ItemsetCount = core.ItemsetCount
 	// Rule is an association rule.
 	Rule = assoc.Rule
-	// Trace records a run's parallel structure for machine replay.
-	Trace = perf.Collector
+	// Trace is a run's loop record: one entry per parallel loop, with
+	// the modelled byte costs Simulate replays and the measured
+	// per-worker load. The zero value records both.
+	Trace = sched.Record
 	// MachineConfig describes a simulated NUMA machine.
 	MachineConfig = machine.Config
 	// SchedulePolicy names an OpenMP-style loop schedule.
@@ -202,25 +203,22 @@ type Options struct {
 	SchedulePolicy SchedulePolicy
 	ScheduleChunk  int
 	SetSchedule    bool
-	// DisablePruning turns off Apriori's subset pruning.
-	DisablePruning bool
 	// EclatDepth sets Eclat's flattening depth (see internal/eclat);
 	// 0 uses the default.
 	EclatDepth int
-	// Trace, when non-nil, records the run for NUMA replay via Simulate.
+	// Trace, when non-nil, records the run's loops: the modelled byte
+	// costs for NUMA replay via Simulate, and each loop's measured
+	// per-worker load.
 	Trace *Trace
 	// Observer, when non-nil, receives the run's structured event stream
 	// live: run_start, level/class boundaries with candidate and
 	// frequent counts and live payload bytes, per-loop worker load with
 	// busy-time imbalance, budget warnings, degrade transitions, the
-	// stop cause, and run_end with totals and the peak footprint. A nil
-	// Observer costs the engine one branch per emit site.
+	// stop cause, and run_end with totals and the peak footprint.
+	// budget_warning fires at 50%, 80% and 95% of the memory and
+	// itemsets budgets. A nil Observer costs the engine one branch per
+	// emit site.
 	Observer Observer
-	// BudgetWarnAt sets the budget fractions (ascending, each in (0,1))
-	// at which budget_warning events fire for the memory and itemsets
-	// budgets. Empty means {0.5, 0.8, 0.95}. Only consulted when
-	// Observer is set and the corresponding budget is non-zero.
-	BudgetWarnAt []float64
 	// RunID, when non-zero, is a run correlation identifier stamped onto
 	// every event the run emits (and therefore onto SSE streams and run
 	// reports built from them). The serving layer sets it to the run's
@@ -298,6 +296,10 @@ type BudgetError = runctl.BudgetError
 // error (with the worker's stack attached) instead of crashing the
 // process.
 type WorkerPanicError = runctl.WorkerPanicError
+
+// budgetWarnAt are the budget fractions at which an observed run emits
+// budget_warning events.
+var budgetWarnAt = []float64{0.5, 0.8, 0.95}
 
 // Mine finds all itemsets with relative support >= minSupport (a
 // fraction of the transaction count, e.g. 0.02 for 2%) in db. It is
@@ -377,9 +379,9 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 	copt := core.Options{
 		Representation: opt.Representation,
 		Workers:        opt.Workers,
-		Collector:      opt.Trace,
+		Record:         opt.Trace,
 		Control:        rc,
-		Prune:          !opt.DisablePruning,
+		Prune:          true,
 		EclatDepth:     opt.EclatDepth,
 	}
 	if opt.SetSchedule {
@@ -404,19 +406,22 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 	if opt.RunID != 0 {
 		o = obs.WithRunID(o, opt.RunID)
 	}
+	// An observed run records its loops' measured halves even when the
+	// caller asked for no replay trace; the record sends the observer
+	// one phase_end per loop and the span recorder every chunk.
+	if o != nil && copt.Record == nil {
+		copt.Record = sched.NewMeasuredRecord()
+	}
+	var tracer sched.ChunkTracer
+	if opt.SpanTrace != nil {
+		tracer = opt.SpanTrace
+	}
+	copt.Record.Observe(o, tracer)
 	if o != nil {
 		copt.Observer = o
-		copt.Metrics = sched.NewMetrics()
-		if opt.SpanTrace != nil {
-			copt.Metrics.SetTracer(opt.SpanTrace)
-		}
 		copt.Kernels = &kcount.Stats{}
 		rc.TrackMemory()
-		fracs := opt.BudgetWarnAt
-		if len(fracs) == 0 {
-			fracs = []float64{0.5, 0.8, 0.95}
-		}
-		rc.SetWarnFunc(fracs, func(resource string, frac float64, used, limit int64) {
+		rc.SetWarnFunc(budgetWarnAt, func(resource string, frac float64, used, limit int64) {
 			o.Event(obs.Event{Type: obs.BudgetWarning,
 				Resource: resource, Fraction: frac, Used: used, Limit: limit})
 		})
@@ -459,9 +464,6 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 		runMine()
 	}
 	if o != nil {
-		// Flush scheduler loops that finished after the last level
-		// boundary (early-stopped runs leave undrained phases behind).
-		core.EmitPhases(o, copt.Metrics)
 		o.Event(obs.Event{Type: obs.KernelCounters, Counters: copt.Kernels.Map()})
 		if err != nil {
 			o.Event(obs.Event{Type: obs.Stop, Reason: StopReason(err), Err: err.Error()})

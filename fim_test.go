@@ -176,8 +176,14 @@ func TestSimulateFacade(t *testing.T) {
 	if _, err := Mine(db, 2.0/9.0, Options{Algorithm: Eclat, Representation: Diffset, Workers: 1, Trace: trace}); err != nil {
 		t.Fatal(err)
 	}
-	if len(trace.Phases) == 0 {
+	if len(trace.Loops) == 0 {
 		t.Fatal("trace empty")
+	}
+	// A traced run keeps both halves of every loop its team ran.
+	for _, l := range trace.Loops {
+		if l.Model == nil || (l.Model.Tasks() > 0) != (l.Load != nil) {
+			t.Errorf("loop %q: model %v, load %v", l.Name, l.Model, l.Load)
+		}
 	}
 	cfg := Blacklight()
 	one := Simulate(trace, 1, cfg)

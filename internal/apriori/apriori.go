@@ -64,11 +64,9 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		schedule = opt.Schedule
 	}
 	team := sched.NewTeam(opt.Workers)
-	col := opt.Collector
+	loops := opt.Record
 	rc := opt.Control
 	o := opt.Observer
-	met := opt.Metrics
-	team.SetMetrics(met)
 	kc := opt.Kernels
 
 	res := &core.Result{
@@ -82,7 +80,9 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	tr := trie.NewRoot(itemSupports(rec))
 	nodes := rep.Roots(rec) // payload of each level-1 node, index-aligned with the trie level
 	vertical.CountRoots(kc, rep.Kind(), nodes)
-	if root := col.NewPhase("apriori/roots", schedule, true, len(nodes)); root != nil {
+	// The root build runs on no team: the loop carries only its
+	// modelled half, so it stays out of phase_end.
+	if root := loops.Open("apriori/roots", schedule, len(nodes), true); root.Modelled() {
 		for i, n := range nodes {
 			root.Add(i, int64(n.Bytes()), 0, int64(n.Bytes()))
 		}
@@ -174,11 +174,15 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		cands := tr.Generate()
 		generated := cands.Len()
 		pruned := 0
-		if opt.Prune {
+		if opt.Prune && gen >= 2 && generated > 0 {
 			// Subset pruning runs on the team: the k-level hash index is
-			// built once, the per-candidate checks fan out.
+			// built once, the per-candidate checks fan out (a 2-itemset's
+			// only subsets are its parents, so generation 2 has nothing to
+			// check). The model charges pruning as the counting loop's
+			// serial work, so the check loop is measured but not replayed.
+			prune := loops.OpenMeasured(fmt.Sprintf("apriori/prune%d", gen+1), schedule)
 			var err error
-			if pruned, err = tr.PruneParallel(cands, team, schedule, rc); err != nil {
+			if pruned, err = tr.PruneParallel(cands, team, prune, schedule, rc); err != nil {
 				return collect(err)
 			}
 		}
@@ -189,15 +193,14 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		phaseName := fmt.Sprintf("apriori/gen%d", gen+1)
 		obs.Emit(o, obs.Event{Type: obs.LevelStart, Level: gen + 1, Phase: phaseName,
 			Candidates: generated, Pruned: pruned})
-		met.Label(phaseName)
-		phase := col.NewPhase(phaseName, schedule, true, n)
+		loop := loops.Open(phaseName, schedule, n, true)
 		// Serial overhead of generation + pruning: proportional to the
 		// candidate rows touched.
-		phase.AddSerial(int64(n) * 16)
-		if phase != nil {
+		loop.AddSerial(int64(n) * 16)
+		if loop.Modelled() {
 			// The parent pool is the previous level's payloads, shared
 			// machine-wide.
-			phase.UniqueParent = MemoryFootprint(nodes)
+			loop.Model.UniqueParent = MemoryFootprint(nodes)
 		}
 
 		// Parallel support counting (Algorithm 1 line 8) over prefix
@@ -220,7 +223,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 			}
 			weights[b] = w
 		}
-		err := team.ForWeightedCtx(rc, nBlocks, weights, schedule, func(worker, b int) {
+		err := team.ForWeightedCtx(rc, loop, nBlocks, weights, schedule, func(worker, b int) {
 			lo, hi := int(cands.Blocks[b]), int(cands.Blocks[b+1])
 			m := hi - lo
 			px := nodes[cands.Px[lo]]
@@ -239,7 +242,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 				cands.Level.Supports[i] = child.Support()
 				cb := int64(child.Bytes())
 				cost := pxBytes + int64(pys[k].Bytes())
-				phase.Add(i, cost+cb, remoteParent+int64(pys[k].Bytes()), cb)
+				loop.Add(i, cost+cb, remoteParent+int64(pys[k].Bytes()), cb)
 				remoteParent = 0
 				if child.Support() < minSup {
 					// Children never alias parents or each other, so
@@ -252,13 +255,12 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 			}
 			rc.ChargeMem(mem)
 		})
-		core.EmitPhases(o, met)
 		if err != nil {
 			return collect(err)
 		}
 
 		level, kept := tr.Commit(cands, minSup)
-		phase.AddSerial(int64(n) * 8)
+		loop.AddSerial(int64(n) * 8)
 		// Carry forward the frequent payloads, aligned with the new level.
 		next := make([]vertical.Node, level.Len())
 		for w, i := range kept {

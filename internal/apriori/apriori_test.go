@@ -3,6 +3,7 @@ package apriori
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/itemset"
-	"repro/internal/perf"
 	"repro/internal/runctl"
 	"repro/internal/sched"
 	"repro/internal/verify"
@@ -127,25 +127,44 @@ func TestMineEdgeCases(t *testing.T) {
 	}
 }
 
+// TestCollectorRecordsPhases: the loop record holds the roots (modelled
+// only: no team runs it), each generation's counting loop (both halves)
+// and each subset-prune loop (measured only, named after its
+// generation).
 func TestCollectorRecordsPhases(t *testing.T) {
 	rec := classicRecoded(t, 2)
-	col := &perf.Collector{}
+	trace := &sched.Record{}
 	opt := core.DefaultOptions(vertical.Tidset, 2)
-	opt.Collector = col
+	opt.Record = trace
 	mine(rec, 2, opt)
-	if len(col.Phases) < 3 { // roots + gen2 + gen3
-		t.Fatalf("recorded %d phases", len(col.Phases))
+	var names []string
+	for _, l := range trace.Loops {
+		names = append(names, l.Name)
 	}
-	gen2 := col.Phases[1]
-	if gen2.Name != "apriori/gen2" || !gen2.Shared {
-		t.Errorf("phase 1 = %q shared=%v", gen2.Name, gen2.Shared)
+	want := []string{"apriori/roots", "apriori/gen2", "apriori/prune3", "apriori/gen3", "apriori/prune4"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("loops = %q, want %q", names, want)
 	}
-	if gen2.TotalWork() == 0 || gen2.TotalRemote() == 0 {
+	roots, gen2, prune3 := trace.Loops[0], trace.Loops[1], trace.Loops[2]
+	if roots.Load != nil || roots.Model == nil {
+		t.Errorf("roots: load %v, model %v; want model only", roots.Load, roots.Model)
+	}
+	if prune3.Load == nil || prune3.Model != nil {
+		t.Errorf("prune3: load %v, model %v; want load only", prune3.Load, prune3.Model)
+	}
+	if gen2.Load == nil || gen2.Load.TotalTasks() != int64(gen2.Load.N) {
+		t.Errorf("gen2 load = %+v", gen2.Load)
+	}
+	m := gen2.Model
+	if m == nil || !m.Shared {
+		t.Fatalf("gen2 model = %+v, want shared", m)
+	}
+	if m.TotalWork() == 0 || m.TotalRemote() == 0 {
 		t.Error("gen2 recorded no work")
 	}
-	// Apriori phases are shared-parent: remote equals the combine reads,
+	// Apriori loops are shared-parent: remote equals the combine reads,
 	// so remote <= work.
-	if gen2.TotalRemote() > gen2.TotalWork() {
+	if m.TotalRemote() > m.TotalWork() {
 		t.Error("remote exceeds work")
 	}
 }
@@ -171,21 +190,17 @@ func TestMemoryFootprintOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := db.Recode(db.AbsoluteSupport(0.5))
-	colT, colD := &perf.Collector{}, &perf.Collector{}
+	traceT, traceD := &sched.Record{}, &sched.Record{}
 	optT := core.DefaultOptions(vertical.Tidset, 1)
-	optT.Collector = colT
+	optT.Record = traceT
 	optD := core.DefaultOptions(vertical.Diffset, 1)
-	optD.Collector = colD
+	optD.Record = traceD
 	mine(rec, rec.MinSup, optT)
 	mine(rec, rec.MinSup, optD)
-	allocAfterRoots := func(c *perf.Collector) int64 {
-		var b int64
-		for _, p := range c.Phases[1:] {
-			b += p.TotalAlloc()
-		}
-		return b
+	allocAfterRoots := func(r *sched.Record) int64 {
+		return r.TotalAlloc() - r.Loops[0].Model.TotalAlloc()
 	}
-	dAlloc, tAlloc := allocAfterRoots(colD), allocAfterRoots(colT)
+	dAlloc, tAlloc := allocAfterRoots(traceD), allocAfterRoots(traceT)
 	if dAlloc >= tAlloc {
 		t.Errorf("diffset alloc %d not below tidset alloc %d on dense data", dAlloc, tAlloc)
 	}
@@ -251,7 +266,7 @@ func sparseRecoded(t *testing.T) *dataset.Recoded {
 // TestPeakLiveBoundedByFrequentLevels: infrequent children are recycled
 // inside the block that built them, so the accounted live footprint
 // never exceeds two adjacent frequent levels — the parents being joined
-// plus the frequent children built from them. The perf model still
+// plus the frequent children built from them. The cost model still
 // charges every candidate's payload, so its allocation total does not
 // move.
 func TestPeakLiveBoundedByFrequentLevels(t *testing.T) {
@@ -259,10 +274,10 @@ func TestPeakLiveBoundedByFrequentLevels(t *testing.T) {
 	rc := runctl.New(context.Background(), runctl.Budget{})
 	defer rc.Close()
 	rc.TrackMemory()
-	col := &perf.Collector{}
+	trace := &sched.Record{}
 	opt := core.DefaultOptions(vertical.Tidset, 2)
 	opt.Control = rc
-	opt.Collector = col
+	opt.Record = trace
 	res := mine(rec, rec.MinSup, opt)
 	if ref := verify.Reference(rec, rec.MinSup); !res.Equal(ref) {
 		t.Fatalf("vs reference:\n%s", verify.Diff(res, ref))
@@ -284,7 +299,7 @@ func TestPeakLiveBoundedByFrequentLevels(t *testing.T) {
 	}
 	// Every generated candidate's payload, as the model charges it.
 	const modelAlloc = 2832
-	if got := col.TotalAlloc(); got != modelAlloc {
+	if got := trace.TotalAlloc(); got != modelAlloc {
 		t.Errorf("model TotalAlloc = %d, want %d", got, modelAlloc)
 	}
 }

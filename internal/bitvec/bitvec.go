@@ -53,8 +53,8 @@ func FromTIDs(n int, tids tidset.Set) *Vector {
 // Len returns the universe size (number of transactions).
 func (v *Vector) Len() int { return v.n }
 
-// Words returns the memory footprint in 8-byte words, for the perf
-// instrumentation's traffic accounting.
+// Words returns the memory footprint in 8-byte words, for the cost
+// model's traffic accounting.
 func (v *Vector) Words() int { return len(v.words) }
 
 // Set sets bit t. It panics if t is out of range, since that means the

@@ -13,7 +13,6 @@ import (
 	"repro/internal/itemset"
 	"repro/internal/kcount"
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/runctl"
 	"repro/internal/sched"
 	"repro/internal/vertical"
@@ -64,19 +63,17 @@ type Options struct {
 	// are set via HasSchedule.
 	Schedule    sched.Schedule
 	HasSchedule bool
-	// Collector, when non-nil, records the run's parallel structure for
-	// reporting and NUMA replay.
-	Collector *perf.Collector
 	// Observer, when non-nil, receives the run's structured event stream
 	// live: level/class boundaries with candidate and frequent counts,
-	// live payload bytes, degradations, and per-loop worker load. A nil
-	// Observer costs the miners one branch per emit site.
+	// live payload bytes and degradations. A nil Observer costs the
+	// miners one branch per emit site.
 	Observer obs.Observer
-	// Metrics, when non-nil, is attached to the miner's worker team and
-	// collects per-worker busy time, tasks and chunks for every
-	// scheduler loop; the miners forward each finished loop to Observer
-	// as a phase_end event.
-	Metrics *sched.Metrics
+	// Record, when non-nil, is the run's loop record: the miner opens
+	// one loop per parallel loop, by name, charges its modelled bytes
+	// and hands it to the team, which fills the measured half and sends
+	// the record's observer one phase_end per loop (see sched.Record).
+	// Nil (an unobserved, untraced run) records nothing.
+	Record *sched.Record
 	// Kernels, when non-nil, receives the run's kernel operation counts:
 	// the miner charges its root build and coordinator-side work here
 	// and sums its workers' arena shards into it once the team has
@@ -107,33 +104,6 @@ type Options struct {
 // own default schedule.
 func DefaultOptions(rep vertical.Kind, workers int) Options {
 	return Options{Representation: rep, Workers: workers, Prune: true}
-}
-
-// EmitPhases forwards every scheduler loop finished since the last call
-// to the observer, one phase_end event per loop, carrying per-worker
-// busy time, tasks, chunks, and the max/mean busy-time imbalance. A nil
-// observer or metrics makes it a no-op; the miners call it at level
-// boundaries.
-func EmitPhases(o obs.Observer, m *sched.Metrics) {
-	if o == nil || m == nil {
-		return
-	}
-	for _, ps := range m.Drain() {
-		e := obs.Event{
-			Type:       obs.PhaseEnd,
-			Phase:      ps.Name,
-			Schedule:   ps.Schedule.String(),
-			Candidates: ps.N,
-			ElapsedNS:  int64(ps.Wall),
-			Imbalance:  ps.Imbalance(),
-		}
-		for w, ws := range ps.Workers {
-			e.Load = append(e.Load, obs.WorkerLoad{
-				Worker: w, BusyNS: int64(ws.Busy), Tasks: ws.Tasks, Chunks: ws.Chunks,
-			})
-		}
-		o.Event(e)
-	}
 }
 
 // ItemsetCount pairs an itemset with its support.

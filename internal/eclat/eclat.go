@@ -43,7 +43,6 @@ import (
 	"repro/internal/itemset"
 	"repro/internal/kcount"
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/runctl"
 	"repro/internal/sched"
 	"repro/internal/vertical"
@@ -89,11 +88,8 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		schedule = opt.Schedule
 	}
 	team := sched.NewTeam(opt.Workers)
-	col := opt.Collector
 	rc := opt.Control
 	o := opt.Observer
-	met := opt.Metrics
-	team.SetMetrics(met)
 
 	res := &core.Result{
 		Algorithm:      core.Eclat,
@@ -166,10 +162,10 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	}
 	var err error
 	if depth == 1 {
-		err = mineDepth1(rep, roots, rootBytes, minSup, team, schedule, col, rc, o, met, private, arenas)
+		err = mineDepth1(rep, roots, rootBytes, minSup, team, schedule, opt.Record, rc, o, private, arenas)
 	} else {
 		m := &flattenedMiner{rep: rep, minSup: minSup, depth: depth,
-			team: team, schedule: schedule, col: col, rc: rc, o: o, met: met, res: res,
+			team: team, schedule: schedule, loops: opt.Record, rc: rc, o: o, res: res,
 			kc: opt.Kernels, private: private, arenas: arenas}
 		err = m.run(roots, rootBytes)
 	}
@@ -192,17 +188,16 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 // mineDepth1 runs the paper-literal decomposition: one task per
 // first-level class.
 func mineDepth1(rep vertical.Representation, roots []vertical.Node, rootBytes int64,
-	minSup int, team *sched.Team, schedule sched.Schedule, col *perf.Collector,
-	rc *runctl.Control, o obs.Observer, met *sched.Metrics,
+	minSup int, team *sched.Team, schedule sched.Schedule, loops *sched.Record,
+	rc *runctl.Control, o obs.Observer,
 	private [][]core.ItemsetCount, arenas []*vertical.Arena) error {
 
 	n := len(roots)
 	start := time.Now()
 	obs.Emit(o, obs.Event{Type: obs.LevelStart, Phase: "eclat/classes", Candidates: n})
-	met.Label("eclat/classes")
-	phase := col.NewPhase("eclat/classes", schedule, true, n)
-	if phase != nil {
-		phase.UniqueParent = rootBytes
+	loop := loops.Open("eclat/classes", schedule, n, true)
+	if loop.Modelled() {
+		loop.Model.UniqueParent = rootBytes
 	}
 	// Shared read-only atom view of the roots, so class i gets the
 	// sibling run roots[i+1:] without per-task copies.
@@ -210,9 +205,9 @@ func mineDepth1(rep vertical.Representation, roots []vertical.Node, rootBytes in
 	for j := range roots {
 		rootAtoms[j] = atom{item: itemset.Item(j), node: roots[j]}
 	}
-	cc := &classCtx{rep: rep, minSup: minSup, phase: phase, rc: rc,
+	cc := &classCtx{rep: rep, minSup: minSup, loop: loop, rc: rc,
 		arenas: arenas, private: private}
-	err := team.ForCtx(rc, n, schedule, func(w, i int) {
+	err := team.ForCtx(rc, loop, n, schedule, func(w, i int) {
 		m := cc.newMiner(w, i)
 		// The first-level combines read globally shared root data; the
 		// recursion below reads only worker-local payloads.
@@ -222,7 +217,6 @@ func mineDepth1(rep vertical.Representation, roots []vertical.Node, rootBytes in
 		m.releaseAtoms(class)
 		cc.finishMiner(w, m)
 	})
-	core.EmitPhases(o, met)
 	if err == nil {
 		obs.Emit(o, obs.Event{Type: obs.LevelEnd, Phase: "eclat/classes",
 			Candidates: n, Frequent: int(cc.emitted.Load()),
@@ -282,10 +276,9 @@ type flattenedMiner struct {
 	depth    int
 	team     *sched.Team
 	schedule sched.Schedule
-	col      *perf.Collector
+	loops    *sched.Record
 	rc       *runctl.Control
 	o        obs.Observer
-	met      *sched.Metrics
 	res      *core.Result
 	kc       *kcount.Stats // coordinator-side kernel counts (degrade)
 	private  [][]core.ItemsetCount
@@ -350,18 +343,17 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 	startA := time.Now()
 	obs.Emit(f.o, obs.Event{Type: obs.LevelStart, Level: 2, Phase: "eclat/pairs",
 		Candidates: nPairs})
-	f.met.Label("eclat/pairs")
-	phaseA := f.col.NewPhase("eclat/pairs", f.schedule, true, nPairs)
-	if phaseA != nil {
-		phaseA.UniqueParent = rootBytes
+	loopA := f.loops.Open("eclat/pairs", f.schedule, nPairs, true)
+	if loopA.Modelled() {
+		loopA.Model.UniqueParent = rootBytes
 	}
 	rep := f.rep
 	pairNodes := make([]vertical.Node, nPairs)
-	err := f.team.ForCtx(f.rc, nPairs, f.schedule, func(w, t int) {
+	err := f.team.ForCtx(f.rc, loopA, nPairs, f.schedule, func(w, t int) {
 		i, j := pi[t], pj[t]
 		child := rep.CombineInto(f.arenas[w], roots[i], roots[j])
 		cost := int64(vertical.CombineCost(roots[i], roots[j]))
-		phaseA.Add(t, cost+int64(child.Bytes()), cost, int64(child.Bytes()))
+		loopA.Add(t, cost+int64(child.Bytes()), cost, int64(child.Bytes()))
 		if child.Support() >= f.minSup {
 			pairNodes[t] = child
 			f.rc.ChargeMem(int64(child.Bytes()))
@@ -373,7 +365,6 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 			f.arenas[w].Release(child)
 		}
 	})
-	core.EmitPhases(f.o, f.met)
 	if err != nil {
 		return err
 	}
@@ -424,15 +415,14 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 	startS := time.Now()
 	obs.Emit(f.o, obs.Event{Type: obs.LevelStart, Level: f.depth, Phase: "eclat/subtrees",
 		Candidates: len(tasks)})
-	f.met.Label("eclat/subtrees")
-	phase := f.col.NewPhase("eclat/subtrees", f.schedule, true, len(tasks))
-	if phase != nil {
-		phase.UniqueParent = maxClassBytes(classes)
+	loop := f.loops.Open("eclat/subtrees", f.schedule, len(tasks), true)
+	if loop.Modelled() {
+		loop.Model.UniqueParent = maxClassBytes(classes)
 	}
 	rep = f.rep
-	cc := &classCtx{rep: rep, minSup: f.minSup, phase: phase,
+	cc := &classCtx{rep: rep, minSup: f.minSup, loop: loop,
 		rc: f.rc, arenas: f.arenas, private: f.private}
-	err = f.team.ForCtx(f.rc, len(tasks), f.schedule, func(w, t int) {
+	err = f.team.ForCtx(f.rc, loop, len(tasks), f.schedule, func(w, t int) {
 		e := tasks[t]
 		class := classes[e.class]
 		m := cc.newMiner(w, t)
@@ -441,7 +431,6 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 		m.releaseAtoms(sub)
 		cc.finishMiner(w, m)
 	})
-	core.EmitPhases(f.o, f.met)
 	f.rc.ChargeMem(-levelBytes(classes))
 	if err == nil {
 		obs.Emit(f.o, obs.Event{Type: obs.LevelEnd, Level: f.depth, Phase: "eclat/subtrees",
@@ -473,20 +462,19 @@ func (f *flattenedMiner) expandLevel(classes []eqClass, memberSize int) ([]eqCla
 	phaseName := fmt.Sprintf("eclat/expand%d", memberSize)
 	obs.Emit(f.o, obs.Event{Type: obs.LevelStart, Level: memberSize, Phase: phaseName,
 		Candidates: len(tasks)})
-	f.met.Label(phaseName)
-	phase := f.col.NewPhase(phaseName, f.schedule, true, len(tasks))
-	if phase != nil {
-		phase.UniqueParent = maxClassBytes(classes)
+	loop := f.loops.Open(phaseName, f.schedule, len(tasks), true)
+	if loop.Modelled() {
+		loop.Model.UniqueParent = maxClassBytes(classes)
 	}
 	rep := f.rep
 	next := make([]eqClass, len(tasks))
-	err := f.team.ForCtx(f.rc, len(tasks), f.schedule, func(w, t int) {
+	err := f.team.ForCtx(f.rc, loop, len(tasks), f.schedule, func(w, t int) {
 		e := tasks[t]
 		class := classes[e.class]
 		// Frequent children become the next flattened level and stay
 		// live past this stage, so they are never released back; only
 		// the infrequent majority recycles through the arena.
-		m := &minerState{rep: rep, minSup: f.minSup, phase: phase,
+		m := &minerState{rep: rep, minSup: f.minSup, loop: loop,
 			task: t, rc: f.rc, arena: f.arenas[w]}
 		sub := m.expandOne(class, int(e.pos))
 		if len(sub) > 0 {
@@ -494,7 +482,6 @@ func (f *flattenedMiner) expandLevel(classes []eqClass, memberSize int) ([]eqCla
 		}
 		f.private[w] = append(f.private[w], m.out...)
 	})
-	core.EmitPhases(f.o, f.met)
 	if err != nil {
 		return nil, err
 	}
@@ -536,7 +523,7 @@ func (m *minerState) expandOne(class eqClass, pos int) []atom {
 type classCtx struct {
 	rep     vertical.Representation
 	minSup  int
-	phase   *perf.Phase
+	loop    *sched.Loop
 	rc      *runctl.Control
 	arenas  []*vertical.Arena
 	private [][]core.ItemsetCount
@@ -544,10 +531,10 @@ type classCtx struct {
 }
 
 // newMiner equips a task running on worker w with that worker's arena.
-// task is the perf-phase slot the task's modelled work is charged to.
+// task is the loop's model slot the task's modelled work is charged to.
 func (cc *classCtx) newMiner(w, task int) *minerState {
 	return &minerState{rep: cc.rep, minSup: cc.minSup,
-		phase: cc.phase, task: task, rc: cc.rc, arena: cc.arenas[w]}
+		loop: cc.loop, task: task, rc: cc.rc, arena: cc.arenas[w]}
 }
 
 // finishMiner publishes a completed task's results into the stage
@@ -562,7 +549,7 @@ func (cc *classCtx) finishMiner(w int, m *minerState) {
 type minerState struct {
 	rep    vertical.Representation
 	minSup int
-	phase  *perf.Phase
+	loop   *sched.Loop
 	task   int
 	rc     *runctl.Control
 	arena  *vertical.Arena
@@ -617,13 +604,13 @@ func (m *minerState) batchCombine(newPrefix itemset.Itemset, base vertical.Node,
 }
 
 func (m *minerState) add(work, remote, alloc int64) {
-	m.phase.Add(m.task, work, remote, alloc)
+	m.loop.Add(m.task, work, remote, alloc)
 }
 
 // addLocal records recursion-internal combines, which never cross the
 // interconnect: the worker that produced the parents consumes them.
 func (m *minerState) addLocal(work, alloc int64) {
-	m.phase.Add(m.task, work, 0, alloc)
+	m.loop.Add(m.task, work, 0, alloc)
 }
 
 // emit records one frequent itemset and accounts it against the

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/itemset"
-	"repro/internal/perf"
 	"repro/internal/sched"
 	"repro/internal/verify"
 	"repro/internal/vertical"
@@ -130,18 +129,22 @@ func TestEclatMatchesApriorisBehaviourDeepLattice(t *testing.T) {
 
 func TestCollectorPhaseDepth1(t *testing.T) {
 	rec := classicRecoded(t, 2)
-	col := &perf.Collector{}
+	trace := &sched.Record{}
 	opt := core.DefaultOptions(vertical.Tidset, 2)
-	opt.Collector = col
+	opt.Record = trace
 	opt.EclatDepth = 1
 	mine(rec, 2, opt)
-	if len(col.Phases) != 1 {
-		t.Fatalf("recorded %d phases, want 1", len(col.Phases))
+	if len(trace.Loops) != 1 {
+		t.Fatalf("recorded %d phases, want 1", len(trace.Loops))
 	}
-	p := col.Phases[0]
-	if p.Name != "eclat/classes" || p.Schedule.Policy != sched.Dynamic {
-		t.Errorf("phase = %q %v", p.Name, p.Schedule)
+	l := trace.Loops[0]
+	if l.Name != "eclat/classes" || l.Schedule.Policy != sched.Dynamic {
+		t.Errorf("phase = %q %v", l.Name, l.Schedule)
 	}
+	if l.Load == nil || l.Load.N != len(rec.Items) || l.Load.TotalTasks() != int64(l.Load.N) {
+		t.Errorf("measured half = %+v, want %d tasks", l.Load, len(rec.Items))
+	}
+	p := l.Model
 	if p.Tasks() != len(rec.Items) {
 		t.Errorf("tasks = %d, want %d", p.Tasks(), len(rec.Items))
 	}
@@ -164,18 +167,18 @@ func TestCollectorPhaseDepth1(t *testing.T) {
 
 func TestCollectorPhasesDepth2(t *testing.T) {
 	rec := classicRecoded(t, 2)
-	col := &perf.Collector{}
+	trace := &sched.Record{}
 	opt := core.DefaultOptions(vertical.Tidset, 2)
-	opt.Collector = col
+	opt.Record = trace
 	opt.EclatDepth = 2
 	mine(rec, 2, opt)
-	if len(col.Phases) != 2 {
-		t.Fatalf("recorded %d phases, want 2", len(col.Phases))
+	if len(trace.Loops) != 2 {
+		t.Fatalf("recorded %d phases, want 2", len(trace.Loops))
 	}
-	pairs, subs := col.Phases[0], col.Phases[1]
-	if pairs.Name != "eclat/pairs" || subs.Name != "eclat/subtrees" {
-		t.Fatalf("phases = %q, %q", pairs.Name, subs.Name)
+	if trace.Loops[0].Name != "eclat/pairs" || trace.Loops[1].Name != "eclat/subtrees" {
+		t.Fatalf("phases = %q, %q", trace.Loops[0].Name, trace.Loops[1].Name)
 	}
+	pairs, subs := trace.Loops[0].Model, trace.Loops[1].Model
 	n := len(rec.Items)
 	if pairs.Tasks() != n*(n-1)/2 {
 		t.Errorf("pair tasks = %d, want %d", pairs.Tasks(), n*(n-1)/2)
@@ -190,18 +193,18 @@ func TestCollectorPhasesDepth2(t *testing.T) {
 
 func TestCollectorPhasesDefaultDepth(t *testing.T) {
 	rec := classicRecoded(t, 2)
-	col := &perf.Collector{}
+	trace := &sched.Record{}
 	opt := core.DefaultOptions(vertical.Tidset, 2)
-	opt.Collector = col
+	opt.Record = trace
 	mine(rec, 2, opt)
 	// Default depth 4: pairs, expand3, expand4, subtrees.
-	if len(col.Phases) != 4 {
-		t.Fatalf("recorded %d phases, want 4", len(col.Phases))
+	if len(trace.Loops) != 4 {
+		t.Fatalf("recorded %d phases, want 4", len(trace.Loops))
 	}
 	want := []string{"eclat/pairs", "eclat/expand3", "eclat/expand4", "eclat/subtrees"}
 	for i, name := range want {
-		if col.Phases[i].Name != name {
-			t.Errorf("phase %d = %q, want %q", i, col.Phases[i].Name, name)
+		if trace.Loops[i].Name != name {
+			t.Errorf("phase %d = %q, want %q", i, trace.Loops[i].Name, name)
 		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/eclat"
 	"repro/internal/horizontal"
 	"repro/internal/machine"
-	"repro/internal/perf"
 	"repro/internal/ptrie"
 	"repro/internal/sched"
 	"repro/internal/vertical"
@@ -102,10 +101,10 @@ func mustMine(res *core.Result, err error) *core.Result {
 
 // mineTraced runs one instrumented mining pass and returns the result,
 // trace, and real wall-clock.
-func mineTraced(rec *dataset.Recoded, minSup int, algo core.Algorithm, rep vertical.Kind) (*core.Result, *perf.Collector, float64) {
-	col := &perf.Collector{}
+func mineTraced(rec *dataset.Recoded, minSup int, algo core.Algorithm, rep vertical.Kind) (*core.Result, *sched.Record, float64) {
+	trace := &sched.Record{}
 	opt := core.DefaultOptions(rep, 1)
-	opt.Collector = col
+	opt.Record = trace
 	start := time.Now()
 	var res *core.Result
 	switch algo {
@@ -116,7 +115,7 @@ func mineTraced(rec *dataset.Recoded, minSup int, algo core.Algorithm, rep verti
 	default:
 		panic(fmt.Sprintf("experiments: unsupported algorithm %v", algo))
 	}
-	return res, col, time.Since(start).Seconds()
+	return res, trace, time.Since(start).Seconds()
 }
 
 // Scalability builds one runtime+speedup table for an algorithm and
@@ -136,8 +135,8 @@ func Scalability(algo core.Algorithm, rep vertical.Kind, cfg Config) *Table {
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
 		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
-		res, col, real := mineTraced(rec, rec.MinSup, algo, rep)
-		times, speedups := machine.Speedup(col, cfg.Threads, cfg.Machine)
+		res, trace, real := mineTraced(rec, rec.MinSup, algo, rep)
+		times, speedups := machine.Speedup(trace, cfg.Threads, cfg.Machine)
 		row := Row{
 			Dataset:     d.Name,
 			Support:     d.DefaultSupport,
@@ -256,9 +255,9 @@ func MemoryFootprint(cfg Config) []FootprintRow {
 			RemoteBytes: map[vertical.Kind]int64{},
 		}
 		for _, rep := range vertical.Kinds() {
-			_, col, _ := mineTraced(rec, rec.MinSup, core.Apriori, rep)
-			row.AllocBytes[rep] = col.TotalAlloc()
-			row.RemoteBytes[rep] = col.TotalRemote()
+			_, trace, _ := mineTraced(rec, rec.MinSup, core.Apriori, rep)
+			row.AllocBytes[rep] = trace.TotalAlloc()
+			row.RemoteBytes[rep] = trace.TotalRemote()
 		}
 		rows = append(rows, row)
 	}
@@ -296,9 +295,9 @@ func ScheduleAblation(cfg Config) []ScheduleRow {
 			row := ScheduleRow{Dataset: d.Name, Algorithm: algo, Threads: threads, Seconds: map[string]float64{}}
 			rep := vertical.Diffset
 			for _, s := range schedules {
-				col := &perf.Collector{}
+				trace := &sched.Record{}
 				opt := core.DefaultOptions(rep, 1)
-				opt.Collector = col
+				opt.Record = trace
 				opt.Schedule, opt.HasSchedule = s, true
 				switch algo {
 				case core.Apriori:
@@ -306,7 +305,7 @@ func ScheduleAblation(cfg Config) []ScheduleRow {
 				case core.Eclat:
 					mustMine(eclat.Mine(rec, rec.MinSup, opt))
 				}
-				rt := machine.Simulate(col, threads, cfg.Machine)
+				rt := machine.Simulate(trace, threads, cfg.Machine)
 				row.Seconds[s.String()] = rt.Seconds
 			}
 			rows = append(rows, row)
@@ -337,13 +336,13 @@ func ChunkAblation(cfg Config) []ChunkRow {
 		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
 		row := ChunkRow{Dataset: d.Name, Threads: threads, Seconds: map[int]float64{}}
 		for _, chunk := range []int{1, 2, 4, 8, 16} {
-			col := &perf.Collector{}
+			trace := &sched.Record{}
 			opt := core.DefaultOptions(vertical.Diffset, 1)
-			opt.Collector = col
+			opt.Record = trace
 			opt.Schedule = sched.Schedule{Policy: sched.Dynamic, Chunk: chunk}
 			opt.HasSchedule = true
 			mustMine(eclat.Mine(rec, rec.MinSup, opt))
-			row.Seconds[chunk] = machine.Simulate(col, threads, cfg.Machine).Seconds
+			row.Seconds[chunk] = machine.Simulate(trace, threads, cfg.Machine).Seconds
 		}
 		rows = append(rows, row)
 	}
@@ -372,12 +371,12 @@ func DepthAblation(cfg Config) []DepthRow {
 		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
 		row := DepthRow{Dataset: d.Name, Threads: threads, Speedup: map[int]float64{}}
 		for _, depth := range []int{1, 2, 3, 4} {
-			col := &perf.Collector{}
+			trace := &sched.Record{}
 			opt := core.DefaultOptions(vertical.Diffset, 1)
-			opt.Collector = col
+			opt.Record = trace
 			opt.EclatDepth = depth
 			mustMine(eclat.Mine(rec, rec.MinSup, opt))
-			_, sp := machine.Speedup(col, []int{threads}, cfg.Machine)
+			_, sp := machine.Speedup(trace, []int{threads}, cfg.Machine)
 			row.Speedup[depth] = sp[0]
 		}
 		rows = append(rows, row)
@@ -422,8 +421,8 @@ func SparseLimit(cfg Config) []SparseRow {
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
 		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
-		_, col, _ := mineTraced(rec, rec.MinSup, core.Eclat, vertical.Diffset)
-		times, speedups := machine.Speedup(col, cfg.Threads, cfg.Machine)
+		_, trace, _ := mineTraced(rec, rec.MinSup, core.Eclat, vertical.Diffset)
+		times, speedups := machine.Speedup(trace, cfg.Threads, cfg.Machine)
 		row := SparseRow{Dataset: d.Name, Support: d.DefaultSupport, FrequentItems: len(rec.Items)}
 		for i := range times {
 			row.Cells = append(row.Cells, Cell{Threads: cfg.Threads[i], SimSeconds: times[i].Seconds, Speedup: speedups[i]})
@@ -473,9 +472,9 @@ func Baselines(cfg Config) []BaselineRow {
 		row.VerticalDiffset = timeIt(func() { mustMine(apriori.Mine(rec, rec.MinSup, core.DefaultOptions(vertical.Diffset, 1))) })
 		row.HorizontalScan = timeIt(func() { horizontal.Mine(rec, rec.MinSup, 1, horizontal.Partial, nil) })
 		row.PointerTrie = timeIt(func() { ptrie.Mine(rec, rec.MinSup, 1) })
-		col := &perf.Collector{}
-		horizontal.Mine(rec, rec.MinSup, 1, horizontal.Atomic, col)
-		row.AtomicRemote = col.TotalRemote()
+		trace := &sched.Record{}
+		horizontal.Mine(rec, rec.MinSup, 1, horizontal.Atomic, trace)
+		row.AtomicRemote = trace.TotalRemote()
 		rows = append(rows, row)
 	}
 	return rows
@@ -519,15 +518,15 @@ func HTAblation(cfg Config) []HTRow {
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
 		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
-		col := &perf.Collector{}
+		trace := &sched.Record{}
 		opt := core.DefaultOptions(vertical.Diffset, 1)
-		opt.Collector = col
+		opt.Record = trace
 		mustMine(eclat.Mine(rec, rec.MinSup, opt))
-		noHT := machine.Simulate(col, threads, cfg.Machine).Seconds
+		noHT := machine.Simulate(trace, threads, cfg.Machine).Seconds
 		// With SMT, a core running a single busy thread still gets full
 		// throughput, so the hyperthreaded machine is never slower than
 		// idling every second context: take the better of the two.
-		shared := machine.Simulate(col, 2*threads, ht).Seconds
+		shared := machine.Simulate(trace, 2*threads, ht).Seconds
 		withHT := shared
 		if noHT < withHT {
 			withHT = noHT
@@ -581,15 +580,15 @@ func OrderAblation(cfg Config) []OrderRow {
 		row := OrderRow{Dataset: d.Name, Threads: threads}
 		for _, order := range []dataset.ItemOrder{dataset.ByCode, dataset.ByFrequency} {
 			rec := db.RecodeOrdered(minSup, order)
-			col := &perf.Collector{}
+			trace := &sched.Record{}
 			opt := core.DefaultOptions(vertical.Diffset, 1)
-			opt.Collector = col
+			opt.Record = trace
 			mustMine(eclat.Mine(rec, minSup, opt))
-			_, sp := machine.Speedup(col, []int{threads}, cfg.Machine)
+			_, sp := machine.Speedup(trace, []int{threads}, cfg.Machine)
 			if order == dataset.ByCode {
-				row.WorkByCode, row.SpeedupByCode = col.TotalWork(), sp[0]
+				row.WorkByCode, row.SpeedupByCode = trace.TotalWork(), sp[0]
 			} else {
-				row.WorkByFrequency, row.SpeedupByFreq = col.TotalWork(), sp[0]
+				row.WorkByFrequency, row.SpeedupByFreq = trace.TotalWork(), sp[0]
 			}
 		}
 		rows = append(rows, row)

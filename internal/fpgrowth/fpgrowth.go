@@ -108,18 +108,15 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	team := sched.NewTeam(opt.Workers)
 	workers := team.Workers()
 	o := opt.Observer
-	met := opt.Metrics
-	team.SetMetrics(met)
 	start := time.Now()
 	obs.Emit(o, obs.Event{Type: obs.LevelStart, Phase: "fpgrowth/items", Candidates: n})
-	met.Label("fpgrowth/items")
-	phase := opt.Collector.NewPhase("fpgrowth/items", schedule, false, n)
+	loop := opt.Record.Open("fpgrowth/items", schedule, n, false)
 
 	// Top-level parallel loop: one task per frequent item, growing its
 	// conditional subtree privately.
 	private := make([][]core.ItemsetCount, workers)
 	var emitted atomic.Int64
-	err := team.ForCtx(rc, n, schedule, func(w, i int) {
+	err := team.ForCtx(rc, loop, n, schedule, func(w, i int) {
 		it := int32(i)
 		m := &grower{minSup: minSup, rc: rc}
 		pattern := itemset.New(itemset.Item(it))
@@ -131,11 +128,10 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 			m.grow(cond, pattern)
 			rc.ChargeMem(-cond.Bytes())
 		}
-		phase.Add(i, m.work, 0, m.work)
+		loop.Add(i, m.work, 0, m.work)
 		emitted.Add(int64(len(m.out)))
 		private[w] = append(private[w], m.out...)
 	})
-	core.EmitPhases(o, met)
 	if err == nil {
 		obs.Emit(o, obs.Event{Type: obs.LevelEnd, Phase: "fpgrowth/items",
 			Candidates: n, Frequent: int(emitted.Load()),

@@ -11,7 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eclat"
 	"repro/internal/itemset"
-	"repro/internal/perf"
+	"repro/internal/sched"
 	"repro/internal/verify"
 	"repro/internal/vertical"
 )
@@ -144,17 +144,18 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestCollectorPhase(t *testing.T) {
 	rec := classicRecoded(t, 2)
-	col := &perf.Collector{}
+	trace := &sched.Record{}
 	opt := core.DefaultOptions(vertical.Tidset, 2)
-	opt.Collector = col
+	opt.Record = trace
 	mine(rec, 2, opt)
-	if len(col.Phases) != 1 || col.Phases[0].Name != "fpgrowth/items" {
-		t.Fatalf("phases = %v", col.Phases)
+	if len(trace.Loops) != 1 || trace.Loops[0].Name != "fpgrowth/items" {
+		t.Fatalf("loops = %v", trace.Loops)
 	}
-	if col.Phases[0].Tasks() != len(rec.Items) {
-		t.Errorf("tasks = %d", col.Phases[0].Tasks())
+	l := trace.Loops[0]
+	if l.Model.Tasks() != len(rec.Items) || l.Load.N != len(rec.Items) {
+		t.Errorf("tasks = %d modelled, %d measured", l.Model.Tasks(), l.Load.N)
 	}
-	if col.Phases[0].Shared {
+	if l.Model.Shared {
 		t.Error("fpgrowth tasks marked shared (conditional trees are private)")
 	}
 }

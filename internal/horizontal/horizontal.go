@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/itemset"
-	"repro/internal/perf"
 	"repro/internal/sched"
 	"repro/internal/trie"
 )
@@ -59,7 +58,7 @@ func (c Counting) String() string {
 // tables, generation, pruning) is shared with the vertical miner; only
 // support counting differs — it re-scans the transaction database every
 // generation.
-func Mine(rec *dataset.Recoded, minSup int, workers int, counting Counting, col *perf.Collector) *core.Result {
+func Mine(rec *dataset.Recoded, minSup int, workers int, counting Counting, loops *sched.Record) *core.Result {
 	if minSup < 1 {
 		minSup = 1
 	}
@@ -89,11 +88,11 @@ func Mine(rec *dataset.Recoded, minSup int, workers int, counting Counting, col 
 			sets[i] = tr.ItemsetOf(cands.Level.K-1, cands.Px[i]).Extend(cands.Level.Items[i])
 		}
 
-		phase := col.NewPhase(fmt.Sprintf("horizontal/gen%d", gen+1), schedule, true, nTrans)
+		loop := loops.Open(fmt.Sprintf("horizontal/gen%d", gen+1), schedule, nTrans, true)
 		// The working set every task scans is the whole candidate list —
 		// shared machine-wide, like vertical Apriori's parent pools.
-		if phase != nil {
-			phase.UniqueParent = int64(n) * int64(cands.Level.K) * 4
+		if loop.Modelled() {
+			loop.Model.UniqueParent = int64(n) * int64(cands.Level.K) * 4
 		}
 
 		// Transaction-parallel counting.
@@ -109,10 +108,10 @@ func Mine(rec *dataset.Recoded, minSup int, workers int, counting Counting, col 
 						atomic.AddInt64(&counters[c], 1)
 						// Shared-counter increments bounce cache lines
 						// between blades: charged as remote traffic.
-						phase.Add(t, 64, 64, 0)
+						loop.Add(t, 64, 64, 0)
 					}
 				}
-				phase.Add(t, work, 0, 0)
+				loop.Add(t, work, 0, 0)
 			})
 			for c := 0; c < n; c++ {
 				cands.Level.Supports[c] = int(counters[c])
@@ -133,7 +132,7 @@ func Mine(rec *dataset.Recoded, minSup int, workers int, counting Counting, col 
 						mine[c]++
 					}
 				}
-				phase.Add(t, work, 0, 0)
+				loop.Add(t, work, 0, 0)
 			})
 			for c := 0; c < n; c++ {
 				total := 0
@@ -145,7 +144,7 @@ func Mine(rec *dataset.Recoded, minSup int, workers int, counting Counting, col 
 		default:
 			panic(fmt.Sprintf("horizontal: unknown counting mode %v", counting))
 		}
-		phase.AddSerial(int64(n) * 16)
+		loop.AddSerial(int64(n) * 16)
 
 		tr.Commit(cands, minSup)
 	}

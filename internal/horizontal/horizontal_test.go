@@ -10,7 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/itemset"
-	"repro/internal/perf"
+	"repro/internal/sched"
 	"repro/internal/verify"
 	"repro/internal/vertical"
 )
@@ -68,15 +68,15 @@ func TestCountingString(t *testing.T) {
 
 func TestInstrumentationShapes(t *testing.T) {
 	rec := classicRecoded(t, 2)
-	colP, colA := &perf.Collector{}, &perf.Collector{}
+	colP, colA := &sched.Record{}, &sched.Record{}
 	Mine(rec, 2, 2, Partial, colP)
 	Mine(rec, 2, 2, Atomic, colA)
-	if len(colP.Phases) == 0 || len(colA.Phases) == 0 {
+	if len(colP.Loops) == 0 || len(colA.Loops) == 0 {
 		t.Fatal("no phases recorded")
 	}
 	// Tasks per phase = transactions.
-	if colP.Phases[0].Tasks() != rec.DB.NumTransactions() {
-		t.Errorf("tasks = %d", colP.Phases[0].Tasks())
+	if colP.Loops[0].Model.Tasks() != rec.DB.NumTransactions() {
+		t.Errorf("tasks = %d", colP.Loops[0].Model.Tasks())
 	}
 	// Atomic counting bounces counter cache lines: remote traffic that
 	// the partial-counter version does not pay.
@@ -93,10 +93,10 @@ func TestInstrumentationShapes(t *testing.T) {
 // vertical layouts.
 func TestHorizontalScansMoreThanVertical(t *testing.T) {
 	rec := classicRecoded(t, 2)
-	colH, colV := &perf.Collector{}, &perf.Collector{}
+	colH, colV := &sched.Record{}, &sched.Record{}
 	Mine(rec, 2, 1, Partial, colH)
 	opt := core.DefaultOptions(vertical.Tidset, 1)
-	opt.Collector = colV
+	opt.Record = colV
 	must(apriori.Mine(rec, 2, opt))
 	if colH.TotalWork() <= colV.TotalWork() {
 		t.Errorf("horizontal work %d not above vertical %d", colH.TotalWork(), colV.TotalWork())

@@ -1,8 +1,9 @@
 // Package machine models a large NUMA shared-memory system in the mold
 // of the paper's testbed — the SGI Altix UV "Blacklight" (blades of 16
 // Nehalem-EX cores, 128 GB local memory per blade, NUMAlink5
-// interconnect) — and replays instrumented mining runs (perf.Collector
-// traces) on it with a deterministic discrete-event simulation.
+// interconnect) — and replays instrumented mining runs (the modelled
+// halves of a sched.Record) on it with a deterministic discrete-event
+// simulation.
 //
 // Why simulate: the paper's experiments sweep 16–256 hardware threads;
 // this host exposes a single CPU to the runtime, so wall-clock speedup at
@@ -42,7 +43,6 @@ import (
 	"container/heap"
 	"fmt"
 
-	"repro/internal/perf"
 	"repro/internal/sched"
 )
 
@@ -110,8 +110,10 @@ type RunTime struct {
 	BandwidthBound bool
 }
 
-// Simulate replays a recorded trace on cfg with the given thread count.
-func Simulate(trace *perf.Collector, threads int, cfg Config) RunTime {
+// Simulate replays a recorded trace on cfg with the given thread count:
+// every loop with a modelled half, in order. Loops with only a measured
+// half are not replayed.
+func Simulate(trace *sched.Record, threads int, cfg Config) RunTime {
 	if threads < 1 {
 		threads = 1
 	}
@@ -119,8 +121,11 @@ func Simulate(trace *perf.Collector, threads int, cfg Config) RunTime {
 	if trace == nil {
 		return out
 	}
-	for _, p := range trace.Phases {
-		pt := simulatePhase(p, threads, cfg)
+	for _, l := range trace.Loops {
+		if l.Model == nil {
+			continue
+		}
+		pt := simulatePhase(l.Model, l.Schedule, threads, cfg)
 		out.Seconds += pt.seconds
 		out.RemoteBytes += pt.remoteBytes
 		out.BandwidthBound = out.BandwidthBound || pt.bandwidthBound
@@ -131,7 +136,7 @@ func Simulate(trace *perf.Collector, threads int, cfg Config) RunTime {
 // Speedup simulates the trace at every requested thread count and
 // returns times plus speedups relative to the 1-thread simulation, the
 // paper's figures' y-axis.
-func Speedup(trace *perf.Collector, threadCounts []int, cfg Config) ([]RunTime, []float64) {
+func Speedup(trace *sched.Record, threadCounts []int, cfg Config) ([]RunTime, []float64) {
 	base := Simulate(trace, 1, cfg)
 	times := make([]RunTime, len(threadCounts))
 	speedups := make([]float64, len(threadCounts))
@@ -166,7 +171,7 @@ func missRatio(u, c float64) float64 {
 	return u3 / (u3 + c3)
 }
 
-func simulatePhase(p *perf.Phase, threads int, cfg Config) phaseTime {
+func simulatePhase(p *sched.Model, s sched.Schedule, threads int, cfg Config) phaseTime {
 	n := p.Tasks()
 	serial := float64(p.Serial) / cfg.ComputeBPS
 	if n == 0 {
@@ -190,7 +195,7 @@ func simulatePhase(p *perf.Phase, threads int, cfg Config) phaseTime {
 			miss*(cfg.RemoteFactor-1)/cfg.ComputeBPS
 	}
 
-	span := runSchedule(durations, threads, p.Schedule)
+	span := runSchedule(durations, threads, s)
 	floor := missedBytes / cfg.BisectionBPS
 	pt := phaseTime{remoteBytes: missedBytes}
 	if floor > span {

@@ -4,17 +4,16 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/perf"
 	"repro/internal/sched"
 )
 
 // tracePhase builds a single-phase trace with uniform tasks.
-func tracePhase(n int, work, remote, unique int64, shared bool, s sched.Schedule) *perf.Collector {
-	col := &perf.Collector{}
-	p := col.NewPhase("test", s, shared, n)
-	p.UniqueParent = unique
+func tracePhase(n int, work, remote, unique int64, shared bool, s sched.Schedule) *sched.Record {
+	col := &sched.Record{}
+	l := col.Open("test", s, n, shared)
+	l.Model.UniqueParent = unique
 	for i := 0; i < n; i++ {
-		p.Add(i, work, remote, 0)
+		l.Add(i, work, remote, 0)
 	}
 	return col
 }
@@ -98,9 +97,9 @@ func TestLoadImbalanceDynamicBeatsStaticChunked(t *testing.T) {
 	// assignment lands the giant plus a full block on worker 0, while
 	// dynamic chunk-1 gives the giant worker nothing else.
 	cfg := Blacklight()
-	build := func(s sched.Schedule) *perf.Collector {
-		col := &perf.Collector{}
-		p := col.NewPhase("imbalanced", s, false, 64)
+	build := func(s sched.Schedule) *sched.Record {
+		col := &sched.Record{}
+		p := col.Open("imbalanced", s, 64, false)
 		p.Add(0, 64e6, 0, 0)
 		for i := 1; i < 64; i++ {
 			p.Add(i, 1e6, 0, 0)
@@ -121,7 +120,7 @@ func TestLoadImbalanceDynamicBeatsStaticChunked(t *testing.T) {
 func TestSerialSectionBoundsSpeedup(t *testing.T) {
 	cfg := Blacklight()
 	col := tracePhase(1000, 1e6, 0, 0, true, sched.Schedule{Policy: sched.Static})
-	col.Phases[0].AddSerial(500e6) // serial half as big as the parallel work
+	col.Loops[0].AddSerial(500e6) // serial half as big as the parallel work
 	one := Simulate(col, 1, cfg)
 	many := Simulate(col, 256, cfg)
 	// Amdahl: speedup <= (1 + 0.5)/0.5 = 3.
@@ -174,8 +173,15 @@ func TestThreadScalingInvariants(t *testing.T) {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	if rt := Simulate(&perf.Collector{}, 64, Blacklight()); rt.Seconds != 0 {
+	if rt := Simulate(&sched.Record{}, 64, Blacklight()); rt.Seconds != 0 {
 		t.Errorf("empty trace took %v", rt.Seconds)
+	}
+	// A loop with only a measured half is not replayed.
+	measured := &sched.Record{}
+	sched.NewTeam(2).ForCtx(nil, measured.OpenMeasured("prune", sched.Schedule{}), 100,
+		sched.Schedule{}, func(int, int) {})
+	if rt := Simulate(measured, 64, Blacklight()); rt.Seconds != 0 || measured.Loops[0].Load == nil {
+		t.Errorf("measured-only trace took %v", rt.Seconds)
 	}
 	if rt := Simulate(nil, 64, Blacklight()); rt.Seconds != 0 {
 		t.Errorf("nil trace took %v", rt.Seconds)

@@ -200,7 +200,8 @@ func (tf *TraceFile) chunkBusyByWorker() map[int]int64 {
 
 // CrossCheckTrace verifies that the trace's per-worker chunk-span
 // totals agree with the event stream's phase_end load metrics
-// (sched.Metrics busy time) within tol (fractional, e.g. 0.05 = 5%).
+// (the busy time of each loop record's measured half) within tol
+// (fractional, e.g. 0.05 = 5%).
 // Both derive from the same per-chunk timing, so on a complete trace
 // they match to rounding; a slack floor absorbs microsecond
 // quantization on near-idle workers. A trace whose span cap dropped

@@ -10,11 +10,11 @@
 // Apriori dies past one blade), per-worker busy-time imbalance is the
 // §IV static-vs-dynamic scheduling argument, and candidate/frequent
 // counts per level are the Table IV series — but measured on a real run
-// instead of replayed post-hoc from a perf trace.
+// instead of replayed post-hoc from a modelled trace.
 //
 // An Observer is any sink for the stream. A nil Observer is valid
 // everywhere and disables observation; emit sites go through Emit, which
-// performs the nil check, mirroring perf.Collector's nil idiom so the
+// performs the nil check, mirroring the nil *sched.Record idiom so the
 // hot paths pay a single branch when observation is off. Observer
 // implementations must be safe for concurrent use: level events come
 // from the mining coordinator, but budget warnings fire from whichever
@@ -147,7 +147,7 @@ type Observer interface {
 }
 
 // Emit sends e to o if o is non-nil — the single-branch no-op path the
-// miners use, mirroring the nil-*perf.Collector idiom.
+// miners use, mirroring the nil *sched.Record idiom.
 func Emit(o Observer, e Event) {
 	if o != nil {
 		o.Event(e)

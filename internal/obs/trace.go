@@ -150,8 +150,9 @@ func (t *TraceRecorder) Event(e Event) {
 }
 
 // ChunkSpan records one scheduler chunk [lo, hi) executed by worker w —
-// the sched.ChunkTracer hook, called from worker goroutines with the
-// same start time and busy duration the load metrics account.
+// the sched.ChunkTracer hook the run's loop record forwards every chunk
+// to, called from worker goroutines with the same start time and busy
+// duration the record's measured half accounts.
 func (t *TraceRecorder) ChunkSpan(phase string, w, lo, hi int, tasks int64, start time.Time, dur time.Duration) {
 	if t == nil {
 		return

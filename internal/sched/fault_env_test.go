@@ -46,7 +46,7 @@ func TestParseFaultPlanPanic(t *testing.T) {
 	SetFaultHook(hook)
 	rc := runctl.New(context.Background(), runctl.Budget{})
 	defer rc.Close()
-	loopErr := NewTeam(2).ForCtx(rc, 100, Schedule{Policy: Dynamic, Chunk: 5}, func(_, i int) {})
+	loopErr := NewTeam(2).ForCtx(rc, nil, 100, Schedule{Policy: Dynamic, Chunk: 5}, func(_, i int) {})
 	var perr *runctl.WorkerPanicError
 	if !errors.As(loopErr, &perr) {
 		t.Fatalf("err = %v, want *runctl.WorkerPanicError", loopErr)
@@ -66,7 +66,7 @@ func TestParseFaultPlanCancelAndDelay(t *testing.T) {
 	defer rc.Close()
 	var ran atomic.Int64
 	start := time.Now()
-	loopErr := NewTeam(1).ForCtx(rc, 100, Schedule{Policy: Dynamic, Chunk: 5}, func(_, i int) { ran.Add(1) })
+	loopErr := NewTeam(1).ForCtx(rc, nil, 100, Schedule{Policy: Dynamic, Chunk: 5}, func(_, i int) { ran.Add(1) })
 	if !errors.Is(loopErr, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", loopErr)
 	}

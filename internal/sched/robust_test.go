@@ -63,7 +63,7 @@ func TestForCtxPanicContained(t *testing.T) {
 			team := NewTeam(workers)
 			rc := runctl.New(context.Background(), runctl.Budget{})
 			var ran atomic.Int32
-			err := team.ForCtx(rc, 500, s, func(_, i int) {
+			err := team.ForCtx(rc, nil, 500, s, func(_, i int) {
 				if i == 137 {
 					panic("boom at 137")
 				}
@@ -123,7 +123,7 @@ func TestForCtxCancelMidChunk(t *testing.T) {
 	const n = 1 << 20 // two chunks of half a million iterations each
 	var ran atomic.Int64
 	const stopAt = 1000
-	err := team.ForCtx(rc, n, Schedule{Policy: Static}, func(_, i int) {
+	err := team.ForCtx(rc, nil, n, Schedule{Policy: Static}, func(_, i int) {
 		if ran.Add(1) == stopAt {
 			rc.Stop(context.Canceled)
 		}
@@ -151,7 +151,7 @@ func TestForCtxCancelledBeforeLoop(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	var ran atomic.Int64
-	err := NewTeam(4).ForCtx(rc, 1000, Schedule{Policy: Dynamic, Chunk: 1}, func(_, i int) { ran.Add(1) })
+	err := NewTeam(4).ForCtx(rc, nil, 1000, Schedule{Policy: Dynamic, Chunk: 1}, func(_, i int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -172,7 +172,7 @@ func TestFaultHookPanic(t *testing.T) {
 	})
 	rc := runctl.New(context.Background(), runctl.Budget{})
 	defer rc.Close()
-	err := NewTeam(2).ForCtx(rc, 100, Schedule{Policy: Dynamic, Chunk: 5}, func(_, i int) {})
+	err := NewTeam(2).ForCtx(rc, nil, 100, Schedule{Policy: Dynamic, Chunk: 5}, func(_, i int) {})
 	var perr *runctl.WorkerPanicError
 	if !errors.As(err, &perr) {
 		t.Fatalf("err = %v, want *runctl.WorkerPanicError", err)
@@ -193,7 +193,7 @@ func TestFaultHookCancel(t *testing.T) {
 	rc := runctl.New(context.Background(), runctl.Budget{})
 	defer rc.Close()
 	var ran atomic.Int64
-	err := NewTeam(1).ForCtx(rc, 1000, Schedule{Policy: Dynamic, Chunk: 1}, func(_, i int) { ran.Add(1) })
+	err := NewTeam(1).ForCtx(rc, nil, 1000, Schedule{Policy: Dynamic, Chunk: 1}, func(_, i int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -206,7 +206,7 @@ func TestFaultHookCancel(t *testing.T) {
 // full coverage, no error — while keeping panic containment.
 func TestForCtxNilControl(t *testing.T) {
 	var hits [100]atomic.Int32
-	err := NewTeam(3).ForCtx(nil, 100, Schedule{Policy: Guided}, func(_, i int) { hits[i].Add(1) })
+	err := NewTeam(3).ForCtx(nil, nil, 100, Schedule{Policy: Guided}, func(_, i int) { hits[i].Add(1) })
 	if err != nil {
 		t.Fatalf("err = %v", err)
 	}
@@ -215,7 +215,7 @@ func TestForCtxNilControl(t *testing.T) {
 			t.Fatalf("iteration %d ran %d times", i, hits[i].Load())
 		}
 	}
-	err = NewTeam(3).ForCtx(nil, 100, Schedule{Policy: Guided}, func(_, i int) { panic("nil-rc") })
+	err = NewTeam(3).ForCtx(nil, nil, 100, Schedule{Policy: Guided}, func(_, i int) { panic("nil-rc") })
 	var perr *runctl.WorkerPanicError
 	if !errors.As(err, &perr) {
 		t.Fatalf("nil-control panic: err = %v, want *runctl.WorkerPanicError", err)

@@ -251,7 +251,6 @@ func (c *guidedChunker) Next(int) (int, int, bool) {
 // team. The zero value is not usable; construct with NewTeam.
 type Team struct {
 	workers int
-	metrics *Metrics
 }
 
 // NewTeam returns a team of n workers (n >= 1; n is clamped to 1
@@ -266,10 +265,6 @@ func NewTeam(n int) *Team {
 // Workers returns the team size.
 func (t *Team) Workers() int { return t.workers }
 
-// SetMetrics attaches a per-worker load recorder: every subsequent
-// ForCtx/ForWeightedCtx loop appends one PhaseStats to m. nil detaches.
-func (t *Team) SetMetrics(m *Metrics) { t.metrics = m }
-
 // cancelStride bounds how many iterations a worker runs between stop
 // checks inside one chunk, so a cancelled run unwinds promptly even
 // under schedule(static, 0), whose chunks span 1/p of the whole loop.
@@ -279,11 +274,11 @@ const cancelStride = 256
 
 // loopState is the per-loop shared unwinding state: the run's Control
 // (may be nil) plus a loop-local latch for recovered panics, so panic
-// containment works even for loops without run control. rec, when
-// non-nil, accumulates per-worker load counters for the loop.
+// containment works even for loops without run control. load, when
+// non-nil, accumulates the loop record's measured half.
 type loopState struct {
 	rc       *runctl.Control
-	rec      *phaseRec
+	load     *loadRec
 	panicErr atomic.Pointer[runctl.WorkerPanicError]
 }
 
@@ -335,9 +330,9 @@ func (ls *loopState) runChunk(w, lo, hi int, body func(worker, i int)) (done int
 // runWorker drains chunks for worker w until the chunker is empty or the
 // loop stops. Stop checks run at every chunk boundary and every
 // cancelStride iterations within a chunk; the fault-injection hook (see
-// fault.go) fires at each chunk boundary. With metrics attached, each
-// chunk's busy time and iteration count are accounted to the worker (a
-// chunk ended by a contained panic loses its accounting).
+// fault.go) fires at each chunk boundary. When the loop is recorded,
+// each chunk's busy time and iteration count are accounted to the
+// worker (a chunk ended by a contained panic loses its accounting).
 func (ls *loopState) runWorker(w int, ch Chunker, body func(worker, i int)) {
 	defer ls.recover(w)
 	for {
@@ -349,7 +344,7 @@ func (ls *loopState) runWorker(w int, ch Chunker, body func(worker, i int)) {
 			return
 		}
 		injectFault(w, lo, hi, ls.rc)
-		if ls.rec == nil {
+		if ls.load == nil {
 			if _, completed := ls.runChunk(w, lo, hi, body); !completed {
 				return
 			}
@@ -357,7 +352,7 @@ func (ls *loopState) runWorker(w int, ch Chunker, body func(worker, i int)) {
 		}
 		t0 := time.Now()
 		done, completed := ls.runChunk(w, lo, hi, body)
-		ls.rec.addChunk(w, lo, hi, int64(done), t0, time.Since(t0))
+		ls.load.addChunk(w, lo, hi, int64(done), t0, time.Since(t0))
 		if !completed {
 			return
 		}
@@ -374,8 +369,11 @@ func (ls *loopState) runWorker(w int, ch Chunker, body func(worker, i int)) {
 // error is returned instead of crashing the process.
 //
 // rc may be nil, which disables cancellation and budgets but keeps
-// panic containment. A nil return value means every iteration ran.
-func (t *Team) ForCtx(rc *runctl.Control, n int, s Schedule, body func(worker, i int)) error {
+// panic containment. loop, when non-nil, is the record of this loop
+// (Record.Open): the team fills its measured half and closes it when
+// the workers have joined. A nil return value means every iteration
+// ran.
+func (t *Team) ForCtx(rc *runctl.Control, loop *Loop, n int, s Schedule, body func(worker, i int)) error {
 	ls := &loopState{rc: rc}
 	if err := rc.Err(); err != nil {
 		return err
@@ -387,8 +385,8 @@ func (t *Team) ForCtx(rc *runctl.Control, n int, s Schedule, body func(worker, i
 	if p > n {
 		p = n
 	}
-	ls.rec = t.metrics.begin(n, p, s)
-	defer ls.rec.finish(t.metrics)
+	ls.load = loop.begin(n, p)
+	defer ls.load.finish()
 	return t.runLoop(ls, p, NewChunker(n, p, s), body)
 }
 
@@ -426,9 +424,9 @@ func (t *Team) runLoop(ls *loopState, p int, ch Chunker, body func(worker, i int
 // Every other schedule self-balances by handing out work on demand, so
 // the weights are ignored and the call is exactly ForCtx. len(weights)
 // must be n; anything else (including nil) degrades to ForCtx.
-func (t *Team) ForWeightedCtx(rc *runctl.Control, n int, weights []int64, s Schedule, body func(worker, i int)) error {
+func (t *Team) ForWeightedCtx(rc *runctl.Control, loop *Loop, n int, weights []int64, s Schedule, body func(worker, i int)) error {
 	if len(weights) != n || n == 0 || s.Policy != Static || s.Chunk > 0 {
-		return t.ForCtx(rc, n, s, body)
+		return t.ForCtx(rc, loop, n, s, body)
 	}
 	ls := &loopState{rc: rc}
 	if err := rc.Err(); err != nil {
@@ -438,8 +436,8 @@ func (t *Team) ForWeightedCtx(rc *runctl.Control, n int, weights []int64, s Sche
 	if p > n {
 		p = n
 	}
-	ls.rec = t.metrics.begin(n, p, s)
-	defer ls.rec.finish(t.metrics)
+	ls.load = loop.begin(n, p)
+	defer ls.load.finish()
 	return t.runLoop(ls, p, newWeightedStaticChunker(n, p, weights), body)
 }
 
@@ -450,7 +448,7 @@ func (t *Team) ForWeightedCtx(rc *runctl.Control, n int, weights []int64, s Sche
 // panic is re-raised as a *runctl.WorkerPanicError on the caller's
 // goroutine; use ForCtx to receive it as an error instead.
 func (t *Team) For(n int, s Schedule, body func(worker, i int)) {
-	if err := t.ForCtx(nil, n, s, body); err != nil {
+	if err := t.ForCtx(nil, nil, n, s, body); err != nil {
 		panic(err)
 	}
 }

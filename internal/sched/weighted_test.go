@@ -91,7 +91,7 @@ func TestForWeightedCtxRunsAll(t *testing.T) {
 			const n = 10
 			team := NewTeam(3)
 			var counts [n]int64
-			err := team.ForWeightedCtx(nil, n, weights, s, func(_, i int) {
+			err := team.ForWeightedCtx(nil, nil, n, weights, s, func(_, i int) {
 				atomic.AddInt64(&counts[i], 1)
 			})
 			if err != nil {

@@ -327,7 +327,7 @@ func (s Set) Complement(n int) Set {
 }
 
 // Words returns the memory footprint of s in 4-byte words. Used by the
-// perf instrumentation to account NUMA traffic.
+// cost model of the run's loop record to account NUMA traffic.
 func (s Set) Words() int { return len(s) }
 
 func min(a, b int) int {

@@ -94,7 +94,7 @@ func TestPruneParallelMatchesSerial(t *testing.T) {
 		pick := int(uint64(seed) % 12)
 		team := sched.NewTeam(1 + pick%4)
 		s := schedules[pick%len(schedules)]
-		gotRemoved, err := trPar.PruneParallel(cPar, team, s, nil)
+		gotRemoved, err := trPar.PruneParallel(cPar, team, nil, s, nil)
 		if err != nil || gotRemoved != wantRemoved || cPar.Len() != cSerial.Len() {
 			return false
 		}

@@ -201,15 +201,16 @@ func (t *Trie) subsetsFrequent(idx index, c *Candidates, k, i int) bool {
 // serially. It removes exactly the set of candidates Prune removes.
 // On cancellation the candidates are left unpruned (support counting
 // never runs, so no wrong answer can be observed) and the stop cause
-// is returned.
-func (t *Trie) PruneParallel(c *Candidates, team *sched.Team, s sched.Schedule, rc *runctl.Control) (int, error) {
+// is returned. loop, when non-nil, records the check loop (see
+// sched.Team.ForCtx).
+func (t *Trie) PruneParallel(c *Candidates, team *sched.Team, loop *sched.Loop, s sched.Schedule, rc *runctl.Control) (int, error) {
 	k := c.Level.K - 1 // subset size to check
 	if k < 2 {
 		return 0, rc.Err()
 	}
 	idx := t.indexLevel(k)
 	keep := make([]bool, c.Len())
-	if err := team.ForCtx(rc, c.Len(), s, func(_, i int) {
+	if err := team.ForCtx(rc, loop, c.Len(), s, func(_, i int) {
 		keep[i] = t.subsetsFrequent(idx, c, k, i)
 	}); err != nil {
 		return 0, err

@@ -93,7 +93,7 @@ type Node interface {
 	// Support returns the number of transactions containing the itemset.
 	Support() int
 	// Bytes returns the payload's memory footprint, the quantity the
-	// perf instrumentation uses as its NUMA-traffic proxy. Reading a
+	// cost model uses as its NUMA-traffic proxy. Reading a
 	// parent during Combine moves this many bytes.
 	Bytes() int
 }

@@ -11,10 +11,15 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/obs/export"
+	"repro/internal/sched"
 	"repro/internal/vertical"
 )
 
@@ -106,6 +111,102 @@ func TestTraceCrossCheck(t *testing.T) {
 		tf := export.BuildTrace(tr)
 		if err := export.CrossCheckTrace(tf, events, 0.05); err != nil {
 			t.Errorf("%v: %v", algo, err)
+		}
+	}
+}
+
+// TestLoopRecordMatchesPhaseEnd: a run that is both observed and traced
+// keeps one record per loop, and the phase_end stream is that record's
+// measured halves — one event per measured loop, in order, under the
+// name its miner opened it with (no anonymous loop<k>), with the same
+// schedule and iteration count and per-worker tasks summing to it, each
+// emitted before its stage's level_end. Apriori's subset-prune loops
+// carry their generation in their name and only a measured half; its
+// root build carries only a modelled half.
+func TestLoopRecordMatchesPhaseEnd(t *testing.T) {
+	db := runctlDB(t)
+	anonymous := regexp.MustCompile(`^loop[0-9]+$`)
+	for _, algo := range []Algorithm{Apriori, Eclat, FPGrowth} {
+		for _, rep := range []Representation{Diffset, Bitvector} {
+			label := fmt.Sprintf("%v/%v", algo, rep)
+			events := &EventRecorder{}
+			trace := &Trace{}
+			if _, err := Mine(db, 0.5, Options{Algorithm: algo, Representation: rep,
+				Workers: 2, Observer: events, Trace: trace}); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			var measured []*sched.Loop
+			for _, l := range trace.Loops {
+				if l.Load != nil {
+					measured = append(measured, l)
+				}
+			}
+			stream := events.Events()
+			var phases []Event
+			levelEnd := map[string]int{}
+			for i, e := range stream {
+				switch e.Type {
+				case EventPhaseEnd:
+					phases = append(phases, e)
+					if _, ok := levelEnd[e.Phase]; ok {
+						t.Errorf("%s: phase_end %q after its level_end", label, e.Phase)
+					}
+				case EventLevelEnd:
+					levelEnd[e.Phase] = i
+				}
+			}
+			if len(measured) == 0 || len(phases) != len(measured) {
+				t.Fatalf("%s: %d phase_end events, %d measured loops", label, len(phases), len(measured))
+			}
+			for i, e := range phases {
+				l := measured[i]
+				if anonymous.MatchString(e.Phase) {
+					t.Errorf("%s: anonymous phase_end %q", label, e.Phase)
+				}
+				if e.Phase != l.Name || e.Schedule != l.Schedule.String() || e.Candidates != l.Load.N {
+					t.Errorf("%s: phase_end %d = %q %s n=%d, loop = %q %s n=%d", label, i,
+						e.Phase, e.Schedule, e.Candidates, l.Name, l.Schedule, l.Load.N)
+				}
+				var tasks int64
+				for w, ld := range e.Load {
+					if ld.Tasks != l.Load.Workers[w].Tasks {
+						t.Errorf("%s: %q worker %d tasks %d, loop %d", label, e.Phase, w, ld.Tasks, l.Load.Workers[w].Tasks)
+					}
+					tasks += ld.Tasks
+				}
+				if tasks != int64(e.Candidates) {
+					t.Errorf("%s: %q worker tasks sum %d != n %d", label, e.Phase, tasks, e.Candidates)
+				}
+			}
+			if algo != Apriori {
+				continue
+			}
+			prunes := 0
+			for i, l := range trace.Loops {
+				name, ok := strings.CutPrefix(l.Name, "apriori/prune")
+				if !ok {
+					continue
+				}
+				prunes++
+				gen, err := strconv.Atoi(name)
+				if err != nil || gen < 3 || l.Model != nil {
+					t.Errorf("%s: prune loop %q (model %v)", label, l.Name, l.Model)
+				}
+				// The generation's counting loop, when any candidate
+				// survived, follows its prune loop.
+				if i+1 < len(trace.Loops) && strings.HasPrefix(trace.Loops[i+1].Name, "apriori/gen") &&
+					trace.Loops[i+1].Name != fmt.Sprintf("apriori/gen%d", gen) {
+					t.Errorf("%s: %q followed by %q", label, l.Name, trace.Loops[i+1].Name)
+				}
+			}
+			if prunes == 0 {
+				t.Errorf("%s: no prune loop recorded", label)
+			}
+			roots := trace.Loops[0]
+			if roots.Name != "apriori/roots" || roots.Load != nil || roots.Model == nil ||
+				slices.ContainsFunc(phases, func(e Event) bool { return e.Phase == roots.Name }) {
+				t.Errorf("%s: roots loop %q load %v model %v", label, roots.Name, roots.Load, roots.Model)
+			}
 		}
 	}
 }
