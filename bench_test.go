@@ -138,9 +138,7 @@ func BenchmarkScheduleAblation(b *testing.B) {
 					Algorithm:      Eclat,
 					Representation: Diffset,
 					Workers:        1,
-					SchedulePolicy: pol,
-					ScheduleChunk:  1,
-					SetSchedule:    true,
+					Schedule:       &Schedule{Policy: pol, Chunk: 1},
 					Trace:          trace,
 				})
 				if err != nil {
@@ -172,9 +170,7 @@ func BenchmarkChunkAblation(b *testing.B) {
 					Algorithm:      Eclat,
 					Representation: Diffset,
 					Workers:        1,
-					SchedulePolicy: Dynamic,
-					ScheduleChunk:  chunk,
-					SetSchedule:    true,
+					Schedule:       &Schedule{Policy: Dynamic, Chunk: chunk},
 					Trace:          trace,
 				})
 				if err != nil {

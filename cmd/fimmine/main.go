@@ -90,11 +90,11 @@ func main() {
 	opt.Workers = *workers
 	opt.EclatDepth = *depth
 	if *schedName != "" {
-		if opt.SchedulePolicy, err = fim.ParseSchedulePolicy(*schedName); err != nil {
+		policy, err := fim.ParseSchedulePolicy(*schedName)
+		if err != nil {
 			fatal(err)
 		}
-		opt.ScheduleChunk = *schedChunk
-		opt.SetSchedule = true
+		opt.Schedule = &fim.Schedule{Policy: policy, Chunk: *schedChunk}
 	} else if *schedChunk != 0 {
 		fatal(errors.New("-sched-chunk needs -sched"))
 	}

@@ -130,6 +130,9 @@ type (
 	MachineConfig = machine.Config
 	// SchedulePolicy names an OpenMP-style loop schedule.
 	SchedulePolicy = sched.Policy
+	// Schedule is a loop schedule: a policy and its chunk size (0 means
+	// the policy's default chunk).
+	Schedule = sched.Schedule
 	// Observer receives the structured event stream of a mining run
 	// (Options.Observer). Implementations must be safe for concurrent
 	// use. See internal/obs for the event vocabulary and obs/export for
@@ -198,11 +201,10 @@ type Options struct {
 	Representation Representation
 	// Workers is the parallel team size; 0 means serial.
 	Workers int
-	// SchedulePolicy and ScheduleChunk override the algorithm's default
-	// loop schedule when SetSchedule is true.
-	SchedulePolicy SchedulePolicy
-	ScheduleChunk  int
-	SetSchedule    bool
+	// Schedule, when non-nil, overrides the algorithm's default loop
+	// schedule (static for Apriori, dynamic chunk 1 for Eclat and
+	// FP-growth).
+	Schedule *Schedule
 	// EclatDepth sets Eclat's flattening depth (see internal/eclat);
 	// 0 uses the default.
 	EclatDepth int
@@ -264,7 +266,9 @@ type Options struct {
 	MaxDuration time.Duration
 	// DegradeToDiffset turns a memory-budget breach into a mid-run
 	// representation switch instead of an error, where the algorithm
-	// and representation allow it.
+	// and representation allow it. It never weakens the budget: a run
+	// that cannot degrade (diffset, hybrid, FP-growth), has degraded, or
+	// is in Eclat's subtree stage stops on a breach as without it.
 	DegradeToDiffset bool
 	// SharedPool, when non-nil, joins the run to a machine-wide live-
 	// payload capacity pool spanning concurrent runs (NewSharedPool).
@@ -360,9 +364,9 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 	if !slices.Contains(vertical.AllKinds(), opt.Representation) {
 		return nil, fmt.Errorf("fim: unknown representation %v", opt.Representation)
 	}
-	if opt.SetSchedule {
-		if _, err := sched.ParsePolicy(opt.SchedulePolicy.String()); err != nil {
-			return nil, fmt.Errorf("fim: unknown schedule policy %v", opt.SchedulePolicy)
+	if opt.Schedule != nil {
+		if _, err := sched.ParsePolicy(opt.Schedule.Policy.String()); err != nil {
+			return nil, fmt.Errorf("fim: unknown schedule policy %v", opt.Schedule.Policy)
 		}
 	}
 	rec := db.RecodeOrdered(minSupport, dataset.ByFrequency)
@@ -381,12 +385,8 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 		Workers:        opt.Workers,
 		Record:         opt.Trace,
 		Control:        rc,
-		Prune:          true,
+		Schedule:       opt.Schedule,
 		EclatDepth:     opt.EclatDepth,
-	}
-	if opt.SetSchedule {
-		copt.Schedule = sched.Schedule{Policy: opt.SchedulePolicy, Chunk: opt.ScheduleChunk}
-		copt.HasSchedule = true
 	}
 	// The span recorder rides the same event stream as the other sinks
 	// and additionally taps the scheduler's chunk hook.

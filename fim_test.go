@@ -80,8 +80,8 @@ func TestMineRejectsOutOfRangeOptions(t *testing.T) {
 	}{
 		{"algorithm", Options{Algorithm: Algorithm(99)}},
 		{"representation", Options{Algorithm: Eclat, Representation: Representation(99)}},
-		{"schedule-policy", Options{Algorithm: Eclat, SchedulePolicy: SchedulePolicy(99), SetSchedule: true}},
-		{"schedule-policy-3", Options{Algorithm: Eclat, SchedulePolicy: SchedulePolicy(3), SetSchedule: true}},
+		{"schedule-policy", Options{Algorithm: Eclat, Schedule: &Schedule{Policy: SchedulePolicy(99)}}},
+		{"schedule-policy-3", Options{Algorithm: Eclat, Schedule: &Schedule{Policy: SchedulePolicy(3)}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -67,9 +67,7 @@ func fuzzOptions(cfg uint32) Options {
 		opt.Algorithm = Eclat
 	}
 	if s := int(cfg>>4&7) % 4; s > 0 {
-		opt.SchedulePolicy = []SchedulePolicy{Static, Dynamic, Guided}[s-1]
-		opt.ScheduleChunk = int(cfg >> 24 & 7)
-		opt.SetSchedule = true
+		opt.Schedule = &Schedule{Policy: []SchedulePolicy{Static, Dynamic, Guided}[s-1], Chunk: int(cfg >> 24 & 7)}
 	}
 	if cfg&(1<<11) != 0 {
 		opt.Workers = 2

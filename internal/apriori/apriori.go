@@ -8,7 +8,7 @@
 //
 //  1. joins sibling pairs of the candidate trie's top level
 //     (candidate_generation),
-//  2. optionally prunes candidates with an infrequent subset,
+//  2. prunes candidates with an infrequent subset,
 //  3. counts every candidate's support in parallel — each iteration
 //     combines one parent payload with its whole sibling run into the
 //     candidates' own payloads, with no shared mutable state ("each
@@ -48,20 +48,20 @@ var DefaultSchedule = sched.Schedule{Policy: sched.Static}
 // When opt.Control is set, the run is cancellable and budgeted: the
 // team's counting loops drain at chunk boundaries, the live payload
 // footprint of each generation is charged against the memory budget, and
-// a breach either stops the run (*runctl.BudgetError) or — under
-// DegradeToDiffset on a tidset/bitvector run — rewrites the newest level
-// as diffsets relative to each node's generation parent and continues
-// under the bounded representation. A stopped run returns the partial
-// Result (Incomplete set, supports of everything committed exact)
-// together with the stop cause.
+// at every level boundary core.Cure either stops a breaching run
+// (*runctl.BudgetError) or — under DegradeToDiffset on a tidset/bitvector
+// run — rewrites the newest level as diffsets relative to each node's
+// generation parent and continues under the bounded representation.
+// A stopped run returns the partial Result (Incomplete set, supports of
+// everything committed exact) together with the stop cause.
 func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, error) {
 	if minSup < 1 {
 		minSup = 1
 	}
 	rep := vertical.New(opt.Representation)
 	schedule := DefaultSchedule
-	if opt.HasSchedule {
-		schedule = opt.Schedule
+	if opt.Schedule != nil {
+		schedule = *opt.Schedule
 	}
 	team := sched.NewTeam(opt.Workers)
 	loops := opt.Record
@@ -118,25 +118,6 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		return res, err
 	}
 
-	// degrade rewrites the newest level as diffsets (relative to each
-	// node's generation parent, so sibling joins stay exact) and switches
-	// the representation for the remaining generations.
-	degrade := func(gen int, level []vertical.Node, parentOf func(w int) vertical.Node) bool {
-		if res.Degraded || !vertical.Degradable(rep.Kind()) {
-			return false
-		}
-		before := vertical.NodesBytes(level)
-		for w, n := range level {
-			level[w] = vertical.DegradeChild(parentOf(w), n, kc)
-		}
-		rc.ChargeMem(vertical.NodesBytes(level) - before)
-		rep = vertical.New(vertical.Diffset)
-		res.Degraded = true
-		obs.Emit(o, obs.Event{Type: obs.Degraded, Level: gen,
-			Representation: vertical.Diffset.String(), LiveBytes: rc.MemUsed()})
-		return true
-	}
-
 	// Roots are seeded from the recoded database and may share backing
 	// storage with it, so they are never recycled; every later level is
 	// miner-owned and safe to release once retired.
@@ -144,24 +125,13 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 
 	obs.Emit(o, obs.Event{Type: obs.LevelStart, Level: 1, Phase: "apriori/roots",
 		Candidates: len(nodes)})
-	rc.ChargeMem(MemoryFootprint(nodes))
+	rc.ChargeMem(vertical.NodesBytes(nodes))
 	if err := rc.AddItemsets(len(nodes)); err != nil {
 		return collect(err)
 	}
-	if rc.OverMemory() {
-		if rc.Budget().DegradeToDiffset && !res.Degraded && vertical.Degradable(rep.Kind()) {
-			before := MemoryFootprint(nodes)
-			for i, n := range nodes {
-				nodes[i] = vertical.DegradeRoot(n, rec.Universe)
-			}
-			rc.ChargeMem(MemoryFootprint(nodes) - before)
-			rep = vertical.New(vertical.Diffset)
-			res.Degraded = true
-			obs.Emit(o, obs.Event{Type: obs.Degraded, Level: 1,
-				Representation: vertical.Diffset.String(), LiveBytes: rc.MemUsed()})
-		} else if err := rc.CheckMemory(); err != nil {
-			return collect(err)
-		}
+	var err error
+	if rep, err = core.Cure(opt, res, rep, 1, core.RootLevel(nodes)); err != nil {
+		return collect(err)
 	}
 	obs.Emit(o, obs.Event{Type: obs.LevelEnd, Level: 1, Phase: "apriori/roots",
 		Frequent: len(nodes), LiveBytes: rc.MemUsed()})
@@ -174,7 +144,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		cands := tr.Generate()
 		generated := cands.Len()
 		pruned := 0
-		if opt.Prune && gen >= 2 && generated > 0 {
+		if gen >= 2 && generated > 0 {
 			// Subset pruning runs on the team: the k-level hash index is
 			// built once, the per-candidate checks fan out (a 2-itemset's
 			// only subsets are its parents, so generation 2 has nothing to
@@ -200,7 +170,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		if loop.Modelled() {
 			// The parent pool is the previous level's payloads, shared
 			// machine-wide.
-			loop.Model.UniqueParent = MemoryFootprint(nodes)
+			loop.Model.UniqueParent = vertical.NodesBytes(nodes)
 		}
 
 		// Parallel support counting (Algorithm 1 line 8) over prefix
@@ -273,19 +243,15 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		// Memory-budget decision point: the frequent children are live
 		// and their parents are still live — the generation's peak, since
 		// infrequent children were recycled as they were built.
-		if rc.OverMemory() {
-			parents := nodes
-			ok := rc.Budget().DegradeToDiffset && degrade(gen+1, next, func(w int) vertical.Node {
-				return parents[cands.Px[kept[w]]]
-			})
-			if !ok {
-				if err := rc.CheckMemory(); err != nil {
-					nodes = next
-					return collect(err)
-				}
+		rep, err = core.Cure(opt, res, rep, gen+1, func(visit func(*vertical.Node, vertical.Node)) {
+			for w := range next {
+				visit(&next[w], nodes[cands.Px[kept[w]]])
 			}
+		})
+		if err != nil {
+			return collect(err)
 		}
-		rc.ChargeMem(-MemoryFootprint(nodes)) // retire the parent level
+		rc.ChargeMem(-vertical.NodesBytes(nodes)) // retire the parent level
 		if parentsReleasable {
 			for j, p := range nodes {
 				arenas[j%len(arenas)].Release(p)
@@ -308,16 +274,4 @@ func itemSupports(rec *dataset.Recoded) []int {
 		sups[i] = fi.Support
 	}
 	return sups
-}
-
-// MemoryFootprint reports the total payload bytes a representation holds
-// for one generation's frequent nodes — the quantity §V-A argues makes
-// tidset/bitvector Apriori non-scalable. Exposed for the
-// memory-footprint ablation (experiment A2).
-func MemoryFootprint(nodes []vertical.Node) int64 {
-	var b int64
-	for _, n := range nodes {
-		b += int64(n.Bytes())
-	}
-	return b
 }

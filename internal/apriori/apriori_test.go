@@ -79,23 +79,12 @@ func TestMineParallelMatchesSerial(t *testing.T) {
 			{Policy: sched.Static}, {Policy: sched.Dynamic, Chunk: 1}, {Policy: sched.Guided},
 		} {
 			opt := core.DefaultOptions(vertical.Diffset, workers)
-			opt.Schedule, opt.HasSchedule = schedule, true
+			opt.Schedule = &schedule
 			res := mine(rec, 2, opt)
 			if !res.Equal(serial) {
 				t.Errorf("workers=%d %v disagrees with serial:\n%s", workers, schedule, verify.Diff(res, serial))
 			}
 		}
-	}
-}
-
-func TestMineWithoutPruning(t *testing.T) {
-	rec := classicRecoded(t, 2)
-	opt := core.DefaultOptions(vertical.Tidset, 2)
-	opt.Prune = false
-	res := mine(rec, 2, opt)
-	ref := verify.Reference(rec, 2)
-	if !res.Equal(ref) {
-		t.Errorf("unpruned Apriori wrong:\n%s", verify.Diff(res, ref))
 	}
 }
 

@@ -1,7 +1,7 @@
 // The prefix-blocked counting loop, which recycles infrequent children
 // inside the block that built them, must mine exactly the reference
-// miner's itemsets and supports, with and without pruning, across
-// representations and worker counts.
+// miner's itemsets and supports across representations and worker
+// counts.
 // The tests keep the "Pairwise" names they had when the oracle was the
 // per-candidate loop, so their IDs stay stable across history.
 package apriori
@@ -23,13 +23,9 @@ func TestBatchMatchesPairwise(t *testing.T) {
 	ref := verify.Reference(rec, 2)
 	for _, kind := range vertical.AllKinds() {
 		for _, workers := range []int{1, 4} {
-			for _, prune := range []bool{true, false} {
-				opt := core.DefaultOptions(kind, workers)
-				opt.Prune = prune
-				if res := mine(rec, 2, opt); !res.Equal(ref) {
-					t.Errorf("%v workers=%d prune=%v vs reference:\n%s",
-						kind, workers, prune, verify.Diff(res, ref))
-				}
+			if res := mine(rec, 2, core.DefaultOptions(kind, workers)); !res.Equal(ref) {
+				t.Errorf("%v workers=%d vs reference:\n%s",
+					kind, workers, verify.Diff(res, ref))
 			}
 		}
 	}

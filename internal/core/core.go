@@ -58,11 +58,9 @@ type Options struct {
 	Representation vertical.Kind
 	// Workers is the team size; 0 or 1 runs serially.
 	Workers int
-	// Schedule overrides the algorithm's default loop schedule
-	// (static for Apriori, dynamic chunk 1 for Eclat) when Policy/Chunk
-	// are set via HasSchedule.
-	Schedule    sched.Schedule
-	HasSchedule bool
+	// Schedule, when non-nil, overrides the algorithm's default loop
+	// schedule (static for Apriori, dynamic chunk 1 for Eclat).
+	Schedule *sched.Schedule
 	// Observer, when non-nil, receives the run's structured event stream
 	// live: level/class boundaries with candidate and frequent counts,
 	// live payload bytes and degradations. A nil Observer costs the
@@ -85,25 +83,72 @@ type Options struct {
 	// stopped run returns its partial Result (Incomplete set) together
 	// with the stop cause.
 	Control *runctl.Control
-	// Prune enables Apriori's subset-based candidate pruning
-	// (on by default via DefaultOptions).
-	Prune bool
-	// EclatDepth selects Eclat's parallel decomposition: 1 parallelizes
-	// the literal outer loop of Algorithm 2 (one task per first-level
-	// equivalence class — the paper's text reading, whose parallelism is
-	// capped by the frequent-item count); k >= 2 flattens the first k−1
-	// levels breadth-first and runs one task per frequent k-itemset
-	// subtree. 0 uses eclat.DefaultDepth, the shallowest flattening
+	// EclatDepth selects Eclat's parallel decomposition: it flattens the
+	// first k−1 levels breadth-first and runs one task per frequent
+	// k-itemset subtree. k = 1 flattens nothing — one task per
+	// first-level equivalence class, the literal outer loop of
+	// Algorithm 2, whose parallelism is capped by the frequent-item
+	// count. 0 uses eclat.DefaultDepth, the shallowest flattening
 	// consistent with the speedups the paper reports (see the A4
 	// ablation).
 	EclatDepth int
 }
 
 // DefaultOptions returns the configuration the paper's experiments use:
-// the given representation and worker count, pruning on, the algorithm's
-// own default schedule.
+// the given representation and worker count, the algorithm's own
+// default schedule.
 func DefaultOptions(rep vertical.Kind, workers int) Options {
-	return Options{Representation: rep, Workers: workers, Prune: true}
+	return Options{Representation: rep, Workers: workers}
+}
+
+// Level enumerates one level of live payloads for Cure: it calls visit
+// once per node, with the node's slot and its generation parent (nil
+// for a root).
+type Level func(visit func(slot *vertical.Node, parent vertical.Node))
+
+// RootLevel is the level-1 payloads, which have no parent.
+func RootLevel(roots []vertical.Node) Level {
+	return func(visit func(*vertical.Node, vertical.Node)) {
+		for i := range roots {
+			visit(&roots[i], nil)
+		}
+	}
+}
+
+// Cure is the memory-budget step both vertical miners take at the roots
+// (level 1, before the first chunk boundary) and at every later level
+// boundary, once the level's frequent payloads are charged; it returns
+// the representation the run goes on with. A representation with no
+// diffset form first clears runctl's cure bit. When Control.Breach says
+// cure, the level is rewritten as diffsets (roots against the universe,
+// other nodes against their generation parent, so sibling joins stay
+// exact), the delta is charged, the bit cleared, res.Degraded set and a
+// degraded event emitted at level.
+func Cure(opt Options, res *Result, rep vertical.Representation, level int, nodes Level) (vertical.Representation, error) {
+	rc := opt.Control
+	if !vertical.Degradable(rep.Kind()) {
+		rc.EndCure()
+	}
+	if cure, err := rc.Breach(); !cure {
+		return rep, err
+	}
+	var delta int64
+	nodes(func(slot *vertical.Node, parent vertical.Node) {
+		var d vertical.Node
+		if parent == nil {
+			d = vertical.DegradeRoot(*slot, res.Rec.Universe)
+		} else {
+			d = vertical.DegradeChild(parent, *slot, opt.Kernels)
+		}
+		delta += int64(d.Bytes()) - int64((*slot).Bytes())
+		*slot = d
+	})
+	rc.ChargeMem(delta)
+	rc.EndCure()
+	res.Degraded = true
+	obs.Emit(opt.Observer, obs.Event{Type: obs.Degraded, Level: level,
+		Representation: vertical.Diffset.String(), LiveBytes: rc.MemUsed()})
+	return vertical.New(vertical.Diffset), nil
 }
 
 // ItemsetCount pairs an itemset with its support.
@@ -137,8 +182,8 @@ type Result struct {
 	// run finished). It matches the error the miner returned.
 	StopCause error
 	// Degraded is true when the run crossed its memory budget and
-	// switched the live payloads to diffsets mid-run
-	// (runctl.Budget.DegradeToDiffset) instead of stopping.
+	// switched the live payloads to diffsets mid-run (Cure, under
+	// runctl.Budget.DegradeToDiffset) instead of stopping.
 	// Representation still names the representation the run started
 	// with.
 	Degraded bool

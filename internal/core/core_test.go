@@ -30,10 +30,10 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestDefaultOptions(t *testing.T) {
 	opt := DefaultOptions(vertical.Diffset, 8)
-	if opt.Representation != vertical.Diffset || opt.Workers != 8 || !opt.Prune {
+	if opt.Representation != vertical.Diffset || opt.Workers != 8 {
 		t.Errorf("DefaultOptions = %+v", opt)
 	}
-	if opt.HasSchedule {
+	if opt.Schedule != nil {
 		t.Error("DefaultOptions should not force a schedule")
 	}
 }

@@ -5,23 +5,24 @@
 // possible. The scheduler is set to dynamic so that the load imbalance
 // can be minimized").
 //
-// The parallel decomposition is selected by core.Options.EclatDepth:
+// The parallel decomposition is selected by core.Options.EclatDepth, k:
+// one miner flattens the first k−1 levels breadth-first (each expansion
+// stays class-local and runs as its own task), then runs one
+// depth-first recursion task per frequent k-itemset subtree. Each extra
+// level multiplies the task count and divides the largest task.
 //
-//   - Depth 1 parallelizes the literal outer loop of Algorithm 2: one
-//     task per first-level equivalence class (one frequent item and
-//     everything joinable to its right). This is the paper's text
-//     reading; its parallelism is capped by the frequent-item count,
-//     a limit the paper itself notes ("poses a limit on the possible
+//   - Depth 1 flattens nothing: its subtree stage runs over one class
+//     holding every frequent item, one task per first-level equivalence
+//     class (one frequent item and everything joinable to its right).
+//     This is the literal outer loop of Algorithm 2, the paper's text
+//     reading; its parallelism is capped by the frequent-item count, a
+//     limit the paper itself notes ("poses a limit on the possible
 //     number of threads").
-//   - Depth k ≥ 2 flattens the first k−1 levels breadth-first (each
-//     expansion stays class-local and runs as its own task), then runs
-//     one depth-first recursion task per frequent k-itemset subtree.
-//     Each extra level multiplies the task count and divides the
-//     largest task. The default is DefaultDepth (4), the shallowest
-//     flattening whose task counts and balance support the speedups the
-//     paper reports on datasets with fewer frequent items than threads.
+//   - The default is DefaultDepth (4), the shallowest flattening whose
+//     task counts and balance support the speedups the paper reports on
+//     datasets with fewer frequent items than threads.
 //
-// In both forms, a worker that claims a subtree materializes every
+// At every depth, a worker that claims a subtree materializes every
 // intermediate payload itself, so after the initial reads of shared data
 // there is no cross-worker memory traffic — the data-independence
 // property the paper credits for Eclat's scalability.
@@ -41,7 +42,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/itemset"
-	"repro/internal/kcount"
 	"repro/internal/obs"
 	"repro/internal/runctl"
 	"repro/internal/sched"
@@ -73,23 +73,23 @@ type atom struct {
 // parallel stage drains at chunk boundaries, the recursion checks the
 // stop flag at each class descent, and live payloads are charged
 // against the memory budget per materialized level (flattening stages)
-// and per class (recursion). On a breach, a tidset/bitvector run with
-// DegradeToDiffset set rewrites the newest flattened level as diffsets
-// relative to each atom's parent and continues; otherwise the run stops
-// with a *runctl.BudgetError. A stopped run returns the partial Result
-// (Incomplete set, all emitted supports exact) with the stop cause.
+// and per class (recursion). At the roots and at every flattened level
+// boundary core.Cure either rewrites the level as diffsets (a
+// tidset/bitvector run with DegradeToDiffset set, once) and continues,
+// or stops a breaching run with a *runctl.BudgetError; the subtree
+// stage has no boundary after it, so it enforces the budget at every
+// chunk. A stopped run returns the partial Result (Incomplete set, all
+// emitted supports exact) with the stop cause.
 func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, error) {
 	if minSup < 1 {
 		minSup = 1
 	}
 	rep := vertical.New(opt.Representation)
 	schedule := DefaultSchedule
-	if opt.HasSchedule {
-		schedule = opt.Schedule
+	if opt.Schedule != nil {
+		schedule = *opt.Schedule
 	}
-	team := sched.NewTeam(opt.Workers)
 	rc := opt.Control
-	o := opt.Observer
 
 	res := &core.Result{
 		Algorithm:      core.Eclat,
@@ -126,49 +126,28 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	if err := rc.AddItemsets(n); err != nil {
 		return finish(err)
 	}
-	if rc.OverMemory() && rc.Budget().DegradeToDiffset && vertical.Degradable(rep.Kind()) {
-		before := vertical.NodesBytes(roots)
-		for i, r := range roots {
-			roots[i] = vertical.DegradeRoot(r, rec.Universe)
-		}
-		rc.ChargeMem(vertical.NodesBytes(roots) - before)
-		rep = vertical.New(vertical.Diffset)
-		res.Degraded = true
-		obs.Emit(o, obs.Event{Type: obs.Degraded, Level: 1,
-			Representation: vertical.Diffset.String(), LiveBytes: rc.MemUsed()})
+	rep, err := core.Cure(opt, res, rep, 1, core.RootLevel(roots))
+	if err == nil {
+		err = rc.Err()
 	}
-	if err := rc.Err(); err != nil {
+	if err != nil {
 		return finish(err)
 	}
 
-	var rootBytes int64
-	for _, r := range roots {
-		rootBytes += int64(r.Bytes())
-	}
-
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	private := make([][]core.ItemsetCount, workers)
-	arenas := make([]*vertical.Arena, workers)
+	team := sched.NewTeam(opt.Workers)
+	private := make([][]core.ItemsetCount, team.Workers())
+	arenas := make([]*vertical.Arena, team.Workers())
 	for i := range arenas {
 		arenas[i] = vertical.NewArena()
 	}
-
 	depth := opt.EclatDepth
 	if depth == 0 {
 		depth = DefaultDepth
 	}
-	var err error
-	if depth == 1 {
-		err = mineDepth1(rep, roots, rootBytes, minSup, team, schedule, opt.Record, rc, o, private, arenas)
-	} else {
-		m := &flattenedMiner{rep: rep, minSup: minSup, depth: depth,
-			team: team, schedule: schedule, loops: opt.Record, rc: rc, o: o, res: res,
-			kc: opt.Kernels, private: private, arenas: arenas}
-		err = m.run(roots, rootBytes)
-	}
+	m := &flattenedMiner{rep: rep, minSup: minSup, depth: depth,
+		team: team, schedule: schedule, loops: opt.Record, rc: rc, o: opt.Observer,
+		opt: opt, res: res, private: private, arenas: arenas}
+	err = m.run(roots)
 	// The team has joined: sum the workers' kernel counts.
 	for _, a := range arenas {
 		opt.Kernels.Merge(&a.Kernels)
@@ -183,46 +162,6 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		}
 	}
 	return finish(err)
-}
-
-// mineDepth1 runs the paper-literal decomposition: one task per
-// first-level class.
-func mineDepth1(rep vertical.Representation, roots []vertical.Node, rootBytes int64,
-	minSup int, team *sched.Team, schedule sched.Schedule, loops *sched.Record,
-	rc *runctl.Control, o obs.Observer,
-	private [][]core.ItemsetCount, arenas []*vertical.Arena) error {
-
-	n := len(roots)
-	start := time.Now()
-	obs.Emit(o, obs.Event{Type: obs.LevelStart, Phase: "eclat/classes", Candidates: n})
-	loop := loops.Open("eclat/classes", schedule, n, true)
-	if loop.Modelled() {
-		loop.Model.UniqueParent = rootBytes
-	}
-	// Shared read-only atom view of the roots, so class i gets the
-	// sibling run roots[i+1:] without per-task copies.
-	rootAtoms := make([]atom, n)
-	for j := range roots {
-		rootAtoms[j] = atom{item: itemset.Item(j), node: roots[j]}
-	}
-	cc := &classCtx{rep: rep, minSup: minSup, loop: loop, rc: rc,
-		arenas: arenas, private: private}
-	err := team.ForCtx(rc, loop, n, schedule, func(w, i int) {
-		m := cc.newMiner(w, i)
-		// The first-level combines read globally shared root data; the
-		// recursion below reads only worker-local payloads.
-		prefix := itemset.New(itemset.Item(i))
-		class := m.batchCombine(prefix, roots[i], rootAtoms[i+1:], false)
-		m.recurse(prefix, class)
-		m.releaseAtoms(class)
-		cc.finishMiner(w, m)
-	})
-	if err == nil {
-		obs.Emit(o, obs.Event{Type: obs.LevelEnd, Phase: "eclat/classes",
-			Candidates: n, Frequent: int(cc.emitted.Load()),
-			LiveBytes: rc.MemUsed(), ElapsedNS: int64(time.Since(start))})
-	}
-	return err
 }
 
 // eqClass is one equivalence class of the flattened search: a shared
@@ -257,13 +196,7 @@ func expansions(classes []eqClass) []expansion {
 func maxClassBytes(classes []eqClass) int64 {
 	var mx int64
 	for _, c := range classes {
-		var b int64
-		for _, a := range c.atoms {
-			b += int64(a.node.Bytes())
-		}
-		if b > mx {
-			mx = b
-		}
+		mx = max(mx, atomsBytes(c.atoms))
 	}
 	return mx
 }
@@ -279,56 +212,43 @@ type flattenedMiner struct {
 	loops    *sched.Record
 	rc       *runctl.Control
 	o        obs.Observer
+	opt      core.Options // run-wide options core.Cure reads
 	res      *core.Result
-	kc       *kcount.Stats // coordinator-side kernel counts (degrade)
 	private  [][]core.ItemsetCount
 	arenas   []*vertical.Arena
 }
 
-// degradeClasses rewrites every atom of the freshly built classes as a
-// diffset relative to its parent node (parentOf indexes the task that
-// produced the class) and switches the representation for the remaining
-// stages — the memory-budget cure, applied at a level boundary where
-// every class is homogeneous.
-func (f *flattenedMiner) degradeClasses(classes []eqClass, parentOf func(c int) vertical.Node) {
-	var before, after int64
-	for ci := range classes {
-		parent := parentOf(ci)
-		for ai, a := range classes[ci].atoms {
-			before += int64(a.node.Bytes())
-			d := vertical.DegradeChild(parent, a.node, f.kc)
-			classes[ci].atoms[ai].node = d
-			after += int64(d.Bytes())
+// cure runs the memory-budget step at a flattened level boundary:
+// parents[c] is the generation parent of every atom of classes[c].
+func (f *flattenedMiner) cure(level int, classes []eqClass, parents []vertical.Node) error {
+	var err error
+	f.rep, err = core.Cure(f.opt, f.res, f.rep, level, func(visit func(*vertical.Node, vertical.Node)) {
+		for c := range classes {
+			for a := range classes[c].atoms {
+				visit(&classes[c].atoms[a].node, parents[c])
+			}
 		}
-	}
-	f.rc.ChargeMem(after - before)
-	f.rep = vertical.New(vertical.Diffset)
-	f.res.Degraded = true
-	obs.Emit(f.o, obs.Event{Type: obs.Degraded,
-		Representation: vertical.Diffset.String(), LiveBytes: f.rc.MemUsed()})
-}
-
-// maybeDegrade applies the memory-budget policy at a level boundary:
-// degrade when allowed, otherwise stop the run on a breach.
-func (f *flattenedMiner) maybeDegrade(classes []eqClass, parentOf func(c int) vertical.Node) error {
-	if !f.rc.OverMemory() {
-		return nil
-	}
-	if f.rc.Budget().DegradeToDiffset && !f.res.Degraded && vertical.Degradable(f.rep.Kind()) {
-		f.degradeClasses(classes, parentOf)
-		return nil
-	}
-	return f.rc.CheckMemory()
+	})
+	return err
 }
 
 // run expands the search breadth-first (class-local, parallel) down to
 // itemsets of size `depth`, then runs one depth-first recursion task per
-// size-`depth` subtree. Depth 2 parallelizes over frequent 2-itemset
-// subtrees; each extra level multiplies the task count and divides the
-// largest task, at the cost of materializing one more level of shared
-// intermediate payloads.
-func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
+// size-`depth` subtree. Depth 1 expands nothing: its subtree stage runs
+// over one class, with the empty prefix, whose atoms are the roots.
+// Depth 2 parallelizes over frequent 2-itemset subtrees; each extra
+// level multiplies the task count and divides the largest task, at the
+// cost of materializing one more level of shared intermediate payloads.
+func (f *flattenedMiner) run(roots []vertical.Node) error {
+	if f.depth == 1 {
+		atoms := make([]atom, len(roots))
+		for i, r := range roots {
+			atoms[i] = atom{item: itemset.Item(i), node: r}
+		}
+		return f.subtrees([]eqClass{{atoms: atoms}})
+	}
 	n := len(roots)
+	rootBytes := vertical.NodesBytes(roots)
 	// Stage A: every pair combine is one (perfectly balanced) task.
 	nPairs := n * (n - 1) / 2
 	pi := make([]int32, nPairs)
@@ -396,7 +316,7 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 			classParent = append(classParent, roots[i])
 		}
 	}
-	if err := f.maybeDegrade(classes, func(c int) vertical.Node { return classParent[c] }); err != nil {
+	if err := f.cure(2, classes, classParent); err != nil {
 		return err
 	}
 	f.rc.ChargeMem(-rootBytes) // the roots retire once the pair level is live
@@ -404,13 +324,18 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 	// Intermediate expansions: materialize one more level per step,
 	// until the class members reach the subtree-root size.
 	for memberSize := 2; memberSize < f.depth; memberSize++ {
-		classes, err = f.expandLevel(classes, memberSize+1)
-		if err != nil {
+		if classes, err = f.expandLevel(classes, memberSize+1); err != nil {
 			return err
 		}
 	}
+	return f.subtrees(classes)
+}
 
-	// Final stage: one depth-first recursion task per subtree.
+// subtrees is the final stage: one depth-first recursion task per
+// subtree. No level boundary follows it, so from here on a memory
+// breach cannot wait for a degrade and stops the run.
+func (f *flattenedMiner) subtrees(classes []eqClass) error {
+	f.rc.EndCure()
 	tasks := expansions(classes)
 	startS := time.Now()
 	obs.Emit(f.o, obs.Event{Type: obs.LevelStart, Level: f.depth, Phase: "eclat/subtrees",
@@ -419,22 +344,21 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 	if loop.Modelled() {
 		loop.Model.UniqueParent = maxClassBytes(classes)
 	}
-	rep = f.rep
-	cc := &classCtx{rep: rep, minSup: f.minSup, loop: loop,
-		rc: f.rc, arenas: f.arenas, private: f.private}
-	err = f.team.ForCtx(f.rc, loop, len(tasks), f.schedule, func(w, t int) {
+	var emitted atomic.Int64
+	err := f.team.ForCtx(f.rc, loop, len(tasks), f.schedule, func(w, t int) {
 		e := tasks[t]
 		class := classes[e.class]
-		m := cc.newMiner(w, t)
+		m := f.newMiner(loop, w, t)
 		sub := m.expandOne(class, int(e.pos))
 		m.recurse(class.prefix.Extend(class.atoms[e.pos].item), sub)
 		m.releaseAtoms(sub)
-		cc.finishMiner(w, m)
+		emitted.Add(int64(len(m.out)))
+		f.private[w] = append(f.private[w], m.out...)
 	})
 	f.rc.ChargeMem(-levelBytes(classes))
 	if err == nil {
 		obs.Emit(f.o, obs.Event{Type: obs.LevelEnd, Level: f.depth, Phase: "eclat/subtrees",
-			Candidates: len(tasks), Frequent: int(cc.emitted.Load()),
+			Candidates: len(tasks), Frequent: int(emitted.Load()),
 			LiveBytes: f.rc.MemUsed(), ElapsedNS: int64(time.Since(startS))})
 	}
 	return err
@@ -444,9 +368,7 @@ func (f *flattenedMiner) run(roots []vertical.Node, rootBytes int64) error {
 func levelBytes(classes []eqClass) int64 {
 	var b int64
 	for _, c := range classes {
-		for _, a := range c.atoms {
-			b += int64(a.node.Bytes())
-		}
+		b += atomsBytes(c.atoms)
 	}
 	return b
 }
@@ -466,7 +388,6 @@ func (f *flattenedMiner) expandLevel(classes []eqClass, memberSize int) ([]eqCla
 	if loop.Modelled() {
 		loop.Model.UniqueParent = maxClassBytes(classes)
 	}
-	rep := f.rep
 	next := make([]eqClass, len(tasks))
 	err := f.team.ForCtx(f.rc, loop, len(tasks), f.schedule, func(w, t int) {
 		e := tasks[t]
@@ -474,8 +395,7 @@ func (f *flattenedMiner) expandLevel(classes []eqClass, memberSize int) ([]eqCla
 		// Frequent children become the next flattened level and stay
 		// live past this stage, so they are never released back; only
 		// the infrequent majority recycles through the arena.
-		m := &minerState{rep: rep, minSup: f.minSup, loop: loop,
-			task: t, rc: f.rc, arena: f.arenas[w]}
+		m := f.newMiner(loop, w, t)
 		sub := m.expandOne(class, int(e.pos))
 		if len(sub) > 0 {
 			next[t] = eqClass{prefix: class.prefix.Extend(class.atoms[e.pos].item), atoms: sub}
@@ -495,7 +415,7 @@ func (f *flattenedMiner) expandLevel(classes []eqClass, memberSize int) ([]eqCla
 			parentOf = append(parentOf, classes[e.class].atoms[e.pos].node)
 		}
 	}
-	if err := f.maybeDegrade(out, func(c int) vertical.Node { return parentOf[c] }); err != nil {
+	if err := f.cure(memberSize, out, parentOf); err != nil {
 		return nil, err
 	}
 	f.rc.ChargeMem(-prevBytes)
@@ -518,30 +438,12 @@ func (m *minerState) expandOne(class eqClass, pos int) []atom {
 	return m.batchCombine(class.prefix.Extend(a.item), a.node, class.atoms[pos+1:], false)
 }
 
-// classCtx carries the per-stage state shared by every recursion task
-// of one parallel mining stage.
-type classCtx struct {
-	rep     vertical.Representation
-	minSup  int
-	loop    *sched.Loop
-	rc      *runctl.Control
-	arenas  []*vertical.Arena
-	private [][]core.ItemsetCount
-	emitted atomic.Int64
-}
-
-// newMiner equips a task running on worker w with that worker's arena.
-// task is the loop's model slot the task's modelled work is charged to.
-func (cc *classCtx) newMiner(w, task int) *minerState {
-	return &minerState{rep: cc.rep, minSup: cc.minSup,
-		loop: cc.loop, task: task, rc: cc.rc, arena: cc.arenas[w]}
-}
-
-// finishMiner publishes a completed task's results into the stage
-// totals and worker w's private output.
-func (cc *classCtx) finishMiner(w int, m *minerState) {
-	cc.emitted.Add(int64(len(m.out)))
-	cc.private[w] = append(cc.private[w], m.out...)
+// newMiner equips a task of loop running on worker w with that
+// worker's arena; task is the loop's model slot its modelled work is
+// charged to.
+func (f *flattenedMiner) newMiner(loop *sched.Loop, w, task int) *minerState {
+	return &minerState{rep: f.rep, minSup: f.minSup,
+		loop: loop, task: task, rc: f.rc, arena: f.arenas[w]}
 }
 
 // minerState carries one task's recursion context: its output buffer,

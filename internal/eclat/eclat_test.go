@@ -66,7 +66,7 @@ func TestMineParallelMatchesSerial(t *testing.T) {
 		} {
 			for _, kind := range vertical.Kinds() {
 				opt := core.DefaultOptions(kind, workers)
-				opt.Schedule, opt.HasSchedule = schedule, true
+				opt.Schedule = &schedule
 				res := mine(rec, 2, opt)
 				if !res.Equal(serial) {
 					t.Errorf("workers=%d %v %v disagrees with serial:\n%s",
@@ -137,31 +137,34 @@ func TestCollectorPhaseDepth1(t *testing.T) {
 	if len(trace.Loops) != 1 {
 		t.Fatalf("recorded %d phases, want 1", len(trace.Loops))
 	}
+	// Depth 1 is the subtree stage over one class holding every root:
+	// one task per root with a later sibling, so n−1 tasks.
 	l := trace.Loops[0]
-	if l.Name != "eclat/classes" || l.Schedule.Policy != sched.Dynamic {
+	if l.Name != "eclat/subtrees" || l.Schedule.Policy != sched.Dynamic {
 		t.Errorf("phase = %q %v", l.Name, l.Schedule)
 	}
-	if l.Load == nil || l.Load.N != len(rec.Items) || l.Load.TotalTasks() != int64(l.Load.N) {
-		t.Errorf("measured half = %+v, want %d tasks", l.Load, len(rec.Items))
+	want := len(rec.Items) - 1
+	if l.Load == nil || l.Load.N != want || l.Load.TotalTasks() != int64(l.Load.N) {
+		t.Errorf("measured half = %+v, want %d tasks", l.Load, want)
 	}
 	p := l.Model
-	if p.Tasks() != len(rec.Items) {
-		t.Errorf("tasks = %d, want %d", p.Tasks(), len(rec.Items))
-	}
-	if p.TotalWork() == 0 {
-		t.Error("no work recorded")
+	if p.Tasks() != want {
+		t.Errorf("tasks = %d, want %d", p.Tasks(), want)
 	}
 	// Eclat's remote traffic is only the first-level reads, so it must
 	// be well below total work on this deep dataset.
 	if p.TotalRemote() >= p.TotalWork() {
 		t.Error("eclat remote not below total work")
 	}
-	// The last class (highest item) joins nothing: its work is zero.
-	if p.Work[p.Tasks()-1] != 0 {
-		t.Errorf("last class recorded work %d", p.Work[p.Tasks()-1])
+	// Every task joins at least one later sibling: none is empty.
+	for i, w := range p.Work {
+		if w == 0 {
+			t.Errorf("task %d recorded no work", i)
+		}
 	}
-	if p.UniqueParent == 0 {
-		t.Error("UniqueParent not recorded")
+	// The one class is the roots, so its shared payload is theirs.
+	if rootBytes := vertical.NodesBytes(vertical.New(vertical.Tidset).Roots(rec)); p.UniqueParent != rootBytes {
+		t.Errorf("UniqueParent = %d, want the root bytes %d", p.UniqueParent, rootBytes)
 	}
 }
 

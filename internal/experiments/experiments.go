@@ -298,7 +298,7 @@ func ScheduleAblation(cfg Config) []ScheduleRow {
 				trace := &sched.Record{}
 				opt := core.DefaultOptions(rep, 1)
 				opt.Record = trace
-				opt.Schedule, opt.HasSchedule = s, true
+				opt.Schedule = &s
 				switch algo {
 				case core.Apriori:
 					mustMine(apriori.Mine(rec, rec.MinSup, opt))
@@ -339,8 +339,7 @@ func ChunkAblation(cfg Config) []ChunkRow {
 			trace := &sched.Record{}
 			opt := core.DefaultOptions(vertical.Diffset, 1)
 			opt.Record = trace
-			opt.Schedule = sched.Schedule{Policy: sched.Dynamic, Chunk: chunk}
-			opt.HasSchedule = true
+			opt.Schedule = &sched.Schedule{Policy: sched.Dynamic, Chunk: chunk}
 			mustMine(eclat.Mine(rec, rec.MinSup, opt))
 			row.Seconds[chunk] = machine.Simulate(trace, threads, cfg.Machine).Seconds
 		}

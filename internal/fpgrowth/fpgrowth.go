@@ -53,6 +53,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		minSup = 1
 	}
 	rc := opt.Control
+	rc.EndCure() // an FP-tree has no diffset form
 	res := &core.Result{
 		Algorithm:      core.FPGrowth,
 		Representation: opt.Representation,
@@ -92,18 +93,13 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		t.Insert(buf, 1)
 	}
 	rc.ChargeMem(t.Bytes())
-	// FP-growth cannot degrade to diffsets, so enforce the memory budget
-	// directly even on runs that requested degradation.
-	if err := rc.CheckMemory(); err != nil {
-		return finish(err)
-	}
 	if err := rc.Err(); err != nil {
 		return finish(err)
 	}
 
 	schedule := DefaultSchedule
-	if opt.HasSchedule {
-		schedule = opt.Schedule
+	if opt.Schedule != nil {
+		schedule = *opt.Schedule
 	}
 	team := sched.NewTeam(opt.Workers)
 	workers := team.Workers()

@@ -149,6 +149,7 @@ func TestValidateReportRejects(t *testing.T) {
 		{"task-sum-short", func(r *Report) { r.Phases[0].N++ }},
 		{"stop-coherence", func(r *Report) { r.Stop = &StopInfo{Reason: "canceled"} }},
 		{"incomplete-coherence", func(r *Report) { r.Incomplete = true }},
+		{"degraded-no-level", func(r *Report) { r.DegradedAtLevel = 0 }},
 	}
 	for _, c := range cases {
 		r := good()
@@ -176,6 +177,8 @@ func TestValidateEventsRejects(t *testing.T) {
 			obs.Event{Type: obs.LevelStart, Phase: "apriori/gen2"}, ok[len(ok)-1])},
 		{"end-without-start", []obs.Event{ok[0],
 			{Type: obs.LevelEnd, Phase: "ghost"}, ok[len(ok)-1]}},
+		{"degraded-no-level", []obs.Event{ok[0],
+			{Type: obs.Degraded, Representation: "diffset"}, ok[len(ok)-1]}},
 	}
 	for _, c := range cases {
 		if err := ValidateEvents(c.events); err == nil {

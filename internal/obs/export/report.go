@@ -277,7 +277,8 @@ func ReadReport(r io.Reader) (*Report, error) {
 
 // ValidateReport checks a report document against the fim-run-report/v1
 // schema invariants: schema tag, required identity fields, per-level
-// count sanity, phase imbalance bounds, and stop/incomplete coherence.
+// count sanity, phase imbalance bounds, stop/incomplete coherence, and a
+// level on every degraded run.
 func ValidateReport(r *Report) error {
 	if r.Schema != ReportSchema {
 		return fmt.Errorf("export: schema %q, want %q", r.Schema, ReportSchema)
@@ -330,13 +331,16 @@ func ValidateReport(r *Report) error {
 	if r.Incomplete && r.Stop == nil {
 		return fmt.Errorf("export: incomplete run without stop record")
 	}
+	if r.Degraded && r.DegradedAtLevel < 1 {
+		return fmt.Errorf("export: degraded run with degraded_at_level %d, want >= 1", r.DegradedAtLevel)
+	}
 	return nil
 }
 
 // ValidateEvents checks the ordering invariants of one run's event
 // stream: exactly one run_start first and one run_end last, every
-// level_end preceded by its phase's level_start, and no phase opened
-// twice without closing. The fault-injection tests and the obsvalidate
+// level_end preceded by its phase's level_start, no phase opened twice
+// without closing, and every degraded event at a level >= 1. The fault-injection tests and the obsvalidate
 // tool run this over captured streams.
 func ValidateEvents(events []obs.Event) error {
 	if len(events) == 0 {
@@ -374,7 +378,11 @@ func ValidateEvents(events []obs.Event) error {
 			if seenEnd[e.Phase] > 1 {
 				return fmt.Errorf("export: level %q closed %d times", e.Phase, seenEnd[e.Phase])
 			}
-		case obs.PhaseEnd, obs.BudgetWarning, obs.Degraded, obs.Stop, obs.KernelCounters:
+		case obs.Degraded:
+			if e.Level < 1 {
+				return fmt.Errorf("export: degraded event at level %d, want >= 1", e.Level)
+			}
+		case obs.PhaseEnd, obs.BudgetWarning, obs.Stop, obs.KernelCounters:
 			// Interleaved control-plane events carry no ordering
 			// obligation beyond being inside the run.
 		default:

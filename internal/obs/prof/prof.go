@@ -39,7 +39,7 @@ const (
 	// LabelRep carries the vertical representation name.
 	LabelRep = "fim_rep"
 	// LabelPhase carries the current search phase — the Phase string of
-	// the run's level_start events ("eclat/classes", "apriori/gen2", ...)
+	// the run's level_start events ("eclat/subtrees", "apriori/gen2", ...)
 	// — or PhaseSetup before the first level opens.
 	LabelPhase = "fim_phase"
 )

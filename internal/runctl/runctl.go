@@ -27,8 +27,8 @@ import (
 type Budget struct {
 	// MaxMemoryBytes caps the live payload bytes (tidset/bitvector/
 	// diffset sets) the miner accounts via ChargeMem. On breach the run
-	// stops with a *BudgetError — unless DegradeToDiffset is set, in
-	// which case the miner may switch representation instead.
+	// stops with a *BudgetError — unless the breach can still be cured
+	// by degrading (see DegradeToDiffset and Breach).
 	MaxMemoryBytes int64
 	// MaxItemsets caps the number of frequent itemsets emitted.
 	MaxItemsets int64
@@ -37,7 +37,8 @@ type Budget struct {
 	// DegradeToDiffset lets Apriori/Eclat respond to a memory-budget
 	// breach by converting the live payloads to diffsets (the paper's
 	// own cure for the tidset/bitvector footprint blow-up, applied
-	// adaptively) instead of stopping.
+	// adaptively) instead of stopping. It arms a one-time cure and never
+	// weakens the budget (see EndCure).
 	DegradeToDiffset bool
 }
 
@@ -91,9 +92,12 @@ type Control struct {
 	budget   Budget
 	trackMem bool
 	stopped  atomic.Bool
-	mem      atomic.Int64
-	peak     atomic.Int64
-	items    atomic.Int64
+	// curable (the cure bit) is true only while a memory breach can
+	// still be cured by degrading to diffsets.
+	curable atomic.Bool
+	mem     atomic.Int64
+	peak    atomic.Int64
+	items   atomic.Int64
 
 	mu    sync.Mutex
 	cause error
@@ -120,6 +124,7 @@ type Control struct {
 // releases; callers must Close the Control when the run returns.
 func New(ctx context.Context, b Budget) *Control {
 	c := &Control{budget: b}
+	c.curable.Store(b.DegradeToDiffset)
 	if ctx != nil && ctx.Done() != nil {
 		c.stopCtxWatch = context.AfterFunc(ctx, func() { c.Stop(ctx.Err()) })
 	}
@@ -146,12 +151,14 @@ func (c *Control) Close() {
 	c.releasePool()
 }
 
-// Budget returns the run's budget (zero value for a nil Control).
-func (c *Control) Budget() Budget {
+// MaxItemsets returns the run's itemsets budget (0 = unlimited; 0 for a
+// nil Control). Scheduler fault hooks use it to pick out the runs they
+// inject into.
+func (c *Control) MaxItemsets() int64 {
 	if c == nil {
-		return Budget{}
+		return 0
 	}
-	return c.budget
+	return c.budget.MaxItemsets
 }
 
 // Stop records err as the run's stop cause and raises the stop flag.
@@ -190,9 +197,9 @@ func (c *Control) Cause() error {
 }
 
 // Err is the chunk-boundary check: it returns the stop cause if the run
-// was stopped, and additionally enforces the memory budget for runs that
-// cannot degrade (degradable runs handle memory at level boundaries via
-// OverMemory, because switching representation can cure the breach).
+// was stopped, and additionally enforces the memory budget unless the
+// cure bit is set (a breach that degrading can still cure waits for the
+// miner's next level boundary; see Breach).
 func (c *Control) Err() error {
 	if c == nil {
 		return nil
@@ -200,12 +207,31 @@ func (c *Control) Err() error {
 	if c.stopped.Load() {
 		return c.Cause()
 	}
-	if !c.budget.DegradeToDiffset {
+	if !c.curable.Load() {
 		if err := c.CheckMemory(); err != nil {
 			return err
 		}
 	}
 	return c.checkPool()
+}
+
+// EndCure clears the cure bit for good, so every chunk boundary enforces
+// the memory budget: the run has no diffset form, has degraded, or has
+// no level boundary left to degrade at.
+func (c *Control) EndCure() {
+	if c != nil {
+		c.curable.Store(false)
+	}
+}
+
+// Breach is the memory-budget decision at a level boundary: over budget
+// with the cure bit set it reports cure and the caller must degrade now;
+// over budget otherwise it stops the run with the memory *BudgetError.
+func (c *Control) Breach() (cure bool, err error) {
+	if c.OverMemory() && c.curable.Load() {
+		return true, nil
+	}
+	return false, c.CheckMemory()
 }
 
 // TrackMemory enables live-payload accounting (and peak tracking) even
@@ -293,7 +319,7 @@ func (c *Control) MemUsed() int64 {
 }
 
 // OverMemory reports whether the accounted payload exceeds the memory
-// budget. Miners that can degrade consult this at level boundaries.
+// budget.
 func (c *Control) OverMemory() bool {
 	if c == nil || c.budget.MaxMemoryBytes <= 0 {
 		return false

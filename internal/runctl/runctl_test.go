@@ -32,8 +32,12 @@ func TestNilControl(t *testing.T) {
 	if c.Itemsets() != 0 {
 		t.Error("nil control counts itemsets")
 	}
-	if c.Budget() != (Budget{}) {
+	if c.MaxItemsets() != 0 {
 		t.Error("nil control has a budget")
+	}
+	c.EndCure()
+	if cure, err := c.Breach(); cure || err != nil {
+		t.Errorf("Breach = %v, %v", cure, err)
 	}
 }
 
@@ -119,9 +123,9 @@ func TestDurationBudget(t *testing.T) {
 	}
 }
 
-// TestMemoryBudget covers the charge/release accounting and the two
-// enforcement points: CheckMemory (hard stop) and Err (which defers to
-// the miner when degradation is possible).
+// TestMemoryBudget covers the charge/release accounting and the
+// enforcement points without DegradeToDiffset: CheckMemory (hard stop),
+// Err, and Breach, which never offers a cure here.
 func TestMemoryBudget(t *testing.T) {
 	c := New(context.Background(), Budget{MaxMemoryBytes: 1000})
 	defer c.Close()
@@ -132,6 +136,9 @@ func TestMemoryBudget(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatalf("Err below budget = %v", err)
 	}
+	if cure, err := c.Breach(); cure || err != nil {
+		t.Fatalf("Breach below budget = %v, %v", cure, err)
+	}
 	c.ChargeMem(800)
 	c.ChargeMem(-200) // release: 1400 live
 	if got := c.MemUsed(); got != 1400 {
@@ -140,19 +147,24 @@ func TestMemoryBudget(t *testing.T) {
 	if !c.OverMemory() {
 		t.Fatal("not over budget at 1400/1000")
 	}
+	if cure, _ := c.Breach(); cure {
+		t.Fatal("Breach offered a cure without DegradeToDiffset")
+	}
 	err := c.CheckMemory()
 	var berr *BudgetError
 	if !errors.As(err, &berr) || berr.Resource != "memory" || berr.Limit != 1000 || berr.Used != 1400 {
 		t.Fatalf("CheckMemory = %v, want memory *BudgetError 1400/1000", err)
 	}
 	if !c.Stopped() {
-		t.Error("CheckMemory breach did not stop the run")
+		t.Error("breach did not stop the run")
 	}
 }
 
 // TestErrSkipsMemoryWhenDegradable: with DegradeToDiffset set, Err does
-// not hard-stop on a memory breach — the miner decides at its next level
-// boundary whether to degrade instead. OverMemory still reports it.
+// not hard-stop on a memory breach while the cure bit is set — the miner
+// decides at its next level boundary (Breach says cure) whether to
+// degrade instead. Once EndCure clears the bit, Err and Breach both
+// enforce the budget, and the bit never comes back.
 func TestErrSkipsMemoryWhenDegradable(t *testing.T) {
 	c := New(context.Background(), Budget{MaxMemoryBytes: 100, DegradeToDiffset: true})
 	defer c.Close()
@@ -163,9 +175,21 @@ func TestErrSkipsMemoryWhenDegradable(t *testing.T) {
 	if !c.OverMemory() {
 		t.Fatal("OverMemory = false at 500/100")
 	}
-	// A miner with no degrade path enforces explicitly.
-	if err := c.CheckMemory(); err == nil {
-		t.Fatal("CheckMemory = nil at 500/100")
+	if cure, err := c.Breach(); !cure || err != nil {
+		t.Fatalf("Breach = %v, %v; want a cure while the bit is set", cure, err)
+	}
+	if c.Stopped() {
+		t.Fatal("a curable breach stopped the run")
+	}
+	c.EndCure()
+	c.EndCure() // idempotent
+	err := c.Err()
+	var berr *BudgetError
+	if !errors.As(err, &berr) || berr.Resource != "memory" || berr.Used != 500 {
+		t.Fatalf("Err after EndCure = %v, want memory *BudgetError 500/100", err)
+	}
+	if cure, err := c.Breach(); cure || !errors.As(err, &berr) {
+		t.Fatalf("Breach after EndCure = %v, %v; want the memory stop", cure, err)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestServerChaosBlastRadius(t *testing.T) {
 	defer sched.SetFaultHook(nil)
 	var injured sync.Map // one injury per victim run (keyed by its Control)
 	sched.SetFaultHook(func(fc sched.FaultContext) {
-		switch fc.Control.Budget().MaxItemsets {
+		switch fc.Control.MaxItemsets() {
 		case panicSentinel:
 			// Panic exactly once per injured run, at its first chunk.
 			if _, dup := injured.LoadOrStore(fc.Control, true); !dup {

@@ -34,7 +34,7 @@ const panicItemsets = 999999893
 func panicSentinelRuns(t *testing.T) {
 	t.Helper()
 	sched.SetFaultHook(func(fc sched.FaultContext) {
-		if fc.Control.Budget().MaxItemsets == panicItemsets {
+		if fc.Control.MaxItemsets() == panicItemsets {
 			panic("injected fault: incident test")
 		}
 	})

@@ -42,7 +42,7 @@ const sentinelItemsets = 999999937
 func gateSentinelRuns(t *testing.T, gate chan struct{}) {
 	t.Helper()
 	sched.SetFaultHook(func(fc sched.FaultContext) {
-		if fc.Control.Budget().MaxItemsets != sentinelItemsets {
+		if fc.Control.MaxItemsets() != sentinelItemsets {
 			return
 		}
 		select {

@@ -175,7 +175,7 @@ func TestOverloadSoak(t *testing.T) {
 	// A client that gives up mid-run: the server classifies the stop and
 	// stays healthy. (The response never arrives; the registry records it.)
 	sched.SetFaultHook(func(fc sched.FaultContext) {
-		if fc.Control.Budget().MaxItemsets == sentinelItemsets {
+		if fc.Control.MaxItemsets() == sentinelItemsets {
 			time.Sleep(2 * time.Millisecond)
 		}
 	})

@@ -7,6 +7,7 @@ package fim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -218,6 +219,107 @@ func TestDegradeToDiffsetEclat(t *testing.T) {
 	}
 	if !res.Equal(ref) {
 		t.Error("degraded eclat run disagrees with diffset reference")
+	}
+}
+
+// TestDegradeNeverWeakensBudget is DegradeToDiffset's contract: it adds
+// a one-time cure and never weakens the memory budget. Every {Apriori,
+// Eclat} × kind (Eclat at depth 1 and at the default depth) and
+// FP-growth runs at 1 and 2 workers with a budget a quarter of its
+// unbudgeted serial peak, with and without DegradeToDiffset.
+//
+//   - A kind with no diffset form stops with the same memory
+//     *BudgetError either way (and, at 1 worker, the same itemsets).
+//   - A degradable kind either degrades or stops with a memory
+//     *BudgetError; without DegradeToDiffset it stops.
+//   - A degraded run emits exactly one degraded event, at a level ≥ 1,
+//     and a degraded run that completes mines the unbudgeted answer.
+func TestDegradeNeverWeakensBudget(t *testing.T) {
+	db := runctlDB(t)
+	type mineCase struct {
+		algo  Algorithm
+		kind  Representation
+		depth int
+	}
+	var cases []mineCase
+	for _, kind := range []Representation{Tidset, Bitvector, Diffset, Hybrid, Tiled, Nodeset} {
+		cases = append(cases, mineCase{Apriori, kind, 0}, mineCase{Eclat, kind, 1}, mineCase{Eclat, kind, 0})
+	}
+	cases = append(cases, mineCase{FPGrowth, Tidset, 0})
+	for _, c := range cases {
+		name := fmt.Sprintf("%v/%v/depth%d", c.algo, c.kind, c.depth)
+		opt := Options{Algorithm: c.algo, Representation: c.kind, EclatDepth: c.depth}
+		// An observed run tracks its peak live bytes even unbudgeted.
+		var rec EventRecorder
+		opt.Observer = &rec
+		full, err := Mine(db, 0.5, opt)
+		if err != nil {
+			t.Fatalf("%s unbudgeted: %v", name, err)
+		}
+		var peak int64
+		for _, e := range rec.Events() {
+			if e.Type == EventRunEnd {
+				peak = e.PeakLiveBytes
+			}
+		}
+		if peak == 0 {
+			t.Fatalf("%s: no peak live bytes reported", name)
+		}
+		canDegrade := c.algo != FPGrowth && c.kind != Diffset && c.kind != Hybrid
+		for _, workers := range []int{1, 2} {
+			var stops [2]*BudgetError
+			var lens [2]int
+			for i, degrade := range []bool{false, true} {
+				var rec EventRecorder
+				opt := opt
+				opt.Workers, opt.MaxMemoryBytes, opt.DegradeToDiffset = workers, peak/4, degrade
+				opt.Observer = &rec
+				res, err := Mine(db, 0.5, opt)
+				label := fmt.Sprintf("%s workers=%d degrade=%v budget=%d", name, workers, degrade, peak/4)
+				var berr *BudgetError
+				if errors.As(err, &berr) {
+					if berr.Resource != "memory" {
+						t.Errorf("%s: stopped by %v, want the memory budget", label, err)
+					}
+					stops[i] = berr
+				} else if err != nil {
+					t.Errorf("%s: err = %v", label, err)
+				}
+				lens[i] = res.Len()
+				var levels []int
+				for _, e := range rec.Events() {
+					if e.Type == EventDegraded {
+						levels = append(levels, e.Level)
+					}
+				}
+				switch {
+				case res.Degraded && (len(levels) != 1 || levels[0] < 1):
+					t.Errorf("%s: degraded with events at levels %v, want one at level ≥ 1", label, levels)
+				case !res.Degraded && len(levels) != 0:
+					t.Errorf("%s: degraded events %v but Result.Degraded unset", label, levels)
+				}
+				if res.Degraded && err == nil && !res.Equal(full) {
+					t.Errorf("%s: degraded run disagrees with the unbudgeted run", label)
+				}
+				if !canDegrade || !degrade {
+					if res.Degraded || stops[i] == nil {
+						t.Errorf("%s: degraded=%v err=%v, want a memory stop", label, res.Degraded, err)
+					}
+				} else if !res.Degraded && stops[i] == nil {
+					t.Errorf("%s: neither degraded nor stopped at a quarter of its peak", label)
+				}
+			}
+			if canDegrade || stops[0] == nil || stops[1] == nil {
+				continue
+			}
+			if stops[0].Limit != stops[1].Limit {
+				t.Errorf("%s workers=%d: DegradeToDiffset changed the stop: %v vs %v", name, workers, stops[0], stops[1])
+			}
+			if workers == 1 && (lens[0] != lens[1] || stops[0].Used != stops[1].Used) {
+				t.Errorf("%s workers=1: DegradeToDiffset changed the stop: %d itemsets (%v) vs %d (%v)",
+					name, lens[0], stops[0], lens[1], stops[1])
+			}
+		}
 	}
 }
 
