@@ -199,7 +199,9 @@ type Options struct {
 	// Representation selects the vertical layout (Tidset, Bitvector,
 	// Diffset, Hybrid, Tiled, Nodeset).
 	Representation Representation
-	// Workers is the parallel team size; 0 means serial.
+	// Workers is the parallel team size; 0 means serial. The first
+	// pass (support count, recode and root payloads) runs on the same
+	// team as the mining loops.
 	Workers int
 	// Schedule, when non-nil, overrides the algorithm's default loop
 	// schedule (static for Apriori, dynamic chunk 1 for Eclat and
@@ -320,11 +322,12 @@ func Mine(db *DB, minSupport float64, opt Options) (*Result, error) {
 }
 
 // MineContext is Mine under a context: the run checks ctx at every
-// scheduler chunk boundary and at each level/class of the search, so
-// cancelling ctx (or its deadline expiring) makes the miner drain its
-// worker team promptly and return ctx's error together with a partial
-// Result — Result.Incomplete is set and every itemset it holds has its
-// exact support.
+// scheduler chunk boundary, the first pass's included, and at each
+// level/class of the search, so cancelling ctx (or its deadline
+// expiring) makes the miner drain its worker team promptly and return
+// ctx's error together with a partial Result — Result.Incomplete is set
+// and every itemset it holds has its exact support. A run stopped in
+// the first pass returns an empty partial Result.
 //
 // The same machinery enforces Options' budgets (MaxMemoryBytes,
 // MaxItemsets, MaxDuration), which stop the run with a *BudgetError or,
@@ -369,7 +372,6 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 			return nil, fmt.Errorf("fim: unknown schedule policy %v", opt.Schedule.Policy)
 		}
 	}
-	rec := db.RecodeOrdered(minSupport, dataset.ByFrequency)
 	rc := runctl.New(ctx, runctl.Budget{
 		MaxMemoryBytes:   opt.MaxMemoryBytes,
 		MaxItemsets:      opt.MaxItemsets,
@@ -438,6 +440,17 @@ func MineAbsoluteContext(ctx context.Context, db *DB, minSupport int, opt Option
 	var res *Result
 	var err error
 	runMine := func() {
+		// The first pass runs on a team of the run's size, under its run
+		// control and in its loop record, like every later loop.
+		var rec *dataset.Recoded
+		rec, err = db.RecodeOn(dataset.Pass{Team: sched.NewTeam(opt.Workers), Control: rc, Record: copt.Record},
+			minSupport, dataset.ByFrequency)
+		if err != nil {
+			res = &Result{Algorithm: opt.Algorithm, Representation: opt.Representation, MinSup: minSupport,
+				Rec:        &dataset.Recoded{DB: &DB{Name: db.Name}, MinSup: minSupport, Universe: len(db.Transactions)},
+				Incomplete: true, StopCause: err}
+			return
+		}
 		switch opt.Algorithm {
 		case core.Apriori:
 			res, err = apriori.Mine(rec, minSupport, copt)

@@ -77,16 +77,16 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	}
 
 	// Generation 1: the recode pass already counted item supports.
-	tr := trie.NewRoot(itemSupports(rec))
-	nodes := rep.Roots(rec) // payload of each level-1 node, index-aligned with the trie level
-	vertical.CountRoots(kc, rep.Kind(), nodes)
-	// The root build runs on no team: the loop carries only its
-	// modelled half, so it stays out of phase_end.
-	if root := loops.Open("apriori/roots", schedule, len(nodes), true); root.Modelled() {
-		for i, n := range nodes {
-			root.Add(i, int64(n.Bytes()), 0, int64(n.Bytes()))
-		}
+	// nodes holds the payload of each level-1 node, index-aligned with
+	// the trie level.
+	nodes, err := rep.RootsOn(rec, dataset.Pass{Team: team, Control: rc, Record: loops})
+	if err != nil {
+		res.Incomplete = true
+		res.StopCause = err
+		return res, err
 	}
+	vertical.CountRoots(kc, rep.Kind(), nodes)
+	tr := trie.NewRoot(itemSupports(rec))
 
 	// Per-worker arenas for the combine loop: candidate payloads recycle
 	// within and across generations, so once the free lists warm up
@@ -129,7 +129,6 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	if err := rc.AddItemsets(len(nodes)); err != nil {
 		return collect(err)
 	}
-	var err error
 	if rep, err = core.Cure(opt, res, rep, 1, core.RootLevel(nodes)); err != nil {
 		return collect(err)
 	}

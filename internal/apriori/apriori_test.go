@@ -116,10 +116,10 @@ func TestMineEdgeCases(t *testing.T) {
 	}
 }
 
-// TestCollectorRecordsPhases: the loop record holds the roots (modelled
-// only: no team runs it), each generation's counting loop (both halves)
-// and each subset-prune loop (measured only, named after its
-// generation).
+// TestCollectorRecordsPhases: the loop record holds the root build
+// (both halves: the team runs it over the recode's row chunks), each
+// generation's counting loop (both halves) and each subset-prune loop
+// (measured only, named after its generation).
 func TestCollectorRecordsPhases(t *testing.T) {
 	rec := classicRecoded(t, 2)
 	trace := &sched.Record{}
@@ -130,13 +130,13 @@ func TestCollectorRecordsPhases(t *testing.T) {
 	for _, l := range trace.Loops {
 		names = append(names, l.Name)
 	}
-	want := []string{"apriori/roots", "apriori/gen2", "apriori/prune3", "apriori/gen3", "apriori/prune4"}
+	want := []string{"vertical/roots", "apriori/gen2", "apriori/prune3", "apriori/gen3", "apriori/prune4"}
 	if !slices.Equal(names, want) {
 		t.Fatalf("loops = %q, want %q", names, want)
 	}
 	roots, gen2, prune3 := trace.Loops[0], trace.Loops[1], trace.Loops[2]
-	if roots.Load != nil || roots.Model == nil {
-		t.Errorf("roots: load %v, model %v; want model only", roots.Load, roots.Model)
+	if roots.Load == nil || roots.Load.TotalTasks() != int64(roots.Load.N) || roots.Model == nil || roots.Model.TotalWork() == 0 {
+		t.Errorf("roots: load %+v, model %+v; want both halves", roots.Load, roots.Model)
 	}
 	if prune3.Load == nil || prune3.Model != nil {
 		t.Errorf("prune3: load %v, model %v; want load only", prune3.Load, prune3.Model)

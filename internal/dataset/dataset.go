@@ -5,7 +5,10 @@
 // The package also provides the first mining pass that every algorithm in
 // the paper shares: counting 1-item supports, selecting frequent items,
 // and recoding the database onto a dense item space so the vertical
-// representations (package vertical) can index by item.
+// representations (package vertical) can index by item. The pass runs
+// over row chunks on a worker team (Pass, RecodeOn), and its chunks and
+// their per-item counts stay on the Recoded so the vertical root builds
+// can split the same rows the same way.
 package dataset
 
 import (
@@ -19,6 +22,8 @@ import (
 	"strconv"
 
 	"repro/internal/itemset"
+	"repro/internal/runctl"
+	"repro/internal/sched"
 	"repro/internal/tidset"
 )
 
@@ -129,6 +134,8 @@ type Recoded struct {
 	Items    []FrequentItem // dense code -> original item + support
 	MinSup   int            // absolute threshold used
 	Universe int            // number of transactions in the original DB
+
+	chunks []Chunk // the first pass's row chunks; nil when assembled by hand
 }
 
 // ItemOrder selects how RecodeOrdered assigns dense item codes. The
@@ -158,93 +165,294 @@ func (d *DB) Recode(minSup int) *Recoded {
 	return d.RecodeOrdered(minSup, ByCode)
 }
 
-// sparseSlack is how far the largest item id may exceed the number of
-// item occurrences before RecodeOrdered counts in maps instead of dense
-// tables: below it a table indexed by item id is never larger than the
-// input plus 256 KB.
+// sparseSlack is how far the count tables of all chunks together may
+// outgrow the number of item occurrences before RecodeOn counts in maps
+// instead: below it the tables are never larger than the input plus
+// 256 KB, however wide the team.
 const sparseSlack = 1 << 16
 
-// RecodeOrdered is Recode with an explicit dense-code order. Every
-// transaction must be sorted ascending, as ReadFIMI and itemset.New
-// leave them.
+// The modelled byte sizes of the first pass's data: an item (and a
+// TID) is a uint32, a row a slice header.
+const (
+	itemBytes = 4
+	rowBytes  = 24
+)
+
+// Pass is where a first pass runs: the team its row chunks are dealt
+// to, the run control it checks at every chunk boundary and the loop
+// record it opens its loops in. A nil Team is a team of one; a nil
+// Control or Record checks or records nothing. The zero Pass is the
+// serial first pass.
+type Pass struct {
+	Team    *sched.Team
+	Control *runctl.Control
+	Record  *sched.Record
+}
+
+// passSchedule hands each worker one chunk: the rows are cut into one
+// chunk per worker already.
+var passSchedule = sched.Schedule{Policy: sched.Static}
+
+// For runs body(c) for every chunk c on the pass's team, as the loop
+// named name in the pass's record, and returns the stop cause when the
+// pass's Control stops the loop or a worker panics (contained as a
+// *runctl.WorkerPanicError); the chunks not yet started are then left
+// unrun. body returns the bytes chunk c read and wrote.
 //
-// Supports are counted in a table indexed by item id, which then maps
-// each item to its dense code, unless the ids are so sparse that the
-// table would outgrow the input; then two maps do the same job. Either
-// way a row is recoded by marking its frequent items' codes in a bitmap
-// and emitting the set bits, so it comes out ascending under any code
-// order without a per-row sort. The recoded transactions share one
-// exactly sized backing array, each capped at its own end so an append
-// copies instead of overwriting its neighbour.
+// The measured half has one task per chunk. The modelled half has one
+// task per 64-row block, each charged its chunk's bytes pro rata, so
+// the machine model deals the pass to any thread count the way a team
+// of that size cuts it, whatever team recorded it. A block's work is
+// the bytes read and written, its allocation the bytes written; the
+// pass reads no parent payloads, so it models no remote traffic.
+func (p Pass) For(name string, chunks []Chunk, body func(c int) (read, written int)) error {
+	blocks := func(ch Chunk) (int, int) {
+		lo := ch.Lo / 64
+		return lo, max(lo+1, (ch.Hi+63)/64)
+	}
+	_, last := blocks(chunks[len(chunks)-1])
+	loop := p.Record.Open(name, passSchedule, last, false)
+	return p.team().ForCtx(p.Control, loop, len(chunks), passSchedule, func(_, c int) {
+		read, written := body(c)
+		if !loop.Modelled() {
+			return
+		}
+		lo, hi := blocks(chunks[c])
+		n := hi - lo
+		for b := lo; b < hi; b++ {
+			// Block lo takes the remainders.
+			r, w := read/n, written/n
+			if b == lo {
+				r, w = r+read%n, w+written%n
+			}
+			loop.Add(b, int64(r+w), 0, int64(w))
+		}
+	})
+}
+
+// team returns the pass's team: a team of one when Team is nil.
+func (p Pass) team() *sched.Team {
+	if p.Team == nil {
+		return sched.NewTeam(1)
+	}
+	return p.Team
+}
+
+// Chunk is one row chunk of the first pass: rows [Lo, Hi) and, per
+// dense code, how many of them hold it.
+type Chunk struct {
+	Lo, Hi int
+	Counts []int
+}
+
+// cutRows cuts rows [0, n) into at most p chunks of whole 64-row
+// blocks (the last may be short). There is always at least one chunk.
+func cutRows(n, p int) []Chunk {
+	blocks := (n + 63) / 64
+	chunks := make([]Chunk, max(1, min(p, blocks)))
+	k := len(chunks)
+	for c := range chunks {
+		chunks[c].Lo = c * blocks / k * 64
+		if c > 0 {
+			chunks[c-1].Hi = chunks[c].Lo
+		}
+	}
+	chunks[k-1].Hi = n
+	return chunks
+}
+
+// Chunks returns the row chunks the first pass ran over. The root
+// builds (package vertical) reuse them: from the chunks' code counts
+// every chunk knows where its share of each root payload goes before
+// any is written, and since every chunk but the last ends on a 64-row
+// boundary, chunks own disjoint bitvector words. A Recoded assembled
+// by hand reads as one chunk.
+func (r *Recoded) Chunks() []Chunk {
+	if r.chunks != nil {
+		return r.chunks
+	}
+	counts := make([]int, len(r.Items))
+	for code, fi := range r.Items {
+		counts[code] = fi.Support
+	}
+	return []Chunk{{Lo: 0, Hi: len(r.DB.Transactions), Counts: counts}}
+}
+
+// RecodeOrdered is Recode with an explicit dense-code order, run
+// serially: RecodeOn with the zero Pass.
 func (d *DB) RecodeOrdered(minSup int, order ItemOrder) *Recoded {
+	rec, err := d.RecodeOn(Pass{}, minSup, order)
+	if err != nil {
+		// With no Control only a contained worker panic stops the pass;
+		// it is raised again, as sched.Team.For does.
+		panic(err)
+	}
+	return rec
+}
+
+// RecodeOn is the first pass on p's team. Every transaction must be
+// sorted ascending, as ReadFIMI and itemset.New leave them.
+//
+// The rows are cut into at most one chunk per worker, on 64-row
+// boundaries. In the loop dataset/count each chunk counts supports
+// into a table of its own indexed by item id (or a map, when the ids
+// are so sparse that one table per chunk would outgrow the input); the
+// tables are merged in place once the team has joined, and they also
+// give each chunk its count of every frequent item. A prefix sum of
+// those counts places each chunk's recoded rows in one exactly sized
+// flat array, which the loop dataset/recode fills without
+// synchronization: a row is recoded by marking its frequent items'
+// codes in a bitmap and emitting the set bits, so it comes out
+// ascending under any code order without a per-row sort. Each recoded
+// row is capped at its own end, so an append copies instead of
+// overwriting its neighbour.
+//
+// A pass that p's Control stops, or in which a worker panics, returns
+// the stop cause and no Recoded.
+func (d *DB) RecodeOn(p Pass, minSup int, order ItemOrder) (*Recoded, error) {
 	if minSup < 1 {
 		minSup = 1
 	}
+	rows := d.Transactions
 	var maxItem itemset.Item
 	occurrences := 0
-	for _, tr := range d.Transactions {
+	for _, tr := range rows {
 		if n := len(tr); n > 0 {
 			occurrences += n
 			maxItem = max(maxItem, tr[n-1])
 		}
 	}
-	var items []FrequentItem
-	var translate func(dst []itemset.Item, tr Transaction) []itemset.Item
-	if uint64(maxItem) >= uint64(occurrences)+sparseSlack {
-		items, translate = d.sparseCodes(minSup, order)
-	} else {
-		items, translate = d.denseCodes(int(maxItem)+1, minSup, order)
+	chunks := cutRows(len(rows), p.team().Workers())
+	var t tally = &denseTally{n: int(maxItem) + 1, tables: make([][]int32, len(chunks))}
+	if uint64(len(chunks))*(uint64(maxItem)+1) > uint64(occurrences)+sparseSlack {
+		t = &sparseTally{maps: make([]map[itemset.Item]int32, len(chunks))}
 	}
+	if err := p.For("dataset/count", chunks, func(c int) (int, int) {
+		return t.count(c, rows[chunks[c].Lo:chunks[c].Hi])
+	}); err != nil {
+		return nil, err
+	}
+	items, counts := t.codes(minSup, order)
 
-	// Transactions are sets, so the frequent occurrences number exactly
-	// the sum of the frequent supports.
-	size := 0
-	for _, fi := range items {
-		size += fi.Support
+	// Transactions are sets, so a chunk's frequent occurrences number
+	// exactly the sum of its code counts.
+	starts := make([]int, len(chunks)+1)
+	for c := range chunks {
+		chunks[c].Counts = counts[c]
+		starts[c+1] = starts[c]
+		for _, n := range counts[c] {
+			starts[c+1] += n
+		}
 	}
-	flat := make([]itemset.Item, size)
-	out := &DB{Name: d.Name, Transactions: make([]Transaction, len(d.Transactions))}
-	s := 0
-	for tid, tr := range d.Transactions {
-		e := s + len(translate(flat[s:s], tr))
-		out.Transactions[tid] = flat[s:e:e]
-		s = e
+	flat := make([]itemset.Item, starts[len(chunks)])
+	out := &DB{Name: d.Name, Transactions: make([]Transaction, len(rows))}
+	if err := p.For("dataset/recode", chunks, func(c int) (int, int) {
+		translate := t.translator()
+		lo, hi := chunks[c].Lo, chunks[c].Hi
+		s, read := starts[c], 0
+		for tid := lo; tid < hi; tid++ {
+			read += len(rows[tid])
+			e := s + len(translate(flat[s:s], rows[tid]))
+			out.Transactions[tid] = flat[s:e:e]
+			s = e
+		}
+		return itemBytes * read, itemBytes*(s-starts[c]) + rowBytes*(hi-lo)
+	}); err != nil {
+		return nil, err
 	}
-	return &Recoded{DB: out, Items: items, MinSup: minSup, Universe: len(d.Transactions)}
+	return &Recoded{DB: out, Items: items, MinSup: minSup, Universe: len(rows), chunks: chunks}, nil
 }
 
-// denseCodes counts supports in a table of n entries indexed by item id
-// and turns the same table into the dense-code translation: afterwards
-// table[id] is the item's slot, its code + 1, or 0 when it is
-// infrequent. With at most 64 frequent items a row's bitmap is one
-// register word, filled without a branch: slotBit maps slot 0 to no bit.
-func (d *DB) denseCodes(n, minSup int, order ItemOrder) ([]FrequentItem, func([]itemset.Item, Transaction) []itemset.Item) {
-	table := make([]int32, n)
-	for _, tr := range d.Transactions {
+// tally is the count half of the first pass: one support table per row
+// chunk, merged into the dense-code translation.
+type tally interface {
+	// count tallies chunk c's rows into the chunk's own table and
+	// returns the bytes it read and wrote.
+	count(c int, rows []Transaction) (read, written int)
+	// codes merges the chunk tables into the frequent items, in
+	// dense-code order, and each chunk's count of every code.
+	codes(minSup int, order ItemOrder) ([]FrequentItem, [][]int)
+	// translator returns a row recoder with scratch of its own, for one
+	// chunk; it is valid after codes.
+	translator() func(dst []itemset.Item, tr Transaction) []itemset.Item
+}
+
+// denseTally counts in tables of n entries indexed by item id. codes
+// turns the merged table into the translation: afterwards slot[id] is
+// the item's slot, its code + 1, or 0 when it is infrequent.
+type denseTally struct {
+	n      int
+	tables [][]int32
+	slot   []int32
+	items  int
+}
+
+func (t *denseTally) count(c int, rows []Transaction) (int, int) {
+	table := make([]int32, t.n)
+	read := 0
+	for _, tr := range rows {
+		read += len(tr)
 		for _, it := range tr {
 			table[it]++
 		}
 	}
+	t.tables[c] = table
+	return itemBytes * read, 4 * t.n
+}
+
+// codes merges into chunk 0's table, so the merge allocates no table of
+// its own; chunk 0's counts are then the total less the other chunks'.
+func (t *denseTally) codes(minSup int, order ItemOrder) ([]FrequentItem, [][]int) {
+	total, rest := t.tables[0], t.tables[1:]
+	for _, table := range rest {
+		for it, c := range table {
+			total[it] += c
+		}
+	}
 	items := []FrequentItem{}
-	for it, c := range table {
+	for it, c := range total {
 		if int(c) >= minSup {
 			items = append(items, FrequentItem{Original: itemset.Item(it), Support: int(c)})
 		}
 	}
 	orderItems(items, order)
-	clear(table)
-	for code, fi := range items {
-		table[fi.Original] = int32(code) + 1
-	}
-	if len(items) <= 64 {
-		var slotBit [65]uint64
-		for c := range 64 {
-			slotBit[c+1] = 1 << c
+	counts := chunkCounts(items, len(t.tables), func(c int, it itemset.Item) int32 {
+		if c > 0 {
+			return t.tables[c][it]
 		}
-		return items, func(dst []itemset.Item, tr Transaction) []itemset.Item {
+		n := total[it]
+		for _, table := range rest {
+			n -= table[it]
+		}
+		return n
+	})
+	// total is read above already; it becomes the slot table.
+	clear(total)
+	for code, fi := range items {
+		total[fi.Original] = int32(code) + 1
+	}
+	t.slot, t.tables, t.items = total, nil, len(items)
+	return items, counts
+}
+
+// slotBit maps a slot to its code's bit in a one-word row bitmap, and
+// slot 0 (infrequent) to no bit.
+var slotBit = func() (b [65]uint64) {
+	for c := range 64 {
+		b[c+1] = 1 << c
+	}
+	return b
+}()
+
+// translator recodes through the slot table. With at most 64 frequent
+// items a row's bitmap is one register word, filled without a branch.
+func (t *denseTally) translator() func([]itemset.Item, Transaction) []itemset.Item {
+	slot := t.slot
+	if t.items <= 64 {
+		return func(dst []itemset.Item, tr Transaction) []itemset.Item {
 			var m uint64
 			for _, it := range tr {
-				m |= slotBit[table[it]]
+				m |= slotBit[slot[it]]
 			}
 			for ; m != 0; m &= m - 1 {
 				dst = append(dst, itemset.Item(bits.TrailingZeros64(m)))
@@ -252,36 +460,90 @@ func (d *DB) denseCodes(n, minSup int, order ItemOrder) ([]FrequentItem, func([]
 			return dst
 		}
 	}
-	row := make(rowBitmap, len(items)/64+1)
-	return items, func(dst []itemset.Item, tr Transaction) []itemset.Item {
-		for _, it := range tr {
-			row.mark(table[it])
-		}
-		return row.flush(dst)
-	}
-}
-
-// sparseCodes is denseCodes with maps in place of the table, for item
-// ids far sparser than the data.
-func (d *DB) sparseCodes(minSup int, order ItemOrder) ([]FrequentItem, func([]itemset.Item, Transaction) []itemset.Item) {
-	items := []FrequentItem{}
-	for it, c := range d.ItemCounts() {
-		if c >= minSup {
-			items = append(items, FrequentItem{Original: it, Support: c})
-		}
-	}
-	orderItems(items, order)
-	slot := make(map[itemset.Item]int32, len(items))
-	for c, fi := range items {
-		slot[fi.Original] = int32(c) + 1
-	}
-	row := make(rowBitmap, len(items)/64+1)
-	return items, func(dst []itemset.Item, tr Transaction) []itemset.Item {
+	row := make(rowBitmap, t.items/64+1)
+	return func(dst []itemset.Item, tr Transaction) []itemset.Item {
 		for _, it := range tr {
 			row.mark(slot[it])
 		}
 		return row.flush(dst)
 	}
+}
+
+// sparseTally is denseTally with maps in place of the tables, for item
+// ids far sparser than the data.
+type sparseTally struct {
+	maps  []map[itemset.Item]int32
+	slot  map[itemset.Item]int32
+	items int
+}
+
+func (t *sparseTally) count(c int, rows []Transaction) (int, int) {
+	m := make(map[itemset.Item]int32)
+	read := 0
+	for _, tr := range rows {
+		read += len(tr)
+		for _, it := range tr {
+			m[it]++
+		}
+	}
+	t.maps[c] = m
+	return itemBytes * read, 2 * itemBytes * len(m)
+}
+
+func (t *sparseTally) codes(minSup int, order ItemOrder) ([]FrequentItem, [][]int) {
+	total, rest := t.maps[0], t.maps[1:]
+	for _, m := range rest {
+		for it, c := range m {
+			total[it] += c
+		}
+	}
+	items := []FrequentItem{}
+	for it, c := range total {
+		if int(c) >= minSup {
+			items = append(items, FrequentItem{Original: it, Support: int(c)})
+		}
+	}
+	orderItems(items, order)
+	counts := chunkCounts(items, len(t.maps), func(c int, it itemset.Item) int32 {
+		if c > 0 {
+			return t.maps[c][it]
+		}
+		n := total[it]
+		for _, m := range rest {
+			n -= m[it]
+		}
+		return n
+	})
+	t.slot = make(map[itemset.Item]int32, len(items))
+	for code, fi := range items {
+		t.slot[fi.Original] = int32(code) + 1
+	}
+	t.maps, t.items = nil, len(items)
+	return items, counts
+}
+
+func (t *sparseTally) translator() func([]itemset.Item, Transaction) []itemset.Item {
+	slot := t.slot
+	row := make(rowBitmap, t.items/64+1)
+	return func(dst []itemset.Item, tr Transaction) []itemset.Item {
+		for _, it := range tr {
+			row.mark(slot[it])
+		}
+		return row.flush(dst)
+	}
+}
+
+// chunkCounts returns, per chunk, its count of every frequent item,
+// read from the chunk's table by lookup.
+func chunkCounts(items []FrequentItem, chunks int, lookup func(c int, it itemset.Item) int32) [][]int {
+	counts := make([][]int, chunks)
+	for c := range counts {
+		counts[c] = make([]int, len(items))
+		for code, fi := range items {
+			counts[c][code] = int(lookup(c, fi.Original))
+		}
+	}
+	return counts
 }
 
 // rowBitmap holds one row's dense codes as bits over slots 0..n, where
@@ -338,8 +600,10 @@ func (r *Recoded) Decode(s itemset.Itemset) itemset.Itemset {
 	return out
 }
 
-// TidsetOf returns the tidset of each dense item: the inverted index that
-// seeds every vertical representation.
+// TidsetOf returns the tidset of each dense item, the inverted index,
+// built serially in one sweep. The root builds of package vertical
+// write the same sets chunk by chunk on a team; tests check them
+// against this one.
 func (r *Recoded) TidsetOf() []tidset.Set {
 	sets := make([]tidset.Set, len(r.Items))
 	for i := range sets {

@@ -5,12 +5,14 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/datasets"
 	"repro/internal/itemset"
+	"repro/internal/sched"
 )
 
 // oracleRecode is the map-based first pass RecodeOrdered must reproduce:
@@ -164,6 +166,84 @@ func fallingRows(n int, stride itemset.Item) []dataset.Transaction {
 		trs = append(trs, itemset.New(row...))
 	}
 	return append(trs, itemset.New(), itemset.New(own+itemset.Item(n)+1, own+itemset.Item(n)+2))
+}
+
+// TestCountTablesBoundedByTeam: the count keeps one table per chunk,
+// so the switch to maps weighs the team. 250 rows of 4 items spread
+// over ids up to 40000 fit one dense table within the input plus the
+// sparse slack, but not two: from two chunks on they count in maps,
+// allocating less than the one table, and recode as the oracle does.
+func TestCountTablesBoundedByTeam(t *testing.T) {
+	db := &dataset.DB{Name: "spread"}
+	for r := 0; r < 250; r++ {
+		db.Transactions = append(db.Transactions, itemset.New(
+			itemset.Item(r%10), itemset.Item(100+r%7), itemset.Item(160*r), 40000))
+	}
+	want := oracleRecode(db, 2, dataset.ByFrequency)
+	// countBytes recodes on a team of p and returns the bytes the count
+	// tables took, from the count loop's modelled half.
+	countBytes := func(p int) int64 {
+		record := &sched.Record{}
+		got, err := db.RecodeOn(dataset.Pass{Team: sched.NewTeam(p), Record: record}, 2, dataset.ByFrequency)
+		if err != nil {
+			t.Fatalf("%d workers: %v", p, err)
+		}
+		if !slices.Equal(got.Items, want.Items) {
+			t.Fatalf("%d workers: items %v, want %v", p, got.Items, want.Items)
+		}
+		for tid, tr := range got.DB.Transactions {
+			if !slices.Equal(tr, want.DB.Transactions[tid]) {
+				t.Fatalf("%d workers: transaction %d = %v, want %v", p, tid, tr, want.DB.Transactions[tid])
+			}
+		}
+		count := record.Loops[0]
+		if count.Name != "dataset/count" || len(count.Load.Workers) != min(p, 4) {
+			t.Fatalf("%d workers: first loop %q ran on %d workers", p, count.Name, len(count.Load.Workers))
+		}
+		return count.Model.TotalAlloc()
+	}
+	one := countBytes(1)
+	if one != 4*40001 {
+		t.Errorf("one worker: count tables took %d bytes, want one dense table of %d", one, 4*40001)
+	}
+	for _, p := range []int{2, 3} {
+		if b := countBytes(p); b >= one {
+			t.Errorf("%d workers: count tables took %d bytes, one table takes %d", p, b, one)
+		}
+	}
+}
+
+// TestCountTablesWithinBound measures what RecodeOn allocates besides
+// its output: the count tables, their merge and the bookkeeping must
+// stay within 4·(occurrences + 2^16) bytes on any team. 4000 rows of 4
+// items over ids up to 40000 fit two dense tables in that bound but not
+// three, so a team of two counts densely and must merge in place.
+func TestCountTablesWithinBound(t *testing.T) {
+	db := &dataset.DB{Name: "spread"}
+	for r := 0; r < 4000; r++ {
+		db.Transactions = append(db.Transactions, itemset.New(
+			itemset.Item(r%10), itemset.Item(100+r%7), itemset.Item(200+9*r), 40000))
+	}
+	const occurrences, bound = 4 * 4000, 4 * (4*4000 + 1<<16)
+	const bookkeeping = 32 << 10 // chunks, per-chunk code counts, items, team loops
+	for _, p := range []int{1, 2, 3, 4} {
+		team := sched.NewTeam(p)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := db.RecodeOn(dataset.Pass{Team: team}, 2, dataset.ByFrequency)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%d workers: %v", p, err)
+		}
+		output := 24 * len(got.DB.Transactions)
+		for _, tr := range got.DB.Transactions {
+			output += 4 * len(tr)
+		}
+		extra := int(after.TotalAlloc-before.TotalAlloc) - output
+		if extra > bound+bookkeeping {
+			t.Errorf("%d workers: %d bytes besides the output, bound %d for %d occurrences", p, extra, bound, occurrences)
+		}
+	}
 }
 
 // TestRecodedTransactionsAreCapped checks that the transactions sharing

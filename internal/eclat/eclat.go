@@ -98,7 +98,19 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		Rec:            rec,
 	}
 
-	roots := rep.Roots(rec)
+	finish := func(err error) (*core.Result, error) {
+		if err != nil {
+			res.Incomplete = true
+			res.StopCause = err
+		}
+		return res, err
+	}
+
+	team := sched.NewTeam(opt.Workers)
+	roots, err := rep.RootsOn(rec, dataset.Pass{Team: team, Control: rc, Record: opt.Record})
+	if err != nil {
+		return finish(err)
+	}
 	vertical.CountRoots(opt.Kernels, rep.Kind(), roots)
 	n := len(roots)
 	// Level-1 itemsets are frequent by construction of the recode pass.
@@ -111,13 +123,6 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	if n > 0 {
 		res.MaxK = 1
 	}
-	finish := func(err error) (*core.Result, error) {
-		if err != nil {
-			res.Incomplete = true
-			res.StopCause = err
-		}
-		return res, err
-	}
 	if n < 2 {
 		return finish(rc.AddItemsets(n))
 	}
@@ -126,7 +131,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	if err := rc.AddItemsets(n); err != nil {
 		return finish(err)
 	}
-	rep, err := core.Cure(opt, res, rep, 1, core.RootLevel(roots))
+	rep, err = core.Cure(opt, res, rep, 1, core.RootLevel(roots))
 	if err == nil {
 		err = rc.Err()
 	}
@@ -134,7 +139,6 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		return finish(err)
 	}
 
-	team := sched.NewTeam(opt.Workers)
 	private := make([][]core.ItemsetCount, team.Workers())
 	arenas := make([]*vertical.Arena, team.Workers())
 	for i := range arenas {

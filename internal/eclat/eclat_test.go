@@ -134,12 +134,15 @@ func TestCollectorPhaseDepth1(t *testing.T) {
 	opt.Record = trace
 	opt.EclatDepth = 1
 	mine(rec, 2, opt)
-	if len(trace.Loops) != 1 {
-		t.Fatalf("recorded %d phases, want 1", len(trace.Loops))
+	if len(trace.Loops) != 2 || trace.Loops[0].Name != "vertical/roots" {
+		t.Fatalf("recorded %d phases, want the root build and one more", len(trace.Loops))
+	}
+	if roots := trace.Loops[0]; roots.Load == nil || roots.Model == nil || roots.Model.TotalWork() == 0 {
+		t.Errorf("roots: load %+v, model %+v; want both halves", roots.Load, roots.Model)
 	}
 	// Depth 1 is the subtree stage over one class holding every root:
 	// one task per root with a later sibling, so n−1 tasks.
-	l := trace.Loops[0]
+	l := trace.Loops[1]
 	if l.Name != "eclat/subtrees" || l.Schedule.Policy != sched.Dynamic {
 		t.Errorf("phase = %q %v", l.Name, l.Schedule)
 	}
@@ -175,13 +178,13 @@ func TestCollectorPhasesDepth2(t *testing.T) {
 	opt.Record = trace
 	opt.EclatDepth = 2
 	mine(rec, 2, opt)
-	if len(trace.Loops) != 2 {
-		t.Fatalf("recorded %d phases, want 2", len(trace.Loops))
+	if len(trace.Loops) != 3 {
+		t.Fatalf("recorded %d phases, want 3", len(trace.Loops))
 	}
-	if trace.Loops[0].Name != "eclat/pairs" || trace.Loops[1].Name != "eclat/subtrees" {
-		t.Fatalf("phases = %q, %q", trace.Loops[0].Name, trace.Loops[1].Name)
+	if trace.Loops[0].Name != "vertical/roots" || trace.Loops[1].Name != "eclat/pairs" || trace.Loops[2].Name != "eclat/subtrees" {
+		t.Fatalf("phases = %q, %q, %q", trace.Loops[0].Name, trace.Loops[1].Name, trace.Loops[2].Name)
 	}
-	pairs, subs := trace.Loops[0].Model, trace.Loops[1].Model
+	pairs, subs := trace.Loops[1].Model, trace.Loops[2].Model
 	n := len(rec.Items)
 	if pairs.Tasks() != n*(n-1)/2 {
 		t.Errorf("pair tasks = %d, want %d", pairs.Tasks(), n*(n-1)/2)
@@ -200,11 +203,11 @@ func TestCollectorPhasesDefaultDepth(t *testing.T) {
 	opt := core.DefaultOptions(vertical.Tidset, 2)
 	opt.Record = trace
 	mine(rec, 2, opt)
-	// Default depth 4: pairs, expand3, expand4, subtrees.
-	if len(trace.Loops) != 4 {
-		t.Fatalf("recorded %d phases, want 4", len(trace.Loops))
+	// Default depth 4: the root build, pairs, expand3, expand4, subtrees.
+	want := []string{"vertical/roots", "eclat/pairs", "eclat/expand3", "eclat/expand4", "eclat/subtrees"}
+	if len(trace.Loops) != len(want) {
+		t.Fatalf("recorded %d phases, want %d", len(trace.Loops), len(want))
 	}
-	want := []string{"eclat/pairs", "eclat/expand3", "eclat/expand4", "eclat/subtrees"}
 	for i, name := range want {
 		if trace.Loops[i].Name != name {
 			t.Errorf("phase %d = %q, want %q", i, trace.Loops[i].Name, name)

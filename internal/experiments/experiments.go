@@ -99,23 +99,36 @@ func mustMine(res *core.Result, err error) *core.Result {
 	return res
 }
 
-// mineTraced runs one instrumented mining pass and returns the result,
-// trace, and real wall-clock.
-func mineTraced(rec *dataset.Recoded, minSup int, algo core.Algorithm, rep vertical.Kind) (*core.Result, *sched.Record, float64) {
+// traced recodes db at minSup into a new loop record, as fim.Mine does,
+// and returns the recoded database with serial options for rep that
+// record into the same record. The first pass's loops (dataset/count,
+// dataset/recode) lead the record and the miner adds vertical/roots, so
+// every simulated runtime charges the whole pass, not the miner alone.
+func traced(db *dataset.DB, minSup int, order dataset.ItemOrder, rep vertical.Kind) (*dataset.Recoded, core.Options, *sched.Record) {
 	trace := &sched.Record{}
+	rec, err := db.RecodeOn(dataset.Pass{Record: trace}, minSup, order)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: recode failed: %v", err))
+	}
 	opt := core.DefaultOptions(rep, 1)
 	opt.Record = trace
+	return rec, opt, trace
+}
+
+// mineTraced runs one instrumented mining pass with opt and returns the
+// result and the mining's real wall-clock.
+func mineTraced(rec *dataset.Recoded, algo core.Algorithm, opt core.Options) (*core.Result, float64) {
 	start := time.Now()
 	var res *core.Result
 	switch algo {
 	case core.Apriori:
-		res = mustMine(apriori.Mine(rec, minSup, opt))
+		res = mustMine(apriori.Mine(rec, rec.MinSup, opt))
 	case core.Eclat:
-		res = mustMine(eclat.Mine(rec, minSup, opt))
+		res = mustMine(eclat.Mine(rec, rec.MinSup, opt))
 	default:
 		panic(fmt.Sprintf("experiments: unsupported algorithm %v", algo))
 	}
-	return res, trace, time.Since(start).Seconds()
+	return res, time.Since(start).Seconds()
 }
 
 // Scalability builds one runtime+speedup table for an algorithm and
@@ -134,8 +147,8 @@ func Scalability(algo core.Algorithm, rep vertical.Kind, cfg Config) *Table {
 	}
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
-		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
-		res, trace, real := mineTraced(rec, rec.MinSup, algo, rep)
+		rec, opt, trace := traced(db, db.AbsoluteSupport(d.DefaultSupport), dataset.ByCode, rep)
+		res, real := mineTraced(rec, algo, opt)
 		times, speedups := machine.Speedup(trace, cfg.Threads, cfg.Machine)
 		row := Row{
 			Dataset:     d.Name,
@@ -247,6 +260,8 @@ func MemoryFootprint(cfg Config) []FootprintRow {
 	var rows []FootprintRow
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
+		// A2 weighs the payloads, so its record leaves out the count and
+		// recode loops: it starts at the miner's vertical/roots.
 		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
 		row := FootprintRow{
 			Dataset:     d.Name,
@@ -255,7 +270,10 @@ func MemoryFootprint(cfg Config) []FootprintRow {
 			RemoteBytes: map[vertical.Kind]int64{},
 		}
 		for _, rep := range vertical.Kinds() {
-			_, trace, _ := mineTraced(rec, rec.MinSup, core.Apriori, rep)
+			trace := &sched.Record{}
+			opt := core.DefaultOptions(rep, 1)
+			opt.Record = trace
+			mineTraced(rec, core.Apriori, opt)
 			row.AllocBytes[rep] = trace.TotalAlloc()
 			row.RemoteBytes[rep] = trace.TotalRemote()
 		}
@@ -290,21 +308,13 @@ func ScheduleAblation(cfg Config) []ScheduleRow {
 	var rows []ScheduleRow
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
-		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
+		minSup := db.AbsoluteSupport(d.DefaultSupport)
 		for _, algo := range []core.Algorithm{core.Apriori, core.Eclat} {
 			row := ScheduleRow{Dataset: d.Name, Algorithm: algo, Threads: threads, Seconds: map[string]float64{}}
-			rep := vertical.Diffset
 			for _, s := range schedules {
-				trace := &sched.Record{}
-				opt := core.DefaultOptions(rep, 1)
-				opt.Record = trace
+				rec, opt, trace := traced(db, minSup, dataset.ByCode, vertical.Diffset)
 				opt.Schedule = &s
-				switch algo {
-				case core.Apriori:
-					mustMine(apriori.Mine(rec, rec.MinSup, opt))
-				case core.Eclat:
-					mustMine(eclat.Mine(rec, rec.MinSup, opt))
-				}
+				mineTraced(rec, algo, opt)
 				rt := machine.Simulate(trace, threads, cfg.Machine)
 				row.Seconds[s.String()] = rt.Seconds
 			}
@@ -333,14 +343,12 @@ func ChunkAblation(cfg Config) []ChunkRow {
 	var rows []ChunkRow
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
-		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
+		minSup := db.AbsoluteSupport(d.DefaultSupport)
 		row := ChunkRow{Dataset: d.Name, Threads: threads, Seconds: map[int]float64{}}
 		for _, chunk := range []int{1, 2, 4, 8, 16} {
-			trace := &sched.Record{}
-			opt := core.DefaultOptions(vertical.Diffset, 1)
-			opt.Record = trace
+			rec, opt, trace := traced(db, minSup, dataset.ByCode, vertical.Diffset)
 			opt.Schedule = &sched.Schedule{Policy: sched.Dynamic, Chunk: chunk}
-			mustMine(eclat.Mine(rec, rec.MinSup, opt))
+			mineTraced(rec, core.Eclat, opt)
 			row.Seconds[chunk] = machine.Simulate(trace, threads, cfg.Machine).Seconds
 		}
 		rows = append(rows, row)
@@ -367,14 +375,12 @@ func DepthAblation(cfg Config) []DepthRow {
 	var rows []DepthRow
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
-		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
+		minSup := db.AbsoluteSupport(d.DefaultSupport)
 		row := DepthRow{Dataset: d.Name, Threads: threads, Speedup: map[int]float64{}}
 		for _, depth := range []int{1, 2, 3, 4} {
-			trace := &sched.Record{}
-			opt := core.DefaultOptions(vertical.Diffset, 1)
-			opt.Record = trace
+			rec, opt, trace := traced(db, minSup, dataset.ByCode, vertical.Diffset)
 			opt.EclatDepth = depth
-			mustMine(eclat.Mine(rec, rec.MinSup, opt))
+			mineTraced(rec, core.Eclat, opt)
 			_, sp := machine.Speedup(trace, []int{threads}, cfg.Machine)
 			row.Speedup[depth] = sp[0]
 		}
@@ -419,8 +425,8 @@ func SparseLimit(cfg Config) []SparseRow {
 	var rows []SparseRow
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
-		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
-		_, trace, _ := mineTraced(rec, rec.MinSup, core.Eclat, vertical.Diffset)
+		rec, opt, trace := traced(db, db.AbsoluteSupport(d.DefaultSupport), dataset.ByCode, vertical.Diffset)
+		mineTraced(rec, core.Eclat, opt)
 		times, speedups := machine.Speedup(trace, cfg.Threads, cfg.Machine)
 		row := SparseRow{Dataset: d.Name, Support: d.DefaultSupport, FrequentItems: len(rec.Items)}
 		for i := range times {
@@ -516,11 +522,8 @@ func HTAblation(cfg Config) []HTRow {
 	var rows []HTRow
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
-		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
-		trace := &sched.Record{}
-		opt := core.DefaultOptions(vertical.Diffset, 1)
-		opt.Record = trace
-		mustMine(eclat.Mine(rec, rec.MinSup, opt))
+		rec, opt, trace := traced(db, db.AbsoluteSupport(d.DefaultSupport), dataset.ByCode, vertical.Diffset)
+		mineTraced(rec, core.Eclat, opt)
 		noHT := machine.Simulate(trace, threads, cfg.Machine).Seconds
 		// With SMT, a core running a single busy thread still gets full
 		// throughput, so the hyperthreaded machine is never slower than
@@ -578,11 +581,8 @@ func OrderAblation(cfg Config) []OrderRow {
 		minSup := db.AbsoluteSupport(d.DefaultSupport)
 		row := OrderRow{Dataset: d.Name, Threads: threads}
 		for _, order := range []dataset.ItemOrder{dataset.ByCode, dataset.ByFrequency} {
-			rec := db.RecodeOrdered(minSup, order)
-			trace := &sched.Record{}
-			opt := core.DefaultOptions(vertical.Diffset, 1)
-			opt.Record = trace
-			mustMine(eclat.Mine(rec, minSup, opt))
+			rec, opt, trace := traced(db, minSup, order, vertical.Diffset)
+			mineTraced(rec, core.Eclat, opt)
 			_, sp := machine.Speedup(trace, []int{threads}, cfg.Machine)
 			if order == dataset.ByCode {
 				row.WorkByCode, row.SpeedupByCode = trace.TotalWork(), sp[0]

@@ -6,12 +6,13 @@
 // simulation.
 //
 // Why simulate: the paper's experiments sweep 16–256 hardware threads;
-// this host exposes a single CPU to the runtime, so wall-clock speedup at
-// those scales is physically unobservable. The miners' parallel structure
-// is fully recorded per task (bytes of combine work, bytes read from
-// shared parent payloads, bytes allocated, loop schedule), which is
-// everything the paper's scalability argument depends on; the machine
-// model adds only the geometry (blades, interconnect, caches).
+// the repository's benchmark host exposes two CPUs to the runtime, so
+// wall-clock speedup at those scales is physically unobservable. The
+// miners' parallel structure is fully recorded per task (bytes of
+// combine work, bytes read from shared parent payloads, bytes
+// allocated, loop schedule), which is everything the paper's
+// scalability argument depends on; the machine model adds only the
+// geometry (blades, interconnect, caches).
 //
 // Cost model, per phase of a trace:
 //

@@ -31,9 +31,11 @@ import "sync"
 type Type string
 
 // The event kinds, in the order a complete run emits them: one
-// run_start; per level/class a level_start, the phase_end of each
-// scheduler loop it ran, and a level_end; interleaved budget_warning,
-// degraded and stop events as the run's control plane acts; one run_end.
+// run_start; the phase_end of each first-pass loop (support count,
+// recode, root build), which open no level; per level/class a
+// level_start, the phase_end of each scheduler loop it ran, and a
+// level_end; interleaved budget_warning, degraded and stop events as
+// the run's control plane acts; one run_end.
 const (
 	// RunStart opens the stream: algorithm, representation, workers,
 	// dataset and absolute support of the run.

@@ -126,6 +126,10 @@ func New(ctx context.Context, b Budget) *Control {
 	c := &Control{budget: b}
 	c.curable.Store(b.DegradeToDiffset)
 	if ctx != nil && ctx.Done() != nil {
+		// A context done already stops the run now, so its first check
+		// sees the cause; the watcher would record it only once its own
+		// goroutine runs.
+		c.Stop(ctx.Err())
 		c.stopCtxWatch = context.AfterFunc(ctx, func() { c.Stop(ctx.Err()) })
 	}
 	if b.MaxDuration > 0 {

@@ -86,6 +86,18 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
+// TestContextDoneBeforeNew: a context cancelled before the run starts
+// stops it at once, with no wait for the watcher's goroutine.
+func TestContextDoneBeforeNew(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := New(ctx, Budget{})
+	defer c.Close()
+	if !c.Stopped() || !errors.Is(c.Err(), context.Canceled) {
+		t.Fatalf("stopped = %v, Err = %v; want stopped with context.Canceled", c.Stopped(), c.Err())
+	}
+}
+
 // TestDeadlineContext: a context deadline surfaces as
 // context.DeadlineExceeded.
 func TestDeadlineContext(t *testing.T) {

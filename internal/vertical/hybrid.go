@@ -34,15 +34,20 @@ type hybridRep struct{}
 
 func (hybridRep) Kind() Kind { return Hybrid }
 
-// Roots builds level-1 nodes as tidsets: at the root, diffsets are
+func (h hybridRep) Roots(rec *dataset.Recoded) []Node { return alone(h.RootsOn(rec, dataset.Pass{})) }
+
+// RootsOn builds level-1 nodes as tidsets: at the root, diffsets are
 // complements and almost always larger.
-func (hybridRep) Roots(rec *dataset.Recoded) []Node {
-	sets := rec.TidsetOf()
+func (hybridRep) RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error) {
+	sets, err := tidsetRoots(rec, p)
+	if err != nil {
+		return nil, err
+	}
 	nodes := make([]Node, len(sets))
 	for i, s := range sets {
 		nodes[i] = &HybridNode{set: s, sup: len(s)}
 	}
-	return nodes
+	return nodes, nil
 }
 
 func (h hybridRep) Combine(px, py Node) Node { return h.CombineInto(nil, px, py) }

@@ -66,13 +66,31 @@ type nodesetRep struct{}
 
 func (nodesetRep) Kind() Kind { return Nodeset }
 
-func (nodesetRep) Roots(rec *dataset.Recoded) []Node {
-	enc := nodeset.Build(rec)
+func (r nodesetRep) Roots(rec *dataset.Recoded) []Node { return alone(r.RootsOn(rec, dataset.Pass{})) }
+
+// RootsOn builds the PPC encoding as the root loop's one task: the
+// tree comes from one prefix-sorted walk over every row, which the row
+// chunks cannot split, so the loop runs one chunk of no rows (one
+// modelled block) that builds it all.
+func (nodesetRep) RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error) {
+	var enc *nodeset.Encoding
+	err := p.For(rootsLoop, []dataset.Chunk{{}}, func(int) (int, int) {
+		enc = nodeset.Build(rec)
+		read, written := 0, 0
+		for i, fi := range rec.Items {
+			read += 4 * fi.Support
+			written += nodeset.L1EntryBytes * len(enc.NLists[i])
+		}
+		return read, written
+	})
+	if err != nil {
+		return nil, err
+	}
 	nodes := make([]Node, len(rec.Items))
 	for i := range rec.Items {
 		nodes[i] = &NodesetNode{Enc: enc, L1: enc.NLists[i], code: i, sup: rec.Items[i].Support, root: true}
 	}
-	return nodes
+	return nodes, nil
 }
 
 // levels panics when a combine crosses levels. The miners only combine

@@ -31,13 +31,19 @@ type tiledRep struct{}
 
 func (tiledRep) Kind() Kind { return Tiled }
 
-func (tiledRep) Roots(rec *dataset.Recoded) []Node {
-	sets := rec.TidsetOf()
+func (r tiledRep) Roots(rec *dataset.Recoded) []Node { return alone(r.RootsOn(rec, dataset.Pass{})) }
+
+// RootsOn builds the tidsets on the team and tiles them after it joins.
+func (tiledRep) RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error) {
+	sets, err := tidsetRoots(rec, p)
+	if err != nil {
+		return nil, err
+	}
 	nodes := make([]Node, len(sets))
 	for i, s := range sets {
 		nodes[i] = &TiledNode{T: tidset.FromSet(s)}
 	}
-	return nodes
+	return nodes, nil
 }
 
 func (r tiledRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }

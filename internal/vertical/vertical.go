@@ -102,9 +102,14 @@ type Node interface {
 type Representation interface {
 	Kind() Kind
 	// Roots builds the level-1 node for every frequent item of rec,
-	// indexed by dense item code. It counts nothing; the miners charge
-	// the roots with CountRoots.
+	// indexed by dense item code, on a team of one: RootsOn with the
+	// zero dataset.Pass. It counts nothing; the miners charge the roots
+	// with CountRoots.
 	Roots(rec *dataset.Recoded) []Node
+	// RootsOn is Roots on p's team, as the loop vertical/roots over
+	// rec's row chunks (roots.go), checking p's Control at every chunk
+	// boundary. A stopped build returns the stop cause and no nodes.
+	RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error)
 	// Combine produces the node for candidate PXY from the nodes of PX
 	// and PY, where PX's last item orders before PY's. The result's
 	// Support is the candidate's support. It is CombineInto with no
@@ -159,13 +164,18 @@ type tidsetRep struct{}
 
 func (tidsetRep) Kind() Kind { return Tidset }
 
-func (tidsetRep) Roots(rec *dataset.Recoded) []Node {
-	sets := rec.TidsetOf()
+func (r tidsetRep) Roots(rec *dataset.Recoded) []Node { return alone(r.RootsOn(rec, dataset.Pass{})) }
+
+func (tidsetRep) RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error) {
+	sets, err := tidsetRoots(rec, p)
+	if err != nil {
+		return nil, err
+	}
 	nodes := make([]Node, len(sets))
 	for i, s := range sets {
 		nodes[i] = &TidsetNode{TIDs: s}
 	}
-	return nodes
+	return nodes, nil
 }
 
 func (r tidsetRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }
@@ -185,14 +195,20 @@ type bitvectorRep struct{}
 
 func (bitvectorRep) Kind() Kind { return Bitvector }
 
-func (bitvectorRep) Roots(rec *dataset.Recoded) []Node {
-	n := rec.DB.NumTransactions()
-	sets := rec.TidsetOf()
-	nodes := make([]Node, len(sets))
-	for i, s := range sets {
-		nodes[i] = &BitvectorNode{Bits: bitvec.FromTIDs(n, s), sup: len(s)}
+func (r bitvectorRep) Roots(rec *dataset.Recoded) []Node {
+	return alone(r.RootsOn(rec, dataset.Pass{}))
+}
+
+func (bitvectorRep) RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error) {
+	vecs, err := bitvectorRoots(rec, p)
+	if err != nil {
+		return nil, err
 	}
-	return nodes
+	nodes := make([]Node, len(vecs))
+	for i, v := range vecs {
+		nodes[i] = &BitvectorNode{Bits: v, sup: rec.Items[i].Support}
+	}
+	return nodes, nil
 }
 
 func (r bitvectorRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }
@@ -219,17 +235,21 @@ type diffsetRep struct{}
 
 func (diffsetRep) Kind() Kind { return Diffset }
 
-// Roots seeds level-1 diffsets as the complement of each item's tidset
-// within the transaction universe (paper Figure 2(a)): d(x) = D − t(x),
-// support(x) = |D| − |d(x)|.
-func (diffsetRep) Roots(rec *dataset.Recoded) []Node {
-	n := rec.DB.NumTransactions()
-	sets := rec.TidsetOf()
-	nodes := make([]Node, len(sets))
-	for i, s := range sets {
-		nodes[i] = &DiffsetNode{Diff: s.Complement(n), sup: len(s)}
+func (r diffsetRep) Roots(rec *dataset.Recoded) []Node { return alone(r.RootsOn(rec, dataset.Pass{})) }
+
+// RootsOn seeds level-1 diffsets as the complement of each item's
+// tidset within the transaction universe (paper Figure 2(a)):
+// d(x) = D − t(x), support(x) = |D| − |d(x)|.
+func (diffsetRep) RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error) {
+	diffs, err := diffsetRoots(rec, p)
+	if err != nil {
+		return nil, err
 	}
-	return nodes
+	nodes := make([]Node, len(diffs))
+	for i, d := range diffs {
+		nodes[i] = &DiffsetNode{Diff: d, sup: rec.Items[i].Support}
+	}
+	return nodes, nil
 }
 
 func (r diffsetRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }

@@ -185,7 +185,8 @@ func TestObserverCancelEmitsStop(t *testing.T) {
 	db := runctlDB(t)
 	for _, algo := range []Algorithm{Apriori, Eclat, FPGrowth} {
 		ctx, cancel := context.WithCancel(context.Background())
-		sched.SetFaultHook(func(fc sched.FaultContext) {
+		rec := &EventRecorder{}
+		gate := armMiningFault(rec, func(fc sched.FaultContext) {
 			if fc.Seq == 3 {
 				cancel()
 				for !fc.Control.Stopped() {
@@ -193,9 +194,8 @@ func TestObserverCancelEmitsStop(t *testing.T) {
 				}
 			}
 		})
-		rec := &EventRecorder{}
 		res, _ := MineContext(ctx, db, 0.5, Options{
-			Algorithm: algo, Representation: Tidset, Workers: 2, Observer: rec,
+			Algorithm: algo, Representation: Tidset, Workers: 2, Observer: gate,
 		})
 		cancel()
 		sched.SetFaultHook(nil)
@@ -212,6 +212,9 @@ func TestObserverCancelEmitsStop(t *testing.T) {
 		}
 		if res == nil || !res.Incomplete {
 			t.Errorf("%v: result not marked incomplete", algo)
+		}
+		if countType(events, EventLevelStart) == 0 || res.Len() == 0 {
+			t.Errorf("%v: the cancel did not land in the miner (no level, %d itemsets)", algo, res.Len())
 		}
 	}
 }
@@ -343,14 +346,14 @@ func TestObserverPanicEmitsStop(t *testing.T) {
 	defer sched.SetFaultHook(nil)
 	db := runctlDB(t)
 	for _, algo := range []Algorithm{Apriori, Eclat, FPGrowth} {
-		sched.SetFaultHook(func(fc sched.FaultContext) {
+		rec := &EventRecorder{}
+		gate := armMiningFault(rec, func(fc sched.FaultContext) {
 			if fc.Seq == 2 {
 				panic("injected worker fault")
 			}
 		})
-		rec := &EventRecorder{}
-		_, err := MineContext(context.Background(), db, 0.5, Options{
-			Algorithm: algo, Representation: Tidset, Workers: 4, Observer: rec,
+		res, err := MineContext(context.Background(), db, 0.5, Options{
+			Algorithm: algo, Representation: Tidset, Workers: 4, Observer: gate,
 		})
 		sched.SetFaultHook(nil)
 		if err == nil {
@@ -361,6 +364,9 @@ func TestObserverPanicEmitsStop(t *testing.T) {
 		stops := rec.ByType(EventStop)
 		if len(stops) != 1 || stops[0].Reason != "worker-panic" {
 			t.Fatalf("%v: stop events = %+v, want one worker-panic", algo, stops)
+		}
+		if countType(events, EventLevelStart) == 0 || res == nil || res.Len() == 0 {
+			t.Errorf("%v: the panic did not land in the miner", algo)
 		}
 	}
 }

@@ -27,6 +27,40 @@ func runctlDB(t *testing.T) *DB {
 	return db
 }
 
+// miningGate arms a fault hook for the mining loops only. The first
+// pass (count, recode, roots) is shared by every miner and runs before
+// the first level_start, so the gate opens at that event and renumbers
+// the chunks from there: a hook matching Seq k faults in the k-th chunk
+// of the miner itself. Pass the gate as the run's Observer; events are
+// forwarded to next, which may be nil.
+type miningGate struct {
+	open atomic.Bool
+	seq  atomic.Int64
+	next Observer
+}
+
+func (g *miningGate) Event(e Event) {
+	if e.Type == EventLevelStart {
+		g.open.Store(true)
+	}
+	if g.next != nil {
+		g.next.Event(e)
+	}
+}
+
+// armMiningFault installs hook behind a new gate and returns the gate.
+func armMiningFault(next Observer, hook func(sched.FaultContext)) *miningGate {
+	g := &miningGate{next: next}
+	sched.SetFaultHook(func(fc sched.FaultContext) {
+		if !g.open.Load() {
+			return
+		}
+		fc.Seq = g.seq.Add(1)
+		hook(fc)
+	})
+	return g
+}
+
 // assertExactSupports recounts every reported itemset against the raw
 // database: a stopped or degraded run may be missing itemsets, but
 // everything it does report must carry its true support.
@@ -50,7 +84,7 @@ func assertExactSupports(t *testing.T, db *DB, res *Result) {
 }
 
 // TestMineContextCancelPromptly cancels the context at the third
-// scheduler chunk and asserts the run unwinds within the workers'
+// scheduler chunk of each miner (past the shared first pass) and asserts the run unwinds within the workers'
 // in-flight chunks, returning context.Canceled and a well-formed partial
 // Result.
 func TestMineContextCancelPromptly(t *testing.T) {
@@ -59,7 +93,7 @@ func TestMineContextCancelPromptly(t *testing.T) {
 	for _, algo := range []Algorithm{Apriori, Eclat, FPGrowth} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var after atomic.Int64
-		sched.SetFaultHook(func(fc sched.FaultContext) {
+		gate := armMiningFault(nil, func(fc sched.FaultContext) {
 			if fc.Control.Stopped() {
 				after.Add(1)
 				return
@@ -74,7 +108,7 @@ func TestMineContextCancelPromptly(t *testing.T) {
 			}
 		})
 
-		opt := Options{Algorithm: algo, Representation: Tidset, Workers: 2}
+		opt := Options{Algorithm: algo, Representation: Tidset, Workers: 2, Observer: gate}
 		res, err := MineContext(ctx, db, 0.5, opt)
 		cancel()
 		sched.SetFaultHook(nil)
@@ -96,25 +130,61 @@ func TestMineContextCancelPromptly(t *testing.T) {
 		if a := after.Load(); a > int64(opt.Workers) {
 			t.Errorf("%v: %d chunks started after cancellation", algo, a)
 		}
+		if res.Len() == 0 {
+			t.Errorf("%v: empty partial result; the cancel did not land in the miner", algo)
+		}
 		assertExactSupports(t, db, res)
 	}
 }
 
+// TestFirstPassStopsOnCancel: a run whose context is cancelled before
+// it starts stops at the first chunk boundary of the first pass, for
+// every miner: an empty Incomplete result carrying the cause, a
+// canceled stop event, and no level opened.
+func TestFirstPassStopsOnCancel(t *testing.T) {
+	db := runctlDB(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, algo := range []Algorithm{Apriori, Eclat, FPGrowth} {
+		rec := &EventRecorder{}
+		trace := &Trace{}
+		res, err := MineContext(ctx, db, 0.5, Options{
+			Algorithm: algo, Representation: Bitvector, Workers: 2, Observer: rec, Trace: trace,
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: err = %v, want context.Canceled", algo, err)
+		}
+		if res == nil || !res.Incomplete || res.Len() != 0 || !errors.Is(res.StopCause, context.Canceled) {
+			t.Fatalf("%v: result %+v, want empty, incomplete, canceled", algo, res)
+		}
+		assertStream(t, algo.String(), rec.Events())
+		if n := countType(rec.Events(), EventLevelStart); n != 0 {
+			t.Errorf("%v: %d levels opened", algo, n)
+		}
+		if stops := rec.ByType(EventStop); len(stops) != 1 || stops[0].Reason != "canceled" {
+			t.Errorf("%v: stop events = %+v, want one canceled", algo, stops)
+		}
+		if len(trace.Loops) != 1 || trace.Loops[0].Name != "dataset/count" || trace.Loops[0].Load != nil {
+			t.Errorf("%v: loops %v, want only an unrun dataset/count", algo, trace.Loops)
+		}
+	}
+}
+
 // TestWorkerPanicContained injects a panic at a scheduler chunk boundary
-// in each of the three miners and asserts the process survives: the team
+// in each of the three miners (past the shared first pass) and asserts the process survives: the team
 // drains, and MineContext returns a *WorkerPanicError plus the partial
 // result.
 func TestWorkerPanicContained(t *testing.T) {
 	defer sched.SetFaultHook(nil)
 	db := runctlDB(t)
 	for _, algo := range []Algorithm{Apriori, Eclat, FPGrowth} {
-		sched.SetFaultHook(func(fc sched.FaultContext) {
+		gate := armMiningFault(nil, func(fc sched.FaultContext) {
 			if fc.Seq == 2 {
 				panic("injected worker fault")
 			}
 		})
 		res, err := MineContext(context.Background(), db, 0.5,
-			Options{Algorithm: algo, Representation: Tidset, Workers: 4})
+			Options{Algorithm: algo, Representation: Tidset, Workers: 4, Observer: gate})
 		sched.SetFaultHook(nil)
 
 		var perr *WorkerPanicError
@@ -129,6 +199,9 @@ func TestWorkerPanicContained(t *testing.T) {
 		}
 		if res == nil || !res.Incomplete {
 			t.Fatalf("%v: partial result missing or not marked Incomplete", algo)
+		}
+		if res.Len() == 0 {
+			t.Errorf("%v: empty partial result; the panic did not land in the miner", algo)
 		}
 		assertExactSupports(t, db, res)
 	}

@@ -120,9 +120,10 @@ func TestTraceCrossCheck(t *testing.T) {
 // measured halves — one event per measured loop, in order, under the
 // name its miner opened it with (no anonymous loop<k>), with the same
 // schedule and iteration count and per-worker tasks summing to it, each
-// emitted before its stage's level_end. Apriori's subset-prune loops
-// carry their generation in their name and only a measured half; its
-// root build carries only a modelled half.
+// emitted before its stage's level_end. The first pass's loops come
+// first, each with both halves, and reach phase_end before any level
+// opens. Apriori's subset-prune loops carry their generation in their
+// name and only a measured half.
 func TestLoopRecordMatchesPhaseEnd(t *testing.T) {
 	db := runctlDB(t)
 	anonymous := regexp.MustCompile(`^loop[0-9]+$`)
@@ -178,6 +179,23 @@ func TestLoopRecordMatchesPhaseEnd(t *testing.T) {
 					t.Errorf("%s: %q worker tasks sum %d != n %d", label, e.Phase, tasks, e.Candidates)
 				}
 			}
+			// Every miner's record opens with the first pass, each loop with
+			// both halves and its phase_end before any level_start; FP-growth
+			// builds no vertical roots.
+			first := []string{"dataset/count", "dataset/recode", "vertical/roots"}
+			if algo == FPGrowth {
+				first = first[:2]
+			}
+			for i, name := range first {
+				l := trace.Loops[i]
+				if l.Name != name || l.Load == nil || l.Model == nil {
+					t.Errorf("%s: loop %d = %q load %v model %v, want %q with both halves", label, i, l.Name, l.Load, l.Model, name)
+				}
+				at := slices.IndexFunc(stream, func(e Event) bool { return e.Type == EventPhaseEnd && e.Phase == name })
+				if start := slices.IndexFunc(stream, func(e Event) bool { return e.Type == EventLevelStart }); at < 0 || at > start {
+					t.Errorf("%s: phase_end %q at %d, first level_start at %d", label, name, at, start)
+				}
+			}
 			if algo != Apriori {
 				continue
 			}
@@ -201,11 +219,6 @@ func TestLoopRecordMatchesPhaseEnd(t *testing.T) {
 			}
 			if prunes == 0 {
 				t.Errorf("%s: no prune loop recorded", label)
-			}
-			roots := trace.Loops[0]
-			if roots.Name != "apriori/roots" || roots.Load != nil || roots.Model == nil ||
-				slices.ContainsFunc(phases, func(e Event) bool { return e.Phase == roots.Name }) {
-				t.Errorf("%s: roots loop %q load %v model %v", label, roots.Name, roots.Load, roots.Model)
 			}
 		}
 	}
