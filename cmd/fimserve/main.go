@@ -14,26 +14,19 @@
 //	GET  /healthz /readyz /stats
 //	GET  /metrics         Prometheus text exposition (admission, cache,
 //	                      queue/run/request histograms, pool, kernel
-//	                      roll-ups, SLO burn state)
-//	GET  /debug/flight    the flight recorder's last-runs dump
-//	GET  /debug/incidents      captured incident bundles (summaries)
-//	GET  /debug/incidents/{id} one full fimserve-incident/v1 bundle
+//	                      roll-ups, process health, build info)
+//	GET  /debug/pprof/    the standard library's on-demand profiles
 //
-// A continuous CPU profiler runs always-on in fixed windows
-// (-prof-window), and every mining run executes under pprof labels
-// (fim_run_id, fim_tenant, fim_algo, fim_rep, fim_phase), so any CPU
-// profile taken from the daemon attributes samples to runs and phases.
-// When the SLO watchdog transitions into warn or page, a worker
-// panics, or the shared pool stops a run, the incident engine bundles
-// the flight dump, paired /metrics scrapes, the covering CPU window, a
-// goroutine dump and a heap profile (rate-limited by
-// -incident-cooldown, persisted to -incident-dir).
+// Every mining run executes under pprof labels (fim_run_id, fim_tenant,
+// fim_algo, fim_rep, fim_phase), so a CPU profile taken from
+// /debug/pprof/profile attributes samples to runs and phases:
+//
+//	go tool pprof -tagfocus fim_run_id=7 'http://localhost:8080/debug/pprof/profile?seconds=30'
 //
 // Requests carry a tenant in the X-Tenant header ("anon" if absent).
 // On SIGTERM/SIGINT the daemon stops admitting, drains in-flight runs
 // (budget-stopping stragglers after the grace period), optionally
-// writes a shutdown report and the flight-recorder dump (-flight), and
-// exits 0.
+// writes a shutdown report (-report), and exits 0.
 //
 // Kernel calibration comes from the file named by $FIM_CALIBRATION, as
 // in the other binaries; unset means the compiled-in defaults.
@@ -70,11 +63,7 @@ func main() {
 		cacheMB     = flag.Int64("cache-mb", 64, "result cache budget (MiB, -1 disables)")
 		drainGrace  = flag.Duration("drain-grace", 10*time.Second, "how long drain lets runs finish before stopping them")
 		report      = flag.String("report", "", "write a JSON shutdown report (stats + recent runs) to this file on exit")
-		flight      = flag.String("flight", "", "write the flight-recorder dump (fimserve-flight/v1) to this file on drain, and <file>.panic on a worker panic")
 		tenantCard  = flag.Int("tenant-series", 32, "distinct tenant label values in /metrics before folding into \"other\"")
-		profWindow  = flag.Duration("prof-window", time.Minute, "continuous profiler window length (negative disables)")
-		incCooldown = flag.Duration("incident-cooldown", 5*time.Minute, "minimum spacing between incident bundles")
-		incDir      = flag.String("incident-dir", "", "persist each incident bundle to <dir>/incident-<id>.json")
 	)
 	flag.Parse()
 
@@ -97,11 +86,6 @@ func main() {
 		CacheBytes:     cacheBytes,
 		DrainGrace:     *drainGrace,
 		TenantSeries:   *tenantCard,
-		FlightPath:     *flight,
-
-		ProfileWindow:    *profWindow,
-		IncidentCooldown: *incCooldown,
-		IncidentDir:      *incDir,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -141,9 +125,6 @@ func main() {
 			os.Exit(1)
 		}
 		log.Printf("fimserve: report written to %s", *report)
-	}
-	if *flight != "" {
-		log.Printf("fimserve: flight dump written to %s", *flight)
 	}
 	log.Printf("fimserve: drained, exiting")
 }

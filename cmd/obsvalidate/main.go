@@ -1,10 +1,8 @@
 // Command obsvalidate checks observability artifacts against their
 // schemas: a JSON-lines event stream (fimmine -events), a run report
 // (fimmine -report, fim-run-report/v1), a span timeline (fimmine -trace,
-// Chrome trace-event JSON), Prometheus text-exposition scrapes
-// (fimserve GET /metrics), and incident bundles (fimserve
-// GET /debug/incidents/{id} or -incident-dir files,
-// fimserve-incident/v1). When both -events and -trace are given, it
+// Chrome trace-event JSON), and Prometheus text-exposition scrapes
+// (fimserve GET /metrics). When both -events and -trace are given, it
 // also cross-checks the trace's per-worker chunk-span totals against
 // the event stream's phase_end load metrics (within 5%); when both
 // -metrics and -metrics2 are given (two scrapes of the same target, in
@@ -25,18 +23,14 @@
 //	7  trace/events busy-time cross-check failed
 //	8  metrics scrape invalid (parse, histogram consistency, or
 //	   counter monotonicity between -metrics and -metrics2)
-//	9  incident bundle invalid (envelope, embedded flight dump,
-//	   paired scrapes, goroutine dump, or pprof profiles)
 //
 // Usage:
 //
 //	obsvalidate -events run.jsonl -report run.json -trace run.trace.json
 //	obsvalidate -metrics scrape1.prom -metrics2 scrape2.prom
-//	obsvalidate -incident incident-1.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -44,11 +38,11 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/obs/metrics"
-	"repro/internal/serve"
 )
 
-// Exit codes, one per validator class. 5 is retired (it was the
-// bench-file class), so every other code keeps its number.
+// Exit codes, one per validator class. 5 (the bench-file class) and 9
+// (the incident-bundle class) are retired, so every other code keeps
+// its number.
 const (
 	exitOK       = 0
 	exitIO       = 1
@@ -58,7 +52,6 @@ const (
 	exitTrace    = 6
 	exitCrossChk = 7
 	exitMetrics  = 8
-	exitIncident = 9
 )
 
 // crossCheckTol matches the acceptance bound: span totals and the
@@ -73,11 +66,10 @@ func main() {
 	tracePath := flag.String("trace", "", "Chrome trace-event JSON timeline to validate")
 	metricsPath := flag.String("metrics", "", "Prometheus text-exposition scrape to validate")
 	metrics2Path := flag.String("metrics2", "", "later scrape of the same target, checked monotone against -metrics")
-	incidentPath := flag.String("incident", "", "fimserve-incident/v1 bundle to validate")
 	flag.Parse()
 
-	if *eventsPath == "" && *reportPath == "" && *tracePath == "" && *metricsPath == "" && *incidentPath == "" {
-		fmt.Fprintln(os.Stderr, "obsvalidate: nothing to validate (pass -events, -report, -trace, -metrics and/or -incident)")
+	if *eventsPath == "" && *reportPath == "" && *tracePath == "" && *metricsPath == "" {
+		fmt.Fprintln(os.Stderr, "obsvalidate: nothing to validate (pass -events, -report, -trace and/or -metrics)")
 		os.Exit(exitUsage)
 	}
 	if *metrics2Path != "" && *metricsPath == "" {
@@ -153,26 +145,6 @@ func main() {
 				*metrics2Path, len(second.Values), *metricsPath)
 			checked++
 		}
-	}
-	if *incidentPath != "" {
-		data, err := os.ReadFile(*incidentPath)
-		if err != nil {
-			fail(exitIO, *incidentPath, err)
-		}
-		var b serve.IncidentBundle
-		if err := json.Unmarshal(data, &b); err != nil {
-			fail(exitIncident, *incidentPath, err)
-		}
-		if err := serve.ValidateIncident(b); err != nil {
-			fail(exitIncident, *incidentPath, err)
-		}
-		profNote := fmt.Sprintf("%d-byte cpu window", len(b.CPUProfile))
-		if len(b.CPUProfile) == 0 {
-			profNote = "no cpu window (profiler disabled or skipped)"
-		}
-		fmt.Printf("%s: %s #%d reason %q, %d flight runs, %s, bundle valid\n",
-			*incidentPath, b.Schema, b.ID, b.Reason, len(b.Flight.Runs), profNote)
-		checked++
 	}
 	fmt.Printf("obsvalidate: %d artifact(s) valid\n", checked)
 }

@@ -226,8 +226,8 @@ type Options struct {
 	// RunID, when non-zero, is a run correlation identifier stamped onto
 	// every event the run emits (and therefore onto SSE streams and run
 	// reports built from them). The serving layer sets it to the run's
-	// registry ID so /metrics anomalies, flight-recorder entries, traces
-	// and reports join on one key.
+	// registry ID so /runs records, SSE streams, traces, reports and
+	// fim_run_id profile labels join on one key.
 	RunID int64
 	// ProfileLabels attaches pprof goroutine labels to the run: every
 	// CPU-profile sample taken while the run executes carries fim_run_id

@@ -67,14 +67,23 @@ func Serve(addr string, b *ReportBuilder, tr *obs.TraceRecorder) (*Server, error
 		}
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
+	HandlePprof(mux)
+	s := &Server{ln: ln, srv: &http.Server{Handler: mux}}
+	go s.srv.Serve(ln)
+	return s, nil
+}
+
+// HandlePprof registers the standard library's on-demand profiling
+// handlers under /debug/pprof/ on mux — fimmine -metrics-addr and the
+// fimserve daemon both serve them. A labeled run's samples carry its
+// fim_* labels (internal/obs/prof), so a CPU profile taken here can be
+// sliced by run and phase with `go tool pprof -tagfocus`.
+func HandlePprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s := &Server{ln: ln, srv: &http.Server{Handler: mux}}
-	go s.srv.Serve(ln)
-	return s, nil
 }
 
 // Addr returns the bound address (useful with ":0").

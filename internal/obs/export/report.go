@@ -77,7 +77,8 @@ type Report struct {
 	// RunID is the run correlation identifier carried by the event
 	// stream (obs.Event.RunID), present when the run was served under an
 	// external identity — it joins this report to the service's
-	// /metrics, flight-recorder and SSE views of the same run.
+	// /runs record, SSE stream and fim_run_id profile labels of the
+	// same run.
 	RunID int64 `json:"run_id,omitempty"`
 
 	// Run configuration (from run_start).

@@ -6,7 +6,7 @@
 //
 // Where internal/obs observes one run from the inside (events, spans,
 // kernel counters), this package observes the *service* over time: the
-// serving stack registers its admission, cache, queue, pool and SLO
+// serving stack registers its admission, cache, queue, pool and health
 // instruments here and exposes them at GET /metrics, turning the
 // paper's per-run scalability quantities into continuously scrapeable
 // time series.

@@ -96,8 +96,8 @@ type Event struct {
 	TimeUnixNS int64 `json:"time_unix_ns,omitempty"`
 	// RunID is the run correlation identifier: the serving layer's
 	// registry run ID (fim.Options.RunID), stamped onto every event of
-	// the run by WithRunID so a metrics anomaly, an SSE stream, a run
-	// report and a flight-recorder entry can all be joined on one key.
+	// the run by WithRunID so a /runs record, an SSE stream, a run
+	// report and a fim_run_id profile label can all be joined on one key.
 	// Zero when the run has no external identity (one-shot fimmine).
 	RunID int64 `json:"run_id,omitempty"`
 

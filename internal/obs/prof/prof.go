@@ -1,7 +1,7 @@
 // Package prof is the engine's CPU-attribution layer: pprof goroutine
-// labels that slice a service profile by mining run and search phase,
-// an always-on continuous profiler keeping a ring of recent CPU-profile
-// windows, and goroutine/heap snapshot helpers for incident bundles.
+// labels that slice any profile of the process — fimmine -cpuprofile,
+// or /debug/pprof/ on fimserve and fimmine -metrics-addr — by mining
+// run and search phase.
 //
 // Labels answer the question the paper's scalability analysis keeps
 // asking — *where* does the CPU time go when the machine saturates —
@@ -17,7 +17,6 @@
 package prof
 
 import (
-	"bytes"
 	"context"
 	"runtime/pprof"
 	"strconv"
@@ -115,23 +114,4 @@ func (p *PhaseLabeler) Event(e obs.Event) {
 		return
 	}
 	pprof.SetGoroutineLabels(pprof.WithLabels(*ctxp, pprof.Labels(LabelPhase, e.Phase)))
-}
-
-// GoroutineDump returns the full-stack goroutine dump (the debug=2 text
-// form of /debug/pprof/goroutine) — the incident bundle's "what was
-// everyone doing" snapshot.
-func GoroutineDump() []byte {
-	var buf bytes.Buffer
-	_ = pprof.Lookup("goroutine").WriteTo(&buf, 2)
-	return buf.Bytes()
-}
-
-// HeapProfile returns the heap allocation profile in pprof protobuf
-// format (gzipped), as /debug/pprof/heap would serve it.
-func HeapProfile() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -1,26 +1,83 @@
 package prof_test
 
-// Tests drive the profiler through the public mining facade: a labeled
-// run's CPU samples must actually carry the run identity, end to end
-// through fim.Options → pprof.Do → scheduler worker inheritance →
-// profile protobuf. The CPU profiler is process-exclusive, so no test
-// here uses t.Parallel.
+// Tests drive the labels through the public mining facade: a labeled
+// run's goroutines must actually carry the run identity, end to end
+// through fim.Options → pprof.Do → scheduler worker inheritance. They
+// read the labels from goroutine-profile snapshots taken inside the
+// run's own scheduler chunks, so no sampling is involved. The fault
+// hook is process-global, so no test here uses t.Parallel.
 
 import (
+	"bytes"
 	"context"
-	"os"
+	"encoding/json"
+	"fmt"
+	"runtime/pprof"
+	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	fim "repro"
 	"repro/internal/obs/prof"
+	"repro/internal/sched"
 )
 
-// mineLabeled runs one labeled mushroom mine — heavy enough to land
-// tens of CPU samples at the profiler's 100 Hz.
-func mineLabeled(t *testing.T, runID int64, tenant string) {
-	t.Helper()
-	db, err := fim.Dataset("mushroom", 1)
+// callerLabels takes a goroutine profile (the debug=1 text form, which
+// prints each goroutine group's labels) and returns the labels of the
+// group that is writing it: the calling goroutine's.
+func callerLabels() (map[string]string, error) {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		return nil, err
+	}
+	for _, group := range strings.Split(buf.String(), "\n\n") {
+		if !strings.Contains(group, "runtime/pprof.writeGoroutine") {
+			continue
+		}
+		labels := map[string]string{}
+		for _, line := range strings.Split(group, "\n") {
+			if js, ok := strings.CutPrefix(line, "# labels: "); ok {
+				if err := json.Unmarshal([]byte(js), &labels); err != nil {
+					return nil, fmt.Errorf("labels line %q: %v", line, err)
+				}
+			}
+		}
+		return labels, nil
+	}
+	return nil, fmt.Errorf("no goroutine group is writing the profile:\n%s", buf.String())
+}
+
+// TestRunLabelsInProfile: a labeled run's first-pass chunks carry the
+// run identity (fim_run_id, fim_tenant, fim_algo, fim_rep) with
+// fim_phase=setup, and its level chunks carry the same identity with
+// the miner's phase.
+func TestRunLabelsInProfile(t *testing.T) {
+	const runID = 424242
+	var (
+		mu           sync.Mutex
+		setup, level map[string]string
+		snapErr      error
+	)
+	sched.SetFaultHook(func(fc sched.FaultContext) {
+		// One snapshot at a time, so exactly one goroutine is writing.
+		mu.Lock()
+		defer mu.Unlock()
+		if level != nil || snapErr != nil {
+			return
+		}
+		l, err := callerLabels()
+		switch {
+		case err != nil:
+			snapErr = err
+		case fc.Seq == 1: // the run's first chunk is in dataset/count
+			setup = l
+		case l[prof.LabelPhase] != prof.PhaseSetup:
+			level = l
+		}
+	})
+	defer sched.SetFaultHook(nil)
+
+	db, err := fim.Dataset("chess", 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,137 +87,38 @@ func mineLabeled(t *testing.T, runID int64, tenant string) {
 		Workers:        2,
 		ProfileLabels:  true,
 		RunID:          runID,
-		Tenant:         tenant,
+		Tenant:         "unit-prof",
 	}
-	if _, err := fim.MineAbsolute(db, db.AbsoluteSupport(0.25), opt); err != nil {
+	if _, err := fim.MineAbsolute(db, db.AbsoluteSupport(0.6), opt); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestRunLabelsInProfile is the tentpole's core claim: a continuous-
-// profiler window covering a labeled run contains samples carrying the
-// run's fim_run_id, fim_tenant, fim_algo and fim_phase labels.
-func TestRunLabelsInProfile(t *testing.T) {
-	c := prof.NewContinuous(prof.ContinuousConfig{Window: 30 * time.Second, Ring: 2})
-	c.Start()
-	defer c.Stop()
-
-	const runID = 424242
-	// The profiler samples at 100 Hz; a short mine can in principle land
-	// few enough samples to miss. Mine again (same window) before giving
-	// up rather than flaking.
-	var labels map[string]map[string]bool
-	for attempt := 0; attempt < 4; attempt++ {
-		mineLabeled(t, runID, "unit-prof")
-		w, ok := c.Cut()
-		if !ok {
-			if c.Skipped() > 0 {
-				t.Skipf("CPU profiler held elsewhere (%d windows skipped)", c.Skipped())
+	if snapErr != nil {
+		t.Fatal(snapErr)
+	}
+	if setup == nil || level == nil {
+		t.Fatalf("missing snapshots: first-pass %v, level %v", setup, level)
+	}
+	want := map[string]string{
+		prof.LabelRunID:  fmt.Sprint(runID),
+		prof.LabelTenant: "unit-prof",
+		prof.LabelAlgo:   "eclat",
+		prof.LabelRep:    "tidset",
+	}
+	for _, snap := range []struct {
+		name   string
+		labels map[string]string
+	}{{"first-pass chunk", setup}, {"level chunk", level}} {
+		for k, v := range want {
+			if snap.labels[k] != v {
+				t.Errorf("%s: %s = %q, want %q (labels %v)", snap.name, k, snap.labels[k], v, snap.labels)
 			}
-			t.Fatal("continuous profiler returned no window")
-		}
-		if w.StartUnixNS == 0 || w.EndUnixNS <= w.StartUnixNS {
-			t.Fatalf("window interval [%d, %d] not sane", w.StartUnixNS, w.EndUnixNS)
-		}
-		if err := prof.CheckProfile(w.Profile); err != nil {
-			t.Fatalf("window profile does not parse: %v", err)
-		}
-		lv, err := prof.LabelValues(w.Profile)
-		if err != nil {
-			t.Fatalf("reading profile labels: %v", err)
-		}
-		if lv[prof.LabelRunID]["424242"] {
-			labels = lv
-			break
 		}
 	}
-	if labels == nil {
-		t.Fatalf("no samples labeled %s=424242 after 4 labeled mines", prof.LabelRunID)
+	if setup[prof.LabelPhase] != prof.PhaseSetup {
+		t.Errorf("first-pass chunk: %s = %q, want %q", prof.LabelPhase, setup[prof.LabelPhase], prof.PhaseSetup)
 	}
-	if !labels[prof.LabelTenant]["unit-prof"] {
-		t.Errorf("no %s=unit-prof samples; saw %v", prof.LabelTenant, labels[prof.LabelTenant])
-	}
-	if !labels[prof.LabelAlgo]["eclat"] {
-		t.Errorf("no %s=eclat samples; saw %v", prof.LabelAlgo, labels[prof.LabelAlgo])
-	}
-	if !labels[prof.LabelRep]["tidset"] {
-		t.Errorf("no %s=tidset samples; saw %v", prof.LabelRep, labels[prof.LabelRep])
-	}
-	if len(labels[prof.LabelPhase]) == 0 {
-		t.Error("no fim_phase labels at all")
-	}
-}
-
-// TestContinuousRotationAndStop: windows rotate on their own, the ring
-// keeps the newest, every retained profile parses, and Stop is
-// idempotent (and safe before Start).
-func TestContinuousRotationAndStop(t *testing.T) {
-	c := prof.NewContinuous(prof.ContinuousConfig{Window: 20 * time.Millisecond, Ring: 2})
-	c.Start()
-
-	// Burn CPU while several windows elapse so the profiles hold samples.
-	deadline := time.Now().Add(150 * time.Millisecond)
-	x := 0
-	for time.Now().Before(deadline) {
-		x += x*31 + 1
-	}
-	_ = x
-	c.Stop()
-	c.Stop() // idempotent
-
-	ws := c.Windows()
-	if c.Skipped() > 0 && len(ws) == 0 {
-		t.Skipf("CPU profiler held elsewhere (%d windows skipped)", c.Skipped())
-	}
-	if len(ws) == 0 || len(ws) > 2 {
-		t.Fatalf("retained %d windows, want 1..2 (ring 2)", len(ws))
-	}
-	for i, w := range ws {
-		if err := prof.CheckProfile(w.Profile); err != nil {
-			t.Fatalf("window %d does not parse: %v", i, err)
-		}
-		if i > 0 && ws[i-1].StartUnixNS > w.StartUnixNS {
-			t.Fatalf("windows out of order: %d then %d", ws[i-1].StartUnixNS, w.StartUnixNS)
-		}
-	}
-
-	// Cut after Stop falls back to the newest retained window.
-	if w, ok := c.Cut(); !ok || len(w.Profile) == 0 {
-		t.Fatalf("Cut after Stop: ok=%v len=%d, want the retained window", ok, len(w.Profile))
-	}
-
-	// Stop before Start must not hang or panic.
-	never := prof.NewContinuous(prof.ContinuousConfig{})
-	never.Stop()
-	if _, ok := never.Cut(); ok {
-		t.Fatal("never-started profiler produced a window")
-	}
-}
-
-// TestExclusivitySkips: while one profiler holds the process CPU
-// profiler, a second one skips windows instead of erroring, and counts
-// them.
-func TestExclusivitySkips(t *testing.T) {
-	a := prof.NewContinuous(prof.ContinuousConfig{Window: time.Second, Ring: 1})
-	a.Start()
-	defer a.Stop()
-	time.Sleep(10 * time.Millisecond) // let a grab the profiler
-	if a.Skipped() > 0 {
-		t.Skip("CPU profiler held outside the test; exclusivity not observable")
-	}
-
-	b := prof.NewContinuous(prof.ContinuousConfig{Window: 15 * time.Millisecond, Ring: 1})
-	b.Start()
-	defer b.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for b.Skipped() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if b.Skipped() == 0 {
-		t.Fatal("second profiler never recorded a skipped window")
-	}
-	if _, ok := b.Cut(); ok {
-		t.Fatal("second profiler produced a window while the first held the profiler")
+	if !strings.HasPrefix(level[prof.LabelPhase], "eclat/") {
+		t.Errorf("level chunk: %s = %q, want an eclat/ phase", prof.LabelPhase, level[prof.LabelPhase])
 	}
 }
 
@@ -171,95 +129,4 @@ func TestPhaseLabelerUnarmed(t *testing.T) {
 	p.Arm(context.Background())
 	p.Event(fim.Event{Type: fim.EventLevelStart, Phase: "eclat/classes"})
 	p.Event(fim.Event{Type: fim.EventRunEnd}) // non-level events ignored
-}
-
-// TestProfileParsersRejectGarbage: the validator helpers fail loudly on
-// non-profiles instead of vacuously passing incident bundles.
-func TestProfileParsersRejectGarbage(t *testing.T) {
-	if err := prof.CheckProfile(nil); err == nil {
-		t.Error("CheckProfile accepted an empty profile")
-	}
-	if err := prof.CheckProfile([]byte{0x1f, 0x8b, 0xff, 0xff}); err == nil {
-		t.Error("CheckProfile accepted a truncated gzip header")
-	}
-	if _, err := prof.LabelValues([]byte{0x1f, 0x8b, 0x00}); err == nil {
-		t.Error("LabelValues accepted garbage")
-	}
-	// Snapshot helpers produce parseable output.
-	if hp, err := prof.HeapProfile(); err != nil || prof.CheckProfile(hp) != nil {
-		t.Errorf("heap profile: err=%v, parse=%v", err, prof.CheckProfile(hp))
-	}
-	if gd := prof.GoroutineDump(); len(gd) == 0 {
-		t.Error("goroutine dump empty")
-	}
-}
-
-// TestProfilerOverhead is the CI gate extension for the continuous
-// profiler: with FIMSERVE_OVERHEAD_GATE=1 it asserts that mining under
-// an active profile window (labels included) costs < 2% wall time.
-// Reps interleave base and profiled runs so machine drift lands on both
-// sides.
-func TestProfilerOverhead(t *testing.T) {
-	if os.Getenv("FIMSERVE_OVERHEAD_GATE") == "" {
-		t.Skip("set FIMSERVE_OVERHEAD_GATE=1 to run the overhead gate")
-	}
-	db, err := fim.Dataset("mushroom", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs := db.AbsoluteSupport(0.2)
-
-	// Stop is terminal per Continuous, so each profiled rep runs under a
-	// fresh instance — that is what lets base and profiled reps
-	// interleave at all.
-	var skipped int64
-	mineOnce := func(profiled bool) time.Duration {
-		opt := fim.Options{Algorithm: fim.Eclat, Workers: 2}
-		var c *prof.Continuous
-		if profiled {
-			c = prof.NewContinuous(prof.ContinuousConfig{Window: 10 * time.Second, Ring: 1})
-			c.Start()
-			opt.ProfileLabels = true
-			opt.RunID = 7
-			opt.Tenant = "gate"
-		}
-		start := time.Now()
-		if _, err := fim.MineAbsolute(db, abs, opt); err != nil {
-			t.Fatal(err)
-		}
-		d := time.Since(start)
-		if c != nil {
-			c.Stop()
-			skipped += c.Skipped()
-		}
-		return d
-	}
-	// Warm the caches once before timing.
-	mineOnce(false)
-
-	best := func(a, b time.Duration) time.Duration {
-		if b < a {
-			return b
-		}
-		return a
-	}
-	base, profiled := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	for rep := 0; rep < 5; rep++ {
-		if rep%2 == 0 {
-			base = best(base, mineOnce(false))
-			profiled = best(profiled, mineOnce(true))
-		} else {
-			profiled = best(profiled, mineOnce(true))
-			base = best(base, mineOnce(false))
-		}
-	}
-	if skipped > 0 {
-		t.Skipf("CPU profiler held elsewhere (%d windows skipped); overhead not measurable", skipped)
-	}
-	ratio := float64(profiled) / float64(base)
-	t.Logf("base %v, profiled %v, ratio %.4f", base, profiled, ratio)
-	if ratio > 1.02 {
-		t.Fatalf("continuous profiler overhead %.2f%% exceeds the 2%% gate (base %v, profiled %v)",
-			(ratio-1)*100, base, profiled)
-	}
 }

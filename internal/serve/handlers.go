@@ -28,9 +28,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.Handle("GET /metrics", s.met.reg.Handler())
-	s.mux.HandleFunc("GET /debug/flight", s.handleFlight)
-	s.mux.HandleFunc("GET /debug/incidents", s.handleIncidents)
-	s.mux.HandleFunc("GET /debug/incidents/{id}", s.handleIncident)
+	export.HandlePprof(s.mux)
 }
 
 // mineRequest is a parsed, validated, budget-clamped /mine request.
@@ -270,12 +268,12 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "10")
 		httpError(w, http.StatusServiceUnavailable, "draining: not accepting new runs")
-		s.finishRequest(tenant, outcomeDrained, false, start)
+		s.finishRequest(tenant, outcomeDrained, start)
 		return
 	}
 	mr, ok := s.parseMine(w, r)
 	if !ok {
-		s.finishRequest(tenant, outcomeBadRequest, false, start)
+		s.finishRequest(tenant, outcomeBadRequest, start)
 		return
 	}
 	ck := cacheKey{dataset: mr.dsKey, algo: mr.algo.String(), rep: mr.rep.String()}
@@ -292,7 +290,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		if !exact {
 			oc = outcomeFiltered
 		}
-		s.finishRequest(mr.tenant, oc, false, start)
+		s.finishRequest(mr.tenant, oc, start)
 		return
 	}
 
@@ -302,7 +300,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if !s.beginRequest() {
 		w.Header().Set("Retry-After", "10")
 		httpError(w, http.StatusServiceUnavailable, "draining: not accepting new runs")
-		s.finishRequest(mr.tenant, outcomeDrained, false, start)
+		s.finishRequest(mr.tenant, outcomeDrained, start)
 		return
 	}
 	defer s.inflight.Done()
@@ -321,45 +319,40 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			httpError(w, http.StatusServiceUnavailable, "client gone while waiting for shared run")
 		}
-		d := time.Since(start)
-		s.met.requestDur.Observe(d.Seconds())
-		s.slo.record(outcomeCoalesced, false, d)
+		s.met.requestDur.Observe(time.Since(start).Seconds())
 		return
 	}
 
 	out := s.runLeader(r, mr, ck)
 	finish(out)
 	writeOutcome(w, out, mr.limit)
-	oc, admitted := leaderOutcome(out)
-	s.finishRequest(mr.tenant, oc, admitted, start)
+	s.finishRequest(mr.tenant, leaderOutcome(out), start)
 }
 
 // finishRequest records one terminal /mine outcome everywhere it is
-// accounted: the admission and per-tenant counters, the request-latency
-// histogram, and the SLO watchdog's window buckets.
-func (s *Server) finishRequest(tenant, outcome string, admitted bool, start time.Time) {
-	d := time.Since(start)
-	s.met.requestDur.Observe(d.Seconds())
+// accounted: the admission and per-tenant counters and the
+// request-latency histogram.
+func (s *Server) finishRequest(tenant, outcome string, start time.Time) {
+	s.met.requestDur.Observe(time.Since(start).Seconds())
 	s.met.outcome(tenant, outcome)
-	s.slo.record(outcome, admitted, d)
 }
 
 // leaderOutcome classifies a leader's runOutcome into an admission
 // outcome: pre-admission rejections keep their rung's label, everything
 // that held a worker slot — complete, degraded or stopped — is
 // "admitted".
-func leaderOutcome(out *runOutcome) (string, bool) {
+func leaderOutcome(out *runOutcome) string {
 	switch out.stopReason {
 	case "quota":
-		return outcomeQuota, false
+		return outcomeQuota
 	case "shed":
-		return outcomeShed, false
+		return outcomeShed
 	case "canceled":
 		if !out.ran {
-			return outcomeAbandoned, false
+			return outcomeAbandoned
 		}
 	}
-	return outcomeAdmitted, true
+	return outcomeAdmitted
 }
 
 // writeOutcome renders a shared run outcome onto one response, applying
@@ -415,13 +408,12 @@ func (s *Server) runLeader(r *http.Request, mr *mineRequest, ck cacheKey) *runOu
 			status, reason = http.StatusServiceUnavailable, "canceled"
 			base.Error = "abandoned while queued (client gone or server draining)"
 		}
-		info := s.reg.finish(lr, func(ri *RunInfo) {
+		s.reg.finish(lr, func(ri *RunInfo) {
 			ri.HTTPStatus = status
 			ri.StopReason = reason
 			ri.Err = base.Error
 			ri.State = reason
 		})
-		s.flight.record(info)
 		bc.CloseStream()
 		base.StopReason = reason
 		return &runOutcome{status: status, body: base, stopReason: reason,
@@ -431,13 +423,6 @@ func (s *Server) runLeader(r *http.Request, mr *mineRequest, ck cacheKey) *runOu
 	s.met.queueWait.Observe(time.Since(qstart).Seconds())
 	s.reg.running(lr)
 
-	// Every n-th admitted run carries a span recorder whose timeline
-	// lands in the flight recorder's trace ring.
-	tr := s.flight.sample()
-	if tr != nil {
-		s.met.flightSampled.Inc()
-	}
-
 	opt := fim.Options{
 		Algorithm:        mr.algo,
 		Representation:   mr.rep,
@@ -446,7 +431,6 @@ func (s *Server) runLeader(r *http.Request, mr *mineRequest, ck cacheKey) *runOu
 		RunID:            base.RunID,
 		ProfileLabels:    true,
 		Tenant:           mr.tenant,
-		SpanTrace:        tr,
 		MaxMemoryBytes:   mr.maxMemory,
 		MaxItemsets:      mr.maxItemsets,
 		MaxDuration:      mr.maxDuration,
@@ -462,7 +446,7 @@ func (s *Server) runLeader(r *http.Request, mr *mineRequest, ck cacheKey) *runOu
 	out := s.classify(mr, ck, base, res, err, elapsed)
 	out.ran = true
 	s.met.observeRun(elapsed, out.stopReason)
-	info := s.reg.finish(lr, func(ri *RunInfo) {
+	s.reg.finish(lr, func(ri *RunInfo) {
 		ri.HTTPStatus = out.status
 		ri.StopReason = out.stopReason
 		ri.Err = out.body.Error
@@ -471,51 +455,7 @@ func (s *Server) runLeader(r *http.Request, mr *mineRequest, ck cacheKey) *runOu
 		ri.Incomplete = out.body.Incomplete
 		ri.Degraded = out.body.Degraded
 	})
-	s.flight.record(info)
-	s.flight.addTrace(info.ID, tr)
-	switch out.stopReason {
-	case "worker-panic":
-		if s.cfg.FlightPath != "" {
-			// A contained panic is exactly what the flight recorder exists
-			// for: snapshot now, to a side file the drain dump won't clobber.
-			_ = s.flight.writeFile(s.cfg.FlightPath+".panic", "panic")
-		}
-		s.incidents.trigger(IncidentWorkerPanic, out.body.Error, info.ID)
-	case "budget:shared-memory":
-		// The machine-wide pool stopped this run: the footprint wall the
-		// paper's §V-A predicts, worth a heap profile while it's hot.
-		s.incidents.trigger(IncidentPoolBreach, out.body.Error, info.ID)
-	}
 	return out
-}
-
-// handleIncidents lists the retained incident bundles (oldest first).
-func (s *Server) handleIncidents(w http.ResponseWriter, r *http.Request) {
-	list := s.incidents.list()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":     len(list),
-		"captured":  s.incidents.count(),
-		"incidents": list,
-	})
-}
-
-// handleIncident serves one full bundle by ID.
-func (s *Server) handleIncident(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad incident id %q", r.PathValue("id"))
-		return
-	}
-	b, ok := s.incidents.get(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "incident %d not found (the ring keeps the last %d)", id, s.cfg.IncidentRing)
-		return
-	}
-	writeJSON(w, http.StatusOK, b)
-}
-
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.flight.dump("request"))
 }
 
 // classify maps a finished run onto the degrade-don't-die status
@@ -598,23 +538,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	// Readiness is a capacity question: draining, queue, memory.
 	type readiness struct {
-		Ready       bool      `json:"ready"`
-		Reason      string    `json:"reason,omitempty"`
-		QueueDepth  int       `json:"queue_depth"`
-		QueueCap    int       `json:"queue_cap"`
-		MemFraction float64   `json:"mem_fraction"`
-		SLO         SLOStatus `json:"slo"`
+		Ready       bool    `json:"ready"`
+		Reason      string  `json:"reason,omitempty"`
+		QueueDepth  int     `json:"queue_depth"`
+		QueueCap    int     `json:"queue_cap"`
+		MemFraction float64 `json:"mem_fraction"`
 	}
-	// The SLO state is surfaced, not gated on: readiness stays a
-	// capacity question (draining, queue, memory) so a burn-rate page —
-	// which already means "shedding load" — doesn't also yank the
-	// instance from rotation and make the overload worse.
 	rd := readiness{
 		QueueDepth:  s.adm.queueLen(),
 		QueueCap:    s.cfg.QueueDepth,
 		MemFraction: s.pool.Fraction(),
-		SLO:         s.slo.current(),
 	}
 	switch {
 	case s.draining.Load():

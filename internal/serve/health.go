@@ -1,8 +1,8 @@
-// Process-health gauges and build identity for /metrics: before this,
-// the exposition described the service (admission, runs, pool) but not
-// the process serving it — an operator correlating a latency burn with
-// a GC storm or a goroutine leak had to run pprof by hand. These are
-// the three signals the incident runbook reaches for first, sampled
+// Process-health gauges and build identity for /metrics: the rest of
+// the exposition describes the service (admission, runs, pool); these
+// describe the process serving it — goroutines, live heap and the last
+// GC pause, so a latency rise can be told from a GC storm or a
+// goroutine leak before reaching for /debug/pprof. They are sampled
 // through runtime/metrics with a small cache so scrapes stay cheap.
 package serve
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	obsmetrics "repro/internal/obs/metrics"
@@ -42,5 +43,37 @@ func TestProvenanceStamped(t *testing.T) {
 	labels := map[string]string{"commit": p.commit, "go_version": p.goVersion}
 	if v, ok := sc.Value("fimserve_build_info", labels); !ok || v != 1 {
 		t.Errorf("fimserve_build_info%v = %g (present %v), want 1", labels, v, ok)
+	}
+}
+
+// TestHealthAndBuildInfoMetrics: the process-health gauges and the
+// build-identity series are present and plausible in /metrics.
+func TestHealthAndBuildInfoMetrics(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	sc := scrape(t, ts.URL)
+
+	if v, ok := sc.Value("fimserve_go_goroutines", nil); !ok || v < 1 {
+		t.Fatalf("fimserve_go_goroutines = %g (present %v)", v, ok)
+	}
+	if v, ok := sc.Value("fimserve_go_heap_inuse_bytes", nil); !ok || v <= 0 {
+		t.Fatalf("fimserve_go_heap_inuse_bytes = %g (present %v)", v, ok)
+	}
+	if _, ok := sc.Types["fimserve_go_gc_last_pause_seconds"]; !ok {
+		t.Fatal("fimserve_go_gc_last_pause_seconds missing")
+	}
+
+	infos := sc.Samples("fimserve_build_info")
+	if len(infos) != 1 {
+		t.Fatalf("fimserve_build_info series = %+v, want exactly one", infos)
+	}
+	bi := infos[0]
+	if bi.Value != 1 {
+		t.Fatalf("fimserve_build_info value = %g, want 1", bi.Value)
+	}
+	if !strings.HasPrefix(bi.Labels["go_version"], "go1.") {
+		t.Fatalf("fimserve_build_info go_version = %q", bi.Labels["go_version"])
+	}
+	if bi.Labels["commit"] == "" {
+		t.Fatal("fimserve_build_info missing commit label")
 	}
 }

@@ -48,14 +48,6 @@ type serverMetrics struct {
 
 	kernel    *metrics.CounterVec // fimserve_kernel_ops_total{op}
 	imbalance *metrics.Histogram  // fimserve_sched_imbalance
-
-	sloState *metrics.Gauge    // fimserve_slo_state
-	sloBurn  *metrics.GaugeVec // fimserve_slo_burn_rate{slo,window}
-
-	flightSampled *metrics.Counter // fimserve_flight_traces_sampled_total
-
-	incidents           *metrics.CounterVec // fimserve_incidents_total{reason}
-	incidentsSuppressed *metrics.Counter    // fimserve_incidents_suppressed_total
 }
 
 // newServerMetrics registers the serving stack's families. tenantCap
@@ -96,19 +88,6 @@ func newServerMetrics(s *Server, tenantCap int) *serverMetrics {
 	m.imbalance = reg.Histogram("fimserve_sched_imbalance",
 		"Per-scheduler-loop max/mean busy-time imbalance across all runs.",
 		imbalanceBuckets)
-
-	m.sloState = reg.Gauge("fimserve_slo_state",
-		"SLO watchdog state: 0 ok, 1 warn, 2 page.")
-	m.sloBurn = reg.GaugeVec("fimserve_slo_burn_rate",
-		"Error-budget burn rate x1000 per SLO and window.", "slo", "window")
-
-	m.flightSampled = reg.Counter("fimserve_flight_traces_sampled_total",
-		"Runs that carried a sampled flight-recorder trace timeline.")
-
-	m.incidents = reg.CounterVec("fimserve_incidents_total",
-		"Incident bundles captured, by trigger reason.", "reason")
-	m.incidentsSuppressed = reg.Counter("fimserve_incidents_suppressed_total",
-		"Incident triggers suppressed by the cooldown.")
 
 	registerHealthGauges(reg)
 	registerBuildInfo(reg)

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -223,151 +221,51 @@ func TestRunCorrelationID(t *testing.T) {
 	}
 }
 
-// TestFlightRecorder: terminal runs and sampled timelines land in the
-// ring, /debug/flight serves the dump, and drain writes it to disk.
-func TestFlightRecorder(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "flight.json")
-	s, ts := newTestServer(t, Config{FlightSampleEvery: 1, FlightPath: path})
+// TestServedRunCarriesProfileLabels: a served run executes under its
+// pprof labels, and the daemon's own /debug/pprof/ route shows them. The
+// run is held at a chunk boundary by the fault hook while the goroutine
+// profile is taken, so its workers are live and labeled.
+func TestServedRunCarriesProfileLabels(t *testing.T) {
+	gate := make(chan struct{})
+	gateSentinelRuns(t, gate)
+	s, ts := newTestServer(t, Config{Workers: 1, CacheBytes: -1})
 
-	postMine(t, ts, "abssup=2", uploadFIMI, nil)
-	// A different algorithm misses the cache, so a second run executes.
-	postMine(t, ts, "abssup=2&algo=apriori", uploadFIMI, map[string]string{"X-Tenant": "t-b"})
-
-	var fd FlightDump
-	getJSON(t, ts.URL+"/debug/flight", &fd)
-	if fd.Schema != flightSchema || fd.Reason != "request" {
-		t.Fatalf("dump header = %+v", fd)
-	}
-	if len(fd.Runs) != 2 {
-		t.Fatalf("dump holds %d runs, want 2: %+v", len(fd.Runs), fd.Runs)
-	}
-	if len(fd.Traces) != 2 {
-		t.Fatalf("dump holds %d traces, want 2 (sample every 1)", len(fd.Traces))
-	}
-	for _, tr := range fd.Traces {
-		if tr.RunID == 0 || len(tr.Spans) == 0 {
-			t.Fatalf("empty sampled trace: %+v", tr)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, mr := postMine(t, ts, fmt.Sprintf("abssup=2&max-itemsets=%d", sentinelItemsets),
+			uploadFIMI, map[string]string{"X-Tenant": "label-tenant"})
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("gated run: status %d, %+v", resp.StatusCode, mr)
 		}
-		found := false
-		for _, ri := range fd.Runs {
-			if ri.ID == tr.RunID {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("trace run %d not among dumped runs", tr.RunID)
-		}
+	}()
+	defer func() { close(gate); <-done }()
+	waitFor(t, "the run to hold the slot", func() bool { return s.adm.runningLen() == 1 })
+	var runs struct {
+		Live []RunInfo `json:"live"`
+	}
+	getJSON(t, ts.URL+"/runs", &runs)
+	if len(runs.Live) != 1 || runs.Live[0].ID == 0 {
+		t.Fatalf("live runs = %+v, want the one gated run", runs.Live)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	b, err := os.ReadFile(path)
+	resp, err := http.Get(ts.URL + "/debug/pprof/goroutine?debug=1")
 	if err != nil {
-		t.Fatalf("drain did not write the flight dump: %v", err)
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), flightSchema) || !strings.Contains(string(b), `"reason": "drain"`) {
-		t.Fatalf("drain dump missing schema/reason:\n%.400s", b)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("goroutine profile: status %d, err %v", resp.StatusCode, err)
 	}
-}
-
-// TestFlightRingBounds: the run ring holds only the last N records.
-func TestFlightRingBounds(t *testing.T) {
-	f := newFlightRecorder(3, 2, 1)
-	for i := 1; i <= 5; i++ {
-		f.record(RunInfo{ID: int64(i)})
-	}
-	d := f.dump("request")
-	if len(d.Runs) != 3 || d.Runs[0].ID != 3 || d.Runs[2].ID != 5 {
-		t.Fatalf("ring contents = %+v, want runs 3..5 oldest first", d.Runs)
-	}
-}
-
-// TestSLOWatchdog: deterministic burn-rate evaluation with an injected
-// clock — healthy traffic is ok, a sustained shed burst pages once both
-// windows burn, and recovery returns to ok as the windows drain.
-func TestSLOWatchdog(t *testing.T) {
-	w := newSLOWatchdog(SLOConfig{
-		ShedBudget:       0.1,
-		LatencyObjective: time.Second,
-		LatencyBudget:    0.1,
-		ShortWindow:      5 * time.Second,
-		LongWindow:       50 * time.Second,
-		WarnBurn:         2,
-		PageBurn:         5,
-	})
-	var sec int64
-	w.now = func() time.Time { return time.Unix(sec, 0) }
-
-	// 60s of healthy traffic: 10 admitted fast runs per second.
-	for ; sec < 60; sec++ {
-		for i := 0; i < 10; i++ {
-			w.record(outcomeAdmitted, true, 10*time.Millisecond)
+	id := fmt.Sprintf(`"fim_run_id":"%d"`, runs.Live[0].ID)
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "# labels: ") &&
+			strings.Contains(line, id) && strings.Contains(line, `"fim_tenant":"label-tenant"`) {
+			return
 		}
 	}
-	if st, code := w.evaluate(); code != sloOK {
-		t.Fatalf("healthy traffic judged %q: %+v", st.State, st)
-	}
-
-	// Sustained overload: every request shed. Shed fraction 1.0 against
-	// a 0.1 budget is burn 10 — past PageBurn once the long window (50s)
-	// is mostly bad.
-	for ; sec < 120; sec++ {
-		for i := 0; i < 10; i++ {
-			w.record(outcomeShed, false, 0)
-		}
-	}
-	st, code := w.evaluate()
-	if code != sloPage {
-		t.Fatalf("sustained shedding judged %q (want page): %+v", st.State, st)
-	}
-	if st.ShedBurnShort < 5 || st.ShedBurnLong < 5 {
-		t.Fatalf("burns under page threshold: %+v", st)
-	}
-
-	// Recovery: the short window clears first (warn or ok), and after a
-	// full long window of health the state is ok again.
-	for ; sec < 180; sec++ {
-		for i := 0; i < 10; i++ {
-			w.record(outcomeAdmitted, true, 10*time.Millisecond)
-		}
-	}
-	if st, code := w.evaluate(); code != sloOK {
-		t.Fatalf("recovered traffic judged %q: %+v", st.State, st)
-	}
-
-	// Latency SLO: admitted runs over the objective burn its budget even
-	// with zero shedding.
-	for ; sec < 240; sec++ {
-		for i := 0; i < 10; i++ {
-			w.record(outcomeAdmitted, true, 2*time.Second)
-		}
-	}
-	st, code = w.evaluate()
-	if code != sloPage || st.LatencyBurnShort < 5 {
-		t.Fatalf("slow runs judged %q (want page): %+v", st.State, st)
-	}
-}
-
-// TestSLOSurfaced: the watchdog's state appears in /stats and /readyz
-// without gating readiness.
-func TestSLOSurfaced(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.SLO.State != "ok" {
-		t.Fatalf("idle server SLO state %q, want ok", st.SLO.State)
-	}
-	var rd struct {
-		Ready bool      `json:"ready"`
-		SLO   SLOStatus `json:"slo"`
-	}
-	if resp := getJSON(t, ts.URL+"/readyz", &rd); resp.StatusCode != http.StatusOK || !rd.Ready || rd.SLO.State != "ok" {
-		t.Fatalf("readyz = %+v", rd)
-	}
+	t.Fatalf("no goroutine labeled %s and fim_tenant=label-tenant in:\n%s", id, body)
 }
 
 // TestMetricsOverhead is the CI overhead gate: with FIMSERVE_OVERHEAD_GATE=1
@@ -383,9 +281,7 @@ func TestMetricsOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ProfileWindow -1: this gate isolates the event tap's cost; the
-	// continuous profiler has its own gate (prof.TestProfilerOverhead).
-	s := New(Config{ProfileWindow: -1})
+	s := New(Config{})
 	// Support 0.2 makes each rep a ~2s mine: long enough that the tap's
 	// per-event cost is measurable against it, short enough that 10 reps
 	// fit a CI step.

@@ -98,7 +98,7 @@ func (r *registry) running(lr *liveRun) {
 
 // finish moves a run from live to the recent ring with its terminal
 // outcome filled in.
-func (r *registry) finish(lr *liveRun, fill func(*RunInfo)) RunInfo {
+func (r *registry) finish(lr *liveRun, fill func(*RunInfo)) {
 	lr.mu.Lock()
 	lr.info.State = "done"
 	lr.info.Finished = time.Now().UnixNano()
@@ -113,7 +113,6 @@ func (r *registry) finish(lr *liveRun, fill func(*RunInfo)) RunInfo {
 		r.recent = r.recent[len(r.recent)-r.keep:]
 	}
 	r.mu.Unlock()
-	return info
 }
 
 // get returns a run by ID — live first, then the recent ring.

@@ -31,7 +31,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -39,7 +38,6 @@ import (
 
 	fim "repro"
 	"repro/internal/dataset"
-	"repro/internal/obs/prof"
 )
 
 // Config tunes the service. The zero value is unusable; fill what you
@@ -86,37 +84,6 @@ type Config struct {
 	// TenantSeries caps the distinct tenant label values in /metrics;
 	// past it new tenants fold into tenant="other". Default 32.
 	TenantSeries int
-	// FlightRuns and FlightTraces size the flight recorder's rings of
-	// terminal run records and sampled span timelines. Defaults 128
-	// and 4.
-	FlightRuns, FlightTraces int
-	// FlightSampleEvery attaches a span recorder to every n-th admitted
-	// run for the flight recorder's timeline ring. Default 8.
-	FlightSampleEvery int
-	// FlightPath, when non-empty, is where the flight recorder dumps on
-	// drain (and <FlightPath>.panic on a contained worker panic). The
-	// dump is always available at /debug/flight regardless.
-	FlightPath string
-	// SLO tunes the burn-rate watchdog; zero fields get defaults.
-	SLO SLOConfig
-	// ProfileWindow is the continuous profiler's window length (one CPU
-	// profile per window, ProfileRing retained). Default 60s; negative
-	// disables the profiler (incident bundles then ship without a CPU
-	// profile).
-	ProfileWindow time.Duration
-	// ProfileRing is how many completed profile windows are retained.
-	// Default 4.
-	ProfileRing int
-	// IncidentCooldown is the minimum spacing between incident bundles;
-	// triggers inside it are counted as suppressed, not captured — an
-	// incident storm produces one bundle. Default 5m.
-	IncidentCooldown time.Duration
-	// IncidentRing is how many incident bundles /debug/incidents
-	// retains. Default 16.
-	IncidentRing int
-	// IncidentDir, when non-empty, persists each bundle to
-	// <dir>/incident-<id>.json as it is captured.
-	IncidentDir string
 }
 
 func (c Config) withDefaults() Config {
@@ -166,28 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.TenantSeries <= 0 {
 		c.TenantSeries = 32
 	}
-	if c.FlightRuns <= 0 {
-		c.FlightRuns = 128
-	}
-	if c.FlightTraces <= 0 {
-		c.FlightTraces = 4
-	}
-	if c.FlightSampleEvery <= 0 {
-		c.FlightSampleEvery = 8
-	}
-	if c.ProfileWindow == 0 {
-		c.ProfileWindow = time.Minute
-	}
-	if c.ProfileRing <= 0 {
-		c.ProfileRing = 4
-	}
-	if c.IncidentCooldown <= 0 {
-		c.IncidentCooldown = 5 * time.Minute
-	}
-	if c.IncidentRing <= 0 {
-		c.IncidentRing = 16
-	}
-	c.SLO = c.SLO.withDefaults()
 	return c
 }
 
@@ -204,19 +149,11 @@ type Server struct {
 
 	// met holds every registered instrument; /metrics renders it and
 	// /stats reads it, so the two views share one set of atomics.
-	met    *serverMetrics
-	flight *flightRecorder
-	slo    *sloWatchdog
-	// prof is the continuous profiler (nil when disabled); incidents is
-	// the engine that turns SLO transitions, worker panics and pool
-	// breaches into diagnosis bundles.
-	prof      *prof.Continuous
-	incidents *incidentEngine
+	met *serverMetrics
 
 	draining atomic.Bool
 	drainCh  chan struct{} // closed when draining starts
 	drainOne sync.Once
-	dumpOne  sync.Once
 	// inflightMu orders inflight.Add against Drain's inflight.Wait: a
 	// request registers (Add) and Drain flips the draining flag under
 	// the same lock, so once Wait starts no new Add can slip in.
@@ -233,38 +170,10 @@ func New(cfg Config) *Server {
 		adm:     newAdmission(cfg.Workers, cfg.QueueDepth, cfg.PerTenant),
 		flights: newFlightGroup(),
 		reg:     newRegistry(cfg.RecentRuns),
-		flight:  newFlightRecorder(cfg.FlightRuns, cfg.FlightTraces, cfg.FlightSampleEvery),
-		slo:     newSLOWatchdog(cfg.SLO),
 		drainCh: make(chan struct{}),
 	}
 	s.met = newServerMetrics(s, cfg.TenantSeries)
 	s.cache = newResultCache(cfg.CacheBytes, newCacheMetrics(s.met.reg))
-	if cfg.ProfileWindow > 0 {
-		s.prof = prof.NewContinuous(prof.ContinuousConfig{
-			Window: cfg.ProfileWindow,
-			Ring:   cfg.ProfileRing,
-		})
-		s.prof.Start()
-	}
-	s.incidents = newIncidentEngine(s, cfg.IncidentCooldown, cfg.IncidentRing, cfg.IncidentDir)
-	// The watchdog's upward transitions are incident triggers: entering
-	// warn or page means the service just started failing its
-	// objectives, which is exactly when the evidence should be captured.
-	s.slo.onTransition = func(from, to int, st SLOStatus) {
-		if to <= from || to == sloOK {
-			return
-		}
-		reason := IncidentSLOWarn
-		if to == sloPage {
-			reason = IncidentSLOPage
-		}
-		s.incidents.trigger(reason, fmt.Sprintf(
-			"slo %s→%s: shed burn %.1f/%.1f, latency burn %.1f/%.1f (short/long x1)",
-			sloStateName(from), sloStateName(to),
-			st.ShedBurnShort, st.ShedBurnLong, st.LatencyBurnShort, st.LatencyBurnLong), 0)
-	}
-	go s.slo.run(s.drainCh, s.met)
-	go s.incidents.run(s.drainCh)
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
@@ -304,20 +213,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.draining.Store(true)
 		s.inflightMu.Unlock()
 		close(s.drainCh)
-		if s.prof != nil {
-			// Release the process CPU profiler; retained windows stay
-			// readable for a post-drain incident fetch.
-			s.prof.Stop()
-		}
 	})
-	// Drop the flight recording on the way out: by the time Drain
-	// returns, every in-flight run that was going to finish has been
-	// recorded.
-	defer func() {
-		if s.cfg.FlightPath != "" {
-			s.dumpOne.Do(func() { _ = s.flight.writeFile(s.cfg.FlightPath, "drain") })
-		}
-	}()
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -350,26 +246,25 @@ func (s *Server) Drain(ctx context.Context) error {
 // the same atomic the /metrics exposition renders, so the two can never
 // disagree.
 type Stats struct {
-	Admitted       int64     `json:"admitted"`
-	Shed           int64     `json:"shed"`
-	QuotaRejected  int64     `json:"quota_rejected"`
-	Deduplicated   int64     `json:"deduplicated"`
-	WorkerPanics   int64     `json:"worker_panics"`
-	PoolBreaches   int64     `json:"pool_breaches"`
-	CacheHits      int64     `json:"cache_hits"`
-	CacheFiltered  int64     `json:"cache_filtered_hits"`
-	CacheMisses    int64     `json:"cache_misses"`
-	CacheBytes     int64     `json:"cache_bytes"`
-	CacheEvictions int64     `json:"cache_evictions"`
-	PoolUsed       int64     `json:"pool_used_bytes"`
-	PoolPeak       int64     `json:"pool_peak_bytes"`
-	PoolCap        int64     `json:"pool_cap_bytes"`
-	QueueDepth     int       `json:"queue_depth"`
-	QueueCap       int       `json:"queue_cap"`
-	Running        int       `json:"running"`
-	Draining       bool      `json:"draining"`
-	MemFraction    float64   `json:"mem_fraction"`
-	SLO            SLOStatus `json:"slo"`
+	Admitted       int64   `json:"admitted"`
+	Shed           int64   `json:"shed"`
+	QuotaRejected  int64   `json:"quota_rejected"`
+	Deduplicated   int64   `json:"deduplicated"`
+	WorkerPanics   int64   `json:"worker_panics"`
+	PoolBreaches   int64   `json:"pool_breaches"`
+	CacheHits      int64   `json:"cache_hits"`
+	CacheFiltered  int64   `json:"cache_filtered_hits"`
+	CacheMisses    int64   `json:"cache_misses"`
+	CacheBytes     int64   `json:"cache_bytes"`
+	CacheEvictions int64   `json:"cache_evictions"`
+	PoolUsed       int64   `json:"pool_used_bytes"`
+	PoolPeak       int64   `json:"pool_peak_bytes"`
+	PoolCap        int64   `json:"pool_cap_bytes"`
+	QueueDepth     int     `json:"queue_depth"`
+	QueueCap       int     `json:"queue_cap"`
+	Running        int     `json:"running"`
+	Draining       bool    `json:"draining"`
+	MemFraction    float64 `json:"mem_fraction"`
 }
 
 // Report is the daemon's terminal audit trail, written by fimserve on
@@ -415,6 +310,5 @@ func (s *Server) stats() Stats {
 		Running:        s.adm.runningLen(),
 		Draining:       s.draining.Load(),
 		MemFraction:    s.pool.Fraction(),
-		SLO:            s.slo.current(),
 	}
 }

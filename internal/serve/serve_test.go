@@ -53,20 +53,13 @@ func gateSentinelRuns(t *testing.T, gate chan struct{}) {
 	t.Cleanup(func() { sched.SetFaultHook(nil) })
 }
 
+// panicItemsets marks runs the fault hook kills with an injected worker
+// panic (distinct from sentinelItemsets, which gates).
+const panicItemsets = 999999893
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.ProfileWindow == 0 {
-		// The process CPU profiler is exclusive; a default-config test
-		// server would hold it for the whole test binary. Tests that want
-		// the continuous profiler opt in explicitly.
-		cfg.ProfileWindow = -1
-	}
 	s := New(cfg)
-	t.Cleanup(func() {
-		if s.prof != nil {
-			s.prof.Stop()
-		}
-	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -432,6 +425,36 @@ func TestSingleFlight(t *testing.T) {
 	getJSON(t, ts.URL+"/stats", &st)
 	if st.Admitted != 1 || st.Deduplicated != 1 {
 		t.Fatalf("admitted = %d, deduplicated = %d; want 1 and 1 (single-flight)", st.Admitted, st.Deduplicated)
+	}
+}
+
+// TestWorkerPanicAnswers500: a worker panic is contained to its run,
+// which answers 500 with stop_reason worker-panic, leaves a terminal
+// registry record with that status, and counts once in /stats.
+func TestWorkerPanicAnswers500(t *testing.T) {
+	sched.SetFaultHook(func(fc sched.FaultContext) {
+		if fc.Control.MaxItemsets() == panicItemsets {
+			panic("injected fault: worker panic test")
+		}
+	})
+	t.Cleanup(func() { sched.SetFaultHook(nil) })
+	_, ts := newTestServer(t, Config{})
+
+	resp, mr := postMine(t, ts, fmt.Sprintf("abssup=2&max-itemsets=%d", panicItemsets), uploadFIMI, nil)
+	if resp.StatusCode != http.StatusInternalServerError || mr.StopReason != "worker-panic" || mr.RunID == 0 {
+		t.Fatalf("panic run: status %d, %+v", resp.StatusCode, mr)
+	}
+	var ri RunInfo
+	if resp := getJSON(t, fmt.Sprintf("%s/runs/%d", ts.URL, mr.RunID), &ri); resp.StatusCode != http.StatusOK {
+		t.Fatalf("run record: status %d", resp.StatusCode)
+	}
+	if ri.State != "done" || ri.HTTPStatus != http.StatusInternalServerError || ri.StopReason != "worker-panic" {
+		t.Fatalf("run record = %+v, want done with http_status 500 and stop_reason worker-panic", ri)
+	}
+	var st Stats
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.WorkerPanics != 1 {
+		t.Fatalf("worker_panics = %d, want 1", st.WorkerPanics)
 	}
 }
 
