@@ -29,7 +29,9 @@ type firstPassCase struct {
 
 // randomDB returns n rows of up to width distinct items drawn from
 // [0, items), each item id multiplied by stride, every skip-th row left
-// empty (skip 0 leaves none empty).
+// empty (skip 0 leaves none empty). Item 0 is also in four of five
+// non-empty rows, so the frequent items lie on both sides of half the
+// rows, the two sides a diffset root can store.
 func randomDB(seed int64, n, items, width, skip int, stride itemset.Item) *DB {
 	r := rand.New(rand.NewSource(seed))
 	db := &DB{Name: fmt.Sprintf("rand%d", seed)}
@@ -38,6 +40,9 @@ func randomDB(seed int64, n, items, width, skip int, stride itemset.Item) *DB {
 		if skip == 0 || i%skip != 0 {
 			for j := r.Intn(width + 1); j > 0; j-- {
 				row = append(row, itemset.Item(r.Intn(items))*stride)
+			}
+			if r.Intn(5) < 4 {
+				row = append(row, 0)
 			}
 		}
 		db.Transactions = append(db.Transactions, itemset.New(row...))
@@ -55,7 +60,7 @@ func firstPassCases() []firstPassCase {
 		// Fewer rows than 64 per worker: fewer chunks than workers.
 		{"short", randomDB(3, 100, 20, 8, 0, 1), 3},
 		// Every third row empty, and rows left empty by the recode.
-		{"empty-rows", randomDB(4, 450, 60, 6, 3, 1), 30},
+		{"empty-rows", randomDB(4, 450, 60, 6, 3, 1), 16},
 		// No item reaches the support: zero frequent items.
 		{"none-frequent", randomDB(5, 300, 30, 5, 0, 1), 301},
 		// Ids far sparser than the data: the map count.
@@ -66,10 +71,23 @@ func firstPassCases() []firstPassCase {
 
 // TestFirstPassTeamInvariant: for teams of 1, 2, 3 and 5 workers, the
 // recode's frequent items and rows (each capped at its own end) and the
-// roots of every kind are identical to a team of one's.
+// roots of every kind are identical to a team of one's. Every input
+// with frequent items has them on both sides of |D|/2, so the diffset
+// roots store tidsets and complements both.
 func TestFirstPassTeamInvariant(t *testing.T) {
 	for _, tc := range firstPassCases() {
 		base := tc.db.RecodeOrdered(tc.minSup, dataset.ByFrequency)
+		var sparse, dense int
+		for _, fi := range base.Items {
+			if 2*fi.Support <= base.Universe {
+				sparse++
+			} else {
+				dense++
+			}
+		}
+		if len(base.Items) > 0 && (sparse == 0 || dense == 0) {
+			t.Errorf("%s: %d sparse and %d dense frequent items, want both", tc.name, sparse, dense)
+		}
 		roots := map[vertical.Kind][]vertical.Node{}
 		for _, kind := range vertical.AllKinds() {
 			roots[kind] = vertical.New(kind).Roots(base)

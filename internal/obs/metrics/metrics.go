@@ -14,7 +14,7 @@
 // Label cardinality is bounded by construction: every labeled family
 // carries a series cap, and once it is reached new label tuples are
 // folded into the FoldValue ("other") series — on the designated fold
-// label (Vec.Fold) or on every label — so a tenant explosion cannot
+// label (CounterVec.Fold) or on every label — so a tenant explosion cannot
 // turn the registry into an allocation attack on its own observer.
 // Folding is deterministic: the first cap distinct tuples get their own
 // series, every later tuple lands in the same overflow series.
@@ -359,12 +359,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{r.register(name, help, kindGauge, labels, nil, nil)}
 }
 
-// Fold designates the fold label, as for CounterVec.Fold.
-func (v *GaugeVec) Fold(label string) *GaugeVec {
-	v.f.setFold(label)
-	return v
-}
-
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge { return v.f.getChild(values).g }
 
@@ -374,12 +368,6 @@ type HistogramVec struct{ f *family }
 // HistogramVec registers (or returns) a labeled histogram family.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	return &HistogramVec{r.register(name, help, kindHistogram, labels, buckets, nil)}
-}
-
-// Fold designates the fold label, as for CounterVec.Fold.
-func (v *HistogramVec) Fold(label string) *HistogramVec {
-	v.f.setFold(label)
-	return v
 }
 
 // With returns the histogram for the given label values.

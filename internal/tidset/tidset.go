@@ -311,8 +311,9 @@ func (s Set) Union(t Set) Set {
 }
 
 // Complement returns {0..n-1} \ s: the tids absent from s in a universe of
-// n transactions. This is how 1-itemset diffsets are seeded: d(x) is the
-// complement of t(x) (paper Figure 2(a)).
+// n transactions. A dense item's 1-itemset diffset is the complement of
+// its tidset, d(x) = D − t(x) (paper Figure 2(a)); a sparse item's root
+// keeps t(x) itself.
 func (s Set) Complement(n int) Set {
 	dst := make(Set, 0, n-len(s))
 	j := 0
@@ -323,6 +324,30 @@ func (s Set) Complement(n int) Set {
 		}
 		dst = append(dst, tid)
 	}
+	return dst
+}
+
+// UnionComplementInto appends {0..n-1} \ (s ∪ t) to dst[:0] and returns
+// it: the TIDs of a universe of n transactions that neither set holds.
+// It is the diffset combine of a complement root x with a tidset root y,
+// d(xy) = t(x) − t(y) = D − (d(x) ∪ t(y)).
+func (s Set) UnionComplementInto(t Set, n int, dst Set, st *kcount.Stats) Set {
+	dst = dst[:0]
+	i, j := 0, 0
+	for tid := TID(0); tid < TID(n); tid++ {
+		switch {
+		case i < len(s) && s[i] == tid:
+			i++
+			if j < len(t) && t[j] == tid {
+				j++
+			}
+		case j < len(t) && t[j] == tid:
+			j++
+		default:
+			dst = append(dst, tid)
+		}
+	}
+	st.AddMergeSteps(i + j)
 	return dst
 }
 

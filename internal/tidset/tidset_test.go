@@ -193,6 +193,15 @@ func TestQuickLaws(t *testing.T) {
 	if err := quick.Check(law2, cfg); err != nil {
 		t.Errorf("complement laws: %v", err)
 	}
+	// UnionComplementInto is the complement of the union.
+	law4 := func(sa, sb int64) bool {
+		a := randomSet(rand.New(rand.NewSource(sa)), 64)
+		b := randomSet(rand.New(rand.NewSource(sb)), 64)
+		return a.UnionComplementInto(b, 64, nil, nil).Equal(a.Union(b).Complement(64))
+	}
+	if err := quick.Check(law4, cfg); err != nil {
+		t.Errorf("union-complement law: %v", err)
+	}
 	// Sortedness is preserved by every operation.
 	law3 := func(sa, sb int64) bool {
 		a := randomSet(rand.New(rand.NewSource(sa)), 64)

@@ -179,10 +179,10 @@ func (tidsetRep) CombineInto(a *Arena, px, py Node) Node {
 func (diffsetRep) CombineInto(a *Arena, px, py Node) Node {
 	x, y := px.(*DiffsetNode), py.(*DiffsetNode)
 	n := a.getDiffset()
-	if cap(n.Diff) < len(y.Diff) { // |d(PY) − d(PX)| ≤ |d(PY)|
-		n.Diff = make(tidset.Set, 0, len(y.Diff))
+	if bound := x.childBound(y); cap(n.Diff) < bound {
+		n.Diff = make(tidset.Set, 0, bound)
 	}
-	n.Diff = y.Diff.DiffInto(x.Diff, n.Diff, a.kernels()) // d(PXY) = d(PY) − d(PX)
+	n.Diff = x.diffInto(y, n.Diff, a.kernels())
 	n.sup = x.sup - len(n.Diff)
 	a.kernels().AddNode(kcount.Diffset, n.Bytes())
 	return n

@@ -19,6 +19,8 @@
 package vertical
 
 import (
+	"slices"
+
 	"repro/internal/bitvec"
 	"repro/internal/kcount"
 	"repro/internal/tidset"
@@ -97,20 +99,29 @@ func (tidsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 	a.kernels().AddNodes(kcount.Tidset, m, bytes)
 }
 
-func (diffsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
+// CombineManyInto batches the Equation 1 combine d(PY) − d(PX). A block
+// holding a tidset-side root (level 2 under Apriori or Eclat depth 1)
+// falls back to pairwise CombineInto, whose kernel depends on each
+// pair's sides; no batch counters are charged for it.
+func (r diffsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 	m := len(pys)
 	if m == 0 {
 		return
 	}
 	x := px.(*DiffsetNode)
+	if x.tids || slices.ContainsFunc(pys, func(py Node) bool { return py.(*DiffsetNode).tids }) {
+		for i, py := range pys {
+			out[i] = r.CombineInto(a, px, py)
+		}
+		return
+	}
 	srcs, dsts := a.scratchSets(m)
 	for i, py := range pys {
 		y := py.(*DiffsetNode)
 		srcs[i] = y.Diff
 		nd := a.getDiffset()
-		// Presize: d(PY) − d(PX) is at most |d(PY)| elements.
-		if cap(nd.Diff) < len(y.Diff) {
-			nd.Diff = make(tidset.Set, 0, len(y.Diff))
+		if bound := x.childBound(y); cap(nd.Diff) < bound {
+			nd.Diff = make(tidset.Set, 0, bound)
 		}
 		dsts[i] = nd.Diff
 		out[i] = nd

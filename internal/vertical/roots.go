@@ -98,46 +98,67 @@ func bitvectorRoots(rec *dataset.Recoded, p dataset.Pass) ([]*bitvec.Vector, err
 	return vecs, nil
 }
 
-// diffsetRoots builds every frequent item's diffset, the complement of
-// its tidset in the transaction universe: each chunk writes the TIDs of
-// its own rows that lack the item, at its own offsets.
-func diffsetRoots(rec *dataset.Recoded, p dataset.Pass) ([]tidset.Set, error) {
+// diffsetRoots builds every frequent item's diffset root on its
+// shorter side: an item in at most half the rows (tidsSide) stores its
+// tidset t(x), a denser item the complement d(x) = D − t(x). Each chunk
+// writes its share at its own offsets: a tidset-side item gets the TIDs
+// of the chunk's rows that hold it, as in tidsetRoots, a
+// complement-side item the TIDs of the rows that lack it. tids[i]
+// reports which side item i stores.
+func diffsetRoots(rec *dataset.Recoded, p dataset.Pass) (sets []tidset.Set, tids []bool, err error) {
 	rows, chunks := rec.DB.Transactions, rec.Chunks()
-	diffs := make([]tidset.Set, len(rec.Items))
+	sets = make([]tidset.Set, len(rec.Items))
+	tids = make([]bool, len(rec.Items))
 	for i, fi := range rec.Items {
-		diffs[i] = make(tidset.Set, len(rows)-fi.Support)
+		tids[i] = tidsSide(fi.Support, len(rows))
+		sets[i] = make(tidset.Set, min(fi.Support, len(rows)-fi.Support))
 	}
-	starts := chunkStarts(chunks, len(diffs), func(ch dataset.Chunk, i int) int { return ch.Hi - ch.Lo - ch.Counts[i] })
-	err := p.For(rootsLoop, chunks, func(c int) (int, int) {
+	size := func(ch dataset.Chunk, i int) int {
+		if tids[i] {
+			return ch.Counts[i]
+		}
+		return ch.Hi - ch.Lo - ch.Counts[i]
+	}
+	starts := chunkStarts(chunks, len(sets), size)
+	err = p.For(rootsLoop, chunks, func(c int) (int, int) {
 		ch, pos, n := chunks[c], starts[c], 0
-		// gap writes the TIDs [from, to) into item i's diffset.
+		// gap writes the TIDs [from, to) into complement-side item i.
 		gap := func(i, from, to int) {
-			d := diffs[i][pos[i] : pos[i]+to-from]
+			d := sets[i][pos[i] : pos[i]+to-from]
 			for j := range d {
 				d[j] = tidset.TID(from + j)
 			}
 			pos[i] += to - from
 		}
 		// next[i] is the first row of the chunk not yet placed in or out
-		// of item i's diffset.
-		next := make([]int, len(diffs))
+		// of complement-side item i's diffset.
+		next := make([]int, len(sets))
 		for i := range next {
 			next[i] = ch.Lo
 		}
 		for tid := ch.Lo; tid < ch.Hi; tid++ {
 			for _, it := range rows[tid] {
+				if tids[it] {
+					sets[it][pos[it]] = tidset.TID(tid)
+					pos[it]++
+					continue
+				}
 				gap(int(it), next[it], tid)
 				next[it] = tid + 1
 			}
 			n += len(rows[tid])
 		}
-		for i := range diffs {
-			gap(i, next[i], ch.Hi)
+		stored := 0
+		for i := range sets {
+			if !tids[i] {
+				gap(i, next[i], ch.Hi)
+			}
+			stored += size(ch, i)
 		}
-		return 4 * n, 4 * ((ch.Hi-ch.Lo)*len(diffs) - n)
+		return 4 * n, 4 * stored
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return diffs, nil
+	return sets, tids, nil
 }

@@ -14,7 +14,12 @@
 //
 // The diffset rule is Equation 1 of the paper (after Zaki & Gouda); the
 // operand order in Combine therefore matters for diffsets and the miners
-// are careful to pass the smaller-last-item parent first.
+// are careful to pass the smaller-last-item parent first. As in Zaki &
+// Gouda's dEclat, a diffset root holds the shorter side of its item: a
+// sparse item keeps its tidset t(x), a dense one the complement
+// d(x) = D − t(x), and level 2 forms d(xy) = t(x) − t(y) from whichever
+// sides the two roots hold (DiffsetNode.diffInto). From level 2 on every
+// diffset is an ordinary d(PX) and Equation 1 applies unchanged.
 package vertical
 
 import (
@@ -216,16 +221,66 @@ func (r bitvectorRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, 
 // --- diffset ----------------------------------------------------------
 
 // DiffsetNode carries d(X) and the itemset's support, which the diffset
-// alone cannot reproduce (support(PXY) = support(PX) − |d(PXY)|).
+// alone cannot reproduce (support(PXY) = support(PX) − |d(PXY)|). A
+// level-1 node holds the shorter side of its item (tidsSide): Diff is
+// t(x) for a sparse item and d(x) = D − t(x) for a dense one. Every node
+// below the roots holds an ordinary diffset.
 type DiffsetNode struct {
 	Diff tidset.Set
 	sup  int
+	tids bool // Diff holds t(x): a sparse root
 }
 
-// NewDiffsetNode builds a node from an explicit diffset and support.
-// Exposed for tests and for the closed-itemset extension.
-func NewDiffsetNode(d tidset.Set, support int) *DiffsetNode {
-	return &DiffsetNode{Diff: d, sup: support}
+// tidsSide reports whether the diffset root of an item with support sup
+// in a universe of n transactions stores its tidset: 2·sup ≤ n, so t(x)
+// is no longer than its complement.
+func tidsSide(sup, n int) bool { return 2*sup <= n }
+
+// diffsetRoot is the diffset root of the item whose tidset is t: t
+// itself, not copied, when the item is sparse, else its complement.
+func diffsetRoot(t tidset.Set, n int) *DiffsetNode {
+	if tidsSide(len(t), n) {
+		return &DiffsetNode{Diff: t, sup: len(t), tids: true}
+	}
+	return &DiffsetNode{Diff: t.Complement(n), sup: len(t)}
+}
+
+// childBound is the capacity a combine presizes d(xy) to. Equation 1
+// keeps its bound |d(y)|; a pair with a tidset-side root is bounded by
+// sup(x), by |d(y)| when y is a complement root, and by |D| − sup(y)
+// when x is one (|D| = sup(x) + |d(x)|).
+func (x *DiffsetNode) childBound(y *DiffsetNode) int {
+	switch {
+	case !x.tids && !y.tids:
+		return len(y.Diff)
+	case !y.tids:
+		return min(x.sup, len(y.Diff))
+	case !x.tids:
+		return min(x.sup, x.sup+len(x.Diff)-y.sup)
+	}
+	return x.sup
+}
+
+// diffInto appends d(xy) = t(x) − t(y) to dst[:0], from the sides x and
+// y hold (x's item orders before y's):
+//
+//	d(x), d(y): d(y) − d(x)            (Equation 1; every level ≥ 2 pair)
+//	t(x), t(y): t(x) − t(y)
+//	t(x), d(y): t(x) ∩ d(y)
+//	d(x), t(y): D − (d(x) ∪ t(y)),     |D| = sup(x) + |d(x)|
+//
+// Ascending-support codes never form the last pair, since an item
+// coded after a dense one is dense too; a by-code recode does.
+func (x *DiffsetNode) diffInto(y *DiffsetNode, dst tidset.Set, st *kcount.Stats) tidset.Set {
+	switch {
+	case !x.tids && !y.tids:
+		return y.Diff.DiffInto(x.Diff, dst, st)
+	case x.tids && y.tids:
+		return x.Diff.DiffInto(y.Diff, dst, st)
+	case x.tids:
+		return x.Diff.IntersectInto(y.Diff, dst, st)
+	}
+	return x.Diff.UnionComplementInto(y.Diff, x.sup+len(x.Diff), dst, st)
 }
 
 func (n *DiffsetNode) Support() int { return n.sup }
@@ -237,17 +292,19 @@ func (diffsetRep) Kind() Kind { return Diffset }
 
 func (r diffsetRep) Roots(rec *dataset.Recoded) []Node { return alone(r.RootsOn(rec, dataset.Pass{})) }
 
-// RootsOn seeds level-1 diffsets as the complement of each item's
-// tidset within the transaction universe (paper Figure 2(a)):
-// d(x) = D − t(x), support(x) = |D| − |d(x)|.
+// RootsOn seeds each level-1 node on its item's shorter side: a dense
+// item gets the complement of its tidset within the transaction
+// universe (paper Figure 2(a)), d(x) = D − t(x), a sparse item
+// (2·support ≤ |D|) its tidset t(x), as dEclat starts. Either way the
+// node carries support(x), and level 2 is an ordinary diffset.
 func (diffsetRep) RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error) {
-	diffs, err := diffsetRoots(rec, p)
+	sets, tids, err := diffsetRoots(rec, p)
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]Node, len(diffs))
-	for i, d := range diffs {
-		nodes[i] = &DiffsetNode{Diff: d, sup: rec.Items[i].Support}
+	nodes := make([]Node, len(sets))
+	for i, d := range sets {
+		nodes[i] = &DiffsetNode{Diff: d, sup: rec.Items[i].Support, tids: tids[i]}
 	}
 	return nodes, nil
 }
@@ -298,23 +355,27 @@ func DegradeChild(parent, child Node, st *kcount.Stats) Node {
 	return nil
 }
 
-// DegradeRoot converts a level-1 tidset or bitvector node into diffset
-// form relative to the transaction universe, d(x) = D − t(x), matching
-// diffsetRep.Roots. Returns nil for kinds Degradable rejects.
+// DegradeRoot converts a level-1 node into the diffset root
+// diffsetRep.Roots builds for the same item, on the item's shorter
+// side: t(x) when 2·support ≤ |D|, else d(x) = D − t(x). A root cure
+// therefore never grows a tidset root's payload. A tidset root's TIDs
+// are wrapped, not copied: roots are never released to an arena, so
+// nothing writes them afterwards. Returns nil for kinds Degradable
+// rejects.
 func DegradeRoot(n Node, universe int) Node {
 	switch c := n.(type) {
 	case *TidsetNode:
-		return &DiffsetNode{Diff: c.TIDs.Complement(universe), sup: len(c.TIDs)}
+		return diffsetRoot(c.TIDs, universe)
 	case *BitvectorNode:
-		return &DiffsetNode{Diff: c.Bits.Not().TIDs(), sup: c.sup}
+		return diffsetRoot(c.Bits.TIDs(), universe)
 	case *TiledNode:
-		return &DiffsetNode{Diff: c.T.ToSet().Complement(universe), sup: c.T.Len()}
+		return diffsetRoot(c.T.ToSet(), universe)
 	case *NodesetNode:
-		// d(x) = D − t(x) over the relabeled universe: transactions the
-		// frequent-item filter emptied never entered the tree, so they
-		// occupy the label range above Encoding.Total and fall into the
-		// complement of every item, exactly as in the original space.
-		return &DiffsetNode{Diff: c.rootTIDs().Complement(universe), sup: c.sup}
+		// Over the relabeled universe: transactions the frequent-item
+		// filter emptied never entered the tree, so they occupy the
+		// label range above Encoding.Total and fall into the complement
+		// of every item, exactly as in the original space.
+		return diffsetRoot(c.rootTIDs(), universe)
 	}
 	return nil
 }

@@ -120,12 +120,22 @@ func TestDiffsetPaperIdentities(t *testing.T) {
 	droots := rep.Roots(rec)
 	troots := tidRep.Roots(rec)
 	nTrans := rec.DB.NumTransactions()
-	// d(x) is the complement of t(x).
+	// A root holds the shorter of t(x) and d(x) = D − t(x), with the
+	// support identity of its side.
 	for i := range droots {
 		d := droots[i].(*DiffsetNode)
 		tt := troots[i].(*TidsetNode)
-		if !d.Diff.Equal(tt.TIDs.Complement(nTrans)) {
-			t.Errorf("item %d: diffset != complement of tidset", i)
+		if 2*len(tt.TIDs) <= nTrans {
+			if !d.tids || !d.Diff.Equal(tt.TIDs) {
+				t.Errorf("item %d (sparse): root != tidset", i)
+			}
+			if d.Support() != len(d.Diff) {
+				t.Errorf("item %d: support identity broken", i)
+			}
+			continue
+		}
+		if d.tids || !d.Diff.Equal(tt.TIDs.Complement(nTrans)) {
+			t.Errorf("item %d (dense): root != complement of tidset", i)
 		}
 		if d.Support() != nTrans-len(d.Diff) {
 			t.Errorf("item %d: support identity broken", i)
