@@ -6,6 +6,7 @@ package fim
 // -race at GOMAXPROCS ≥ 2 it also checks the root build's chunk writes.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -192,5 +193,61 @@ func TestDegradeRootShorterSide(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRootCureShrinksOrStops: for every Degradable kind, under Apriori
+// and Eclat, a memory breach at the roots either degrades them to fewer
+// live bytes or, when their diffsets would take no fewer bytes, stops
+// the run with the memory *BudgetError and no degrade. Items in nearly
+// every one of 2048 rows have complements shorter than any kind's roots;
+// chess's 80-byte bitvector roots are shorter than their diffsets.
+func TestRootCureShrinksOrStops(t *testing.T) {
+	chess := runctlDB(t)
+	inputs := []struct {
+		db     *DB
+		minSup int
+	}{
+		{sidesDB(3, 2048, []int{2040, 2030, 2000, 1990, 2045}), 1000},
+		{chess, chess.AbsoluteSupport(0.5)},
+	}
+	outcomes := map[bool]int{}
+	for _, in := range inputs {
+		rec := in.db.RecodeOrdered(in.minSup, dataset.ByFrequency)
+		for _, kind := range vertical.AllKinds() {
+			if !vertical.Degradable(kind) {
+				continue
+			}
+			roots := vertical.New(kind).Roots(rec)
+			live, cured := vertical.NodesBytes(roots), int64(0)
+			for _, r := range roots {
+				cured += 4 * int64(min(r.Support(), rec.Universe-r.Support()))
+			}
+			shrinks := cured < live
+			outcomes[shrinks]++
+			for _, algo := range []Algorithm{Apriori, Eclat} {
+				label := fmt.Sprintf("%s/%v/%v (roots %d B, cured %d B)", in.db.Name, algo, kind, live, cured)
+				var rec EventRecorder
+				res, err := MineAbsolute(in.db, in.minSup, Options{Algorithm: algo, Representation: kind, Workers: 2,
+					MaxMemoryBytes: live - 1, DegradeToDiffset: true, Observer: &rec})
+				degraded := rec.ByType(EventDegraded)
+				if shrinks {
+					if len(degraded) != 1 || degraded[0].Level != 1 || degraded[0].LiveBytes >= live {
+						t.Errorf("%s: degraded events %+v, want one at level 1 below %d live bytes", label, degraded, live)
+					}
+					continue
+				}
+				var berr *BudgetError
+				if !errors.As(err, &berr) || berr.Resource != "memory" {
+					t.Errorf("%s: err = %v, want the memory *BudgetError", label, err)
+				}
+				if res.Degraded || len(degraded) != 0 {
+					t.Errorf("%s: degraded to larger payloads", label)
+				}
+			}
+		}
+	}
+	if outcomes[true] == 0 || outcomes[false] == 0 {
+		t.Errorf("root cures shrink %d times, would grow %d times; want both", outcomes[true], outcomes[false])
 	}
 }

@@ -1,8 +1,9 @@
 package fim
 
-// The first pass on a team: the count, the recode and every kind's root
-// build run over row chunks of the run's team, and a team of any size
-// must build exactly what a team of one builds. Run under -race at
+// The first pass on a team: the count, the recode, every kind's root
+// build and FP-growth's chunk trees run over row chunks of the run's
+// team, and a team of any size must build exactly what a team of one
+// builds, or mine exactly what it mines. Run under -race at
 // GOMAXPROCS ≥ 2 this also checks that the chunks' writes are disjoint.
 
 import (
@@ -12,19 +13,24 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/fpgrowth"
 	"repro/internal/itemset"
 	"repro/internal/sched"
 	"repro/internal/tidset"
+	"repro/internal/verify"
 	"repro/internal/vertical"
 )
 
-// firstPassCase is one input of the team-invariance test: a database
-// and the absolute support it is recoded at.
+// firstPassCase is one input of the team-invariance test: a database,
+// the absolute support it is recoded at and, when higher, the support
+// FP-growth mines the recode at (0: the recode's).
 type firstPassCase struct {
 	name   string
 	db     *DB
 	minSup int
+	fpSup  int
 }
 
 // randomDB returns n rows of up to width distinct items drawn from
@@ -54,26 +60,29 @@ func firstPassCases() []firstPassCase {
 	return []firstPassCase{
 		// 1000 rows: not a multiple of 64, at most 40 frequent items (the
 		// one-word row bitmap).
-		{"odd-rows", randomDB(1, 1000, 40, 12, 0, 1), 20},
-		// More than 64 frequent items: the multi-word row bitmap.
-		{"wide", randomDB(2, 777, 150, 40, 0, 1), 5},
+		{"odd-rows", randomDB(1, 1000, 40, 12, 0, 1), 20, 0},
+		// More than 64 frequent items: the multi-word row bitmap. At 5 the
+		// answer has 126k itemsets, past what the exhaustive reference can
+		// check, so FP-growth mines the chunk trees of all 150 items at 30.
+		{"wide", randomDB(2, 777, 150, 40, 0, 1), 5, 30},
 		// Fewer rows than 64 per worker: fewer chunks than workers.
-		{"short", randomDB(3, 100, 20, 8, 0, 1), 3},
+		{"short", randomDB(3, 100, 20, 8, 0, 1), 3, 0},
 		// Every third row empty, and rows left empty by the recode.
-		{"empty-rows", randomDB(4, 450, 60, 6, 3, 1), 16},
+		{"empty-rows", randomDB(4, 450, 60, 6, 3, 1), 16, 0},
 		// No item reaches the support: zero frequent items.
-		{"none-frequent", randomDB(5, 300, 30, 5, 0, 1), 301},
+		{"none-frequent", randomDB(5, 300, 30, 5, 0, 1), 301, 0},
 		// Ids far sparser than the data: the map count.
-		{"sparse-ids", randomDB(6, 600, 50, 10, 0, 1_000_003), 40},
-		{"empty", &DB{Name: "empty"}, 1},
+		{"sparse-ids", randomDB(6, 600, 50, 10, 0, 1_000_003), 40, 0},
+		{"empty", &DB{Name: "empty"}, 1, 0},
 	}
 }
 
 // TestFirstPassTeamInvariant: for teams of 1, 2, 3 and 5 workers, the
 // recode's frequent items and rows (each capped at its own end) and the
-// roots of every kind are identical to a team of one's. Every input
-// with frequent items has them on both sides of |D|/2, so the diffset
-// roots store tidsets and complements both.
+// roots of every kind are identical to a team of one's, and FP-growth
+// over that team's chunk trees mines the reference answer by decoded
+// content. Every input with frequent items has them on both sides of
+// |D|/2, so the diffset roots store tidsets and complements both.
 func TestFirstPassTeamInvariant(t *testing.T) {
 	for _, tc := range firstPassCases() {
 		base := tc.db.RecodeOrdered(tc.minSup, dataset.ByFrequency)
@@ -94,6 +103,12 @@ func TestFirstPassTeamInvariant(t *testing.T) {
 		}
 		if sets := base.TidsetOf(); !reflect.DeepEqual(roots[Tidset], tidsetNodes(sets)) {
 			t.Errorf("%s: tidset roots differ from the inverted index", tc.name)
+		}
+		fpSup := max(tc.minSup, tc.fpSup)
+		want, ok := firstPassReference[tc.name]
+		if !ok {
+			want = verify.Reference(base, fpSup).Decoded()
+			firstPassReference[tc.name] = want
 		}
 		for _, p := range []int{1, 2, 3, 5} {
 			label := fmt.Sprintf("%s/%d workers", tc.name, p)
@@ -122,9 +137,21 @@ func TestFirstPassTeamInvariant(t *testing.T) {
 					t.Errorf("%s/%v: roots differ from a team of one's", label, kind)
 				}
 			}
+			res, err := fpgrowth.Mine(rec, fpSup, core.Options{Workers: p})
+			if err != nil {
+				t.Fatalf("%s/fpgrowth: %v", label, err)
+			}
+			if d := decodedDiff(res.Decoded(), want); d != "" {
+				t.Errorf("%s/fpgrowth: %s", label, d)
+			}
 		}
 	}
 }
+
+// firstPassReference holds each case's reference answer for the rest of
+// the process: the exhaustive miner takes seconds under -race, and
+// -count reruns the test over the same inputs.
+var firstPassReference = map[string][]ItemsetCount{}
 
 func tidsetNodes(sets []tidset.Set) []vertical.Node {
 	nodes := make([]vertical.Node, len(sets))

@@ -123,7 +123,11 @@ func RootLevel(roots []vertical.Node) Level {
 // cure, the level is rewritten as diffsets (roots against the universe,
 // other nodes against their generation parent, so sibling joins stay
 // exact), the delta is charged, the bit cleared, res.Degraded set and a
-// degraded event emitted at level.
+// degraded event emitted at level. A cure must shrink the level: when
+// the diffsets, sized from supports before any is built, would take no
+// fewer bytes than the live payloads, the bit is cleared and the run
+// stops with the memory budget error, as a run with no diffset form
+// does.
 func Cure(opt Options, res *Result, rep vertical.Representation, level int, nodes Level) (vertical.Representation, error) {
 	rc := opt.Control
 	if !vertical.Degradable(rep.Kind()) {
@@ -131,6 +135,10 @@ func Cure(opt Options, res *Result, rep vertical.Representation, level int, node
 	}
 	if cure, err := rc.Breach(); !cure {
 		return rep, err
+	}
+	if curedBytes(nodes, res.Rec.Universe) >= levelBytes(nodes) {
+		rc.EndCure()
+		return rep, rc.CheckMemory()
 	}
 	var delta int64
 	nodes(func(slot *vertical.Node, parent vertical.Node) {
@@ -149,6 +157,28 @@ func Cure(opt Options, res *Result, rep vertical.Representation, level int, node
 	obs.Emit(opt.Observer, obs.Event{Type: obs.Degraded, Level: level,
 		Representation: vertical.Diffset.String(), LiveBytes: rc.MemUsed()})
 	return vertical.New(vertical.Diffset), nil
+}
+
+// levelBytes is the live payload bytes of a level.
+func levelBytes(nodes Level) int64 {
+	var n int64
+	nodes(func(slot *vertical.Node, _ vertical.Node) { n += int64((*slot).Bytes()) })
+	return n
+}
+
+// curedBytes is the bytes Cure's diffsets of a level would take, from
+// supports alone: a root stores the shorter of t(x) and D − t(x), any
+// other node d(X) = t(parent) − t(X), four bytes per TID.
+func curedBytes(nodes Level, universe int) int64 {
+	var n int64
+	nodes(func(slot *vertical.Node, parent vertical.Node) {
+		if sup := (*slot).Support(); parent == nil {
+			n += 4 * int64(min(sup, universe-sup))
+		} else {
+			n += 4 * int64(parent.Support()-sup)
+		}
+	})
+	return n
 }
 
 // ItemsetCount pairs an itemset with its support.

@@ -1,6 +1,7 @@
 package fpgrowth
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -9,8 +10,11 @@ import (
 	"repro/internal/apriori"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/datasets"
 	"repro/internal/eclat"
 	"repro/internal/itemset"
+	"repro/internal/nodeset"
+	"repro/internal/runctl"
 	"repro/internal/sched"
 	"repro/internal/verify"
 	"repro/internal/vertical"
@@ -148,15 +152,46 @@ func TestCollectorPhase(t *testing.T) {
 	opt := core.DefaultOptions(vertical.Tidset, 2)
 	opt.Record = trace
 	mine(rec, 2, opt)
-	if len(trace.Loops) != 1 || trace.Loops[0].Name != "fpgrowth/items" {
-		t.Fatalf("loops = %v", trace.Loops)
+	if len(trace.Loops) != 2 || trace.Loops[0].Name != "fpgrowth/tree" || trace.Loops[1].Name != "fpgrowth/items" {
+		t.Fatalf("loops = %v, want fpgrowth/tree then fpgrowth/items", trace.Loops)
 	}
-	l := trace.Loops[0]
+	if tree := trace.Loops[0]; tree.Load == nil || tree.Model == nil || tree.Model.TotalWork() == 0 {
+		t.Errorf("tree: load %+v, model %+v; want both halves", tree.Load, tree.Model)
+	}
+	l := trace.Loops[1]
 	if l.Model.Tasks() != len(rec.Items) || l.Load.N != len(rec.Items) {
 		t.Errorf("tasks = %d modelled, %d measured", l.Model.Tasks(), l.Load.N)
 	}
 	if l.Model.Shared {
 		t.Error("fpgrowth tasks marked shared (conditional trees are private)")
+	}
+}
+
+// TestChunkTreesChargedAsHeld: each chunk tree is trimmed once built,
+// so it keeps no more slack through the header loop than the allocator
+// rounds its slab up by (under a page), and the budget holds exactly
+// the sum of what the trees hold.
+func TestChunkTreesChargedAsHeld(t *testing.T) {
+	db := datasets.Chess(0.2)
+	rec, err := db.RecodeOn(dataset.Pass{Team: sched.NewTeam(3)}, db.AbsoluteSupport(0.5), dataset.ByFrequency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := runctl.New(context.Background(), runctl.Budget{MaxMemoryBytes: 1 << 30})
+	defer rc.Close()
+	trees, err := buildTrees(rec, dataset.Pass{Team: sched.NewTeam(3), Control: rc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held int64
+	for c, tr := range trees {
+		if slack := (cap(tr.Nodes) - len(tr.Nodes)) * nodeset.TreeNodeBytes; slack >= 8192 || tr.NNodes() == 0 {
+			t.Errorf("chunk %d: %d nodes in a slab of %d", c, len(tr.Nodes), cap(tr.Nodes))
+		}
+		held += tr.Bytes()
+	}
+	if len(trees) != 3 || rc.MemUsed() != held {
+		t.Fatalf("%d chunk trees charged %d bytes, they hold %d", len(trees), rc.MemUsed(), held)
 	}
 }
 

@@ -2,9 +2,12 @@ package nodeset
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/itemset"
@@ -297,20 +300,144 @@ func listsEqual(a, b List) bool {
 }
 
 // TestConditionalSharedTree guards the fpgrowth-shared tree surface:
-// Conditional must reproduce the prefix paths with occurrence counts.
+// ConditionalOf must reproduce the prefix paths with occurrence counts,
+// and drop the items its pattern base holds fewer than minSup times.
 func TestConditionalSharedTree(t *testing.T) {
 	tr := NewTree()
 	tr.Insert([]int32{3, 2, 1}, 2)
 	tr.Insert([]int32{3, 1}, 1)
 	tr.Insert([]int32{2, 1}, 1)
-	cond := tr.Conditional(1)
-	if cond.Count(3) != 3 || cond.Count(2) != 3 {
-		t.Fatalf("conditional counts = %d/%d, want 3 for items 2 and 3", cond.Count(2), cond.Count(3))
+	tr.Insert([]int32{4, 1}, 1)
+	cond := ConditionalOf([]*Tree{tr}, 1, 3)
+	if cond.Count(3) != 3 || cond.Count(2) != 3 || cond.Count(4) != 0 {
+		t.Fatalf("conditional counts = %d/%d/%d, want 3 for items 2 and 3, 0 for 4",
+			cond.Count(2), cond.Count(3), cond.Count(4))
 	}
-	if tr.NNodes() != 6 {
-		t.Fatalf("tree has %d nodes, want 6", tr.NNodes())
+	if want := map[string]int{"3": 3, "3 2": 2, "2": 1}; !maps.Equal(treePaths(cond), want) {
+		t.Fatalf("conditional paths = %v, want %v", treePaths(cond), want)
 	}
-	if tr.Bytes() != 6*TreeNodeBytes {
-		t.Fatalf("Bytes() = %d, want %d", tr.Bytes(), 6*TreeNodeBytes)
+	if tr.NNodes() != 8 {
+		t.Fatalf("tree has %d nodes, want 8", tr.NNodes())
 	}
+	if size := unsafe.Sizeof(TreeNode{}); size != TreeNodeBytes {
+		t.Fatalf("TreeNode is %d bytes, TreeNodeBytes says %d", size, TreeNodeBytes)
+	}
+	// Five item codes (0..4) in the tables, the slab at its capacity.
+	if want := int64(cap(tr.Nodes))*TreeNodeBytes + 5*(4+8) + int64(cap(tr.items))*4; tr.Bytes() != want {
+		t.Fatalf("Bytes() = %d, want %d", tr.Bytes(), want)
+	}
+	paths := treePaths(tr)
+	tr.Nodes = slices.Grow(tr.Nodes, 100)
+	if tr.Trim(); cap(tr.Nodes) >= 2*len(tr.Nodes) || !maps.Equal(treePaths(tr), paths) {
+		t.Fatalf("Trim left capacity %d for %d nodes or changed the paths", cap(tr.Nodes), len(tr.Nodes))
+	}
+	if empty := ConditionalOf([]*Tree{tr}, 1, 4); len(empty.Items()) != 0 || empty.NNodes() != 0 {
+		t.Fatalf("minSup above every count left items %v", empty.Items())
+	}
+}
+
+// TestConditionalOfSplit: the conditional tree of every item over the
+// chunk trees of any split of the rows has the same paths and counts as
+// over the one tree of all rows, which is the pattern base of the rows
+// that hold the item with its items under minSup dropped. Its items are
+// ascending, each at least minSup, and each header chain sums to its
+// item's count.
+func TestConditionalOfSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		rec := randomRecoded(t, int64(trial), 50+rng.Intn(200), 4+rng.Intn(12), 1)
+		rows := make([][]int32, len(rec.DB.Transactions))
+		for tid, tr := range rec.DB.Transactions {
+			for i := len(tr) - 1; i >= 0; i-- {
+				rows[tid] = append(rows[tid], int32(tr[i]))
+			}
+		}
+		whole := treeOf(rows)
+		var forest []*Tree
+		for lo := 0; lo < len(rows); {
+			hi := min(len(rows), lo+1+rng.Intn(len(rows)/2))
+			forest = append(forest, treeOf(rows[lo:hi]))
+			lo = hi
+		}
+		minSup := 1 + rng.Intn(len(rows)/4)
+		for it := range rec.Items {
+			label := fmt.Sprintf("trial %d item %d minSup %d", trial, it, minSup)
+			want := treePaths(baseTree(rows, int32(it), minSup))
+			one := ConditionalOf([]*Tree{whole}, int32(it), minSup)
+			if got := treePaths(one); !maps.Equal(got, want) {
+				t.Fatalf("%s: whole tree paths %v, want %v", label, got, want)
+			}
+			split := ConditionalOf(forest, int32(it), minSup)
+			if got := treePaths(split); !maps.Equal(got, want) {
+				t.Fatalf("%s: %d chunk trees give paths %v, want %v", label, len(forest), got, want)
+			}
+			if !slices.IsSorted(split.Items()) {
+				t.Errorf("%s: items %v not ascending", label, split.Items())
+			}
+			for _, x := range split.Items() {
+				chain := 0
+				for link := split.heads[x]; link != -1; link = split.Nodes[link].Next {
+					chain += int(split.Nodes[link].Count)
+				}
+				if c := split.Count(x); c < minSup || c != chain {
+					t.Errorf("%s: item %d count %d, header chain %d, minSup %d", label, x, c, chain, minSup)
+				}
+			}
+		}
+	}
+}
+
+// treeOf inserts rows, each in tree order, into a new tree.
+func treeOf(rows [][]int32) *Tree {
+	t := NewTree()
+	for _, r := range rows {
+		t.Insert(r, 1)
+	}
+	return t
+}
+
+// baseTree is the conditional tree of item it built from the rows
+// themselves: every row holding it contributes its items above it, less
+// those held by fewer than minSup such rows.
+func baseTree(rows [][]int32, it int32, minSup int) *Tree {
+	counts := map[int32]int{}
+	for _, r := range rows {
+		if slices.Contains(r, it) {
+			for _, x := range r {
+				if x > it {
+					counts[x]++
+				}
+			}
+		}
+	}
+	t := NewTree()
+	for _, r := range rows {
+		if !slices.Contains(r, it) {
+			continue
+		}
+		var path []int32
+		for _, x := range r {
+			if x > it && counts[x] >= minSup {
+				path = append(path, x)
+			}
+		}
+		t.Insert(path, 1)
+	}
+	return t
+}
+
+// treePaths maps the item path from the root to every node, spelled
+// out, to the node's count: equal maps are equal trees, whatever the
+// order of their children.
+func treePaths(t *Tree) map[string]int {
+	paths := map[string]int{}
+	for i := 1; i < len(t.Nodes); i++ {
+		var path []string
+		for p := int32(i); p > 0; p = t.Nodes[p].Parent {
+			path = append(path, fmt.Sprint(t.Nodes[p].Item))
+		}
+		slices.Reverse(path)
+		paths[strings.Join(path, " ")] = int(t.Nodes[i].Count)
+	}
+	return paths
 }

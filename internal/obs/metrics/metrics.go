@@ -1,6 +1,6 @@
 // Package metrics is the service-telemetry layer: a dependency-free
-// metrics registry — atomic counters, gauges and fixed-bucket
-// histograms, optionally labeled — with Prometheus text-exposition
+// metrics registry — atomic counters and gauges, optionally labeled,
+// and fixed-bucket histograms — with Prometheus text-exposition
 // v0.0.4 rendering (WriteText) and a matching scrape parser/validator
 // (ParseText) for CI and obsvalidate.
 //
@@ -361,17 +361,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge { return v.f.getChild(values).g }
-
-// HistogramVec is a labeled histogram family.
-type HistogramVec struct{ f *family }
-
-// HistogramVec registers (or returns) a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{r.register(name, help, kindHistogram, labels, buckets, nil)}
-}
-
-// With returns the histogram for the given label values.
-func (v *HistogramVec) With(values ...string) *Histogram { return v.f.getChild(values).h }
 
 func (f *family) setFold(label string) {
 	for i, l := range f.labels {

@@ -241,10 +241,9 @@ func TestDegradeToDiffsetCompletes(t *testing.T) {
 }
 
 // TestDegradeBitvector: on this small dense database diffsets are
-// *larger* than the 80-byte bitvectors, so a tight budget must still
-// trigger the switch, and the run either completes or stops with a
-// typed *BudgetError — with exact supports for everything emitted
-// either way.
+// *larger* than the 80-byte bitvectors, so a tight budget cannot be
+// cured: rather than degrade to a bigger payload, the run stops with
+// the memory *BudgetError, with exact supports for everything emitted.
 func TestDegradeBitvector(t *testing.T) {
 	db := runctlDB(t)
 	res, err := MineContext(context.Background(), db, 0.5, Options{
@@ -254,17 +253,12 @@ func TestDegradeBitvector(t *testing.T) {
 		MaxMemoryBytes:   10 << 10,
 		DegradeToDiffset: true,
 	})
-	if res == nil || !res.Degraded {
-		t.Fatalf("run fit in 10KB without degrading (err=%v); budget no longer binds", err)
+	var berr *BudgetError
+	if !errors.As(err, &berr) || berr.Resource != "memory" {
+		t.Fatalf("err = %v, want the memory *BudgetError", err)
 	}
-	if err != nil {
-		var berr *BudgetError
-		if !errors.As(err, &berr) || berr.Resource != "memory" {
-			t.Fatalf("err = %v, want nil or memory *BudgetError", err)
-		}
-		if !res.Incomplete {
-			t.Error("budget-stopped run not marked Incomplete")
-		}
+	if res == nil || res.Degraded || !res.Incomplete {
+		t.Fatalf("result incomplete %v, degraded %v; want incomplete and not degraded", res.Incomplete, res.Degraded)
 	}
 	assertExactSupports(t, db, res)
 }

@@ -181,10 +181,10 @@ func TestLoopRecordMatchesPhaseEnd(t *testing.T) {
 			}
 			// Every miner's record opens with the first pass, each loop with
 			// both halves and its phase_end before any level_start; FP-growth
-			// builds no vertical roots.
+			// builds its chunk trees where the vertical miners build roots.
 			first := []string{"dataset/count", "dataset/recode", "vertical/roots"}
 			if algo == FPGrowth {
-				first = first[:2]
+				first[2] = "fpgrowth/tree"
 			}
 			for i, name := range first {
 				l := trace.Loops[i]
