@@ -25,7 +25,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/vertical"
@@ -36,13 +35,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit scalability tables as plot-ready CSV")
 	scale := flag.Float64("scale", experiments.DefaultScale, "dataset scale factor")
 	threadsFlag := flag.String("threads", "", "comma-separated thread counts (default 1,16,32,64,128,256)")
-	calibPath := flag.String("calibration", "", "kernel calibration JSON file (default: the FIM_CALIBRATION environment variable)")
 	flag.Parse()
-
-	if err := fim.LoadCalibration(*calibPath); err != nil {
-		fmt.Fprintf(os.Stderr, "fimbench: %v\n", err)
-		os.Exit(2)
-	}
 
 	cfg := experiments.Config{Scale: *scale}
 	if *threadsFlag != "" {

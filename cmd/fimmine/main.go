@@ -49,7 +49,6 @@ func main() {
 	support := flag.Float64("support", 0.5, "relative minimum support (0..1]")
 	algoName := flag.String("algo", "eclat", "algorithm: apriori, eclat, fpgrowth")
 	repName := flag.String("rep", "diffset", "representation: tidset, bitvector, diffset, hybrid, tiled, nodeset")
-	calibPath := flag.String("calibration", "", "per-host kernel calibration file from `calibrate -write` (default: $"+fim.CalibrationEnv+", else compiled-in)")
 	workers := flag.Int("workers", 1, "parallel workers")
 	depth := flag.Int("depth", 0, "Eclat flattening depth (0 = default)")
 	schedName := flag.String("sched", "", "override the loop schedule: static, dynamic, guided (default: the algorithm's choice)")
@@ -61,7 +60,7 @@ func main() {
 	maxMemMB := flag.Float64("max-memory-mb", 0, "stop (or degrade) when mining payloads exceed this many MB (0 = unlimited)")
 	maxItemsets := flag.Int64("max-itemsets", 0, "stop after emitting this many itemsets (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "stop after this long (0 = unlimited)")
-	degrade := flag.Bool("degrade", false, "on memory-budget breach, degrade tidset/bitvector runs to diffsets instead of stopping")
+	degrade := flag.Bool("degrade", false, "on memory-budget breach, switch an Apriori/Eclat run over tidset, bitvector, tiled or nodeset to diffsets instead of stopping, if the diffsets would be smaller")
 	progress := flag.Bool("progress", false, "print live level-by-level progress to stderr")
 	eventsPath := flag.String("events", "", "write the run's JSON-lines event stream to this file")
 	reportPath := flag.String("report", "", "write the machine-readable run report (fim-run-report/v1) to this file")
@@ -70,10 +69,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
 	flag.Parse()
-
-	if err := fim.LoadCalibration(*calibPath); err != nil {
-		fatal(err)
-	}
 
 	db, err := loadDB(*file, *dsName, *scale)
 	if err != nil {

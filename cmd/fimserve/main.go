@@ -27,9 +27,6 @@
 // On SIGTERM/SIGINT the daemon stops admitting, drains in-flight runs
 // (budget-stopping stragglers after the grace period), optionally
 // writes a shutdown report (-report), and exits 0.
-//
-// Kernel calibration comes from the file named by $FIM_CALIBRATION, as
-// in the other binaries; unset means the compiled-in defaults.
 package main
 
 import (
@@ -46,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
 	"repro/internal/serve"
 )
 
@@ -66,10 +62,6 @@ func main() {
 		tenantCard  = flag.Int("tenant-series", 32, "distinct tenant label values in /metrics before folding into \"other\"")
 	)
 	flag.Parse()
-
-	if err := fim.LoadCalibration(""); err != nil {
-		log.Fatalf("fimserve: %v", err)
-	}
 
 	cacheBytes := *cacheMB << 20
 	if *cacheMB < 0 {

@@ -49,7 +49,6 @@ import (
 	"repro/internal/obs/prof"
 	"repro/internal/runctl"
 	"repro/internal/sched"
-	"repro/internal/tidset"
 	"repro/internal/vertical"
 )
 
@@ -90,26 +89,12 @@ func ParseRepresentation(s string) (Representation, error) {
 	return vertical.ParseKind(s)
 }
 
-// LoadCalibration applies a per-host kernel calibration file (knobs
-// like the merge/gallop crossover and the tiled sparse/dense crossover,
-// produced by cmd/calibrate). An empty path falls back to the file
-// named by the CalibrationEnv environment variable, and does nothing
-// when that is unset too; fimmine, fimbench and fimserve all load
-// through this one path. All knobs are speed dials only — results are
-// identical for any legal calibration.
-func LoadCalibration(path string) error {
-	if path == "" {
-		if path = os.Getenv(CalibrationEnv); path == "" {
-			return nil
-		}
-	}
-	_, err := tidset.LoadCalibrationFile(path)
-	return err
-}
-
-// CalibrationEnv is the environment variable naming a calibration file
-// (see LoadCalibration).
-const CalibrationEnv = tidset.CalibrationEnv
+// CalibrationEnv named the environment variable that once pointed the
+// binaries at a per-host kernel calibration file.
+//
+// Deprecated: nothing reads it. The kernels' merge/gallop ratio and
+// tile crossover are compile-time constants.
+const CalibrationEnv = "FIM_CALIBRATION"
 
 // Re-exported core types. See the respective internal packages for the
 // full method sets.
@@ -256,9 +241,11 @@ type Options struct {
 	// diffset sets) of the run, accounted per level/class from the
 	// actual set sizes. On breach the run stops with a *BudgetError —
 	// or, when DegradeToDiffset is set on an Apriori/Eclat run over
-	// tidsets or bitvectors, switches the live payloads to diffsets
-	// (the paper's own footprint cure, applied adaptively) and
-	// continues.
+	// tidsets, bitvectors, tiled tidsets or nodesets, switches the
+	// live payloads to diffsets (the paper's own footprint cure,
+	// applied adaptively) and continues. The switch happens only when
+	// the diffsets, sized from supports, would be smaller than the
+	// live payloads; otherwise the run stops with the *BudgetError.
 	MaxMemoryBytes int64
 	// MaxItemsets stops the run with a *BudgetError once more than this
 	// many frequent itemsets have been emitted.
@@ -268,9 +255,12 @@ type Options struct {
 	MaxDuration time.Duration
 	// DegradeToDiffset turns a memory-budget breach into a mid-run
 	// representation switch instead of an error, where the algorithm
-	// and representation allow it. It never weakens the budget: a run
+	// and representation allow it: Apriori and Eclat over tidset,
+	// bitvector, tiled or nodeset. It never weakens the budget: a run
 	// that cannot degrade (diffset, hybrid, FP-growth), has degraded, or
-	// is in Eclat's subtree stage stops on a breach as without it.
+	// is in Eclat's subtree stage stops on a breach as without it, and
+	// so does a breach whose diffsets would take no fewer bytes than
+	// the live payloads.
 	DegradeToDiffset bool
 	// SharedPool, when non-nil, joins the run to a machine-wide live-
 	// payload capacity pool spanning concurrent runs (NewSharedPool).

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"cmp"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/tidset"
 	"repro/internal/verify"
 	"repro/internal/vertical"
 )
@@ -271,46 +269,4 @@ func bySupport(a, b dataset.FrequentItem) int {
 		return c
 	}
 	return cmp.Compare(a.Original, b.Original)
-}
-
-// TestLoadCalibrationEnv: with no path, LoadCalibration loads the file
-// named by $FIM_CALIBRATION, does nothing when that is unset, and an
-// explicit path wins over the variable.
-func TestLoadCalibrationEnv(t *testing.T) {
-	prev := tidset.CurrentCalibration()
-	t.Cleanup(func() {
-		if _, err := tidset.ApplyCalibration(prev); err != nil {
-			t.Error(err)
-		}
-	})
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	bad := write("bad.json", `{"tile_bits": 64}`)
-	// nodeset_density_min is a key older calibrate -nodeset runs wrote;
-	// it is no longer a knob, and a file carrying it must still load.
-	good := write("good.json", `{"gallop_ratio": 12, "nodeset_density_min": 0.55}`)
-
-	t.Setenv(CalibrationEnv, "")
-	if err := LoadCalibration(""); err != nil {
-		t.Errorf("env unset: %v", err)
-	}
-	if got := tidset.CurrentCalibration(); got != prev {
-		t.Errorf("env unset changed the knobs: %+v, was %+v", got, prev)
-	}
-	t.Setenv(CalibrationEnv, bad)
-	if err := LoadCalibration(""); err == nil {
-		t.Error("invalid file named by the env var accepted")
-	}
-	if err := LoadCalibration(good); err != nil {
-		t.Errorf("explicit path with an invalid env file: %v", err)
-	}
-	if got := tidset.CurrentCalibration().GallopRatio; got != 12 {
-		t.Errorf("gallop ratio %d after loading %s, want 12", got, good)
-	}
 }

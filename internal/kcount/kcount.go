@@ -12,7 +12,7 @@
 // the miner sums the shards once the team has joined, so a run's
 // counts are exact however many other runs overlap it. The kernels
 // take the shard as an argument; a nil *Stats records nothing, which is
-// how callers outside a mine (tests, calibration) run them. An
+// how callers outside a mine (tests, benchmarks) run them. An
 // unobserved run still counts into its arenas' shards, a few plain adds
 // per kernel call, but has no run total to sum them into. The Add
 // methods take counts the kernels already computed (loop exit indices,

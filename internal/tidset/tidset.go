@@ -92,6 +92,12 @@ func (s Set) Intersect(t Set) Set {
 	return s.IntersectInto(t, make(Set, 0, min(len(s), len(t))), nil)
 }
 
+// gallopRatio is the length disparity len(long)/len(short) at which
+// intersection switches from a linear merge to exponential search over
+// the longer operand. results/CALIBRATE_gallop.txt records the sweep
+// behind it: merge wins up to ratio 4, gallop from 8 up.
+const gallopRatio = 8
+
 // IntersectInto appends s ∩ t to dst[:0] and returns it. dst may be nil.
 // When one operand is much shorter than the other it switches to a
 // galloping (exponential search) strategy, which matters for skewed dense
@@ -105,7 +111,7 @@ func (s Set) IntersectInto(t Set, dst Set, st *kcount.Stats) Set {
 	if len(s) == 0 {
 		return dst
 	}
-	if len(t)/len(s) >= gallopRatio() {
+	if len(t)/len(s) >= gallopRatio {
 		return gallopIntersect(s, t, dst, st)
 	}
 	return mergeIntersect(s, t, dst, st)
@@ -130,34 +136,6 @@ func mergeIntersect(s, t Set, dst Set, st *kcount.Stats) Set {
 	}
 	st.AddMergeSteps(i + j)
 	return dst
-}
-
-// MergeIntersectInto and GallopIntersectInto run one intersection
-// strategy unconditionally, bypassing IntersectInto's gallopRatio
-// switch. They exist for cmd/calibrate -gallop, which re-times the
-// merge-vs-gallop crossover on a new host to validate gallopRatio;
-// every other caller should use IntersectInto, which picks for itself.
-func MergeIntersectInto(s, t Set, dst Set, st *kcount.Stats) Set {
-	dst = dst[:0]
-	if len(s) > len(t) {
-		s, t = t, s
-	}
-	if len(s) == 0 {
-		return dst
-	}
-	return mergeIntersect(s, t, dst, st)
-}
-
-// GallopIntersectInto is MergeIntersectInto's exponential-search twin.
-func GallopIntersectInto(s, t Set, dst Set, st *kcount.Stats) Set {
-	dst = dst[:0]
-	if len(s) > len(t) {
-		s, t = t, s
-	}
-	if len(s) == 0 {
-		return dst
-	}
-	return gallopIntersect(s, t, dst, st)
 }
 
 // gallopIntersect intersects short s against long t by exponential +

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/kcount"
 )
 
 func TestNewSortsAndDeduplicates(t *testing.T) {
@@ -74,6 +76,49 @@ func TestGallopIntersectMatchesMerge(t *testing.T) {
 		}
 		if !got.Equal(New(want...)) {
 			t.Fatalf("gallop intersect mismatch: got %v want %v", got, want)
+		}
+	}
+}
+
+// TestIntersectSwitchesAtGallopRatio: IntersectInto merges while the
+// long operand is under gallopRatio times the short one and gallops
+// from that ratio up, in either operand order, and both strategies
+// return the Contains reference.
+func TestIntersectSwitchesAtGallopRatio(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	draw := func(n, universe int) Set {
+		tids := make([]TID, n)
+		for i, x := range r.Perm(universe)[:n] {
+			tids[i] = TID(x)
+		}
+		return New(tids...)
+	}
+	const short = 64
+	for _, c := range []struct {
+		ratio               int
+		wantMerge, wantGall int64
+	}{
+		{gallopRatio - 1, 1, 0},
+		{gallopRatio, 0, 1},
+	} {
+		a := draw(short, 2*c.ratio*short)
+		b := draw(c.ratio*short, 2*c.ratio*short)
+		var want Set
+		for _, x := range a {
+			if b.Contains(x) {
+				want = append(want, x)
+			}
+		}
+		for _, ops := range [][2]Set{{a, b}, {b, a}} {
+			var st kcount.Stats
+			got := ops[0].IntersectInto(ops[1], nil, &st)
+			if !got.Equal(New(want...)) {
+				t.Errorf("ratio %d: got %v, want %v", c.ratio, got, want)
+			}
+			if st.MergePicks != c.wantMerge || st.GallopPicks != c.wantGall {
+				t.Errorf("ratio %d: merge/gallop picks %d/%d, want %d/%d",
+					c.ratio, st.MergePicks, st.GallopPicks, c.wantMerge, c.wantGall)
+			}
 		}
 	}
 }

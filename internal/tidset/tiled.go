@@ -34,9 +34,8 @@ import (
 
 // Tile geometry. The width is compile-time: in-tile offsets are uint8
 // and dense payloads are exactly two 64-bit words, both of which assume
-// 128. cmd/calibrate -tiles times simulated 64/256-TID variants to
-// justify the choice per host; the sparse/dense crossover
-// (TileSparseMax) is the knob that actually moves between hosts.
+// 128 (results/CALIBRATE_tiles.txt records the 64/256-TID simulation
+// behind the choice).
 const (
 	// TileBits is the number of TIDs covered by one tile.
 	TileBits = 128
@@ -48,6 +47,12 @@ const (
 	// tileDenseFlag marks a dense (bitmap) tile in the meta word; the
 	// low bits hold the tile cardinality (1..128).
 	tileDenseFlag = 1 << 15
+
+	// tileSparseMax is the sparse/dense crossover: a tile of at most
+	// this many TIDs is stored (and intersected) as sorted u8 offsets,
+	// a fuller one as a 128-bit bitmap. 16 is the memory-neutral point,
+	// where 16 u8 offsets take exactly the 16 bytes of a bitmap.
+	tileSparseMax = 16
 )
 
 // Tiled is a tile-partitioned tidset. The zero value is an empty set
@@ -74,9 +79,15 @@ func FromSet(s Set) *Tiled {
 }
 
 // SetFrom rebuilds t from sorted set s, reusing t's backing arrays.
-func (t *Tiled) SetFrom(s Set) *Tiled {
+func (t *Tiled) SetFrom(s Set) *Tiled { return t.setFrom(s, tileSparseMax) }
+
+// setFrom is SetFrom with the sparse/dense crossover sm as a parameter:
+// tiles of at most sm TIDs are stored sparse, fuller ones dense. Tests
+// build operands with sm = TileBits (all sparse) and sm = 1 (dense but
+// for one-TID tiles) to drive every tile pairing through the kernels;
+// the kernels' own results always follow tileSparseMax.
+func (t *Tiled) setFrom(s Set, sm int) *Tiled {
 	t.reset()
-	sm := TileSparseMax()
 	for i := 0; i < len(s); {
 		key := s[i] >> TileShift
 		j := i + 1
@@ -159,8 +170,8 @@ func (t *Tiled) ToSet() Set { return t.AppendTo(make(Set, 0, t.n)) }
 
 // Equal reports whether t and u hold the same TIDs. The comparison is
 // logical: a tile stored sparse on one side and dense on the other
-// (possible when the two sets were built under different calibrations)
-// still compares equal.
+// (possible when setFrom built one set with another crossover) still
+// compares equal.
 func (t *Tiled) Equal(u *Tiled) bool {
 	if t.n != u.n || len(t.keys) != len(u.keys) {
 		return false
@@ -285,7 +296,6 @@ func (t *Tiled) copyTile(src *Tiled, i int) {
 // AddTiles charge per call, from loop-local tallies.
 func (t *Tiled) IntersectInto(u, dst *Tiled, st *kcount.Stats) *Tiled {
 	dst.reset()
-	sm := TileSparseMax()
 	i, j := 0, 0
 	summaryANDs, skipped, sparseK, denseK := 0, 0, 0, 0
 	for i < len(t.keys) && j < len(u.keys) {
@@ -302,7 +312,7 @@ func (t *Tiled) IntersectInto(u, dst *Tiled, st *kcount.Stats) *Tiled {
 		if t.sums[i]&u.sums[j] == 0 {
 			skipped++
 		} else {
-			dst.intersectTile(t, i, u, j, sm, &sparseK, &denseK)
+			dst.intersectTile(t, i, u, j, &sparseK, &denseK)
 		}
 		i++
 		j++
@@ -312,7 +322,7 @@ func (t *Tiled) IntersectInto(u, dst *Tiled, st *kcount.Stats) *Tiled {
 }
 
 // intersectTile intersects a's tile i with b's tile j into dst.
-func (dst *Tiled) intersectTile(a *Tiled, i int, b *Tiled, j int, sm int, sparseK, denseK *int) {
+func (dst *Tiled) intersectTile(a *Tiled, i int, b *Tiled, j int, sparseK, denseK *int) {
 	key := a.keys[i]
 	da := a.meta[i]&tileDenseFlag != 0
 	db := b.meta[j]&tileDenseFlag != 0
@@ -320,7 +330,7 @@ func (dst *Tiled) intersectTile(a *Tiled, i int, b *Tiled, j int, sm int, sparse
 	case da && db:
 		*denseK++
 		oa, ob := a.offs[i], b.offs[j]
-		dst.appendWordsTile(key, a.dense[oa]&b.dense[ob], a.dense[oa+1]&b.dense[ob+1], sm)
+		dst.appendWordsTile(key, a.dense[oa]&b.dense[ob], a.dense[oa+1]&b.dense[ob+1], tileSparseMax)
 	case !da && !db:
 		*sparseK++
 		sa := a.sparse[a.offs[i] : a.offs[i]+uint32(a.meta[i])]
@@ -379,7 +389,6 @@ func (dst *Tiled) intersectTile(a *Tiled, i int, b *Tiled, j int, sm int, sparse
 // copy through without touching payloads.
 func (t *Tiled) DiffInto(u, dst *Tiled, st *kcount.Stats) *Tiled {
 	dst.reset()
-	sm := TileSparseMax()
 	i, j := 0, 0
 	summaryANDs, skipped, sparseK, denseK := 0, 0, 0, 0
 	for i < len(t.keys) {
@@ -397,7 +406,7 @@ func (t *Tiled) DiffInto(u, dst *Tiled, st *kcount.Stats) *Tiled {
 			skipped++
 			dst.copyTile(t, i)
 		} else {
-			dst.diffTile(t, i, u, j, sm, &sparseK, &denseK)
+			dst.diffTile(t, i, u, j, &sparseK, &denseK)
 		}
 		i++
 		j++
@@ -407,7 +416,7 @@ func (t *Tiled) DiffInto(u, dst *Tiled, st *kcount.Stats) *Tiled {
 }
 
 // diffTile appends a's tile i minus b's tile j to dst.
-func (dst *Tiled) diffTile(a *Tiled, i int, b *Tiled, j int, sm int, sparseK, denseK *int) {
+func (dst *Tiled) diffTile(a *Tiled, i int, b *Tiled, j int, sparseK, denseK *int) {
 	key := a.keys[i]
 	da := a.meta[i]&tileDenseFlag != 0
 	db := b.meta[j]&tileDenseFlag != 0
@@ -415,7 +424,7 @@ func (dst *Tiled) diffTile(a *Tiled, i int, b *Tiled, j int, sm int, sparseK, de
 	case da && db:
 		*denseK++
 		oa, ob := a.offs[i], b.offs[j]
-		dst.appendWordsTile(key, a.dense[oa]&^b.dense[ob], a.dense[oa+1]&^b.dense[ob+1], sm)
+		dst.appendWordsTile(key, a.dense[oa]&^b.dense[ob], a.dense[oa+1]&^b.dense[ob+1], tileSparseMax)
 	case !da && !db:
 		*sparseK++
 		sa := a.sparse[a.offs[i] : a.offs[i]+uint32(a.meta[i])]
@@ -468,7 +477,7 @@ func (dst *Tiled) diffTile(a *Tiled, i int, b *Tiled, j int, sm int, sparseK, de
 				w1 &^= 1 << (off - 64)
 			}
 		}
-		dst.appendWordsTile(key, w0, w1, sm)
+		dst.appendWordsTile(key, w0, w1, tileSparseMax)
 	}
 }
 

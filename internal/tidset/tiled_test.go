@@ -44,23 +44,16 @@ func clusteredSet(rng *rand.Rand, universe int) Set {
 // sets, across densities and under extreme sparse/dense crossovers.
 func TestTiledRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, sm := range []int{1, 16, TileBits} {
-		prev, err := ApplyCalibration(Calibration{TileSparseMax: sm})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, sm := range []int{1, tileSparseMax, TileBits} {
 		for _, p := range []float64{0.002, 0.05, 0.3, 0.9} {
 			s := randSetDensity(rng, 4096, p)
-			tt := FromSet(s)
+			tt := (&Tiled{}).setFrom(s, sm)
 			if got := tt.ToSet(); !got.Equal(s) {
 				t.Errorf("sm=%d p=%g: round trip %d TIDs → %d", sm, p, len(s), len(got))
 			}
 			if tt.Len() != len(s) {
 				t.Errorf("sm=%d p=%g: Len %d want %d", sm, p, tt.Len(), len(s))
 			}
-		}
-		if _, err := ApplyCalibration(prev); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -96,17 +89,10 @@ func TestTiledKernelsMatchFlat(t *testing.T) {
 
 		// Cross-form: a built all-sparse, b built all-dense. The
 		// kernels must handle every (sparse, dense) tile pairing.
-		prev, err := ApplyCalibration(Calibration{TileSparseMax: TileBits})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ta := FromSet(a)
-		if _, err := ApplyCalibration(Calibration{TileSparseMax: 1}); err != nil {
-			t.Fatal(err)
-		}
-		tb := FromSet(b)
-		if _, err := ApplyCalibration(prev); err != nil {
-			t.Fatal(err)
+		ta := (&Tiled{}).setFrom(a, TileBits)
+		tb := (&Tiled{}).setFrom(b, 1)
+		if len(ta.dense) != 0 || len(tb.sparse) > tb.Tiles()-len(tb.dense)/tileWordCount {
+			t.Fatalf("cross-form operands not all-sparse / all-dense: %d dense words, %d sparse offsets", len(ta.dense), len(tb.sparse))
 		}
 		check("cross-form", a, b, ta, tb)
 		check("cross-form-swapped", b, a, tb, ta)
@@ -261,21 +247,9 @@ func TestTiledSummarySound(t *testing.T) {
 		})
 	}
 
-	build := func(s Set, sm int) *Tiled {
-		prev, err := ApplyCalibration(Calibration{TileSparseMax: sm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			if _, err := ApplyCalibration(prev); err != nil {
-				t.Fatal(err)
-			}
-		}()
-		return FromSet(s)
-	}
 	for n, pair := range adversarial {
-		for _, sms := range [][2]int{{1, 1}, {TileSparseMax(), TileSparseMax()}, {TileBits, TileBits}, {1, TileBits}, {TileBits, 1}} {
-			a, b := build(pair[0], sms[0]), build(pair[1], sms[1])
+		for _, sms := range [][2]int{{1, 1}, {tileSparseMax, tileSparseMax}, {TileBits, TileBits}, {1, TileBits}, {TileBits, 1}} {
+			a, b := (&Tiled{}).setFrom(pair[0], sms[0]), (&Tiled{}).setFrom(pair[1], sms[1])
 			name := fmt.Sprintf("pair %d, crossovers %v", n, sms)
 			checkSummaries(t, name+", a", a)
 			checkSummaries(t, name+", b", b)
@@ -298,34 +272,6 @@ func TestTiledSummarySound(t *testing.T) {
 				t.Fatalf("%s: intersect %v, want %v", name, got, want)
 			}
 		}
-	}
-}
-
-// TestTiledCalibrationValidation: bad knob files are rejected, good
-// ones install and restore.
-func TestTiledCalibrationValidation(t *testing.T) {
-	for _, bad := range []Calibration{
-		{GallopRatio: 1},
-		{TileSparseMax: -1},
-		{TileSparseMax: TileBits + 1},
-		{TileBits: 64},
-	} {
-		if _, err := ApplyCalibration(bad); err == nil {
-			t.Errorf("ApplyCalibration(%+v) accepted", bad)
-		}
-	}
-	prev, err := ApplyCalibration(Calibration{GallopRatio: 12, TileSparseMax: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := CurrentCalibration(); got.GallopRatio != 12 || got.TileSparseMax != 24 {
-		t.Errorf("knobs not installed: %+v", got)
-	}
-	if _, err := ApplyCalibration(prev); err != nil {
-		t.Fatal(err)
-	}
-	if got := CurrentCalibration(); got != prev {
-		t.Errorf("knobs not restored: %+v want %+v", got, prev)
 	}
 }
 
