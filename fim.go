@@ -237,13 +237,14 @@ type Options struct {
 	// Run control. Zero values mean "unlimited"; see the package
 	// documentation's "Run control" section and MineContext.
 	//
-	// MaxMemoryBytes caps the live payload bytes (tidset/bitvector/
-	// diffset sets) of the run, accounted per level/class from the
-	// actual set sizes. On breach the run stops with a *BudgetError —
-	// or, when DegradeToDiffset is set on an Apriori/Eclat run over
-	// tidsets, bitvectors, tiled tidsets or nodesets, switches the
-	// live payloads to diffsets (the paper's own footprint cure,
-	// applied adaptively) and continues. The switch happens only when
+	// MaxMemoryBytes caps the live bytes of the run: every kind's
+	// vertical payloads, accounted per level/class from the actual
+	// sizes, FP-growth's chunk trees, and the level-2 pair-count
+	// tables while they are live. On breach the run stops with a
+	// *BudgetError — or, when DegradeToDiffset is set on an
+	// Apriori/Eclat run over tidsets, bitvectors, tiled tidsets or
+	// nodesets, switches the live payloads to diffsets (the paper's own
+	// footprint cure, applied adaptively) and continues. The switch happens only when
 	// the diffsets, sized from supports, would be smaller than the
 	// live payloads; otherwise the run stops with the *BudgetError.
 	MaxMemoryBytes int64

@@ -14,10 +14,12 @@ import (
 // first pass, and runctlDB's rows make two chunks per first-pass loop on
 // a team of two: chunk 1 is the first of dataset/count, chunk 5 the
 // first of FP-growth's fpgrowth/tree (after two of dataset/count and two
-// of dataset/recode).
+// of dataset/recode), and chunk 7 the first of an Eclat tidset run's
+// dataset/pairs (after two of vertical/roots).
 const (
 	firstPassPanic = "panic:1"
 	treePanic      = "panic:5"
+	pairsPanic     = "panic:7"
 )
 
 // armed reports whether this process runs under the SCHED_FAULT plan.
@@ -84,4 +86,38 @@ func TestFPTreeFaultPlan(t *testing.T) {
 	rec := &EventRecorder{}
 	res, err := Mine(runctlDB(t), 0.5, Options{Algorithm: FPGrowth, Workers: 2, Observer: rec})
 	assertPanicStop(t, "fpgrowth", res, err, rec, "dataset/count", "dataset/recode", "fpgrowth/tree")
+}
+
+// TestPairsFaultPlan: a worker panic injected into a chunk of the
+// level-2 pair count, which the cost rule picks for runctlDB's tidsets,
+// ends the run there with a *WorkerPanicError. The pair stage has
+// opened its level and combined nothing, so the Incomplete result holds
+// only the frequent items (committed before level 2), and the loops
+// that ended are the first pass's and the count's.
+func TestPairsFaultPlan(t *testing.T) {
+	if !armed(t, pairsPanic) {
+		return
+	}
+	rec := &EventRecorder{}
+	db := runctlDB(t)
+	res, err := Mine(db, 0.5, Options{Algorithm: Eclat, Representation: Tidset, Workers: 2, Observer: rec})
+	var perr *WorkerPanicError
+	if !errors.As(err, &perr) {
+		t.Fatalf("err = %v, want *WorkerPanicError", err)
+	}
+	if res == nil || !res.Incomplete || res.MaxK != 1 || res.Len() != len(res.Rec.Items) || !errors.As(res.StopCause, &perr) {
+		t.Fatalf("result %+v, want incomplete with the panic and the frequent items only", res)
+	}
+	assertExactSupports(t, db, res)
+	assertStream(t, "eclat", rec.Events())
+	if starts, ends := rec.ByType(EventLevelStart), countType(rec.Events(), EventLevelEnd); len(starts) != 1 || starts[0].Phase != "eclat/pairs" || ends != 0 {
+		t.Errorf("level_start %v and %d level_end, want eclat/pairs opened and none closed", starts, ends)
+	}
+	var got []string
+	for _, e := range rec.ByType(EventPhaseEnd) {
+		got = append(got, e.Phase)
+	}
+	if want := []string{"dataset/count", "dataset/recode", "vertical/roots", "dataset/pairs"}; !slices.Equal(got, want) {
+		t.Errorf("phase_end events %v, want %v", got, want)
+	}
 }

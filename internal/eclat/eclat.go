@@ -22,6 +22,10 @@
 //     task counts and balance support the speedups the paper reports on
 //     datasets with fewer frequent items than threads.
 //
+// Above depth 1 the pair stage combines the root pairs core.LevelTwo
+// keeps: every pair, or only the frequent ones when its cost rule says
+// counting them from the rows first is cheaper.
+//
 // At every depth, a worker that claims a subtree materializes every
 // intermediate payload itself, so after the initial reads of shared data
 // there is no cross-worker memory traffic — the data-independence
@@ -73,13 +77,15 @@ type atom struct {
 // parallel stage drains at chunk boundaries, the recursion checks the
 // stop flag at each class descent, and live payloads are charged
 // against the memory budget per materialized level (flattening stages)
-// and per class (recursion). At the roots and at every flattened level
-// boundary core.Cure either rewrites the level as diffsets (a
-// tidset/bitvector run with DegradeToDiffset set, once) and continues,
-// or stops a breaching run with a *runctl.BudgetError; the subtree
-// stage has no boundary after it, so it enforces the budget at every
-// chunk. A stopped run returns the partial Result (Incomplete set, all
-// emitted supports exact) with the stop cause.
+// and per class (recursion), as are the level-2 pair-count tables while
+// they are live. At the roots and at every flattened level boundary
+// core.Cure either rewrites the level as diffsets (once, with
+// DegradeToDiffset set, on a kind vertical.Degradable accepts, and only
+// when the diffsets would be smaller) and continues, or stops a
+// breaching run with a *runctl.BudgetError; the subtree stage has no
+// boundary after it, so it enforces the budget at every chunk. A
+// stopped run returns the partial Result (Incomplete set, all emitted
+// supports exact) with the stop cause.
 func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, error) {
 	if minSup < 1 {
 		minSup = 1
@@ -253,27 +259,33 @@ func (f *flattenedMiner) run(roots []vertical.Node) error {
 	}
 	n := len(roots)
 	rootBytes := vertical.NodesBytes(roots)
-	// Stage A: every pair combine is one (perfectly balanced) task.
+	// Stage A: one task per root pair left after the pair count, when
+	// core.LevelTwo's rule counts, else per root pair.
 	nPairs := n * (n - 1) / 2
-	pi := make([]int32, nPairs)
-	pj := make([]int32, nPairs)
-	p := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pi[p], pj[p] = int32(i), int32(j)
-			p++
-		}
-	}
 	startA := time.Now()
 	obs.Emit(f.o, obs.Event{Type: obs.LevelStart, Level: 2, Phase: "eclat/pairs",
 		Candidates: nPairs})
-	loopA := f.loops.Open("eclat/pairs", f.schedule, nPairs, true)
+	keep, rejected, err := core.LevelTwo(f.opt, f.res.Rec, f.rep.Kind(), roots, f.minSup, f.team)
+	if err != nil {
+		return err
+	}
+	tasks := nPairs - rejected
+	pi := make([]int32, 0, tasks)
+	pj := make([]int32, 0, tasks)
+	for i, t := 0, 0; i < n; i++ {
+		for j := i + 1; j < n; j, t = j+1, t+1 {
+			if keep == nil || keep[t] {
+				pi, pj = append(pi, int32(i)), append(pj, int32(j))
+			}
+		}
+	}
+	loopA := f.loops.Open("eclat/pairs", f.schedule, tasks, true)
 	if loopA.Modelled() {
 		loopA.Model.UniqueParent = rootBytes
 	}
 	rep := f.rep
-	pairNodes := make([]vertical.Node, nPairs)
-	err := f.team.ForCtx(f.rc, loopA, nPairs, f.schedule, func(w, t int) {
+	pairNodes := make([]vertical.Node, tasks)
+	err = f.team.ForCtx(f.rc, loopA, tasks, f.schedule, func(w, t int) {
 		i, j := pi[t], pj[t]
 		child := rep.CombineInto(f.arenas[w], roots[i], roots[j])
 		cost := int64(vertical.CombineCost(roots[i], roots[j]))
@@ -302,12 +314,12 @@ func (f *flattenedMiner) run(roots []vertical.Node) error {
 		return err
 	}
 	obs.Emit(f.o, obs.Event{Type: obs.LevelEnd, Level: 2, Phase: "eclat/pairs",
-		Candidates: nPairs, Frequent: nFreqPairs,
+		Candidates: nPairs, Pruned: rejected, Frequent: nFreqPairs,
 		LiveBytes: f.rc.MemUsed(), ElapsedNS: int64(time.Since(startA))})
 
 	// Group the frequent pairs into classes, prefix {i}, atoms ascending.
 	byPrefix := make([][]atom, n)
-	for t := 0; t < nPairs; t++ {
+	for t := range pairNodes {
 		if pairNodes[t] != nil {
 			byPrefix[pi[t]] = append(byPrefix[pi[t]], atom{item: itemset.Item(pj[t]), node: pairNodes[t]})
 		}

@@ -2,6 +2,7 @@ package eclat
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -171,23 +172,36 @@ func TestCollectorPhaseDepth1(t *testing.T) {
 	}
 }
 
+// TestCollectorPhasesDepth2: on the classic tidsets the cost rule
+// counts the pairs, so the pair count (dataset/pairs, both halves) runs
+// between the root build and the pair stage, and the pair stage has
+// one task per frequent pair instead of one per root pair.
 func TestCollectorPhasesDepth2(t *testing.T) {
 	rec := classicRecoded(t, 2)
 	trace := &sched.Record{}
 	opt := core.DefaultOptions(vertical.Tidset, 2)
 	opt.Record = trace
 	opt.EclatDepth = 2
-	mine(rec, 2, opt)
-	if len(trace.Loops) != 3 {
-		t.Fatalf("recorded %d phases, want 3", len(trace.Loops))
+	res := mine(rec, 2, opt)
+	var names []string
+	for _, l := range trace.Loops {
+		names = append(names, l.Name)
 	}
-	if trace.Loops[0].Name != "vertical/roots" || trace.Loops[1].Name != "eclat/pairs" || trace.Loops[2].Name != "eclat/subtrees" {
-		t.Fatalf("phases = %q, %q, %q", trace.Loops[0].Name, trace.Loops[1].Name, trace.Loops[2].Name)
+	if want := []string{"vertical/roots", "dataset/pairs", "eclat/pairs", "eclat/subtrees"}; !slices.Equal(names, want) {
+		t.Fatalf("phases = %q, want %q", names, want)
 	}
-	pairs, subs := trace.Loops[1].Model, trace.Loops[2].Model
-	n := len(rec.Items)
-	if pairs.Tasks() != n*(n-1)/2 {
-		t.Errorf("pair tasks = %d, want %d", pairs.Tasks(), n*(n-1)/2)
+	count, pairs, subs := trace.Loops[1], trace.Loops[2].Model, trace.Loops[3].Model
+	if count.Load == nil || count.Model == nil || count.Model.TotalWork() == 0 {
+		t.Errorf("pair count: load %+v, model %+v; want both halves", count.Load, count.Model)
+	}
+	frequentPairs := 0
+	for _, c := range res.Counts {
+		if len(c.Items) == 2 {
+			frequentPairs++
+		}
+	}
+	if pairs.Tasks() != frequentPairs {
+		t.Errorf("pair tasks = %d, want the %d frequent pairs", pairs.Tasks(), frequentPairs)
 	}
 	if pairs.TotalWork() == 0 {
 		t.Error("no pair work recorded")
@@ -203,8 +217,9 @@ func TestCollectorPhasesDefaultDepth(t *testing.T) {
 	opt := core.DefaultOptions(vertical.Tidset, 2)
 	opt.Record = trace
 	mine(rec, 2, opt)
-	// Default depth 4: the root build, pairs, expand3, expand4, subtrees.
-	want := []string{"vertical/roots", "eclat/pairs", "eclat/expand3", "eclat/expand4", "eclat/subtrees"}
+	// Default depth 4: the root build, the pair count, pairs, expand3,
+	// expand4, subtrees.
+	want := []string{"vertical/roots", "dataset/pairs", "eclat/pairs", "eclat/expand3", "eclat/expand4", "eclat/subtrees"}
 	if len(trace.Loops) != len(want) {
 		t.Fatalf("recorded %d phases, want %d", len(trace.Loops), len(want))
 	}

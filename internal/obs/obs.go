@@ -55,7 +55,8 @@ const (
 	// BudgetWarning fires once per configured threshold fraction as the
 	// memory or itemsets budget fills.
 	BudgetWarning Type = "budget_warning"
-	// Degraded marks the mid-run tidset/bitvector→diffset switch.
+	// Degraded marks the mid-run switch to diffsets (core.Cure) of a
+	// tidset, bitvector, tiled or nodeset run.
 	Degraded Type = "degraded"
 	// Stop reports why an incomplete run ended: "canceled", "deadline",
 	// "budget:memory", "budget:itemsets", "budget:duration",

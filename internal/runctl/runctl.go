@@ -25,10 +25,11 @@ import (
 // Budget bounds a mining run's resource use. Zero fields mean
 // "unlimited".
 type Budget struct {
-	// MaxMemoryBytes caps the live payload bytes (tidset/bitvector/
-	// diffset sets) the miner accounts via ChargeMem. On breach the run
-	// stops with a *BudgetError — unless the breach can still be cured
-	// by degrading (see DegradeToDiffset and Breach).
+	// MaxMemoryBytes caps the live bytes the miners account via
+	// ChargeMem: every kind's vertical payloads, FP-growth's chunk
+	// trees and the level-2 pair-count tables while they are live. On
+	// breach the run stops with a *BudgetError — unless the breach can
+	// still be cured by degrading (see DegradeToDiffset and Breach).
 	MaxMemoryBytes int64
 	// MaxItemsets caps the number of frequent itemsets emitted.
 	MaxItemsets int64
@@ -304,6 +305,15 @@ func (c *Control) ChargeMem(delta int64) {
 	if c.warnFn != nil && c.budget.MaxMemoryBytes > 0 {
 		c.maybeWarn("memory", &c.memWarnIdx, v, c.budget.MaxMemoryBytes)
 	}
+}
+
+// MaxMemory returns the run's memory budget in bytes (0 = unlimited; 0
+// for a nil Control).
+func (c *Control) MaxMemory() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.budget.MaxMemoryBytes
 }
 
 // PeakMem returns the high-water mark of accounted live payload bytes.

@@ -168,7 +168,7 @@ func (t *Trie) Prune(c *Candidates) int {
 		}
 	}
 	if removed > 0 {
-		c.filter(keep)
+		c.Filter(keep)
 	}
 	return removed
 }
@@ -222,13 +222,14 @@ func (t *Trie) PruneParallel(c *Candidates, team *sched.Team, loop *sched.Loop, 
 		}
 	}
 	if removed > 0 {
-		c.filter(keep)
+		c.Filter(keep)
 	}
 	return removed, nil
 }
 
-// filter compacts the candidate arrays to the kept rows.
-func (c *Candidates) filter(keep []bool) {
+// Filter compacts the candidate arrays to the rows keep marks, in
+// order, and rebuilds the prefix blocks; len(keep) must be Len().
+func (c *Candidates) Filter(keep []bool) {
 	w := 0
 	for i := range keep {
 		if keep[i] {

@@ -322,16 +322,18 @@ func Degradable(kind Kind) bool {
 	return kind == Tidset || kind == Bitvector || kind == Tiled || kind == Nodeset
 }
 
-// DegradeChild converts a tidset or bitvector node into the equivalent
-// DiffsetNode relative to its generation parent: d(X) = t(parent) −
-// t(X), the standard diffset layout, so subsequent sibling Combines
-// under diffsetRep are exact. Returns nil for kinds Degradable rejects.
-// The conversion's kernel work is charged to st (nil counts nothing).
+// DegradeChild converts a node of a kind Degradable accepts (tidset,
+// bitvector, tiled or nodeset) into the equivalent DiffsetNode relative
+// to its generation parent: d(X) = t(parent) − t(X), the standard
+// diffset layout, so subsequent sibling Combines under diffsetRep are
+// exact. Returns nil for kinds Degradable rejects. The conversion's
+// kernel work is charged to st (nil counts nothing).
 //
 // This is the engine's adaptive application of the paper's own remedy:
 // when the breadth-first payload footprint crosses the run's memory
-// budget, a level of tidsets/bitvectors is rewritten in place as
-// diffsets and the run continues under the bounded representation.
+// budget, core.Cure rewrites a level in place as diffsets and the run
+// continues under the bounded representation — or stops, when the
+// diffsets would not be smaller.
 func DegradeChild(parent, child Node, st *kcount.Stats) Node {
 	switch c := child.(type) {
 	case *TidsetNode:
