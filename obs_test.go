@@ -187,7 +187,7 @@ func TestObserverCancelEmitsStop(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		rec := &EventRecorder{}
 		gate := armMiningFault(rec, func(fc sched.FaultContext) {
-			if fc.Seq == 3 {
+			if fc.Seq == cancelSeq {
 				cancel()
 				for !fc.Control.Stopped() {
 					time.Sleep(10 * time.Microsecond)
@@ -348,7 +348,7 @@ func TestObserverPanicEmitsStop(t *testing.T) {
 	for _, algo := range []Algorithm{Apriori, Eclat, FPGrowth} {
 		rec := &EventRecorder{}
 		gate := armMiningFault(rec, func(fc sched.FaultContext) {
-			if fc.Seq == 2 {
+			if fc.Seq == panicSeq {
 				panic("injected worker fault")
 			}
 		})
