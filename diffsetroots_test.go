@@ -111,7 +111,7 @@ func TestDiffsetRootSides(t *testing.T) {
 			}
 
 			// Batched blocks: roots (mixed sides) and level-2 children.
-			arena := vertical.NewArena()
+			arena := vertical.NewArena(0)
 			for i := range roots {
 				block := roots[i+1:]
 				checkBlock(t, label, rep, arena, roots[i], block)

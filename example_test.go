@@ -61,5 +61,5 @@ func ExampleSimulateSpeedup() {
 	speedups := fim.SimulateSpeedup(trace, []int{1, 16}, fim.Blacklight())
 	fmt.Printf("1 thread: %.1fx, 16 threads: >%.0fx\n", speedups[0], speedups[1]-1)
 	// Output:
-	// 1 thread: 1.0x, 16 threads: >7x
+	// 1 thread: 1.0x, 16 threads: >6x
 }

@@ -97,7 +97,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	// the counting loop stops touching the allocator.
 	arenas := make([]*vertical.Arena, team.Workers())
 	for w := range arenas {
-		arenas[w] = vertical.NewArena()
+		arenas[w] = vertical.NewArena(minSup)
 	}
 
 	// collect gathers every committed level into res and the workers'

@@ -148,7 +148,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	private := make([][]core.ItemsetCount, team.Workers())
 	arenas := make([]*vertical.Arena, team.Workers())
 	for i := range arenas {
-		arenas[i] = vertical.NewArena()
+		arenas[i] = vertical.NewArena(minSup)
 	}
 	depth := opt.EclatDepth
 	if depth == 0 {

@@ -13,11 +13,18 @@
 // Into and Many kernels charge their steps to the kcount shard they are
 // given (nil counts nothing); the allocating forms are conveniences for
 // callers outside a mine and count nothing.
+//
+// The two merge loops behind intersection and difference are
+// branch-free and support-bounded: each step stores a candidate
+// unconditionally and advances its cursors by 0/1 amounts computed
+// arithmetically, and the bounded forms (IntersectAtLeastInto,
+// DiffAtMostInto, and the Many kernels' bound argument) stop as soon as
+// the result can no longer reach the caller's bound. The exact forms
+// are the same loops with a bound that never fires.
 package tidset
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/kcount"
 )
@@ -60,8 +67,8 @@ func (s Set) Support() int { return len(s) }
 
 // Contains reports whether tid is a member of s.
 func (s Set) Contains(tid TID) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= tid })
-	return i < len(s) && s[i] == tid
+	_, ok := slices.BinarySearch(s, tid)
+	return ok
 }
 
 // IsSorted reports whether s is strictly ascending (the package invariant).
@@ -103,50 +110,77 @@ const gallopRatio = 8
 // galloping (exponential search) strategy, which matters for skewed dense
 // data where one parent's tidset is tiny.
 func (s Set) IntersectInto(t Set, dst Set, st *kcount.Stats) Set {
-	dst = dst[:0]
+	return s.IntersectAtLeastInto(t, 0, dst, st)
+}
+
+// IntersectAtLeastInto is IntersectInto bounded by need, the smallest
+// intersection the caller can use (a child's minimum support). It
+// returns s ∩ t exactly whenever |s ∩ t| ≥ need; otherwise it stops as
+// soon as the merge proves |s ∩ t| < need and returns a prefix of
+// s ∩ t shorter than need — at once, without merging, when the shorter
+// operand is itself shorter than need. need ≤ 0 is exact.
+func (s Set) IntersectAtLeastInto(t Set, need int, dst Set, st *kcount.Stats) Set {
 	// Ensure s is the shorter operand.
 	if len(s) > len(t) {
 		s, t = t, s
 	}
-	if len(s) == 0 {
-		return dst
+	if len(s) == 0 || len(s) < need {
+		return dst[:0]
 	}
 	if len(t)/len(s) >= gallopRatio {
-		return gallopIntersect(s, t, dst, st)
+		return gallopIntersect(s, t, dst[:0], need, st)
 	}
-	return mergeIntersect(s, t, dst, st)
+	if cap(dst) < len(s) {
+		dst = make(Set, len(s))
+	}
+	return mergeIntersect(s, t, dst[:len(s)], need, st)
 }
 
 // mergeIntersect is the linear two-pointer intersection; s must be the
-// shorter operand and non-empty.
-func mergeIntersect(s, t Set, dst Set, st *kcount.Stats) Set {
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		a, b := s[i], t[j]
-		switch {
-		case a < b:
-			i++
-		case a > b:
-			j++
-		default:
-			dst = append(dst, a)
-			i++
-			j++
+// shorter operand and non-empty, and len(dst) ≥ len(s). The inner loop
+// has no data-dependent branch: every step stores s[i] at dst[k] and
+// advances i when s[i] ≤ t[j], j when s[i] ≥ t[j], and k when both
+// hold, with le and ge read off the sign bit of the difference.
+//
+// The bound counts misses: once more than len(s)−need elements of s
+// (or len(t)−need of t) have found no partner, fewer than need can
+// remain. A step raises i−k or j−k by at most one, so the inner loop
+// runs as many steps as can reach, but not pass, the first of those
+// limits and either operand's end; the outer loop stops at the step
+// that crosses one.
+func mergeIntersect(s, t Set, dst Set, need int, st *kcount.Stats) Set {
+	slackS, slackT := len(s)-need, len(t)-need
+	i, j, k := 0, 0, 0
+	for {
+		n := min(len(s)-i, len(t)-j, slackS-(i-k)+1, slackT-(j-k)+1)
+		if n <= 0 {
+			break
+		}
+		for ; n > 0; n-- {
+			a, b := s[i], t[j]
+			dst[k] = a
+			d := int64(a) - int64(b)
+			le := int(uint64(d-1) >> 63)  // a <= b
+			ge := int(uint64(-d-1) >> 63) // a >= b
+			k += le & ge
+			i += le
+			j += ge
 		}
 	}
 	st.AddMergeSteps(i + j)
-	return dst
+	return dst[:k]
 }
 
 // gallopIntersect intersects short s against long t by exponential +
-// binary search. The kernel counter charges one gallop pick per call
-// and one probe sequence per short-side element actually processed;
-// the counts come from the loop index, so counting pays nothing inside
-// the loop.
-func gallopIntersect(s, t Set, dst Set, st *kcount.Stats) Set {
+// binary search, stopping once more than len(s)−need elements of s have
+// missed. The kernel counter charges one gallop pick per call and one
+// probe sequence per short-side element actually processed; the counts
+// come from the loop index, so counting pays nothing inside the loop.
+func gallopIntersect(s, t Set, dst Set, need int, st *kcount.Stats) Set {
+	slack := len(s) - need
 	lo := 0
 	si := 0
-	for ; si < len(s); si++ {
+	for ; si < len(s) && si-len(dst) <= slack; si++ {
 		x := s[si]
 		// Exponential probe from lo.
 		hi, step := lo, 1
@@ -155,17 +189,14 @@ func gallopIntersect(s, t Set, dst Set, st *kcount.Stats) Set {
 			hi += step
 			step <<= 1
 		}
-		if hi > len(t) {
-			hi = len(t)
-		}
-		// Binary search in (lo-1, hi].
-		k := lo + sort.Search(hi-lo, func(i int) bool { return t[lo+i] >= x })
-		if k < len(t) && t[k] == x {
+		// Binary search in [lo, hi]: t[hi] ≥ x when hi is in range.
+		k, found := slices.BinarySearch(t[lo:min(hi+1, len(t))], x)
+		k += lo
+		if found {
 			dst = append(dst, x)
-			lo = k + 1
-		} else {
-			lo = k
+			k++
 		}
+		lo = k
 		if lo >= len(t) {
 			si++
 			break
@@ -178,13 +209,14 @@ func gallopIntersect(s, t Set, dst Set, st *kcount.Stats) Set {
 // IntersectManyInto intersects one parent set px against every sibling
 // in pys, appending each result into dsts[i][:0] (entries may be nil)
 // and storing the grown buffer back into dsts[i]. It is semantically
-// identical to len(pys) IntersectInto calls, but the parent is
-// amortized across the block: px's bounds are computed once and each
-// sibling is first trimmed to the window [px[0], px[last]] — the only
-// region that can intersect — so sibling tails outside the parent's
-// range are skipped without entering the merge loop. Charges one
-// batch_calls tick and (m−1)×len(px) parent_words_saved.
-func IntersectManyInto(px Set, pys []Set, dsts []Set, st *kcount.Stats) {
+// identical to len(pys) IntersectAtLeastInto calls with bound need
+// (need ≤ 0 is exact), but the parent is amortized across the block:
+// px's bounds are computed once and each sibling is first trimmed to
+// the window [px[0], px[last]] — the only region that can intersect —
+// so sibling tails outside the parent's range are skipped without
+// entering the merge loop. Charges one batch_calls tick and
+// (m−1)×len(px) parent_words_saved.
+func IntersectManyInto(px Set, pys []Set, dsts []Set, need int, st *kcount.Stats) {
 	m := len(pys)
 	if m == 0 {
 		return
@@ -198,18 +230,19 @@ func IntersectManyInto(px Set, pys []Set, dsts []Set, st *kcount.Stats) {
 	}
 	lo, hi := px[0], px[len(px)-1]
 	for i, py := range pys {
-		dsts[i] = px.IntersectInto(trim(py, lo, hi), dsts[i], st)
+		dsts[i] = px.IntersectAtLeastInto(trim(py, lo, hi), need, dsts[i], st)
 	}
 	st.AddBatch(m, len(px))
 }
 
-// DiffManyInto appends srcs[i] \ sub to dsts[i][:0] for every sibling.
-// This is the diffset combine d(PXY) = d(PY) − d(PX) batched over a
-// prefix block: the shared subtrahend sub = d(PX) is trimmed per
-// sibling to the window that can actually cancel elements, and its
-// re-streaming is charged to the kernel counters once per block
-// instead of once per sibling.
-func DiffManyInto(sub Set, srcs []Set, dsts []Set, st *kcount.Stats) {
+// DiffManyInto appends srcs[i] \ sub to dsts[i][:0] for every sibling,
+// each bounded by limit as in DiffAtMostInto (limit ≥ len(srcs[i]) is
+// exact). This is the diffset combine d(PXY) = d(PY) − d(PX) batched
+// over a prefix block, where limit = sup(PX) − minSup: the shared
+// subtrahend sub = d(PX) is trimmed per sibling to the window that can
+// actually cancel elements, and its re-streaming is charged to the
+// kernel counters once per block instead of once per sibling.
+func DiffManyInto(sub Set, srcs []Set, dsts []Set, limit int, st *kcount.Stats) {
 	m := len(srcs)
 	if m == 0 {
 		return
@@ -219,7 +252,7 @@ func DiffManyInto(sub Set, srcs []Set, dsts []Set, st *kcount.Stats) {
 		if len(src) > 0 && len(t) > 0 {
 			t = trim(t, src[0], src[len(src)-1])
 		}
-		dsts[i] = src.DiffInto(t, dsts[i], st)
+		dsts[i] = src.DiffAtMostInto(t, limit, dsts[i], st)
 	}
 	st.AddBatch(m, len(sub))
 }
@@ -246,23 +279,50 @@ func (s Set) Diff(t Set) Set {
 
 // DiffInto appends s \ t to dst[:0] and returns it.
 func (s Set) DiffInto(t Set, dst Set, st *kcount.Stats) Set {
-	dst = dst[:0]
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		a, b := s[i], t[j]
-		switch {
-		case a < b:
-			dst = append(dst, a)
-			i++
-		case a > b:
-			j++
-		default:
-			i++
-			j++
+	return s.DiffAtMostInto(t, len(s), dst, st)
+}
+
+// DiffAtMostInto is DiffInto bounded by limit, the longest difference
+// the caller can use (a diffset child's sup(PX) − minSup). It returns
+// s \ t exactly whenever |s \ t| ≤ limit; otherwise it stops once it
+// has kept limit+1 elements and returns that prefix of s \ t, longer
+// than limit. A negative limit counts as 0.
+//
+// The merge's inner loop has no data-dependent branch: every step
+// stores s[i] at dst[k], advances i when s[i] ≤ t[j] and j when
+// s[i] ≥ t[j], and keeps the store (k++) when s[i] < t[j]. A step
+// raises k by at most one, so the inner loop runs as many steps as can
+// reach, but not pass, limit+1 kept elements and either operand's end.
+func (s Set) DiffAtMostInto(t Set, limit int, dst Set, st *kcount.Stats) Set {
+	limit = max(0, min(limit, len(s)))
+	if cap(dst) < len(s) {
+		dst = make(Set, len(s))
+	}
+	dst = dst[:len(s)]
+	i, j, k := 0, 0, 0
+	for {
+		n := min(len(s)-i, len(t)-j, limit+1-k)
+		if n <= 0 {
+			break
+		}
+		for ; n > 0; n-- {
+			a, b := s[i], t[j]
+			dst[k] = a
+			d := int64(a) - int64(b)
+			le := int(uint64(d-1) >> 63)  // a <= b
+			ge := int(uint64(-d-1) >> 63) // a >= b
+			k += 1 - ge
+			i += le
+			j += ge
 		}
 	}
 	st.AddMergeSteps(i + j)
-	return append(dst, s[i:]...)
+	// t is exhausted (or the bound fired): the rest of s survives, up
+	// to the first element past the bound.
+	if n := min(len(s)-i, limit+1-k); n > 0 {
+		k += copy(dst[k:], s[i:i+n])
+	}
+	return dst[:k]
 }
 
 // Union returns s ∪ t as a new set.
@@ -332,10 +392,3 @@ func (s Set) UnionComplementInto(t Set, n int, dst Set, st *kcount.Stats) Set {
 // Words returns the memory footprint of s in 4-byte words. Used by the
 // cost model of the run's loop record to account NUMA traffic.
 func (s Set) Words() int { return len(s) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -9,7 +9,11 @@
 // through to the allocator when it cannot (a miss), and Release
 // returns a node whose subtree is fully mined. Each arena owns its
 // worker's kcount shard: every combine through the arena charges its
-// kernel counts there, along with the arena's own hits and misses.
+// kernel counts there, along with the arena's own hits and misses. It
+// also carries the run's minimum support, the bound at which the
+// tidset and diffset kernels give up on a child (tidset.
+// IntersectAtLeastInto, DiffAtMostInto): the miners recycle such a
+// child unread, since only a frequent child's support is used.
 //
 // Ownership discipline: a node released to an arena must have no live
 // children in flight — the miners release a class's atoms only after
@@ -39,6 +43,11 @@ type Arena struct {
 	// arenas' shards once the team has joined.
 	Kernels kcount.Stats
 
+	// minSup is the run's minimum support: the tidset and diffset
+	// combines through the arena stop as soon as a child provably falls
+	// below it, and report a support below minSup for that child.
+	minSup int
+
 	tidsets  []*TidsetNode
 	diffsets []*DiffsetNode
 	bitvecs  []*BitvectorNode
@@ -64,8 +73,27 @@ type Arena struct {
 	nodeOut       []Node
 }
 
-// NewArena returns an empty arena.
-func NewArena() *Arena { return &Arena{} }
+// NewArena returns an empty arena for a run with minimum support
+// minSup. A tidset or diffset child combined through it is exact when
+// its support reaches minSup; otherwise the kernel may stop early, and
+// the child only reports some support below minSup. minSup ≤ 0 keeps
+// every combine exact, as a nil arena does.
+func NewArena(minSup int) *Arena { return &Arena{minSup: minSup} }
+
+// need is the intersection bound for a child: the run's minimum
+// support, 0 (exact) for a nil arena.
+func (a *Arena) need() int {
+	if a == nil {
+		return 0
+	}
+	return a.minSup
+}
+
+// diffLimit is the difference bound for the children of a diffset
+// parent of support sup: the longest d(PXY) a frequent child can have,
+// sup − minSup. No child's diffset is longer than sup, so a nil arena,
+// or minSup ≤ 0, is exact.
+func (a *Arena) diffLimit(sup int) int { return sup - a.need() }
 
 // Release returns a node to the arena for reuse. The caller must hold
 // the only live reference to the node's payload (its subtree is fully
@@ -171,7 +199,7 @@ func (tidsetRep) CombineInto(a *Arena, px, py Node) Node {
 	if bound := min(len(x.TIDs), len(y.TIDs)); cap(n.TIDs) < bound {
 		n.TIDs = make(tidset.Set, 0, bound)
 	}
-	n.TIDs = x.TIDs.IntersectInto(y.TIDs, n.TIDs, a.kernels())
+	n.TIDs = x.TIDs.IntersectAtLeastInto(y.TIDs, a.need(), n.TIDs, a.kernels())
 	a.kernels().AddNode(kcount.Tidset, n.Bytes())
 	return n
 }
@@ -182,7 +210,7 @@ func (diffsetRep) CombineInto(a *Arena, px, py Node) Node {
 	if bound := x.childBound(y); cap(n.Diff) < bound {
 		n.Diff = make(tidset.Set, 0, bound)
 	}
-	n.Diff = x.diffInto(y, n.Diff, a.kernels())
+	n.Diff = x.diffInto(y, a.diffLimit(x.sup), n.Diff, a.kernels())
 	n.sup = x.sup - len(n.Diff)
 	a.kernels().AddNode(kcount.Diffset, n.Bytes())
 	return n

@@ -121,7 +121,7 @@ func TestCombineIntoMatchesCombine(t *testing.T) {
 	for _, kind := range AllKinds() {
 		rep := New(kind)
 		roots := rep.Roots(rec)
-		a := NewArena()
+		a := NewArena(0)
 		for i := 0; i < len(roots); i++ {
 			for j := i + 1; j < len(roots); j++ {
 				want := rep.Combine(roots[i], roots[j])
@@ -152,7 +152,7 @@ func TestCombineIntoNeverAliasesParents(t *testing.T) {
 	rec := randomRecoded(t, rng, 7, 50)
 	for _, kind := range recyclingKinds() {
 		rep := New(kind)
-		a := NewArena()
+		a := NewArena(0)
 		for round := 0; round < 3; round++ { // round > 0 uses recycled buffers
 			var released []Node
 			for i := 0; i < 6; i++ {
@@ -201,7 +201,7 @@ func TestArenaHitMissAccounting(t *testing.T) {
 	for _, kind := range recyclingKinds() {
 		rep := New(kind)
 		roots := New(kind).Roots(rec)
-		a := NewArena()
+		a := NewArena(0)
 		c1 := rep.CombineInto(a, roots[0], roots[1])
 		if a.Kernels.ArenaHits != 0 || a.Kernels.ArenaMisses != 1 {
 			t.Fatalf("%v: after first combine hits=%d misses=%d, want 0/1", kind, a.Kernels.ArenaHits, a.Kernels.ArenaMisses)
@@ -224,7 +224,7 @@ func TestArenaBitvecLengthMismatch(t *testing.T) {
 	rec := exampleRecoded(t, 1)
 	rep := New(Bitvector)
 	roots := New(Bitvector).Roots(rec)
-	a := NewArena()
+	a := NewArena(0)
 	a.Release(&BitvectorNode{Bits: bitvec.New(3)})
 	c := rep.CombineInto(a, roots[0], roots[1])
 	if a.Kernels.ArenaHits != 0 || a.Kernels.ArenaMisses != 1 {
@@ -241,12 +241,12 @@ func TestArenaBitvecLengthMismatch(t *testing.T) {
 func TestArenaNilSafe(t *testing.T) {
 	var a *Arena
 	a.Release(nil)
-	NewArena().Release(nil)
+	NewArena(0).Release(nil)
 	rec := exampleRecoded(t, 1)
 	rep := New(Diffset)
 	roots := rep.Roots(rec)
 	got := rep.CombineInto(nil, roots[0], roots[1])
-	want := rep.CombineInto(NewArena(), roots[0], roots[1])
+	want := rep.CombineInto(NewArena(0), roots[0], roots[1])
 	if got.Support() != want.Support() || !samePayload(payload(got), payload(want)) {
 		t.Fatal("CombineInto(nil arena) diverges from CombineInto through an arena")
 	}
@@ -255,7 +255,7 @@ func TestArenaNilSafe(t *testing.T) {
 // TestArenaFreeListCapped: releasing more nodes than arenaMaxFree
 // drops the excess instead of growing without bound.
 func TestArenaFreeListCapped(t *testing.T) {
-	a := NewArena()
+	a := NewArena(0)
 	for i := 0; i < arenaMaxFree+10; i++ {
 		a.Release(&DiffsetNode{})
 	}
@@ -294,7 +294,7 @@ func BenchmarkCombineInto(b *testing.B) {
 	for _, kind := range recyclingKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
 			rep, roots := benchCombineRoots(b, kind)
-			a := NewArena()
+			a := NewArena(0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -89,7 +89,7 @@ func (tidsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 		dsts[i] = nd.TIDs
 		out[i] = nd
 	}
-	tidset.IntersectManyInto(x.TIDs, srcs, dsts, a.kernels())
+	tidset.IntersectManyInto(x.TIDs, srcs, dsts, a.need(), a.kernels())
 	bytes := 0
 	for i := range dsts {
 		nd := out[i].(*TidsetNode)
@@ -126,7 +126,7 @@ func (r diffsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 		dsts[i] = nd.Diff
 		out[i] = nd
 	}
-	tidset.DiffManyInto(x.Diff, srcs, dsts, a.kernels()) // d(PXY) = d(PY) − d(PX)
+	tidset.DiffManyInto(x.Diff, srcs, dsts, a.diffLimit(x.sup), a.kernels()) // d(PXY) = d(PY) − d(PX)
 	bytes := 0
 	for i := range dsts {
 		nd := out[i].(*DiffsetNode)

@@ -16,7 +16,7 @@ func TestCombineManyIntoMatchesCombine(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	rec := randomRecoded(t, rng, 8, 60)
 	for _, kind := range AllKinds() {
-		for _, arena := range []*Arena{nil, NewArena()} {
+		for _, arena := range []*Arena{nil, NewArena(0)} {
 			rep := New(kind)
 			roots := rep.Roots(rec)
 			for i := 0; i < len(roots)-1; i++ {
@@ -55,7 +55,7 @@ func TestCombineManyIntoNeverAliases(t *testing.T) {
 	rec := randomRecoded(t, rng, 7, 50)
 	for _, kind := range recyclingKinds() {
 		rep := New(kind)
-		a := NewArena()
+		a := NewArena(0)
 		for round := 0; round < 3; round++ {
 			// Direction 1: scribbling child j leaves parents and sibling
 			// outputs intact.
@@ -126,7 +126,7 @@ func TestTiledLayoutMatchesFlat(t *testing.T) {
 		if len(fRoots) != len(tRoots) {
 			t.Fatal("root count disagrees across layouts")
 		}
-		a := NewArena()
+		a := NewArena(0)
 		for i := range fRoots {
 			if !samePayload(payload(fRoots[i]), payload(tRoots[i])) {
 				t.Fatalf("root %d decodes differently across layouts", i)
@@ -175,7 +175,7 @@ func BenchmarkCombineManyInto(b *testing.B) {
 			rep, roots := benchCombineRoots(b, kind)
 			px, pys := roots[0], roots[1:]
 			out := make([]Node, len(pys))
-			a := NewArena()
+			a := NewArena(0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -194,7 +194,7 @@ func BenchmarkCombinePairwiseBlock(b *testing.B) {
 			rep, roots := benchCombineRoots(b, kind)
 			px, pys := roots[0], roots[1:]
 			out := make([]Node, len(pys))
-			a := NewArena()
+			a := NewArena(0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -72,7 +72,7 @@ func TestAllKindsCoverage(t *testing.T) {
 		// Arena coverage: a kind whose CombineInto draws nodes from the
 		// arena must also be accepted by the Release switch, or recycling
 		// silently never happens for it.
-		a := NewArena()
+		a := NewArena(0)
 		a.Release(rep.CombineInto(a, roots[0], roots[1]))
 		if a.Kernels.ArenaMisses != 0 {
 			c := rep.CombineInto(a, roots[0], roots[2])
@@ -118,7 +118,7 @@ func TestAllKindsCoverage(t *testing.T) {
 		if got := st.Map()["nodes_built_"+name]; got != int64(len(roots)) {
 			t.Fatalf("%v: CountRoots charged nodes_built_%s = %d, want %d — kcount kind mirror out of sync?", kind, name, got, len(roots))
 		}
-		shard := NewArena()
+		shard := NewArena(0)
 		rep.CombineInto(shard, roots[0], roots[1])
 		if shard.Kernels.Map()["nodes_built_"+name] == 0 {
 			t.Fatalf("%v: CombineInto charged no nodes_built_%s — kcount kind mirror out of sync?", kind, name)

@@ -124,11 +124,13 @@ type Representation interface {
 	// taken from arena when it can recycle them (arena.go), and the
 	// kernel work charged to the arena's counter shard. The result never
 	// shares backing memory with px or py. A nil arena allocates fresh
-	// storage and counts nothing.
+	// storage and counts nothing. The tidset and diffset kernels stop as
+	// soon as the child cannot reach the arena's minimum support: such
+	// a child reports some support below it, not its exact support.
 	CombineInto(arena *Arena, px, py Node) Node
 	// CombineManyInto combines one parent px against every sibling of a
 	// prefix block, storing child i in out[i] (len(out) must be at
-	// least len(pys)). Semantically identical to len(pys) Combine
+	// least len(pys)). Semantically identical to len(pys) CombineInto
 	// calls, but the batched kernels stream the shared parent once per
 	// block (batch.go); node storage recycles through arena, and the
 	// kernel work is charged to its counter shard, when one is supplied
@@ -262,7 +264,10 @@ func (x *DiffsetNode) childBound(y *DiffsetNode) int {
 }
 
 // diffInto appends d(xy) = t(x) − t(y) to dst[:0], from the sides x and
-// y hold (x's item orders before y's):
+// y hold (x's item orders before y's). The two differences stop past
+// limit elements (DiffAtMostInto), where the child's support
+// sup(x) − |d(xy)| has already fallen below the bound the limit encodes;
+// the other two sides are exact:
 //
 //	d(x), d(y): d(y) − d(x)            (Equation 1; every level ≥ 2 pair)
 //	t(x), t(y): t(x) − t(y)
@@ -271,12 +276,12 @@ func (x *DiffsetNode) childBound(y *DiffsetNode) int {
 //
 // Ascending-support codes never form the last pair, since an item
 // coded after a dense one is dense too; a by-code recode does.
-func (x *DiffsetNode) diffInto(y *DiffsetNode, dst tidset.Set, st *kcount.Stats) tidset.Set {
+func (x *DiffsetNode) diffInto(y *DiffsetNode, limit int, dst tidset.Set, st *kcount.Stats) tidset.Set {
 	switch {
 	case !x.tids && !y.tids:
-		return y.Diff.DiffInto(x.Diff, dst, st)
+		return y.Diff.DiffAtMostInto(x.Diff, limit, dst, st)
 	case x.tids && y.tids:
-		return x.Diff.DiffInto(y.Diff, dst, st)
+		return x.Diff.DiffAtMostInto(y.Diff, limit, dst, st)
 	case x.tids:
 		return x.Diff.IntersectInto(y.Diff, dst, st)
 	}

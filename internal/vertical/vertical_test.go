@@ -202,7 +202,7 @@ func TestBytesAccounting(t *testing.T) {
 	for i := range roots {
 		x := roots[i].(*NodesetNode)
 		many := make([]Node, len(roots)-i-1)
-		rep.CombineManyInto(x, roots[i+1:], many, NewArena())
+		rep.CombineManyInto(x, roots[i+1:], many, NewArena(0))
 		for j := i + 1; j < len(roots); j++ {
 			y := roots[j].(*NodesetNode)
 			sup := New(Tidset).Combine(troots[i], troots[j]).Support()
@@ -212,7 +212,7 @@ func TestBytesAccounting(t *testing.T) {
 				n    Node
 			}{
 				{"Combine", rep.Combine(x, y)},
-				{"CombineInto", rep.CombineInto(NewArena(), x, y)},
+				{"CombineInto", rep.CombineInto(NewArena(0), x, y)},
 				{"CombineManyInto", many[j-i-1]},
 			} {
 				nd := c.n.(*NodesetNode)
