@@ -11,10 +11,8 @@
 //	GET  /runs            live and recent runs with stop causes
 //	GET  /runs/{id}       one run's record
 //	GET  /runs/{id}/events   the run's event stream as SSE
-//	GET  /healthz /readyz /stats
-//	GET  /metrics         Prometheus text exposition (admission, cache,
-//	                      queue/run/request histograms, pool, kernel
-//	                      roll-ups, process health, build info)
+//	GET  /healthz /readyz
+//	GET  /stats           admission, cache and pool counters
 //	GET  /debug/pprof/    the standard library's on-demand profiles
 //
 // Every mining run executes under pprof labels (fim_run_id, fim_tenant,
@@ -59,7 +57,6 @@ func main() {
 		cacheMB     = flag.Int64("cache-mb", 64, "result cache budget (MiB, -1 disables)")
 		drainGrace  = flag.Duration("drain-grace", 10*time.Second, "how long drain lets runs finish before stopping them")
 		report      = flag.String("report", "", "write a JSON shutdown report (stats + recent runs) to this file on exit")
-		tenantCard  = flag.Int("tenant-series", 32, "distinct tenant label values in /metrics before folding into \"other\"")
 	)
 	flag.Parse()
 
@@ -77,7 +74,6 @@ func main() {
 		MaxRunDuration: *runTimeout,
 		CacheBytes:     cacheBytes,
 		DrainGrace:     *drainGrace,
-		TenantSeries:   *tenantCard,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -1,14 +1,12 @@
-// Command obsvalidate checks observability artifacts against their
-// schemas: a JSON-lines event stream (fimmine -events), a run report
-// (fimmine -report, fim-run-report/v1), a span timeline (fimmine -trace,
-// Chrome trace-event JSON), and Prometheus text-exposition scrapes
-// (fimserve GET /metrics). When both -events and -trace are given, it
+// Command obsvalidate checks a run's observability artifacts against
+// their schemas: a JSON-lines event stream (fimmine -events, or a
+// fimserve run's /runs/{id}/events replay), a run report (fimmine
+// -report, fim-run-report/v1) and a span timeline (fimmine -trace,
+// Chrome trace-event JSON). When both -events and -trace are given, it
 // also cross-checks the trace's per-worker chunk-span totals against
-// the event stream's phase_end load metrics (within 5%); when both
-// -metrics and -metrics2 are given (two scrapes of the same target, in
-// order), it additionally checks counter monotonicity between them. CI
-// runs it over the artifacts of a short instrumented mine and a served
-// smoke load.
+// the event stream's phase_end load metrics (within 5%). CI runs it
+// over the artifacts of a short instrumented mine and a served smoke
+// load.
 //
 // Every failure names the offending artifact path on stderr; each
 // validator class has a distinct exit code so CI logs identify the
@@ -21,13 +19,13 @@
 //	4  run report invalid
 //	6  trace file invalid
 //	7  trace/events busy-time cross-check failed
-//	8  metrics scrape invalid (parse, histogram consistency, or
-//	   counter monotonicity between -metrics and -metrics2)
+//
+// 5 (bench files), 8 (metrics scrapes) and 9 (incident bundles) are
+// retired with the artifacts they checked.
 //
 // Usage:
 //
 //	obsvalidate -events run.jsonl -report run.json -trace run.trace.json
-//	obsvalidate -metrics scrape1.prom -metrics2 scrape2.prom
 package main
 
 import (
@@ -37,12 +35,11 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/export"
-	"repro/internal/obs/metrics"
 )
 
-// Exit codes, one per validator class. 5 (the bench-file class) and 9
-// (the incident-bundle class) are retired, so every other code keeps
-// its number.
+// Exit codes, one per validator class. 5 (the bench-file class), 8 (the
+// metrics-scrape class) and 9 (the incident-bundle class) are retired,
+// so every other code keeps its number.
 const (
 	exitOK       = 0
 	exitIO       = 1
@@ -51,7 +48,6 @@ const (
 	exitReport   = 4
 	exitTrace    = 6
 	exitCrossChk = 7
-	exitMetrics  = 8
 )
 
 // crossCheckTol matches the acceptance bound: span totals and the
@@ -64,16 +60,10 @@ func main() {
 	eventsPath := flag.String("events", "", "JSON-lines event stream to validate")
 	reportPath := flag.String("report", "", "fim-run-report/v1 document to validate")
 	tracePath := flag.String("trace", "", "Chrome trace-event JSON timeline to validate")
-	metricsPath := flag.String("metrics", "", "Prometheus text-exposition scrape to validate")
-	metrics2Path := flag.String("metrics2", "", "later scrape of the same target, checked monotone against -metrics")
 	flag.Parse()
 
-	if *eventsPath == "" && *reportPath == "" && *tracePath == "" && *metricsPath == "" {
-		fmt.Fprintln(os.Stderr, "obsvalidate: nothing to validate (pass -events, -report, -trace and/or -metrics)")
-		os.Exit(exitUsage)
-	}
-	if *metrics2Path != "" && *metricsPath == "" {
-		fmt.Fprintln(os.Stderr, "obsvalidate: -metrics2 requires -metrics (the earlier scrape)")
+	if *eventsPath == "" && *reportPath == "" && *tracePath == "" {
+		fmt.Fprintln(os.Stderr, "obsvalidate: nothing to validate (pass -events, -report and/or -trace)")
 		os.Exit(exitUsage)
 	}
 
@@ -131,39 +121,7 @@ func main() {
 		fmt.Printf("%s: busy time agrees with %s phase_end metrics within %.0f%%\n",
 			*tracePath, *eventsPath, crossCheckTol*100)
 	}
-	if *metricsPath != "" {
-		first := readScrape(*metricsPath)
-		fmt.Printf("%s: %d series across %d families, scrape valid\n",
-			*metricsPath, len(first.Values), len(first.Types))
-		checked++
-		if *metrics2Path != "" {
-			second := readScrape(*metrics2Path)
-			if err := metrics.CheckMonotonic(first, second); err != nil {
-				fail(exitMetrics, *metrics2Path, err)
-			}
-			fmt.Printf("%s: %d series, counters monotone against %s\n",
-				*metrics2Path, len(second.Values), *metricsPath)
-			checked++
-		}
-	}
 	fmt.Printf("obsvalidate: %d artifact(s) valid\n", checked)
-}
-
-// readScrape parses and validates one text-exposition file.
-func readScrape(path string) *metrics.Scrape {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(exitIO, path, err)
-	}
-	sc, err := metrics.ParseText(f)
-	f.Close()
-	if err != nil {
-		fail(exitMetrics, path, err)
-	}
-	if err := sc.Validate(); err != nil {
-		fail(exitMetrics, path, err)
-	}
-	return sc
 }
 
 // fail reports the offending artifact and exits with the validator

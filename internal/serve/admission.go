@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -22,6 +23,10 @@ type admission struct {
 	// ewmaNS tracks recent run durations so shed responses can suggest a
 	// meaningful Retry-After instead of a constant.
 	ewmaNS int64
+
+	// Outcome counts for /stats: requests that took a running slot,
+	// were shed by the full queue, or were over their tenant's quota.
+	admitted, shed, quota atomic.Int64
 }
 
 func newAdmission(workers, queueDepth, perTenant int) *admission {
@@ -43,6 +48,7 @@ func (a *admission) tenantEnter(tenant string) (leave func(), ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.tenants[tenant] >= a.perTenant {
+		a.quota.Add(1)
 		return nil, false
 	}
 	a.tenants[tenant]++
@@ -65,14 +71,17 @@ func (a *admission) tenantEnter(tenant string) (leave func(), ok bool) {
 // drain signal. release must be called exactly once when acquire
 // returns ok.
 func (a *admission) acquire(ctx context.Context, drain <-chan struct{}) (release func(), ok, shed bool) {
+	release = func() { <-a.running }
 	select {
 	case a.running <- struct{}{}:
-		return func() { <-a.running }, true, false
+		a.admitted.Add(1)
+		return release, true, false
 	default:
 	}
 	select {
 	case a.queued <- struct{}{}:
 	default:
+		a.shed.Add(1)
 		return nil, false, true // queue full: shed
 	}
 	// Queued. Wait for a running slot, abandoning the wait if the client
@@ -80,7 +89,8 @@ func (a *admission) acquire(ctx context.Context, drain <-chan struct{}) (release
 	select {
 	case a.running <- struct{}{}:
 		<-a.queued
-		return func() { <-a.running }, true, false
+		a.admitted.Add(1)
+		return release, true, false
 	case <-ctx.Done():
 		<-a.queued
 		return nil, false, false

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sync"
+	"time"
 
 	fim "repro"
 )
@@ -39,13 +40,12 @@ type resultCache struct {
 	seq     int64
 	entries map[cacheKey]*cacheEntry
 
-	// met holds the cache's registry instruments; the cache increments
-	// them directly so /metrics and /stats read the same atomics.
-	met *cacheMetrics
+	// Lookup outcomes and evictions, for /stats.
+	hits, filtered, misses, evictions int64
 }
 
-func newResultCache(budget int64, met *cacheMetrics) *resultCache {
-	return &resultCache{budget: budget, entries: make(map[cacheKey]*cacheEntry), met: met}
+func newResultCache(budget int64) *resultCache {
+	return &resultCache{budget: budget, entries: make(map[cacheKey]*cacheEntry)}
 }
 
 func entryBytes(sets []fim.ItemsetCount) int64 {
@@ -58,27 +58,27 @@ func entryBytes(sets []fim.ItemsetCount) int64 {
 
 // lookup answers a request at absolute support absSup if a complete
 // entry at support <= absSup exists. The exact-threshold case is a
-// plain hit (exact=true); a lower-threshold entry answers by filtering
-// — supports are exact either way because a run at lower minsup finds
-// a superset of the itemsets with identical counts.
-func (c *resultCache) lookup(k cacheKey, absSup int) (sets []fim.ItemsetCount, maxK int, exact, ok bool) {
+// plain hit; a lower-threshold entry answers by filtering — supports
+// are exact either way because a run at lower minsup finds a superset
+// of the itemsets with identical counts.
+func (c *resultCache) lookup(k cacheKey, absSup int) (sets []fim.ItemsetCount, maxK int, ok bool) {
 	if c.budget < 0 {
-		return nil, 0, false, false
+		return nil, 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, found := c.entries[k]
 	if !found || e.minSupAbs > absSup {
-		c.met.misses.Inc()
-		return nil, 0, false, false
+		c.misses++
+		return nil, 0, false
 	}
 	c.seq++
 	e.lastUse = c.seq
 	if e.minSupAbs == absSup {
-		c.met.hits.Inc()
-		return e.sets, e.maxK, true, true
+		c.hits++
+		return e.sets, e.maxK, true
 	}
-	c.met.filtered.Inc()
+	c.filtered++
 	out := make([]fim.ItemsetCount, 0, len(e.sets))
 	for _, ic := range e.sets {
 		if ic.Support >= absSup {
@@ -88,7 +88,7 @@ func (c *resultCache) lookup(k cacheKey, absSup int) (sets []fim.ItemsetCount, m
 			}
 		}
 	}
-	return out, maxK, false, true
+	return out, maxK, true
 }
 
 // store saves a complete answer. Only a lower (or first) support
@@ -115,7 +115,6 @@ func (c *resultCache) store(k cacheKey, absSup int, sets []fim.ItemsetCount, max
 	c.entries[k] = &cacheEntry{minSupAbs: absSup, sets: sets, maxK: maxK, bytes: nb, lastUse: c.seq}
 	c.used += nb
 	c.evict()
-	c.met.bytes.Set(c.used)
 }
 
 // evict drops highest staleness x size first until within budget.
@@ -136,31 +135,37 @@ func (c *resultCache) evict() {
 		}
 		c.used -= c.entries[worstKey].bytes
 		delete(c.entries, worstKey)
-		c.met.evictions.Inc()
+		c.evictions++
 	}
 	// A single over-budget entry is kept (it was admitted under the
 	// size gate above, so this only happens after a budget shrink).
 }
 
 func (c *resultCache) stats() (hits, filtered, misses, bytes, evictions int64) {
-	return c.met.hits.Value(), c.met.filtered.Value(), c.met.misses.Value(),
-		c.met.bytes.Value(), c.met.evictions.Value()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.filtered, c.misses, c.used, c.evictions
 }
 
 // flightGroup deduplicates identical in-flight requests (same dataset,
-// algorithm, representation AND absolute support): followers wait for
-// the leader's outcome instead of re-running the same mining problem
-// side by side. Unlike the cache, the flight key includes the
-// threshold — a follower must see the exact same answer, status code
-// and all.
+// algorithm, representation, absolute support AND budgets): followers
+// wait for the leader's outcome instead of re-running the same mining
+// problem side by side. Unlike the cache, the flight key includes the
+// threshold and every budget that can stop a run early — a follower
+// must see the exact answer it asked for, status code and all.
 type flightGroup struct {
 	mu      sync.Mutex
 	flights map[flightKey]*flight
+	joins   int64 // followers that joined a leader's flight
 }
 
 type flightKey struct {
 	cacheKey
-	absSup int
+	absSup      int
+	maxItemsets int64
+	maxMemory   int64
+	maxDuration time.Duration
+	degrade     bool
 }
 
 // flight is one in-progress mining request and its eventual outcome.
@@ -180,6 +185,7 @@ func (g *flightGroup) join(k flightKey) (f *flight, leader bool, finish func(*ru
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if f, ok := g.flights[k]; ok {
+		g.joins++
 		return f, false, nil
 	}
 	f = &flight{done: make(chan struct{})}
@@ -191,4 +197,11 @@ func (g *flightGroup) join(k flightKey) (f *flight, leader bool, finish func(*ru
 		f.out = out
 		close(f.done)
 	}
+}
+
+// joined reports how many followers have joined a leader's flight.
+func (g *flightGroup) joined() int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.joins
 }

@@ -27,7 +27,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.Handle("GET /metrics", s.met.reg.Handler())
 	export.HandlePprof(s.mux)
 }
 
@@ -256,41 +255,29 @@ func (s *Server) parseMine(w http.ResponseWriter, r *http.Request) (*mineRequest
 }
 
 // handleMine is the admission ladder end to end: drain gate, parse,
-// cache, single-flight, tenant quota, bounded queue (shed with 429 when
+// cache, tenant quota, single-flight, bounded queue (shed with 429 when
 // full), then the run itself under per-request budgets, the shared
 // memory pool and panic containment.
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = "anon"
-	}
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "10")
 		httpError(w, http.StatusServiceUnavailable, "draining: not accepting new runs")
-		s.finishRequest(tenant, outcomeDrained, start)
 		return
 	}
 	mr, ok := s.parseMine(w, r)
 	if !ok {
-		s.finishRequest(tenant, outcomeBadRequest, start)
 		return
 	}
 	ck := cacheKey{dataset: mr.dsKey, algo: mr.algo.String(), rep: mr.rep.String()}
 
 	// Cache first: a hit costs no queue slot, no worker, no pool bytes.
-	if sets, maxK, exact, hit := s.cache.lookup(ck, mr.absSup); hit {
+	if sets, maxK, hit := s.cache.lookup(ck, mr.absSup); hit {
 		resp := mineResponse{
 			Dataset: mr.dsLabel, Algo: ck.algo, Rep: ck.rep,
 			AbsSup: mr.absSup, Itemsets: len(sets), MaxK: maxK,
 			Cached: true, Sets: toJSONSets(sets, mr.limit),
 		}
 		writeJSON(w, http.StatusOK, resp)
-		oc := outcomeCacheHit
-		if !exact {
-			oc = outcomeFiltered
-		}
-		s.finishRequest(mr.tenant, oc, start)
 		return
 	}
 
@@ -300,73 +287,60 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if !s.beginRequest() {
 		w.Header().Set("Retry-After", "10")
 		httpError(w, http.StatusServiceUnavailable, "draining: not accepting new runs")
-		s.finishRequest(mr.tenant, outcomeDrained, start)
 		return
 	}
 	defer s.inflight.Done()
 
+	// Tenant quota, per request and before the flight: one tenant cannot
+	// occupy the whole queue, and its rejection is never shared with
+	// another tenant's follower.
+	leave, ok := s.adm.tenantEnter(mr.tenant)
+	if !ok {
+		w.Header().Set("Retry-After", retryAfterHeader(s.adm.retryAfter()))
+		writeJSON(w, http.StatusTooManyRequests, mineResponse{
+			Dataset: mr.dsLabel, Algo: ck.algo, Rep: ck.rep, AbsSup: mr.absSup,
+			Error: fmt.Sprintf("tenant %q over its quota of %d in-flight requests", mr.tenant, s.cfg.PerTenant),
+		})
+		return
+	}
+	defer leave()
+
 	// Single-flight: identical concurrent requests share one run.
-	fk := flightKey{cacheKey: ck, absSup: mr.absSup}
+	fk := flightKey{cacheKey: ck, absSup: mr.absSup, maxItemsets: mr.maxItemsets,
+		maxMemory: mr.maxMemory, maxDuration: mr.maxDuration, degrade: mr.degrade}
 	fl, leader, finish := s.flights.join(fk)
 	if !leader {
-		// Counted at join, not completion: "how many requests were
-		// coalesced" is a statement about admission, and callers (tests
-		// included) watch it to see the dedup happen.
-		s.met.outcome(mr.tenant, outcomeCoalesced)
 		select {
 		case <-fl.done:
 			writeOutcome(w, fl.out, mr.limit)
 		case <-r.Context().Done():
 			httpError(w, http.StatusServiceUnavailable, "client gone while waiting for shared run")
 		}
-		s.met.requestDur.Observe(time.Since(start).Seconds())
 		return
 	}
 
 	out := s.runLeader(r, mr, ck)
 	finish(out)
 	writeOutcome(w, out, mr.limit)
-	s.finishRequest(mr.tenant, leaderOutcome(out), start)
 }
 
-// finishRequest records one terminal /mine outcome everywhere it is
-// accounted: the admission and per-tenant counters and the
-// request-latency histogram.
-func (s *Server) finishRequest(tenant, outcome string, start time.Time) {
-	s.met.requestDur.Observe(time.Since(start).Seconds())
-	s.met.outcome(tenant, outcome)
-}
-
-// leaderOutcome classifies a leader's runOutcome into an admission
-// outcome: pre-admission rejections keep their rung's label, everything
-// that held a worker slot — complete, degraded or stopped — is
-// "admitted".
-func leaderOutcome(out *runOutcome) string {
-	switch out.stopReason {
-	case "quota":
-		return outcomeQuota
-	case "shed":
-		return outcomeShed
-	case "canceled":
-		if !out.ran {
-			return outcomeAbandoned
-		}
-	}
-	return outcomeAdmitted
+// retryAfterHeader renders a backoff as whole seconds, rounded up.
+func retryAfterHeader(d time.Duration) string {
+	return strconv.Itoa(int((d + time.Second - 1) / time.Second))
 }
 
 // writeOutcome renders a shared run outcome onto one response, applying
 // this request's own itemset limit and backoff header.
 func writeOutcome(w http.ResponseWriter, out *runOutcome, limit int) {
 	if out.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(int((out.retryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfterHeader(out.retryAfter))
 	}
 	resp := out.body
 	resp.Sets = toJSONSets(out.sets, limit)
 	writeJSON(w, out.status, resp)
 }
 
-// runLeader executes one admitted mining request: quota, queue, run,
+// runLeader executes one admitted mining request: queue, run,
 // classification. It always returns an outcome (shared with
 // single-flight followers) and always leaves the registry with a
 // terminal record.
@@ -374,16 +348,6 @@ func (s *Server) runLeader(r *http.Request, mr *mineRequest, ck cacheKey) *runOu
 	base := mineResponse{
 		Dataset: mr.dsLabel, Algo: ck.algo, Rep: ck.rep, AbsSup: mr.absSup,
 	}
-
-	// Tenant quota: one tenant cannot occupy the whole queue.
-	leave, ok := s.adm.tenantEnter(mr.tenant)
-	if !ok {
-		ra := s.adm.retryAfter()
-		base.Error = fmt.Sprintf("tenant %q over its quota of %d in-flight requests", mr.tenant, s.cfg.PerTenant)
-		return &runOutcome{status: http.StatusTooManyRequests, body: base,
-			stopReason: "quota", retryAfter: ra}
-	}
-	defer leave()
 
 	runCtx, cancelRun := context.WithCancel(r.Context())
 	defer cancelRun()
@@ -396,7 +360,6 @@ func (s *Server) runLeader(r *http.Request, mr *mineRequest, ck cacheKey) *runOu
 
 	// Bounded queue: full means shed now with 429 + Retry-After, not an
 	// invisible unbounded backlog.
-	qstart := time.Now()
 	release, ok, shed := s.adm.acquire(runCtx, s.drainCh)
 	if !ok {
 		var status int
@@ -420,14 +383,13 @@ func (s *Server) runLeader(r *http.Request, mr *mineRequest, ck cacheKey) *runOu
 			retryAfter: s.adm.retryAfter()}
 	}
 	defer release()
-	s.met.queueWait.Observe(time.Since(qstart).Seconds())
 	s.reg.running(lr)
 
 	opt := fim.Options{
 		Algorithm:        mr.algo,
 		Representation:   mr.rep,
 		Workers:          mr.workers,
-		Observer:         fim.MultiObserver(bc, s.met.tap()),
+		Observer:         bc,
 		RunID:            base.RunID,
 		ProfileLabels:    true,
 		Tenant:           mr.tenant,
@@ -444,8 +406,6 @@ func (s *Server) runLeader(r *http.Request, mr *mineRequest, ck cacheKey) *runOu
 	bc.CloseStream()
 
 	out := s.classify(mr, ck, base, res, err, elapsed)
-	out.ran = true
-	s.met.observeRun(elapsed, out.stopReason)
 	s.reg.finish(lr, func(ri *RunInfo) {
 		ri.HTTPStatus = out.status
 		ri.StopReason = out.stopReason
@@ -483,7 +443,7 @@ func (s *Server) classify(mr *mineRequest, ck cacheKey, base mineResponse, res *
 	base.Error = err.Error()
 	switch reason {
 	case "worker-panic":
-		s.met.panics.Inc()
+		s.panics.Add(1)
 		return &runOutcome{status: http.StatusInternalServerError, body: base, sets: sets, stopReason: reason}
 	case "budget:memory", "budget:itemsets", "budget:duration", "budget:shared-memory",
 		"canceled", "deadline":

@@ -22,7 +22,7 @@ type RunInfo struct {
 	Algo     string `json:"algo"`
 	Rep      string `json:"rep"`
 	AbsSup   int    `json:"min_support_abs"`
-	State    string `json:"state"` // queued | running | done
+	State    string `json:"state"` // queued | running | done | shed | canceled
 	Started  int64  `json:"started_unix_ns"`
 	Finished int64  `json:"finished_unix_ns,omitempty"`
 
@@ -34,7 +34,6 @@ type RunInfo struct {
 	MaxK       int    `json:"max_k,omitempty"`
 	Incomplete bool   `json:"incomplete,omitempty"`
 	Degraded   bool   `json:"degraded,omitempty"`
-	Cached     bool   `json:"cached,omitempty"`
 }
 
 // liveRun is the registry's internal handle on an executing run: its
@@ -174,6 +173,5 @@ type runOutcome struct {
 	body       mineResponse
 	sets       []fim.ItemsetCount
 	stopReason string
-	retryAfter time.Duration // > 0 on shed/quota responses
-	ran        bool          // held a worker slot (vs rejected pre-admission)
+	retryAfter time.Duration // > 0 when the queue turned the request away
 }

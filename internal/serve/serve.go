@@ -81,9 +81,6 @@ type Config struct {
 	// DrainGrace is how long Drain lets in-flight runs finish before
 	// budget-stopping them. Default 10s.
 	DrainGrace time.Duration
-	// TenantSeries caps the distinct tenant label values in /metrics;
-	// past it new tenants fold into tenant="other". Default 32.
-	TenantSeries int
 }
 
 func (c Config) withDefaults() Config {
@@ -130,9 +127,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 10 * time.Second
 	}
-	if c.TenantSeries <= 0 {
-		c.TenantSeries = 32
-	}
 	return c
 }
 
@@ -147,9 +141,7 @@ type Server struct {
 	reg     *registry
 	mux     *http.ServeMux
 
-	// met holds every registered instrument; /metrics renders it and
-	// /stats reads it, so the two views share one set of atomics.
-	met *serverMetrics
+	panics atomic.Int64 // runs answered 500 after a contained worker panic
 
 	draining atomic.Bool
 	drainCh  chan struct{} // closed when draining starts
@@ -168,12 +160,11 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		pool:    fim.NewSharedPool(cfg.GlobalMemory),
 		adm:     newAdmission(cfg.Workers, cfg.QueueDepth, cfg.PerTenant),
+		cache:   newResultCache(cfg.CacheBytes),
 		flights: newFlightGroup(),
 		reg:     newRegistry(cfg.RecentRuns),
 		drainCh: make(chan struct{}),
 	}
-	s.met = newServerMetrics(s, cfg.TenantSeries)
-	s.cache = newResultCache(cfg.CacheBytes, newCacheMetrics(s.met.reg))
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
@@ -241,10 +232,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Stats is the server-level aggregate snapshot served at /stats. It is
-// a JSON projection of the metrics registry — every counter here reads
-// the same atomic the /metrics exposition renders, so the two can never
-// disagree.
+// Stats is the server-level aggregate snapshot served at /stats. Each
+// counter is read from the subsystem that owns it: admission, the
+// single-flight group, the result cache, the shared pool and the
+// server's panic count.
 type Stats struct {
 	Admitted       int64   `json:"admitted"`
 	Shed           int64   `json:"shed"`
@@ -291,11 +282,11 @@ func (s *Server) ShutdownReport() Report {
 func (s *Server) stats() Stats {
 	ch, cf, cm, cb, ce := s.cache.stats()
 	return Stats{
-		Admitted:       s.met.admission.With(outcomeAdmitted).Value(),
-		Shed:           s.met.admission.With(outcomeShed).Value(),
-		QuotaRejected:  s.met.admission.With(outcomeQuota).Value(),
-		Deduplicated:   s.met.admission.With(outcomeCoalesced).Value(),
-		WorkerPanics:   s.met.panics.Value(),
+		Admitted:       s.adm.admitted.Load(),
+		Shed:           s.adm.shed.Load(),
+		QuotaRejected:  s.adm.quota.Load(),
+		Deduplicated:   s.flights.joined(),
+		WorkerPanics:   s.panics.Load(),
 		PoolBreaches:   s.pool.Breaches(),
 		CacheHits:      ch,
 		CacheFiltered:  cf,

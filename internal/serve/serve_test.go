@@ -22,7 +22,6 @@ import (
 
 	fim "repro"
 	"repro/internal/obs/export"
-	"repro/internal/obs/metrics"
 	"repro/internal/sched"
 )
 
@@ -408,7 +407,7 @@ func TestSingleFlight(t *testing.T) {
 	}
 	waitFor(t, "the leader to start running", func() bool { return s.adm.runningLen() == 1 })
 	waitFor(t, "the follower to join the flight", func() bool {
-		return s.met.admission.With(outcomeCoalesced).Value() == 1
+		return s.flights.joined() == 1
 	})
 	close(gate)
 	wg.Wait()
@@ -425,6 +424,73 @@ func TestSingleFlight(t *testing.T) {
 	getJSON(t, ts.URL+"/stats", &st)
 	if st.Admitted != 1 || st.Deduplicated != 1 {
 		t.Fatalf("admitted = %d, deduplicated = %d; want 1 and 1 (single-flight)", st.Admitted, st.Deduplicated)
+	}
+}
+
+// TestSingleFlightKeysBudgets: a request never joins a flight whose
+// leader asked for different budgets. The leader's itemsets budget of
+// 3 stops it early; it is held at a chunk boundary while an unbudgeted
+// request for the same problem arrives, and that request must run on
+// its own and answer complete.
+func TestSingleFlightKeysBudgets(t *testing.T) {
+	gate := make(chan struct{})
+	sched.SetFaultHook(func(fc sched.FaultContext) {
+		if fc.Control.MaxItemsets() == 3 {
+			select {
+			case <-gate:
+			case <-time.After(10 * time.Second):
+			}
+		}
+	})
+	t.Cleanup(func() { sched.SetFaultHook(nil) })
+	s, ts := newTestServer(t, Config{Workers: 2, CacheBytes: -1})
+
+	leaderDone := make(chan mineResponse, 1)
+	go func() {
+		_, mr := postMine(t, ts, "abssup=2&max-itemsets=3", uploadFIMI, nil)
+		leaderDone <- mr
+	}()
+	waitFor(t, "the budgeted leader to hold a slot", func() bool { return s.adm.runningLen() == 1 })
+
+	followerDone := make(chan mineResponse, 1)
+	var status int
+	go func() {
+		resp, mr := postMine(t, ts, "abssup=2", uploadFIMI, nil)
+		status = resp.StatusCode
+		followerDone <- mr
+	}()
+	var follower mineResponse
+	var joined bool
+	waitFor(t, "the unbudgeted request to finish or join the flight", func() bool {
+		select {
+		case follower = <-followerDone:
+			return true
+		default:
+		}
+		var st Stats
+		getJSON(t, ts.URL+"/stats", &st)
+		joined = st.Deduplicated > 0
+		return joined
+	})
+	close(gate)
+	if joined {
+		follower = <-followerDone
+	}
+	if leader := <-leaderDone; !leader.Incomplete || leader.StopReason != "budget:itemsets" {
+		t.Errorf("budgeted leader = %+v, want a budget:itemsets stop", leader)
+	}
+
+	db, err := fim.ReadFIMI("direct", strings.NewReader(uploadFIMI))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := fim.MineAbsolute(db, 2, fim.Options{Algorithm: fim.Eclat, Representation: fim.Diffset, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joined || status != http.StatusOK || follower.Incomplete || follower.Itemsets != direct.Len() {
+		t.Fatalf("unbudgeted request (joined the flight: %v): status %d, %+v; want complete with %d itemsets",
+			joined, status, follower, direct.Len())
 	}
 }
 
@@ -529,14 +595,14 @@ func TestDrainGraceful(t *testing.T) {
 // TestCacheEviction: a cache budget smaller than two entries keeps the
 // more recently used one.
 func TestCacheEviction(t *testing.T) {
-	c := newResultCache(400, newCacheMetrics(metrics.NewRegistry()))
+	c := newResultCache(400)
 	big := make([]fim.ItemsetCount, 8) // entryBytes = 8*24 + 64 = 256
 	c.store(cacheKey{dataset: "a"}, 2, big, 1)
 	c.store(cacheKey{dataset: "b"}, 2, big, 1)
-	if _, _, _, ok := c.lookup(cacheKey{dataset: "b"}, 2); !ok {
+	if _, _, ok := c.lookup(cacheKey{dataset: "b"}, 2); !ok {
 		t.Fatal("most recent entry evicted")
 	}
-	if _, _, _, ok := c.lookup(cacheKey{dataset: "a"}, 2); ok {
+	if _, _, ok := c.lookup(cacheKey{dataset: "a"}, 2); ok {
 		t.Fatal("older entry survived a budget that fits only one")
 	}
 	_, _, _, bytes, evictions := c.stats()
@@ -550,9 +616,9 @@ func TestCacheEviction(t *testing.T) {
 
 // TestCacheDisabled: a negative budget turns the cache off entirely.
 func TestCacheDisabled(t *testing.T) {
-	c := newResultCache(-1, newCacheMetrics(metrics.NewRegistry()))
+	c := newResultCache(-1)
 	c.store(cacheKey{dataset: "a"}, 2, make([]fim.ItemsetCount, 2), 1)
-	if _, _, _, ok := c.lookup(cacheKey{dataset: "a"}, 2); ok {
+	if _, _, ok := c.lookup(cacheKey{dataset: "a"}, 2); ok {
 		t.Fatal("disabled cache served a hit")
 	}
 }
