@@ -13,9 +13,10 @@
 //
 // Experiments: table1, table2+fig5 (apriori-diffset), table3+fig6
 // (eclat-tidset), table6+fig7 (eclat-bitvector), table5+fig8
-// (eclat-diffset), apriori-flat, sparse-limit, schedule-ablation,
-// chunk-ablation, depth-ablation, baselines, ht-ablation,
-// memory-footprint, all.
+// (eclat-diffset), eclat-hybrid, apriori-flat, sparse-limit,
+// schedule-ablation, chunk-ablation, depth-ablation, baselines,
+// ht-ablation, memory-footprint, all. Every experiment mines through
+// fim.Mine, as the other commands do.
 package main
 
 import (
@@ -97,8 +98,6 @@ func main() {
 			fmt.Print(experiments.FormatBaselines(experiments.Baselines(cfg)))
 		case "ht-ablation":
 			fmt.Print(experiments.FormatHT(experiments.HTAblation(cfg)))
-		case "order-ablation":
-			fmt.Print(experiments.FormatOrder(experiments.OrderAblation(cfg)))
 		case "memory-footprint":
 			fmt.Print(experiments.FormatFootprint(experiments.MemoryFootprint(cfg)))
 		default:
@@ -112,7 +111,7 @@ func main() {
 			"table1", "table2+fig5", "apriori-flat", "table3+fig6",
 			"table6+fig7", "table5+fig8", "eclat-hybrid", "sparse-limit",
 			"schedule-ablation", "chunk-ablation", "depth-ablation", "baselines",
-			"ht-ablation", "order-ablation", "memory-footprint",
+			"ht-ablation", "memory-footprint",
 		} {
 			run(id)
 			fmt.Println()

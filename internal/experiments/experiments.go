@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V) plus the ablations called out in DESIGN.md. Each
-// experiment mines a synthetic dataset once per configuration with
-// instrumentation on, then replays the recorded trace on the simulated
-// Blacklight machine across the paper's thread counts (16…256, plus 1 as
-// the speedup base).
+// experiment mines a synthetic dataset once per configuration through
+// fim.MineAbsolute, serially and with a replay trace, then replays that
+// trace on the simulated Blacklight machine across the paper's thread
+// counts (16…256, plus 1 as the speedup base). The trace is of the run
+// the product makes: the same first pass, item order and level-2 rule.
 //
 // The output types carry both the simulated runtime tables (the paper's
 // Tables II–V) and the speedup series (Figures 5–8).
@@ -15,11 +16,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/apriori"
+	fim "repro"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/datasets"
-	"repro/internal/eclat"
 	"repro/internal/horizontal"
 	"repro/internal/machine"
 	"repro/internal/ptrie"
@@ -74,7 +74,7 @@ type Row struct {
 	Support  float64
 	Itemsets int
 	// RealSeconds is the measured wall-clock of the instrumented serial
-	// mining run on this host (not the simulated machine).
+	// run, first pass included, on this host (not the simulated machine).
 	RealSeconds float64
 	Cells       []Cell
 }
@@ -92,43 +92,23 @@ type Table struct {
 // mustMine unwraps a miner's (result, error) pair. The experiment
 // harness never sets a run-control budget or cancellable context, so a
 // mining error here is a bug, not an operating condition.
-func mustMine(res *core.Result, err error) *core.Result {
+func mustMine(res *fim.Result, err error) *fim.Result {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: mining failed: %v", err))
 	}
 	return res
 }
 
-// traced recodes db at minSup into a new loop record, as fim.Mine does,
-// and returns the recoded database with serial options for rep that
-// record into the same record. The first pass's loops (dataset/count,
-// dataset/recode) lead the record and the miner adds vertical/roots, so
-// every simulated runtime charges the whole pass, not the miner alone.
-func traced(db *dataset.DB, minSup int, order dataset.ItemOrder, rep vertical.Kind) (*dataset.Recoded, core.Options, *sched.Record) {
-	trace := &sched.Record{}
-	rec, err := db.RecodeOn(dataset.Pass{Record: trace}, minSup, order)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: recode failed: %v", err))
-	}
-	opt := core.DefaultOptions(rep, 1)
-	opt.Record = trace
-	return rec, opt, trace
-}
-
-// mineTraced runs one instrumented mining pass with opt and returns the
-// result and the mining's real wall-clock.
-func mineTraced(rec *dataset.Recoded, algo core.Algorithm, opt core.Options) (*core.Result, float64) {
+// mine runs opt on db at minSup through fim.MineAbsolute, serially and
+// with a new replay trace, and returns the result, the trace and the
+// run's wall-clock seconds on this host. The trace leads with the first
+// pass's loops (dataset/count, dataset/recode), so every simulated
+// runtime charges the whole run, not the miner alone.
+func mine(db *fim.DB, minSup int, opt fim.Options) (*fim.Result, *fim.Trace, float64) {
+	opt.Workers, opt.Trace = 1, &fim.Trace{}
 	start := time.Now()
-	var res *core.Result
-	switch algo {
-	case core.Apriori:
-		res = mustMine(apriori.Mine(rec, rec.MinSup, opt))
-	case core.Eclat:
-		res = mustMine(eclat.Mine(rec, rec.MinSup, opt))
-	default:
-		panic(fmt.Sprintf("experiments: unsupported algorithm %v", algo))
-	}
-	return res, time.Since(start).Seconds()
+	res := mustMine(fim.MineAbsolute(db, minSup, opt))
+	return res, opt.Trace, time.Since(start).Seconds()
 }
 
 // Scalability builds one runtime+speedup table for an algorithm and
@@ -147,8 +127,7 @@ func Scalability(algo core.Algorithm, rep vertical.Kind, cfg Config) *Table {
 	}
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
-		rec, opt, trace := traced(db, db.AbsoluteSupport(d.DefaultSupport), dataset.ByCode, rep)
-		res, real := mineTraced(rec, algo, opt)
+		res, trace, real := mine(db, db.AbsoluteSupport(d.DefaultSupport), fim.Options{Algorithm: algo, Representation: rep})
 		times, speedups := machine.Speedup(trace, cfg.Threads, cfg.Machine)
 		row := Row{
 			Dataset:     d.Name,
@@ -260,9 +239,7 @@ func MemoryFootprint(cfg Config) []FootprintRow {
 	var rows []FootprintRow
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
-		// A2 weighs the payloads, so its record leaves out the count and
-		// recode loops: it starts at the miner's vertical/roots.
-		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
+		minSup := db.AbsoluteSupport(d.DefaultSupport)
 		row := FootprintRow{
 			Dataset:     d.Name,
 			Support:     d.DefaultSupport,
@@ -270,12 +247,15 @@ func MemoryFootprint(cfg Config) []FootprintRow {
 			RemoteBytes: map[vertical.Kind]int64{},
 		}
 		for _, rep := range vertical.Kinds() {
-			trace := &sched.Record{}
-			opt := core.DefaultOptions(rep, 1)
-			opt.Record = trace
-			mineTraced(rec, core.Apriori, opt)
-			row.AllocBytes[rep] = trace.TotalAlloc()
-			row.RemoteBytes[rep] = trace.TotalRemote()
+			_, trace, _ := mine(db, minSup, fim.Options{Algorithm: core.Apriori, Representation: rep})
+			// A2 weighs the payloads, so the sums leave out the first
+			// pass's count and recode loops: they start at vertical/roots.
+			for _, l := range trace.Loops {
+				if l.Model != nil && l.Name != "dataset/count" && l.Name != "dataset/recode" {
+					row.AllocBytes[rep] += l.Model.TotalAlloc()
+					row.RemoteBytes[rep] += l.Model.TotalRemote()
+				}
+			}
 		}
 		rows = append(rows, row)
 	}
@@ -312,11 +292,8 @@ func ScheduleAblation(cfg Config) []ScheduleRow {
 		for _, algo := range []core.Algorithm{core.Apriori, core.Eclat} {
 			row := ScheduleRow{Dataset: d.Name, Algorithm: algo, Threads: threads, Seconds: map[string]float64{}}
 			for _, s := range schedules {
-				rec, opt, trace := traced(db, minSup, dataset.ByCode, vertical.Diffset)
-				opt.Schedule = &s
-				mineTraced(rec, algo, opt)
-				rt := machine.Simulate(trace, threads, cfg.Machine)
-				row.Seconds[s.String()] = rt.Seconds
+				_, trace, _ := mine(db, minSup, fim.Options{Algorithm: algo, Representation: vertical.Diffset, Schedule: &s})
+				row.Seconds[s.String()] = machine.Simulate(trace, threads, cfg.Machine).Seconds
 			}
 			rows = append(rows, row)
 		}
@@ -346,9 +323,8 @@ func ChunkAblation(cfg Config) []ChunkRow {
 		minSup := db.AbsoluteSupport(d.DefaultSupport)
 		row := ChunkRow{Dataset: d.Name, Threads: threads, Seconds: map[int]float64{}}
 		for _, chunk := range []int{1, 2, 4, 8, 16} {
-			rec, opt, trace := traced(db, minSup, dataset.ByCode, vertical.Diffset)
-			opt.Schedule = &sched.Schedule{Policy: sched.Dynamic, Chunk: chunk}
-			mineTraced(rec, core.Eclat, opt)
+			_, trace, _ := mine(db, minSup, fim.Options{Algorithm: core.Eclat, Representation: vertical.Diffset,
+				Schedule: &sched.Schedule{Policy: sched.Dynamic, Chunk: chunk}})
 			row.Seconds[chunk] = machine.Simulate(trace, threads, cfg.Machine).Seconds
 		}
 		rows = append(rows, row)
@@ -378,9 +354,7 @@ func DepthAblation(cfg Config) []DepthRow {
 		minSup := db.AbsoluteSupport(d.DefaultSupport)
 		row := DepthRow{Dataset: d.Name, Threads: threads, Speedup: map[int]float64{}}
 		for _, depth := range []int{1, 2, 3, 4} {
-			rec, opt, trace := traced(db, minSup, dataset.ByCode, vertical.Diffset)
-			opt.EclatDepth = depth
-			mineTraced(rec, core.Eclat, opt)
+			_, trace, _ := mine(db, minSup, fim.Options{Algorithm: core.Eclat, Representation: vertical.Diffset, EclatDepth: depth})
 			_, sp := machine.Speedup(trace, []int{threads}, cfg.Machine)
 			row.Speedup[depth] = sp[0]
 		}
@@ -425,10 +399,9 @@ func SparseLimit(cfg Config) []SparseRow {
 	var rows []SparseRow
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
-		rec, opt, trace := traced(db, db.AbsoluteSupport(d.DefaultSupport), dataset.ByCode, vertical.Diffset)
-		mineTraced(rec, core.Eclat, opt)
+		res, trace, _ := mine(db, db.AbsoluteSupport(d.DefaultSupport), fim.Options{Algorithm: core.Eclat, Representation: vertical.Diffset})
 		times, speedups := machine.Speedup(trace, cfg.Threads, cfg.Machine)
-		row := SparseRow{Dataset: d.Name, Support: d.DefaultSupport, FrequentItems: len(rec.Items)}
+		row := SparseRow{Dataset: d.Name, Support: d.DefaultSupport, FrequentItems: len(res.Rec.Items)}
 		for i := range times {
 			row.Cells = append(row.Cells, Cell{Threads: cfg.Threads[i], SimSeconds: times[i].Seconds, Speedup: speedups[i]})
 		}
@@ -466,19 +439,27 @@ func Baselines(cfg Config) []BaselineRow {
 	var rows []BaselineRow
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale * 0.25)
-		rec := db.Recode(db.AbsoluteSupport(d.DefaultSupport))
+		minSup := db.AbsoluteSupport(d.DefaultSupport)
 		row := BaselineRow{Dataset: d.Name, Support: d.DefaultSupport}
+		// Every engine mines the one item order fim.Mine codes by, and
+		// each timing includes that engine's own recode.
 		timeIt := func(f func()) float64 {
 			start := time.Now()
 			f()
 			return time.Since(start).Seconds()
 		}
-		row.VerticalTidset = timeIt(func() { mustMine(apriori.Mine(rec, rec.MinSup, core.DefaultOptions(vertical.Tidset, 1))) })
-		row.VerticalDiffset = timeIt(func() { mustMine(apriori.Mine(rec, rec.MinSup, core.DefaultOptions(vertical.Diffset, 1))) })
-		row.HorizontalScan = timeIt(func() { horizontal.Mine(rec, rec.MinSup, 1, horizontal.Partial, nil) })
-		row.PointerTrie = timeIt(func() { ptrie.Mine(rec, rec.MinSup, 1) })
+		apriori := func(rep vertical.Kind) func() {
+			return func() {
+				mustMine(fim.MineAbsolute(db, minSup, fim.Options{Algorithm: core.Apriori, Representation: rep, Workers: 1}))
+			}
+		}
+		recode := func() *dataset.Recoded { return db.RecodeOrdered(minSup, dataset.ByFrequency) }
+		row.VerticalTidset = timeIt(apriori(vertical.Tidset))
+		row.VerticalDiffset = timeIt(apriori(vertical.Diffset))
+		row.HorizontalScan = timeIt(func() { horizontal.Mine(recode(), minSup, 1, horizontal.Partial, nil) })
+		row.PointerTrie = timeIt(func() { ptrie.Mine(recode(), minSup, 1) })
 		trace := &sched.Record{}
-		horizontal.Mine(rec, rec.MinSup, 1, horizontal.Atomic, trace)
+		horizontal.Mine(recode(), minSup, 1, horizontal.Atomic, trace)
 		row.AtomicRemote = trace.TotalRemote()
 		rows = append(rows, row)
 	}
@@ -522,8 +503,7 @@ func HTAblation(cfg Config) []HTRow {
 	var rows []HTRow
 	for _, d := range defs {
 		db := d.Build(cfg.Scale * d.ExperimentScale)
-		rec, opt, trace := traced(db, db.AbsoluteSupport(d.DefaultSupport), dataset.ByCode, vertical.Diffset)
-		mineTraced(rec, core.Eclat, opt)
+		_, trace, _ := mine(db, db.AbsoluteSupport(d.DefaultSupport), fim.Options{Algorithm: core.Eclat, Representation: vertical.Diffset})
 		noHT := machine.Simulate(trace, threads, cfg.Machine).Seconds
 		// With SMT, a core running a single busy thread still gets full
 		// throughput, so the hyperthreaded machine is never slower than
@@ -546,65 +526,11 @@ func HTAblation(cfg Config) []HTRow {
 // FormatHT renders ablation A8.
 func FormatHT(rows []HTRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "A8 — Hyperthreading ablation (simulated seconds, Eclat/diffset)\n")
+	fmt.Fprintf(&b, "A8 — Hyperthreading ablation (simulated ms, Eclat/diffset)\n")
 	fmt.Fprintf(&b, "%-14s %10s %14s %14s %8s\n", "dataset", "threads", "noHT", "HT(2x thr)", "gain")
 	for _, r := range rows {
 		gain := r.NoHT / r.WithHT
-		fmt.Fprintf(&b, "%-14s %10d %13.4fs %13.4fs %7.2fx\n", r.Dataset, r.Threads, r.NoHT, r.WithHT, gain)
-	}
-	return b.String()
-}
-
-// OrderRow is one row of ablation A9: the effect of frequency-ordered
-// item recoding on Eclat's work and simulated scalability.
-type OrderRow struct {
-	Dataset string
-	Threads int
-	// WorkBytes and Speedup per item order.
-	WorkByCode      int64
-	WorkByFrequency int64
-	SpeedupByCode   float64
-	SpeedupByFreq   float64
-}
-
-// OrderAblation runs ablation A9 over Eclat/diffset.
-func OrderAblation(cfg Config) []OrderRow {
-	cfg = cfg.defaults()
-	defs := cfg.Datasets
-	if defs == nil {
-		defs = datasets.Dense()
-	}
-	threads := cfg.Threads[len(cfg.Threads)-1]
-	var rows []OrderRow
-	for _, d := range defs {
-		db := d.Build(cfg.Scale * d.ExperimentScale)
-		minSup := db.AbsoluteSupport(d.DefaultSupport)
-		row := OrderRow{Dataset: d.Name, Threads: threads}
-		for _, order := range []dataset.ItemOrder{dataset.ByCode, dataset.ByFrequency} {
-			rec, opt, trace := traced(db, minSup, order, vertical.Diffset)
-			mineTraced(rec, core.Eclat, opt)
-			_, sp := machine.Speedup(trace, []int{threads}, cfg.Machine)
-			if order == dataset.ByCode {
-				row.WorkByCode, row.SpeedupByCode = trace.TotalWork(), sp[0]
-			} else {
-				row.WorkByFrequency, row.SpeedupByFreq = trace.TotalWork(), sp[0]
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// FormatOrder renders ablation A9.
-func FormatOrder(rows []OrderRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "A9 — Item-order ablation (Eclat/diffset): original code order vs ascending frequency\n")
-	fmt.Fprintf(&b, "%-14s %8s %14s %14s %12s %12s\n", "dataset", "threads", "work(code)", "work(freq)", "spdup(code)", "spdup(freq)")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %8d %12.1fMB %12.1fMB %12.1f %12.1f\n",
-			r.Dataset, r.Threads,
-			float64(r.WorkByCode)/(1<<20), float64(r.WorkByFrequency)/(1<<20),
-			r.SpeedupByCode, r.SpeedupByFreq)
+		fmt.Fprintf(&b, "%-14s %10d %12.3fms %12.3fms %7.2fx\n", r.Dataset, r.Threads, 1e3*r.NoHT, 1e3*r.WithHT, gain)
 	}
 	return b.String()
 }
@@ -707,7 +633,7 @@ func FormatFootprint(rows []FootprintRow) string {
 // FormatSchedule renders ablation A1.
 func FormatSchedule(rows []ScheduleRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "A1 — Loop-schedule ablation (simulated seconds, diffset)\n")
+	fmt.Fprintf(&b, "A1 — Loop-schedule ablation (simulated ms, diffset)\n")
 	names := []string{"static", "dynamic,1", "guided"}
 	fmt.Fprintf(&b, "%-14s %-9s %8s", "dataset", "algo", "threads")
 	for _, n := range names {
@@ -717,7 +643,7 @@ func FormatSchedule(rows []ScheduleRow) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-14s %-9v %8d", r.Dataset, r.Algorithm, r.Threads)
 		for _, n := range names {
-			fmt.Fprintf(&b, "%12.4f", r.Seconds[n])
+			fmt.Fprintf(&b, "%12.3f", 1e3*r.Seconds[n])
 		}
 		fmt.Fprintf(&b, "\n")
 	}
@@ -727,7 +653,7 @@ func FormatSchedule(rows []ScheduleRow) string {
 // FormatChunk renders ablation A3.
 func FormatChunk(rows []ChunkRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "A3 — Eclat dynamic chunk-size ablation (simulated seconds)\n")
+	fmt.Fprintf(&b, "A3 — Eclat dynamic chunk-size ablation (simulated ms)\n")
 	var chunks []int
 	if len(rows) > 0 {
 		for c := range rows[0].Seconds {
@@ -743,7 +669,7 @@ func FormatChunk(rows []ChunkRow) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-14s %8d", r.Dataset, r.Threads)
 		for _, c := range chunks {
-			fmt.Fprintf(&b, "%12.4f", r.Seconds[c])
+			fmt.Fprintf(&b, "%12.3f", 1e3*r.Seconds[c])
 		}
 		fmt.Fprintf(&b, "\n")
 	}

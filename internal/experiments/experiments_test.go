@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	fim "repro"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/vertical"
@@ -160,7 +161,13 @@ func TestChunkAblation(t *testing.T) {
 }
 
 func TestDepthAblation(t *testing.T) {
-	rows := DepthAblation(tinyConfig(t))
+	// Chess at half its size: 25 row blocks. At the tiny scale's 3
+	// blocks the level-2 pair count, which every depth above 1 runs over
+	// the row blocks, is capped at 3-way parallelism and alone outweighs
+	// what flattening gains at 256 threads.
+	cfg := tinyConfig(t)
+	cfg.Scale = 0.5
+	rows := DepthAblation(cfg)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -249,21 +256,34 @@ func TestHTAblation(t *testing.T) {
 	}
 }
 
-func TestOrderAblation(t *testing.T) {
-	rows := OrderAblation(tinyConfig(t))
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	r := rows[0]
-	if r.WorkByCode == 0 || r.WorkByFrequency == 0 {
-		t.Errorf("zero work recorded: %+v", r)
-	}
-	// Ascending-frequency order reduces total combine work on dense data.
-	if r.WorkByFrequency >= r.WorkByCode {
-		t.Errorf("frequency order did not reduce work: %d vs %d", r.WorkByFrequency, r.WorkByCode)
-	}
-	if out := FormatOrder(rows); !strings.Contains(out, "spdup(freq)") {
-		t.Errorf("FormatOrder:\n%s", out)
+// TestScalabilityReplaysTheProductRun: a Scalability row replays the
+// run fim.MineAbsolute makes with the same options and a trace, first
+// pass and item order included: the same itemsets and, at every thread
+// count, the same simulated seconds.
+func TestScalabilityReplaysTheProductRun(t *testing.T) {
+	cfg := tinyConfig(t)
+	cfg.Threads = []int{1, 16}
+	d := cfg.Datasets[0]
+	db := d.Build(cfg.Scale * d.ExperimentScale)
+	minSup := db.AbsoluteSupport(d.DefaultSupport)
+	for _, algo := range []core.Algorithm{core.Apriori, core.Eclat} {
+		for _, rep := range []vertical.Kind{vertical.Tidset, vertical.Diffset} {
+			row := Scalability(algo, rep, cfg).Rows[0]
+			trace := &fim.Trace{}
+			res, err := fim.MineAbsolute(db, minSup, fim.Options{Algorithm: algo, Representation: rep, Workers: 1, Trace: trace})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.Itemsets != res.Len() {
+				t.Errorf("%v/%v: row has %d itemsets, fim.MineAbsolute %d", algo, rep, row.Itemsets, res.Len())
+			}
+			for _, c := range row.Cells {
+				if want := fim.Simulate(trace, c.Threads, fim.Blacklight()); c.SimSeconds != want {
+					t.Errorf("%v/%v at %d threads: row %v simulated seconds, fim.MineAbsolute's trace %v",
+						algo, rep, c.Threads, c.SimSeconds, want)
+				}
+			}
+		}
 	}
 }
 

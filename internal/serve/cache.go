@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -169,34 +170,65 @@ type flightKey struct {
 }
 
 // flight is one in-progress mining request and its eventual outcome.
+// Its run goes on under ctx, which no one client's request cancels: a
+// leader whose client disconnects still answers its followers. The
+// run is cancelled when the last waiting client, leader or follower,
+// has gone (or by Drain, through the registry).
 type flight struct {
-	done chan struct{}
-	out  *runOutcome
+	done    chan struct{}
+	out     *runOutcome
+	ctx     context.Context
+	cancel  context.CancelFunc
+	waiters int // clients still waiting for out, under the group's mu
 }
 
 func newFlightGroup() *flightGroup {
 	return &flightGroup{flights: make(map[flightKey]*flight)}
 }
 
-// join returns the in-flight leader for k, or registers the caller as
-// leader (leader=true). A leader must call its finish func with the
-// outcome exactly once, even on failure.
-func (g *flightGroup) join(k flightKey) (f *flight, leader bool, finish func(*runOutcome)) {
+// join adds a client, whose request context is client, to the
+// in-flight run for k, or registers it as the run's leader
+// (leader=true). A leader must call its finish func with the outcome
+// exactly once, even on failure. The client waits until client ends or
+// until the caller calls stop, which it must do once it has its answer.
+func (g *flightGroup) join(k flightKey, client context.Context) (f *flight, leader bool, finish func(*runOutcome), stop func() bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if f, ok := g.flights[k]; ok {
+	f, ok := g.flights[k]
+	if ok {
 		g.joins++
-		return f, false, nil
+	} else {
+		f = &flight{done: make(chan struct{})}
+		f.ctx, f.cancel = context.WithCancel(context.WithoutCancel(client))
+		g.flights[k] = f
+		finish = func(out *runOutcome) {
+			g.mu.Lock()
+			if g.flights[k] == f {
+				delete(g.flights, k)
+			}
+			g.mu.Unlock()
+			f.out = out
+			close(f.done)
+			f.cancel()
+		}
 	}
-	f = &flight{done: make(chan struct{})}
-	g.flights[k] = f
-	return f, true, func(out *runOutcome) {
-		g.mu.Lock()
+	f.waiters++
+	return f, !ok, finish, context.AfterFunc(client, func() { g.leave(k, f) })
+}
+
+// leave drops one waiting client from f. When none is left the run is
+// cancelled and leaves the group, so a new request starts a flight of
+// its own instead of joining one that is stopping.
+func (g *flightGroup) leave(k flightKey, f *flight) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if f.waiters--; f.waiters > 0 {
+		return
+	}
+	if g.flights[k] == f {
 		delete(g.flights, k)
-		g.mu.Unlock()
-		f.out = out
-		close(f.done)
 	}
+	f.cancel()
 }
 
 // joined reports how many followers have joined a leader's flight.

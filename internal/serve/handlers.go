@@ -308,7 +308,8 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	// Single-flight: identical concurrent requests share one run.
 	fk := flightKey{cacheKey: ck, absSup: mr.absSup, maxItemsets: mr.maxItemsets,
 		maxMemory: mr.maxMemory, maxDuration: mr.maxDuration, degrade: mr.degrade}
-	fl, leader, finish := s.flights.join(fk)
+	fl, leader, finish, stop := s.flights.join(fk, r.Context())
+	defer stop()
 	if !leader {
 		select {
 		case <-fl.done:
@@ -319,7 +320,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	out := s.runLeader(r, mr, ck)
+	out := s.runLeader(fl.ctx, mr, ck)
 	finish(out)
 	writeOutcome(w, out, mr.limit)
 }
@@ -340,16 +341,16 @@ func writeOutcome(w http.ResponseWriter, out *runOutcome, limit int) {
 	writeJSON(w, out.status, resp)
 }
 
-// runLeader executes one admitted mining request: queue, run,
-// classification. It always returns an outcome (shared with
-// single-flight followers) and always leaves the registry with a
-// terminal record.
-func (s *Server) runLeader(r *http.Request, mr *mineRequest, ck cacheKey) *runOutcome {
+// runLeader executes one admitted mining request under the flight's
+// context ctx: queue, run, classification. It always returns an outcome
+// (shared with single-flight followers) and always leaves the registry
+// with a terminal record.
+func (s *Server) runLeader(ctx context.Context, mr *mineRequest, ck cacheKey) *runOutcome {
 	base := mineResponse{
 		Dataset: mr.dsLabel, Algo: ck.algo, Rep: ck.rep, AbsSup: mr.absSup,
 	}
 
-	runCtx, cancelRun := context.WithCancel(r.Context())
+	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 	bc := export.NewBroadcast(0)
 	lr := s.reg.begin(RunInfo{

@@ -494,6 +494,111 @@ func TestSingleFlightKeysBudgets(t *testing.T) {
 	}
 }
 
+// TestSingleFlightOutlivesLeaderClient: a leader whose client goes away
+// still answers the followers waiting on its run. The leader is held at
+// a chunk boundary, a follower joins, and the leader's client cancels:
+// the follower must get the complete answer. Once every waiting client
+// has gone, the run is cancelled and ends canceled in /runs.
+func TestSingleFlightOutlivesLeaderClient(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, CacheBytes: -1})
+	q := fmt.Sprintf("abssup=2&max-itemsets=%d", sentinelItemsets)
+	type answer struct {
+		status int
+		mr     mineResponse
+	}
+	// post sends the request under ctx; a client that gave up answers
+	// with status 0.
+	post := func(ctx context.Context) <-chan answer {
+		done := make(chan answer, 1)
+		go func() {
+			var a answer
+			req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/mine?"+q, strings.NewReader(uploadFIMI))
+			if err == nil {
+				if resp, err := http.DefaultClient.Do(req); err == nil {
+					a.status = resp.StatusCode
+					json.NewDecoder(resp.Body).Decode(&a.mr)
+					resp.Body.Close()
+				}
+			}
+			done <- a
+		}()
+		return done
+	}
+	flights := func() (n, waiters int) {
+		s.flights.mu.Lock()
+		defer s.flights.mu.Unlock()
+		for _, f := range s.flights.flights {
+			n, waiters = n+1, waiters+f.waiters
+		}
+		return n, waiters
+	}
+
+	gate := make(chan struct{})
+	gateSentinelRuns(t, gate)
+	leaderCtx, leaderGone := context.WithCancel(context.Background())
+	defer leaderGone()
+	leader := post(leaderCtx)
+	waitFor(t, "the leader to start running", func() bool { return s.adm.runningLen() == 1 })
+	follower := post(context.Background())
+	waitFor(t, "the follower to join the flight", func() bool { return s.flights.joined() == 1 })
+	leaderGone()
+	waitFor(t, "the server to see the leader's client go", func() bool {
+		_, w := flights()
+		return w == 1
+	})
+	close(gate)
+	got := <-follower
+	<-leader
+
+	db, err := fim.ReadFIMI("direct", strings.NewReader(uploadFIMI))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := fim.MineAbsolute(db, 2, fim.Options{Algorithm: fim.Eclat, Representation: fim.Diffset, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.status != http.StatusOK || got.mr.Incomplete || got.mr.Itemsets != direct.Len() {
+		t.Fatalf("follower after the leader's client left: status %d, %+v; want complete with %d itemsets",
+			got.status, got.mr, direct.Len())
+	}
+
+	// Every waiter leaves: nobody is left to answer, so the run stops.
+	gate = make(chan struct{})
+	gateSentinelRuns(t, gate)
+	leaderCtx, leaderGone = context.WithCancel(context.Background())
+	defer leaderGone()
+	followerCtx, followerGone := context.WithCancel(context.Background())
+	defer followerGone()
+	leader = post(leaderCtx)
+	waitFor(t, "the second leader to start running", func() bool { return s.adm.runningLen() == 1 })
+	follower = post(followerCtx)
+	waitFor(t, "the second follower to join the flight", func() bool { return s.flights.joined() == 2 })
+	leaderGone()
+	followerGone()
+	waitFor(t, "the abandoned flight to leave the group", func() bool {
+		n, _ := flights()
+		return n == 0
+	})
+	close(gate)
+	<-leader
+	<-follower
+	var runs struct {
+		Live   []RunInfo `json:"live"`
+		Recent []RunInfo `json:"recent"`
+	}
+	waitFor(t, "the abandoned run to finish", func() bool {
+		getJSON(t, ts.URL+"/runs", &runs)
+		return len(runs.Live) == 0 && len(runs.Recent) == 2
+	})
+	if r := runs.Recent[0]; r.StopReason != "canceled" || !r.Incomplete {
+		t.Fatalf("run every client left = %+v, want stop_reason canceled", r)
+	}
+	if r := runs.Recent[1]; r.StopReason != "" || r.Incomplete || r.Itemsets != direct.Len() {
+		t.Fatalf("run the follower kept = %+v, want complete with %d itemsets", r, direct.Len())
+	}
+}
+
 // TestWorkerPanicAnswers500: a worker panic is contained to its run,
 // which answers 500 with stop_reason worker-panic, leaves a terminal
 // registry record with that status, and counts once in /stats.
