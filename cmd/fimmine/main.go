@@ -76,7 +76,7 @@ func main() {
 	}
 
 	var opt fim.Options
-	if opt.Algorithm, err = parseAlgo(*algoName); err != nil {
+	if opt.Algorithm, err = fim.ParseAlgorithm(*algoName); err != nil {
 		fatal(err)
 	}
 	if opt.Representation, err = fim.ParseRepresentation(*repName); err != nil {
@@ -280,18 +280,6 @@ func loadDB(file, dsName string, scale float64) (*fim.DB, error) {
 		return fim.Dataset(dsName, scale)
 	}
 	return nil, fmt.Errorf("fimmine: one of -file or -dataset is required")
-}
-
-func parseAlgo(s string) (fim.Algorithm, error) {
-	switch s {
-	case "apriori":
-		return fim.Apriori, nil
-	case "eclat":
-		return fim.Eclat, nil
-	case "fpgrowth":
-		return fim.FPGrowth, nil
-	}
-	return 0, fmt.Errorf("fimmine: unknown algorithm %q", s)
 }
 
 func decodeAll(res *fim.Result, cs []fim.ItemsetCount) []fim.ItemsetCount {

@@ -9,11 +9,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/itemset"
 	"repro/internal/sched"
+	"repro/internal/tidset"
 	"repro/internal/vertical"
 )
 
@@ -36,9 +38,10 @@ func sidesDB(seed int64, n int, sups []int) *DB {
 
 // TestDiffsetRootSides checks, over by-code and by-frequency recodes
 // built on teams of 1 and 3, that every diffset root holds the shorter
-// side of its item, that all four side pairs and the level-3 children
-// built from them match tidset differences and intersections, and that
-// CombineManyInto matches pairwise CombineInto over mixed blocks.
+// side of its item, and that all four side pairs and the level-3
+// children built from them hold the diffsets the recoded rows give, in
+// blocks of every later sibling and of one, with a nil arena, a
+// recycling one and one bounded at the run's minimum support.
 func TestDiffsetRootSides(t *testing.T) {
 	// 200 rows: items on both sides of |D|/2 and one (support 100)
 	// exactly on it. By code, a dense item precedes sparse ones, so the
@@ -58,7 +61,10 @@ func TestDiffsetRootSides(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			tids := rec.TidsetOf()
+			tids := make([]tidset.Set, len(rec.Items))
+			for i := range tids {
+				tids[i] = rowTIDs(rec, []int{i}, -1)
+			}
 			sparse := make([]bool, len(roots))
 			var sides [2]int
 			onHalf := false
@@ -71,7 +77,7 @@ func TestDiffsetRootSides(t *testing.T) {
 					sides[0]++
 				} else {
 					sides[1]++
-					want = tids[i].Complement(D)
+					want = rowTIDs(rec, nil, i)
 				}
 				if !d.Diff.Equal(want) || d.Support() != len(tids[i]) {
 					t.Errorf("%s: root %d (support %d of %d) holds the wrong side", label, i, len(tids[i]), D)
@@ -81,71 +87,90 @@ func TestDiffsetRootSides(t *testing.T) {
 				t.Fatalf("%s: roots %d sparse, %d dense, one on |D|/2: %v; want both sides and the half", label, sides[0], sides[1], onHalf)
 			}
 
-			// Level 2, every side pair: d(xy) = t(x) − t(y).
+			// Level 2, every side pair: d(xy) = t(x) − t(y). Level 3 from
+			// those pairs: d(xyz) = t(xy) − t(xz).
 			pairs := map[[2]bool]int{}
-			pair := func(i, j int) vertical.Node {
-				n := rep.Combine(roots[i], roots[j])
-				want := tids[i].Diff(tids[j])
-				if d := n.(*vertical.DiffsetNode); !d.Diff.Equal(want) || d.Support() != len(tids[i])-len(want) {
-					t.Errorf("%s: d(%d,%d) != t(%d) − t(%d)", label, i, j, i, j)
-				}
-				return n
-			}
-			for i := range roots {
-				for j := i + 1; j < len(roots); j++ {
-					pairs[[2]bool{sparse[i], sparse[j]}]++
-					pij := pair(i, j)
-					// Level 3 from those pairs: d(xyz) = t(xy) − t(xz).
-					tij := tids[i].Intersect(tids[j])
-					for k := j + 1; k < len(roots); k++ {
-						tik := tids[i].Intersect(tids[k])
-						d := rep.Combine(pij, pair(i, k)).(*vertical.DiffsetNode)
-						if want := tij.Diff(tik); !d.Diff.Equal(want) || d.Support() != len(tij)-len(want) {
-							t.Errorf("%s: d(%d,%d,%d) != t(%d,%d) − t(%d,%d)", label, i, j, k, i, j, i, k)
+			for _, a := range []*vertical.Arena{nil, vertical.NewArena(0), vertical.NewArena(rec.MinSup)} {
+				for i := range roots {
+					children := checkBlock(t, label, rec, rep, a, roots[i], []int{i}, roots[i+1:], seq(i+1, len(roots)))
+					var items []int // a miner extends only the frequent children
+					var frequent []vertical.Node
+					for k, c := range children {
+						j := i + 1 + k
+						pairs[[2]bool{sparse[i], sparse[j]}]++
+						checkBlock(t, label, rec, rep, a, roots[i], []int{i}, roots[j:j+1], []int{j})
+						if c.Support() >= rec.MinSup {
+							items, frequent = append(items, j), append(frequent, c)
 						}
+					}
+					for k := range frequent {
+						checkBlock(t, label, rec, rep, a, frequent[k], []int{i, items[k]}, frequent[k+1:], items[k+1:])
 					}
 				}
 			}
 			if order == dataset.ByCode && len(pairs) != 4 {
 				t.Errorf("%s: side pairs %v, want all four", label, pairs)
 			}
-
-			// Batched blocks: roots (mixed sides) and level-2 children.
-			arena := vertical.NewArena(0)
-			for i := range roots {
-				block := roots[i+1:]
-				checkBlock(t, label, rep, arena, roots[i], block)
-				children := make([]vertical.Node, len(block))
-				for k, py := range block {
-					children[k] = rep.Combine(roots[i], py)
-				}
-				if len(children) > 1 {
-					checkBlock(t, label, rep, arena, children[0], children[1:])
-				}
-			}
 		}
 	}
 }
 
-// checkBlock compares CombineManyInto of px against block, with and
-// without an arena, to pairwise Combine.
-func checkBlock(t *testing.T, label string, rep vertical.Representation, arena *vertical.Arena, px vertical.Node, block []vertical.Node) {
-	t.Helper()
-	for _, a := range []*vertical.Arena{nil, arena} {
-		out := make([]vertical.Node, len(block))
-		rep.CombineManyInto(px, block, out, a)
-		for k, py := range block {
-			want := rep.Combine(px, py).(*vertical.DiffsetNode)
-			got := out[k].(*vertical.DiffsetNode)
-			if !got.Diff.Equal(want.Diff) || got.Support() != want.Support() {
-				t.Errorf("%s: batched child %d = %v (support %d), pairwise %v (support %d)",
-					label, k, got.Diff, got.Support(), want.Diff, want.Support())
-			}
+// rowTIDs scans rec's recoded rows for the TIDs of the rows that hold
+// every item of has and, when lacks ≥ 0, not the item lacks.
+func rowTIDs(rec *dataset.Recoded, has []int, lacks int) tidset.Set {
+	var out tidset.Set
+	for tid, row := range rec.DB.Transactions {
+		ok := lacks < 0 || !row.Contains(itemset.Item(lacks))
+		for _, it := range has {
+			ok = ok && row.Contains(itemset.Item(it))
 		}
-		for _, n := range out {
-			a.Release(n)
+		if ok {
+			out = append(out, tidset.TID(tid))
 		}
 	}
+	return out
+}
+
+// seq returns lo, lo+1, …, hi−1.
+func seq(lo, hi int) []int {
+	var s []int
+	for i := lo; i < hi; i++ {
+		s = append(s, i)
+	}
+	return s
+}
+
+// checkBlock combines px, the node of the itemset prefix, against the
+// siblings block, whose last items are items, in one CombineManyInto
+// call through a. It compares each child with the
+// diffset the rows give, d = t(prefix) − t(prefix ∪ {y}) for sibling
+// item y; a child the rows put below a's minimum support need only
+// report a support below it. It returns the children.
+func checkBlock(t *testing.T, label string, rec *dataset.Recoded, rep vertical.Representation, a *vertical.Arena,
+	px vertical.Node, prefix []int, block []vertical.Node, items []int) []vertical.Node {
+	t.Helper()
+	bound := 0
+	if a != nil {
+		bound = rec.MinSup
+	}
+	out := make([]vertical.Node, len(block))
+	rep.CombineManyInto(px, block, out, a)
+	for k, n := range out {
+		y := items[k]
+		got := n.(*vertical.DiffsetNode)
+		sup := len(rowTIDs(rec, append(slices.Clone(prefix), y), -1))
+		if sup < bound {
+			if got.Support() >= bound {
+				t.Errorf("%s: child %v+%d below %d reports %d", label, prefix, y, bound, got.Support())
+			}
+			continue
+		}
+		if want := rowTIDs(rec, prefix, y); !got.Diff.Equal(want) || got.Support() != sup {
+			t.Errorf("%s: child %v+%d = %v (support %d), want %v (support %d)",
+				label, prefix, y, got.Diff, got.Support(), want, sup)
+		}
+	}
+	return out
 }
 
 // TestDegradeRootShorterSide: for every Degradable kind, a degraded
@@ -179,16 +204,19 @@ func TestDegradeRootShorterSide(t *testing.T) {
 			}
 		}
 		for i := range cured {
-			for j := i + 1; j < len(cured); j++ {
-				tij := tids[i].Intersect(tids[j])
-				pij := rep.Combine(cured[i], cured[j])
-				if pij.Support() != len(tij) {
-					t.Errorf("%v: support(%d,%d) = %d, want %d", kind, i, j, pij.Support(), len(tij))
+			pairs := make([]vertical.Node, len(cured)-i-1)
+			rep.CombineManyInto(cured[i], cured[i+1:], pairs, nil)
+			for a, pij := range pairs {
+				j := i + 1 + a
+				if want := len(rowTIDs(rec, []int{i, j}, -1)); pij.Support() != want {
+					t.Errorf("%v: support(%d,%d) = %d, want %d", kind, i, j, pij.Support(), want)
 				}
-				for k := j + 1; k < len(cured); k++ {
-					want := len(tij.Intersect(tids[k]))
-					if got := rep.Combine(pij, rep.Combine(cured[i], cured[k])).Support(); got != want {
-						t.Errorf("%v: support(%d,%d,%d) = %d, want %d", kind, i, j, k, got, want)
+				triples := make([]vertical.Node, len(pairs)-a-1)
+				rep.CombineManyInto(pij, pairs[a+1:], triples, nil)
+				for b, pijk := range triples {
+					k := j + 1 + b
+					if want := len(rowTIDs(rec, []int{i, j, k}, -1)); pijk.Support() != want {
+						t.Errorf("%v: support(%d,%d,%d) = %d, want %d", kind, i, j, k, pijk.Support(), want)
 					}
 				}
 			}

@@ -89,6 +89,13 @@ func ParseRepresentation(s string) (Representation, error) {
 	return vertical.ParseKind(s)
 }
 
+// ParseAlgorithm maps an algorithm name ("apriori", "eclat",
+// "fpgrowth") to its Algorithm, the one parser fimmine and fimserve
+// share.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	return core.ParseAlgorithm(s)
+}
+
 // CalibrationEnv named the environment variable that once pointed the
 // binaries at a per-host kernel calibration file.
 //

@@ -22,9 +22,12 @@
 //     task counts and balance support the speedups the paper reports on
 //     datasets with fewer frequent items than threads.
 //
-// Above depth 1 the pair stage combines the root pairs core.LevelTwo
-// keeps: every pair, or only the frequent ones when its cost rule says
-// counting them from the rows first is cheaper.
+// Every flattened level is the same step of Algorithm 2, an atom joined
+// with its later siblings through one vertical.CombineManyInto call.
+// Level 2 is that step over the class of the roots, split into one task
+// per root pair core.LevelTwo keeps: every pair, or only the frequent
+// ones when its cost rule says counting them from the rows first is
+// cheaper.
 //
 // At every depth, a worker that claims a subtree materializes every
 // intermediate payload itself, so after the initial reads of shared data
@@ -182,22 +185,51 @@ type eqClass struct {
 	atoms  []atom
 }
 
-// expansion is one (class, atom-position) work unit.
+// expansion is one work unit: the atom at pos of a class joined with
+// the sibling run atoms[lo:hi].
 type expansion struct {
-	class int32
-	pos   int32
+	class, pos, lo, hi int32
 }
 
 // expansions enumerates every (class, pos) pair with at least one later
-// sibling to join (the last atom of a class roots an empty subtree).
+// sibling to join (the last atom of a class roots an empty subtree),
+// each joined with all of its later siblings.
 func expansions(classes []eqClass) []expansion {
 	var out []expansion
 	for c := range classes {
-		for pos := 0; pos+1 < len(classes[c].atoms); pos++ {
-			out = append(out, expansion{class: int32(c), pos: int32(pos)})
+		n := int32(len(classes[c].atoms))
+		for pos := int32(0); pos+1 < n; pos++ {
+			out = append(out, expansion{class: int32(c), pos: pos, lo: pos + 1, hi: n})
 		}
 	}
 	return out
+}
+
+// pairTasks is level 2's work list: the root class split into one task
+// per root pair core.LevelTwo keeps (every pair, or only the frequent
+// ones when its rule counts them from the rows first), each a block of
+// one sibling. It also returns the pairs the count rejected. The grain
+// stays the pair's: tasks of a whole root row cut the simulated
+// 256-thread speedups of the paper tables several-fold.
+func (f *flattenedMiner) pairTasks(root eqClass) ([]expansion, int, error) {
+	n := len(root.atoms)
+	nodes := make([]vertical.Node, n)
+	for i, a := range root.atoms {
+		nodes[i] = a.node
+	}
+	keep, rejected, err := core.LevelTwo(f.opt, f.res.Rec, f.rep.Kind(), nodes, f.minSup, f.team)
+	if err != nil {
+		return nil, 0, err
+	}
+	tasks := make([]expansion, 0, n*(n-1)/2-rejected)
+	for i, t := 0, 0; i < n; i++ {
+		for j := i + 1; j < n; j, t = j+1, t+1 {
+			if keep == nil || keep[t] {
+				tasks = append(tasks, expansion{pos: int32(i), lo: int32(j), hi: int32(j + 1)})
+			}
+		}
+	}
+	return tasks, rejected, nil
 }
 
 // maxClassBytes returns the largest per-class payload footprint — the
@@ -244,103 +276,21 @@ func (f *flattenedMiner) cure(level int, classes []eqClass, parents []vertical.N
 
 // run expands the search breadth-first (class-local, parallel) down to
 // itemsets of size `depth`, then runs one depth-first recursion task per
-// size-`depth` subtree. Depth 1 expands nothing: its subtree stage runs
-// over one class, with the empty prefix, whose atoms are the roots.
-// Depth 2 parallelizes over frequent 2-itemset subtrees; each extra
-// level multiplies the task count and divides the largest task, at the
-// cost of materializing one more level of shared intermediate payloads.
+// size-`depth` subtree. Every level starts from one class, with the
+// empty prefix, whose atoms are the roots: depth 1 expands nothing and
+// runs its subtree stage over that class. Depth 2 parallelizes over
+// frequent 2-itemset subtrees; each extra level multiplies the task
+// count and divides the largest task, at the cost of materializing one
+// more level of shared intermediate payloads.
 func (f *flattenedMiner) run(roots []vertical.Node) error {
-	if f.depth == 1 {
-		atoms := make([]atom, len(roots))
-		for i, r := range roots {
-			atoms[i] = atom{item: itemset.Item(i), node: r}
-		}
-		return f.subtrees([]eqClass{{atoms: atoms}})
+	atoms := make([]atom, len(roots))
+	for i, r := range roots {
+		atoms[i] = atom{item: itemset.Item(i), node: r}
 	}
-	n := len(roots)
-	rootBytes := vertical.NodesBytes(roots)
-	// Stage A: one task per root pair left after the pair count, when
-	// core.LevelTwo's rule counts, else per root pair.
-	nPairs := n * (n - 1) / 2
-	startA := time.Now()
-	obs.Emit(f.o, obs.Event{Type: obs.LevelStart, Level: 2, Phase: "eclat/pairs",
-		Candidates: nPairs})
-	keep, rejected, err := core.LevelTwo(f.opt, f.res.Rec, f.rep.Kind(), roots, f.minSup, f.team)
-	if err != nil {
-		return err
-	}
-	tasks := nPairs - rejected
-	pi := make([]int32, 0, tasks)
-	pj := make([]int32, 0, tasks)
-	for i, t := 0, 0; i < n; i++ {
-		for j := i + 1; j < n; j, t = j+1, t+1 {
-			if keep == nil || keep[t] {
-				pi, pj = append(pi, int32(i)), append(pj, int32(j))
-			}
-		}
-	}
-	loopA := f.loops.Open("eclat/pairs", f.schedule, tasks, true)
-	if loopA.Modelled() {
-		loopA.Model.UniqueParent = rootBytes
-	}
-	rep := f.rep
-	pairNodes := make([]vertical.Node, tasks)
-	err = f.team.ForCtx(f.rc, loopA, tasks, f.schedule, func(w, t int) {
-		i, j := pi[t], pj[t]
-		child := rep.CombineInto(f.arenas[w], roots[i], roots[j])
-		cost := int64(vertical.CombineCost(roots[i], roots[j]))
-		loopA.Add(t, cost+int64(child.Bytes()), cost, int64(child.Bytes()))
-		if child.Support() >= f.minSup {
-			pairNodes[t] = child
-			f.rc.ChargeMem(int64(child.Bytes()))
-			f.private[w] = append(f.private[w], core.ItemsetCount{
-				Items:   itemset.New(itemset.Item(i), itemset.Item(j)),
-				Support: child.Support(),
-			})
-		} else {
-			f.arenas[w].Release(child)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	var nFreqPairs int
-	for _, nd := range pairNodes {
-		if nd != nil {
-			nFreqPairs++
-		}
-	}
-	if err := f.rc.AddItemsets(nFreqPairs); err != nil {
-		return err
-	}
-	obs.Emit(f.o, obs.Event{Type: obs.LevelEnd, Level: 2, Phase: "eclat/pairs",
-		Candidates: nPairs, Pruned: rejected, Frequent: nFreqPairs,
-		LiveBytes: f.rc.MemUsed(), ElapsedNS: int64(time.Since(startA))})
-
-	// Group the frequent pairs into classes, prefix {i}, atoms ascending.
-	byPrefix := make([][]atom, n)
-	for t := range pairNodes {
-		if pairNodes[t] != nil {
-			byPrefix[pi[t]] = append(byPrefix[pi[t]], atom{item: itemset.Item(pj[t]), node: pairNodes[t]})
-		}
-	}
-	var classes []eqClass
-	classParent := make([]vertical.Node, 0, n) // pair classes: parent is the prefix root
-	for i := 0; i < n; i++ {
-		if len(byPrefix[i]) > 0 {
-			classes = append(classes, eqClass{prefix: itemset.New(itemset.Item(i)), atoms: byPrefix[i]})
-			classParent = append(classParent, roots[i])
-		}
-	}
-	if err := f.cure(2, classes, classParent); err != nil {
-		return err
-	}
-	f.rc.ChargeMem(-rootBytes) // the roots retire once the pair level is live
-
-	// Intermediate expansions: materialize one more level per step,
-	// until the class members reach the subtree-root size.
-	for memberSize := 2; memberSize < f.depth; memberSize++ {
-		if classes, err = f.expandLevel(classes, memberSize+1); err != nil {
+	classes := []eqClass{{atoms: atoms}}
+	for memberSize := 2; memberSize <= f.depth; memberSize++ {
+		var err error
+		if classes, err = f.expandLevel(classes, memberSize); err != nil {
 			return err
 		}
 	}
@@ -365,7 +315,7 @@ func (f *flattenedMiner) subtrees(classes []eqClass) error {
 		e := tasks[t]
 		class := classes[e.class]
 		m := f.newMiner(loop, w, t)
-		sub := m.expandOne(class, int(e.pos))
+		sub := m.expandOne(classes, e)
 		m.recurse(class.prefix.Extend(class.atoms[e.pos].item), sub)
 		m.releaseAtoms(sub)
 		emitted.Add(int64(len(m.out)))
@@ -389,47 +339,64 @@ func levelBytes(classes []eqClass) int64 {
 	return b
 }
 
-// expandLevel runs one parallel breadth step: every (class, pos) task
-// joins its atom with the later siblings, records the frequent results
-// (itemsets of size memberSize), and emits the subclass for the next
-// level. The previous level's payloads are released once the new level
-// is live, and the memory-budget policy runs at the boundary.
+// expandLevel runs one parallel breadth step: every task joins an atom
+// with a run of its later siblings, records the frequent results
+// (itemsets of size memberSize), and the tasks of one atom together
+// emit its subclass for the next level. The previous level's payloads
+// are released once the new level is live, and the memory-budget policy
+// runs at the boundary. Level 2 is the loop eclat/pairs over the root
+// class, one task per kept pair (pairTasks); every later level is
+// eclat/expand<k>, one task per (class, pos).
 func (f *flattenedMiner) expandLevel(classes []eqClass, memberSize int) ([]eqClass, error) {
-	tasks := expansions(classes)
 	start := time.Now()
-	phaseName := fmt.Sprintf("eclat/expand%d", memberSize)
+	phaseName, tasks := fmt.Sprintf("eclat/expand%d", memberSize), expansions(classes)
+	candidates, pruned := len(tasks), 0
+	if memberSize == 2 {
+		n := len(classes[0].atoms)
+		phaseName, candidates = "eclat/pairs", n*(n-1)/2
+	}
 	obs.Emit(f.o, obs.Event{Type: obs.LevelStart, Level: memberSize, Phase: phaseName,
-		Candidates: len(tasks)})
+		Candidates: candidates})
+	if memberSize == 2 {
+		var err error
+		if tasks, pruned, err = f.pairTasks(classes[0]); err != nil {
+			return nil, err
+		}
+	}
 	loop := f.loops.Open(phaseName, f.schedule, len(tasks), true)
 	if loop.Modelled() {
 		loop.Model.UniqueParent = maxClassBytes(classes)
 	}
-	next := make([]eqClass, len(tasks))
+	next := make([][]atom, len(tasks))
 	err := f.team.ForCtx(f.rc, loop, len(tasks), f.schedule, func(w, t int) {
-		e := tasks[t]
-		class := classes[e.class]
 		// Frequent children become the next flattened level and stay
 		// live past this stage, so they are never released back; only
 		// the infrequent majority recycles through the arena.
 		m := f.newMiner(loop, w, t)
-		sub := m.expandOne(class, int(e.pos))
-		if len(sub) > 0 {
-			next[t] = eqClass{prefix: class.prefix.Extend(class.atoms[e.pos].item), atoms: sub}
-		}
+		next[t] = m.expandOne(classes, tasks[t])
 		f.private[w] = append(f.private[w], m.out...)
 	})
 	if err != nil {
 		return nil, err
 	}
 	prevBytes := levelBytes(classes)
-	out := make([]eqClass, 0, len(next))
-	parentOf := make([]vertical.Node, 0, len(next))
-	for t, c := range next {
-		if len(c.atoms) > 0 {
-			out = append(out, c)
-			e := tasks[t]
-			parentOf = append(parentOf, classes[e.class].atoms[e.pos].node)
+	var out []eqClass
+	var parentOf []vertical.Node
+	last := expansion{class: -1}
+	for t, sub := range next {
+		if len(sub) == 0 {
+			continue
 		}
+		e := tasks[t]
+		if e.class == last.class && e.pos == last.pos { // level 2: the pairs of one root
+			out[len(out)-1].atoms = append(out[len(out)-1].atoms, sub...)
+			continue
+		}
+		last = e
+		class := classes[e.class]
+		a := class.atoms[e.pos]
+		out = append(out, eqClass{prefix: class.prefix.Extend(a.item), atoms: sub})
+		parentOf = append(parentOf, a.node)
 	}
 	if err := f.cure(memberSize, out, parentOf); err != nil {
 		return nil, err
@@ -440,18 +407,20 @@ func (f *flattenedMiner) expandLevel(classes []eqClass, memberSize int) ([]eqCla
 		freq += len(c.atoms)
 	}
 	obs.Emit(f.o, obs.Event{Type: obs.LevelEnd, Level: memberSize, Phase: phaseName,
-		Candidates: len(tasks), Frequent: freq,
+		Candidates: candidates, Pruned: pruned, Frequent: freq,
 		LiveBytes: f.rc.MemUsed(), ElapsedNS: int64(time.Since(start))})
 	return out, nil
 }
 
-// expandOne joins class.atoms[pos] with every later sibling, recording
-// frequent results into m.out and returning the surviving subclass atoms.
-// Each distinct shared parent is charged remotely once; the task's own
-// atom stays local after the first touch.
-func (m *minerState) expandOne(class eqClass, pos int) []atom {
-	a := class.atoms[pos]
-	return m.batchCombine(class.prefix.Extend(a.item), a.node, class.atoms[pos+1:], false)
+// expandOne runs task e: it joins the atom at e.pos of its class with
+// the sibling run atoms[e.lo:e.hi], recording frequent results into
+// m.out and returning the surviving subclass atoms. Each distinct shared
+// parent is charged remotely once; the task's own atom stays local
+// after the first touch.
+func (m *minerState) expandOne(classes []eqClass, e expansion) []atom {
+	class := classes[e.class]
+	a := class.atoms[e.pos]
+	return m.batchCombine(class.prefix.Extend(a.item), a.node, class.atoms[e.lo:e.hi], false)
 }
 
 // newMiner equips a task of loop running on worker w with that

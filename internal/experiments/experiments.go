@@ -538,7 +538,9 @@ func FormatHT(rows []HTRow) string {
 // --- formatting --------------------------------------------------------
 
 // Format renders the table the way the paper's tables + figures read:
-// a runtime block (seconds per thread count) and a speedup block.
+// a runtime block (simulated milliseconds per thread count, as A1, A3
+// and A8 print them: the 256-thread runs take well under a millisecond)
+// and a speedup block.
 func (t *Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s [%v/%v]\n", strings.ToUpper(t.ID), t.Title, t.Algorithm, t.Representation)
@@ -546,7 +548,7 @@ func (t *Table) Format() string {
 	if len(t.Rows) == 0 {
 		return b.String()
 	}
-	fmt.Fprintf(&b, "%-22s", "dataset@support")
+	fmt.Fprintf(&b, "runtime (simulated ms):\n%-22s", "dataset@support")
 	for _, c := range t.Rows[0].Cells {
 		fmt.Fprintf(&b, "%12d", c.Threads)
 	}
@@ -558,7 +560,7 @@ func (t *Table) Format() string {
 			if c.BandwidthBound {
 				mark = "*"
 			}
-			fmt.Fprintf(&b, "%11.4f%s", c.SimSeconds, mark)
+			fmt.Fprintf(&b, "%11.3f%s", 1e3*c.SimSeconds, mark)
 		}
 		fmt.Fprintf(&b, "\n")
 	}

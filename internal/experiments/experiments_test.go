@@ -208,7 +208,7 @@ func TestTableFormat(t *testing.T) {
 	tab := Scalability(core.Eclat, vertical.Diffset, tinyConfig(t))
 	tab.ID, tab.Title = "test", "Test table"
 	out := tab.Format()
-	for _, want := range []string{"TEST", "chess@", "speedup", "256"} {
+	for _, want := range []string{"TEST", "simulated ms", "chess@", "speedup", "256"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format missing %q:\n%s", want, out)
 		}

@@ -55,8 +55,9 @@ type Stats struct {
 	WordsANDed      int64
 	WordsPopcounted int64
 	// NodesBuilt and BytesMaterialized count, per representation kind,
-	// the payload nodes constructed by Combine/Roots and their byte
-	// footprint at construction.
+	// the payload nodes built by vertical's CombineManyInto and by the
+	// root build (charged by CountRoots), and their byte footprint at
+	// construction.
 	NodesBuilt        [numKinds]int64
 	BytesMaterialized [numKinds]int64
 	// HybridFlips counts hybrid nodes that chose the diffset form over
@@ -228,8 +229,8 @@ func (s *Stats) AddHybridFlip() {
 }
 
 // AddBatch accounts one batched combine kernel call over m children of
-// a parent of parentWords payload words: the pairwise path would have
-// streamed the parent m times, so (m−1) × parentWords words of parent
+// a parent of parentWords payload words: one pairwise kernel call per
+// child would have streamed the parent m times, so (m−1) × parentWords words of parent
 // traffic were saved.
 func (s *Stats) AddBatch(m, parentWords int) {
 	if s != nil {

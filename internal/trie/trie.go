@@ -88,7 +88,7 @@ func (t *Trie) ItemsetOf(k int, idx int32) itemset.Itemset {
 // support counting. The slices are parallel: candidate c has prefix node
 // Px[c] and sibling node Py[c] in the parent level, and its own row c in
 // Level. Px's last item always precedes Py's, which is the operand order
-// the diffset Combine requires.
+// the diffset combine requires.
 type Candidates struct {
 	Level *Level
 	Px    []int32

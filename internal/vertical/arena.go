@@ -1,11 +1,11 @@
 // Scratch arenas and allocation-free combine. Eclat's depth-first hot
-// loop creates and discards one payload node per candidate; with the
-// plain Combine every one of them is a fresh allocation, and at high
+// loop creates and discards one payload node per candidate; with fresh
+// storage for each, every one of them is an allocation, and at high
 // thread counts the allocator (and the garbage it leaves behind)
 // becomes the bottleneck — the effect Zymbler's many-core Apriori
 // study pins on non-vectorized, allocation-heavy kernels. An Arena is
-// a per-worker free list of nodes: CombineInto takes the child's node
-// and backing storage from the arena when it can (a hit) and falls
+// a per-worker free list of nodes: CombineManyInto takes each child's
+// node and backing storage from the arena when it can (a hit) and falls
 // through to the allocator when it cannot (a miss), and Release
 // returns a node whose subtree is fully mined. Each arena owns its
 // worker's kcount shard: every combine through the arena charges its
@@ -17,9 +17,9 @@
 //
 // Ownership discipline: a node released to an arena must have no live
 // children in flight — the miners release a class's atoms only after
-// the recursion over that class returns. CombineInto never aliases its
-// parents' storage (the Into kernels write a disjoint destination
-// buffer), which arena_test.go checks as a property.
+// the recursion over that class returns. CombineManyInto never aliases
+// its parents' storage (the Into kernels write a disjoint destination
+// buffer), which batch_test.go checks as a property.
 
 package vertical
 
@@ -189,38 +189,4 @@ func (a *Arena) getBitvec(nbits int) *BitvectorNode {
 	}
 	a.Kernels.ArenaMisses++
 	return &BitvectorNode{Bits: bitvec.New(nbits)}
-}
-
-func (tidsetRep) CombineInto(a *Arena, px, py Node) Node {
-	x, y := px.(*TidsetNode), py.(*TidsetNode)
-	n := a.getTidset()
-	// Presize to the intersection's upper bound so an undersized recycled
-	// buffer doesn't re-grow (copying per doubling) inside the merge loop.
-	if bound := min(len(x.TIDs), len(y.TIDs)); cap(n.TIDs) < bound {
-		n.TIDs = make(tidset.Set, 0, bound)
-	}
-	n.TIDs = x.TIDs.IntersectAtLeastInto(y.TIDs, a.need(), n.TIDs, a.kernels())
-	a.kernels().AddNode(kcount.Tidset, n.Bytes())
-	return n
-}
-
-func (diffsetRep) CombineInto(a *Arena, px, py Node) Node {
-	x, y := px.(*DiffsetNode), py.(*DiffsetNode)
-	n := a.getDiffset()
-	if bound := x.childBound(y); cap(n.Diff) < bound {
-		n.Diff = make(tidset.Set, 0, bound)
-	}
-	n.Diff = x.diffInto(y, a.diffLimit(x.sup), n.Diff, a.kernels())
-	n.sup = x.sup - len(n.Diff)
-	a.kernels().AddNode(kcount.Diffset, n.Bytes())
-	return n
-}
-
-func (bitvectorRep) CombineInto(a *Arena, px, py Node) Node {
-	x, y := px.(*BitvectorNode), py.(*BitvectorNode)
-	n := a.getBitvec(x.Bits.Len())
-	n.Bits.AndInto(x.Bits, y.Bits, a.kernels())
-	n.sup = n.Bits.Count(a.kernels())
-	a.kernels().AddNode(kcount.Bitvector, n.Bytes())
-	return n
 }

@@ -20,6 +20,8 @@ func payload(n Node) []tidset.TID {
 		return append([]tidset.TID(nil), c.TIDs...)
 	case *DiffsetNode:
 		return append([]tidset.TID(nil), c.Diff...)
+	case *HybridNode:
+		return append([]tidset.TID(nil), c.set...)
 	case *BitvectorNode:
 		return c.Bits.TIDs()
 	case *TiledNode:
@@ -80,7 +82,7 @@ func scribble(n Node) {
 	}
 }
 
-// recyclingKinds are the kinds whose CombineInto recycles arena nodes:
+// recyclingKinds are the kinds whose CombineManyInto recycles arena nodes:
 // the paper's three plus the tiled layout and the nodeset
 // representation (hybrid's arena only counts).
 func recyclingKinds() []Kind { return append(Kinds(), Tiled, Nodeset) }
@@ -111,110 +113,25 @@ func randomRecoded(t testing.TB, rng *rand.Rand, items, txns int) *dataset.Recod
 	return db.Recode(1)
 }
 
-// TestCombineIntoMatchesCombine: CombineInto through an arena is
-// semantically identical to the allocating Combine — same support and
-// same logical set — across representations, pairs, and a second
-// level, with released nodes recycled in between.
-func TestCombineIntoMatchesCombine(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rec := randomRecoded(t, rng, 8, 60)
-	for _, kind := range AllKinds() {
-		rep := New(kind)
-		roots := rep.Roots(rec)
-		a := NewArena(0)
-		for i := 0; i < len(roots); i++ {
-			for j := i + 1; j < len(roots); j++ {
-				want := rep.Combine(roots[i], roots[j])
-				got := rep.CombineInto(a, roots[i], roots[j])
-				if got.Support() != want.Support() {
-					t.Fatalf("%v {%d,%d}: support %d, want %d", kind, i, j, got.Support(), want.Support())
-				}
-				if kind != Hybrid && !samePayload(payload(got), payload(want)) {
-					t.Fatalf("%v {%d,%d}: payload %v, want %v", kind, i, j, payload(got), payload(want))
-				}
-				// Recycle the child so later combines exercise arena hits.
-				if kind != Hybrid {
-					a.Release(got)
-				}
-			}
-		}
-	}
-}
-
-// TestCombineIntoNeverAliasesParents is the aliasing property of the
-// arena doc comment: a CombineInto result must not share backing
-// memory with its live parents. Scribbling over the child's full
-// buffer capacity must leave both parents' payloads untouched, and
-// vice versa — including children recycled through Release, whose
-// buffers migrated through the free list.
-func TestCombineIntoNeverAliasesParents(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	rec := randomRecoded(t, rng, 7, 50)
-	for _, kind := range recyclingKinds() {
-		rep := New(kind)
-		a := NewArena(0)
-		for round := 0; round < 3; round++ { // round > 0 uses recycled buffers
-			var released []Node
-			for i := 0; i < 6; i++ {
-				for j := i + 1; j < 6; j++ {
-					// Direction 1: scribbling the child leaves the parents
-					// intact. Fresh roots per pair, since scribble destroys.
-					roots := New(kind).Roots(rec)
-					px, py := roots[i], roots[j]
-					pxBefore, pyBefore := payload(px), payload(py)
-					child := rep.CombineInto(a, px, py)
-					scribble(child)
-					if !samePayload(payload(px), pxBefore) {
-						t.Fatalf("%v round %d {%d,%d}: mutating child corrupted px", kind, round, i, j)
-					}
-					if !samePayload(payload(py), pyBefore) {
-						t.Fatalf("%v round %d {%d,%d}: mutating child corrupted py", kind, round, i, j)
-					}
-					released = append(released, child)
-
-					// Direction 2: scribbling the parents leaves the child
-					// intact.
-					roots = New(kind).Roots(rec)
-					px, py = roots[i], roots[j]
-					child = rep.CombineInto(a, px, py)
-					childBefore := payload(child)
-					scribble(px)
-					scribble(py)
-					if !samePayload(payload(child), childBefore) {
-						t.Fatalf("%v round %d {%d,%d}: mutating parents corrupted child", kind, round, i, j)
-					}
-					released = append(released, child)
-				}
-			}
-			for _, n := range released {
-				a.Release(n)
-			}
-		}
-	}
-}
-
-// TestArenaHitMissAccounting: first combine misses (empty free list),
-// and a released node turns the next combine into a hit, both counted
-// in the arena's own shard.
+// TestArenaHitMissAccounting: the first combine misses (empty free
+// list), and a released node turns the next combine into a hit, both
+// counted in the arena's own shard. Both are blocks of one sibling.
 func TestArenaHitMissAccounting(t *testing.T) {
 	rec := exampleRecoded(t, 1)
 	for _, kind := range recyclingKinds() {
 		rep := New(kind)
-		roots := New(kind).Roots(rec)
+		roots := rep.Roots(rec)
 		a := NewArena(0)
-		c1 := rep.CombineInto(a, roots[0], roots[1])
+		c1 := combineBlock(rep, a, roots[0], roots[1:2])[0]
 		if a.Kernels.ArenaHits != 0 || a.Kernels.ArenaMisses != 1 {
 			t.Fatalf("%v: after first combine hits=%d misses=%d, want 0/1", kind, a.Kernels.ArenaHits, a.Kernels.ArenaMisses)
 		}
-		want := New(kind).Combine(roots[0], roots[2]).Support()
 		a.Release(c1)
-		c2 := rep.CombineInto(a, roots[0], roots[2])
+		c2 := combineBlock(rep, a, roots[0], roots[2:3])[0]
 		if a.Kernels.ArenaHits != 1 || a.Kernels.ArenaMisses != 1 {
 			t.Fatalf("%v: after recycled combine hits=%d misses=%d, want 1/1", kind, a.Kernels.ArenaHits, a.Kernels.ArenaMisses)
 		}
-		if c2.Support() != want {
-			t.Fatalf("%v: recycled node support = %d, want %d", kind, c2.Support(), want)
-		}
+		checkNode(t, kind.String()+" recycled", rec, []int{0, 2}, c2, 0)
 	}
 }
 
@@ -223,21 +140,18 @@ func TestArenaHitMissAccounting(t *testing.T) {
 func TestArenaBitvecLengthMismatch(t *testing.T) {
 	rec := exampleRecoded(t, 1)
 	rep := New(Bitvector)
-	roots := New(Bitvector).Roots(rec)
+	roots := rep.Roots(rec)
 	a := NewArena(0)
 	a.Release(&BitvectorNode{Bits: bitvec.New(3)})
-	c := rep.CombineInto(a, roots[0], roots[1])
+	c := combineBlock(rep, a, roots[0], roots[1:2])[0]
 	if a.Kernels.ArenaHits != 0 || a.Kernels.ArenaMisses != 1 {
 		t.Fatalf("hits=%d misses=%d, want the mismatched node dropped as a miss", a.Kernels.ArenaHits, a.Kernels.ArenaMisses)
 	}
-	want := New(Bitvector).Combine(roots[0], roots[1])
-	if c.Support() != want.Support() || !samePayload(payload(c), payload(want)) {
-		t.Fatal("combine after mismatched release is wrong")
-	}
+	checkNode(t, "after mismatched release", rec, []int{0, 1}, c, 0)
 }
 
 // TestArenaNilSafe: nil arenas and nil nodes are ignored everywhere,
-// and CombineInto without an arena matches CombineInto through one.
+// and CombineManyInto without an arena gives what it gives through one.
 func TestArenaNilSafe(t *testing.T) {
 	var a *Arena
 	a.Release(nil)
@@ -245,10 +159,10 @@ func TestArenaNilSafe(t *testing.T) {
 	rec := exampleRecoded(t, 1)
 	rep := New(Diffset)
 	roots := rep.Roots(rec)
-	got := rep.CombineInto(nil, roots[0], roots[1])
-	want := rep.CombineInto(NewArena(0), roots[0], roots[1])
-	if got.Support() != want.Support() || !samePayload(payload(got), payload(want)) {
-		t.Fatal("CombineInto(nil arena) diverges from CombineInto through an arena")
+	for _, a := range []*Arena{nil, NewArena(0)} {
+		for k, c := range combineBlock(rep, a, roots[0], roots[1:]) {
+			checkNode(t, fmt.Sprintf("arena %v", a != nil), rec, []int{0, 1 + k}, c, 0)
+		}
 	}
 }
 
@@ -261,45 +175,5 @@ func TestArenaFreeListCapped(t *testing.T) {
 	}
 	if len(a.diffsets) != arenaMaxFree {
 		t.Fatalf("free list length %d, want the %d cap", len(a.diffsets), arenaMaxFree)
-	}
-}
-
-// The combine micro-benchmark pair: the allocating Combine against the
-// arena-recycling CombineInto at steady state (child released every
-// iteration, so after the first miss every node is a hit). allocs/op
-// is the headline column — CombineInto must report fewer.
-
-func benchCombineRoots(b *testing.B, kind Kind) (Representation, []Node) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(42))
-	rec := randomRecoded(b, rng, 12, 4000)
-	rep := New(kind)
-	return rep, rep.Roots(rec)
-}
-
-func BenchmarkCombine(b *testing.B) {
-	for _, kind := range recyclingKinds() {
-		b.Run(kind.String(), func(b *testing.B) {
-			rep, roots := benchCombineRoots(b, kind)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep.Combine(roots[i%4], roots[4+i%4])
-			}
-		})
-	}
-}
-
-func BenchmarkCombineInto(b *testing.B) {
-	for _, kind := range recyclingKinds() {
-		b.Run(kind.String(), func(b *testing.B) {
-			rep, roots := benchCombineRoots(b, kind)
-			a := NewArena(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.Release(rep.CombineInto(a, roots[i%4], roots[4+i%4]))
-			}
-		})
 	}
 }

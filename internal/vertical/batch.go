@@ -1,16 +1,16 @@
-// Batched (prefix-blocked) combine. Candidates sharing a prefix PX are
-// contiguous both in the Apriori candidate trie and in Eclat's
-// equivalence classes, yet the pairwise Combine streams the shared
-// parent's payload once per sibling. CombineManyInto amortizes it:
-// one resident parent is combined against an entire sibling run in a
-// single kernel call (tidset.IntersectManyInto, tidset.DiffManyInto,
-// bitvec.AndManyInto), which is the cache-blocked batching of Amossen
-// & Pagh applied to the paper's §V parent-traffic bottleneck. The
-// parent_words_saved counter records the words of parent payload NOT
-// re-streamed relative to the pairwise path.
+// Batched (prefix-blocked) combine, the one combine entry point.
+// Candidates sharing a prefix PX are contiguous both in the Apriori
+// candidate trie and in Eclat's equivalence classes, and a pairwise
+// combine would stream the shared parent's payload once per sibling.
+// CombineManyInto amortizes it: one resident parent is combined against
+// an entire sibling run in a single kernel call
+// (tidset.IntersectManyInto, tidset.DiffManyInto, bitvec.AndManyInto),
+// which is the cache-blocked batching of Amossen & Pagh applied to the
+// paper's §V parent-traffic bottleneck. The parent_words_saved counter
+// records the words of parent payload NOT re-streamed relative to one
+// pairwise kernel call per sibling.
 //
-// The aliasing and ownership discipline is exactly CombineInto's:
-// results never share backing memory with px or any pys element, and
+// Results never share backing memory with px or any pys element, and
 // arena storage recycles node buffers — with the kernel work charged to
 // the arena's counter shard — when an arena is supplied. A nil arena
 // allocates fresh nodes (and fresh scratch) and counts nothing, so the
@@ -100,8 +100,8 @@ func (tidsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 }
 
 // CombineManyInto batches the Equation 1 combine d(PY) − d(PX). A block
-// holding a tidset-side root (level 2 under Apriori or Eclat depth 1)
-// falls back to pairwise CombineInto, whose kernel depends on each
+// holding a tidset-side root (level 2 of a run with sparse items) falls
+// back to one pairwise combine per sibling, whose kernel depends on each
 // pair's sides; no batch counters are charged for it.
 func (r diffsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 	m := len(pys)
@@ -111,7 +111,7 @@ func (r diffsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 	x := px.(*DiffsetNode)
 	if x.tids || slices.ContainsFunc(pys, func(py Node) bool { return py.(*DiffsetNode).tids }) {
 		for i, py := range pys {
-			out[i] = r.CombineInto(a, px, py)
+			out[i] = r.combine(a, x, py.(*DiffsetNode))
 		}
 		return
 	}
@@ -137,6 +137,19 @@ func (r diffsetRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 	a.kernels().AddNodes(kcount.Diffset, m, bytes)
 }
 
+// combine is CombineManyInto's fallback for one root pair of any sides:
+// d(xy) = t(x) − t(y) (DiffsetNode.diffInto).
+func (diffsetRep) combine(a *Arena, x, y *DiffsetNode) Node {
+	n := a.getDiffset()
+	if bound := x.childBound(y); cap(n.Diff) < bound {
+		n.Diff = make(tidset.Set, 0, bound)
+	}
+	n.Diff = x.diffInto(y, a.diffLimit(x.sup), n.Diff, a.kernels())
+	n.sup = x.sup - len(n.Diff)
+	a.kernels().AddNode(kcount.Diffset, n.Bytes())
+	return n
+}
+
 func (bitvectorRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 	m := len(pys)
 	if m == 0 {
@@ -160,12 +173,12 @@ func (bitvectorRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 	a.kernels().AddNodes(kcount.Bitvector, m, bytes)
 }
 
-// hybridRep batches by falling back to pairwise CombineInto: a hybrid
-// node flips between tidset and diffset form per child, so there is no
-// shared-parent kernel to amortize — and no batch counters are
-// charged, since no parent words are actually saved.
+// hybridRep batches by falling back to one pairwise combine per
+// sibling: a hybrid node flips between tidset and diffset form per
+// child, so there is no shared-parent kernel to amortize — and no batch
+// counters are charged, since no parent words are actually saved.
 func (h hybridRep) CombineManyInto(px Node, pys []Node, out []Node, a *Arena) {
 	for i, py := range pys {
-		out[i] = h.CombineInto(a, px, py)
+		out[i] = h.combine(a, px.(*HybridNode), py.(*HybridNode))
 	}
 }

@@ -1,120 +1,142 @@
 package vertical
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/tidset"
 )
 
-// TestCombineManyIntoMatchesCombine: the batched block combine is
-// semantically m pairwise Combines — same supports, same payloads —
-// for every representation (hybrid checked by support only: its node
-// form is a per-child choice), with both a nil arena and a recycling
-// arena whose buffers go through Release between blocks.
-func TestCombineManyIntoMatchesCombine(t *testing.T) {
+// TestCombineManyIntoMatchesRows: for every kind, the batched combine
+// gives the supports and payloads the recoded rows give, two levels
+// deep, in blocks of many siblings and of one, with a nil arena and with
+// a recycling arena whose buffers go through Release between blocks.
+// The random roots put diffset roots on both sides (TestArenaBoundsCombine
+// covers bounded arenas).
+func TestCombineManyIntoMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	rec := randomRecoded(t, rng, 8, 60)
-	for _, kind := range AllKinds() {
-		for _, arena := range []*Arena{nil, NewArena(0)} {
+	sides := map[bool]int{}
+	for trial := 0; trial < 3; trial++ {
+		rec := randomRecoded(t, rng, 8, 60)
+		for _, kind := range AllKinds() {
 			rep := New(kind)
 			roots := rep.Roots(rec)
-			for i := 0; i < len(roots)-1; i++ {
-				pys := roots[i+1:]
-				out := make([]Node, len(pys))
-				rep.CombineManyInto(roots[i], pys, out, arena)
-				for j, py := range pys {
-					want := rep.Combine(roots[i], py)
-					if out[j].Support() != want.Support() {
-						t.Fatalf("%v block %d child %d: support %d, want %d",
-							kind, i, j, out[j].Support(), want.Support())
-					}
-					if kind != Hybrid && !samePayload(payload(out[j]), payload(want)) {
-						t.Fatalf("%v block %d child %d: payload %v, want %v",
-							kind, i, j, payload(out[j]), payload(want))
-					}
+			for _, r := range roots {
+				if d, ok := r.(*DiffsetNode); ok {
+					sides[d.tids]++
 				}
-				if kind != Hybrid {
-					for _, n := range out {
-						arena.Release(n) // nil-safe; recycles buffers for the next block
+			}
+			for _, arena := range []*Arena{nil, NewArena(0)} {
+				label := fmt.Sprintf("trial %d %v arena %v", trial, kind, arena != nil)
+				for i := 0; i+1 < len(roots); i++ {
+					block := combineBlock(rep, arena, roots[i], roots[i+1:])
+					for k, child := range block {
+						pair := []int{i, i + 1 + k}
+						checkNode(t, label+" block", rec, pair, child, 0)
+						one := combineBlock(rep, arena, roots[i], roots[i+1+k:i+2+k])[0]
+						checkNode(t, label+" one sibling", rec, pair, one, 0)
+						arena.Release(one) // nil-safe; recycles buffers for the next block
+					}
+					// Level 3: each extendable child against its later ones.
+					items, freq := extendable(rec, i, block)
+					for k := 0; k+1 < len(freq); k++ {
+						for l, child := range combineBlock(rep, arena, freq[k], freq[k+1:]) {
+							checkNode(t, label+" level 3", rec, []int{i, items[k], items[k+1+l]}, child, 0)
+							arena.Release(child)
+						}
+					}
+					for _, n := range block {
+						arena.Release(n)
 					}
 				}
 			}
 		}
 	}
+	if sides[true] == 0 || sides[false] == 0 {
+		t.Fatalf("diffset roots: %d tidset-side, %d complement-side; want both", sides[true], sides[false])
+	}
 }
 
-// TestCombineManyIntoNeverAliases extends the arena aliasing property
-// to batched outputs: scribbling over any batched child's full buffer
-// capacity must leave the shared parent, every sibling parent, and
-// every sibling output untouched — and scribbling the parents must
-// leave the children untouched. Three rounds, so rounds past the first
-// run on buffers recycled through the free list.
+// TestCombineManyIntoNeverAliases is the aliasing property of the arena
+// doc comment: scribbling over any batched child's full buffer capacity
+// must leave the shared parent, every sibling parent, and every sibling
+// output untouched — and scribbling the parents must leave the children
+// untouched. It runs a block of every later root and, as Eclat's level-2
+// tasks do, blocks of one sibling; three rounds, so rounds past the
+// first run on buffers recycled through the free list.
 func TestCombineManyIntoNeverAliases(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rec := randomRecoded(t, rng, 7, 50)
+	n := len(New(Tidset).Roots(rec))
+	blocks := [][3]int{{0, 1, n}} // parent, sibling run [lo, hi)
+	for i := 0; i < 6; i++ {
+		for j := i + 1; j < 6; j++ {
+			blocks = append(blocks, [3]int{i, j, j + 1})
+		}
+	}
 	for _, kind := range recyclingKinds() {
 		rep := New(kind)
 		a := NewArena(0)
 		for round := 0; round < 3; round++ {
-			// Direction 1: scribbling child j leaves parents and sibling
-			// outputs intact.
-			roots := New(kind).Roots(rec)
-			px, pys := roots[0], roots[1:]
-			parentsBefore := make([][]tidset.TID, len(roots))
-			for i, r := range roots {
-				parentsBefore[i] = payload(r)
-			}
-			out := make([]Node, len(pys))
-			rep.CombineManyInto(px, pys, out, a)
-			sibsBefore := make([][]tidset.TID, len(out))
-			for j, n := range out {
-				sibsBefore[j] = payload(n)
-			}
-			scribble(out[0])
-			for i, r := range roots {
-				if !samePayload(payload(r), parentsBefore[i]) {
-					t.Fatalf("%v round %d: scribbling a child corrupted parent %d", kind, round, i)
+			for _, b := range blocks {
+				label := fmt.Sprintf("%v round %d block %v", kind, round, b)
+				// Direction 1: scribbling child 0 leaves parents and sibling
+				// outputs intact. Fresh roots per block, since scribble
+				// destroys.
+				roots := New(kind).Roots(rec)
+				parentsBefore := make([][]tidset.TID, len(roots))
+				for i, r := range roots {
+					parentsBefore[i] = payload(r)
 				}
-			}
-			for j := 1; j < len(out); j++ {
-				if !samePayload(payload(out[j]), sibsBefore[j]) {
-					t.Fatalf("%v round %d: scribbling child 0 corrupted sibling %d", kind, round, j)
+				out := combineBlock(rep, a, roots[b[0]], roots[b[1]:b[2]])
+				sibsBefore := make([][]tidset.TID, len(out))
+				for j, n := range out {
+					sibsBefore[j] = payload(n)
 				}
-			}
-			for _, n := range out {
-				a.Release(n)
-			}
+				scribble(out[0])
+				for i, r := range roots {
+					if !samePayload(payload(r), parentsBefore[i]) {
+						t.Fatalf("%s: scribbling a child corrupted parent %d", label, i)
+					}
+				}
+				for j := 1; j < len(out); j++ {
+					if !samePayload(payload(out[j]), sibsBefore[j]) {
+						t.Fatalf("%s: scribbling child 0 corrupted sibling %d", label, j)
+					}
+				}
+				for _, n := range out {
+					a.Release(n)
+				}
 
-			// Direction 2: scribbling every parent leaves the children
-			// intact.
-			roots = New(kind).Roots(rec)
-			px, pys = roots[0], roots[1:]
-			out = make([]Node, len(pys))
-			rep.CombineManyInto(px, pys, out, a)
-			childBefore := make([][]tidset.TID, len(out))
-			for j, n := range out {
-				childBefore[j] = payload(n)
-			}
-			for _, r := range roots {
-				scribble(r)
-			}
-			for j, n := range out {
-				if !samePayload(payload(n), childBefore[j]) {
-					t.Fatalf("%v round %d: scribbling parents corrupted child %d", kind, round, j)
+				// Direction 2: scribbling every parent leaves the children
+				// intact.
+				roots = New(kind).Roots(rec)
+				out = combineBlock(rep, a, roots[b[0]], roots[b[1]:b[2]])
+				childBefore := make([][]tidset.TID, len(out))
+				for j, n := range out {
+					childBefore[j] = payload(n)
 				}
-			}
-			for _, n := range out {
-				a.Release(n)
+				for _, r := range roots {
+					scribble(r)
+				}
+				for j, n := range out {
+					if !samePayload(payload(n), childBefore[j]) {
+						t.Fatalf("%s: scribbling parents corrupted child %d", label, j)
+					}
+				}
+				for _, n := range out {
+					a.Release(n)
+				}
 			}
 		}
 	}
 }
 
 // TestTiledLayoutMatchesFlat: the tiled layout is semantically the
-// tidset representation — every pairwise and batched combine over
-// tiled nodes yields exactly the flat kernels' sets and supports, at
-// depth 1 and again one level down, with arena recycling in between.
+// tidset representation — every batched combine over tiled nodes
+// yields exactly the flat kernels' sets and supports, at level 2 and
+// again one level down, with arena recycling in between.
 // This is the vertical-level leg of the tiled×flat equivalence
 // harness (the miner-level legs cross workers/depths/schedules).
 func TestTiledLayoutMatchesFlat(t *testing.T) {
@@ -132,8 +154,8 @@ func TestTiledLayoutMatchesFlat(t *testing.T) {
 				t.Fatalf("root %d decodes differently across layouts", i)
 			}
 		}
-		// Batched level 2 under both layouts, then pairwise level 3
-		// from the batched children.
+		// Level 2 under both layouts, then level 3 under the first
+		// child.
 		px, pys := fRoots[0], fRoots[1:]
 		tx, tys := tRoots[0], tRoots[1:]
 		fOut := make([]Node, len(pys))
@@ -149,14 +171,14 @@ func TestTiledLayoutMatchesFlat(t *testing.T) {
 				t.Fatalf("round %d child %d: layouts decode different sets", round, j)
 			}
 		}
-		for j := 1; j < len(fOut); j++ {
-			f3 := flat.CombineInto(a, fOut[0], fOut[j])
-			t3 := tiled.CombineInto(a, tOut[0], tOut[j])
-			if f3.Support() != t3.Support() || !samePayload(payload(f3), payload(t3)) {
-				t.Fatalf("round %d depth-3 pair %d: layouts disagree", round, j)
+		f3 := combineBlock(flat, a, fOut[0], fOut[1:])
+		t3 := combineBlock(tiled, a, tOut[0], tOut[1:])
+		for j := range f3 {
+			if f3[j].Support() != t3[j].Support() || !samePayload(payload(f3[j]), payload(t3[j])) {
+				t.Fatalf("round %d level-3 child %d: layouts disagree", round, j)
 			}
-			a.Release(f3)
-			a.Release(t3)
+			a.Release(f3[j])
+			a.Release(t3[j])
 		}
 		for j := range fOut {
 			a.Release(fOut[j])
@@ -165,14 +187,14 @@ func TestTiledLayoutMatchesFlat(t *testing.T) {
 	}
 }
 
-// The block-combine micro-benchmark pair: one parent against its whole
-// sibling run, batched vs pairwise CombineInto, both at arena steady
-// state. The batched form is the per-block inner loop of the miners.
-
+// BenchmarkCombineManyInto times one parent against its whole sibling
+// run at arena steady state: the per-block inner loop of the miners.
 func BenchmarkCombineManyInto(b *testing.B) {
 	for _, kind := range recyclingKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
-			rep, roots := benchCombineRoots(b, kind)
+			rng := rand.New(rand.NewSource(42))
+			rep := New(kind)
+			roots := rep.Roots(randomRecoded(b, rng, 12, 4000))
 			px, pys := roots[0], roots[1:]
 			out := make([]Node, len(pys))
 			a := NewArena(0)
@@ -180,27 +202,6 @@ func BenchmarkCombineManyInto(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rep.CombineManyInto(px, pys, out, a)
-				for _, n := range out {
-					a.Release(n)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkCombinePairwiseBlock(b *testing.B) {
-	for _, kind := range recyclingKinds() {
-		b.Run(kind.String(), func(b *testing.B) {
-			rep, roots := benchCombineRoots(b, kind)
-			px, pys := roots[0], roots[1:]
-			out := make([]Node, len(pys))
-			a := NewArena(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, py := range pys {
-					out[j] = rep.CombineInto(a, px, py)
-				}
 				for _, n := range out {
 					a.Release(n)
 				}

@@ -8,7 +8,7 @@ import (
 
 // Hybrid is a fourth representation beyond the paper's three: Zaki &
 // Gouda's actual dEclat recommendation. Level-1 nodes are tidsets (their
-// diffsets — complements — are large); each Combine then stores
+// diffsets — complements — are large); each combine then stores
 // whichever of the child's tidset or diffset is smaller, switching
 // representation on a per-node basis as the search deepens. On dense
 // data this keeps the early levels cheap and the deep levels tiny, and
@@ -50,9 +50,7 @@ func (hybridRep) RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error) {
 	return nodes, nil
 }
 
-func (h hybridRep) Combine(px, py Node) Node { return h.CombineInto(nil, px, py) }
-
-// CombineInto merges PX and PY (sharing prefix P, PX's last item first)
+// combine merges PX and PY (sharing prefix P, PX's last item first)
 // using whichever identities their stored forms allow:
 //
 //	t,t: t(PXY) = t(PX) ∩ t(PY)
@@ -66,8 +64,7 @@ func (h hybridRep) Combine(px, py Node) Node { return h.CombineInto(nil, px, py)
 // tidset and diffset form per combine, so recycled storage would have
 // to be re-typed per call, and the flip bookkeeping costs more than the
 // allocation it saves.
-func (hybridRep) CombineInto(arena *Arena, px, py Node) Node {
-	a, b := px.(*HybridNode), py.(*HybridNode)
+func (hybridRep) combine(arena *Arena, a, b *HybridNode) Node {
 	st := arena.kernels()
 	diff := func(s, t tidset.Set) tidset.Set { return s.DiffInto(t, make(tidset.Set, 0, len(s)), st) }
 	n := func(h *HybridNode) Node {

@@ -40,8 +40,9 @@ func TestHybridRootsAreTidsets(t *testing.T) {
 }
 
 // TestHybridAgreesWithTidset: the hybrid representation must compute the
-// same supports as the plain tidset representation over arbitrary
-// combine trees, regardless of which form each node happens to store.
+// supports of the tidsets scanned from the rows over arbitrary combine
+// trees, and store either t(X) or d(X) exactly, whichever form each node
+// happens to take.
 func TestHybridAgreesWithTidset(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50}
 	law := func(seed int64) bool {
@@ -63,29 +64,24 @@ func TestHybridAgreesWithTidset(t *testing.T) {
 			db.Transactions = append(db.Transactions, itemset.New(items...))
 		}
 		rec := db.Recode(1)
-		h, td := New(Hybrid), New(Tidset)
-		hr, tr := h.Roots(rec), td.Roots(rec)
-		n := len(rec.Items)
-		if n < 4 {
+		h := New(Hybrid)
+		hr := h.Roots(rec)
+		if len(rec.Items) < 4 {
 			return true
 		}
-		// Chain: combine siblings at three levels, checking supports.
-		// Level 2: (0,1), (0,2), (0,3).
-		h01, t01 := h.Combine(hr[0], hr[1]), td.Combine(tr[0], tr[1])
-		h02, t02 := h.Combine(hr[0], hr[2]), td.Combine(tr[0], tr[2])
-		h03, t03 := h.Combine(hr[0], hr[3]), td.Combine(tr[0], tr[3])
-		if h01.Support() != t01.Support() || h02.Support() != t02.Support() || h03.Support() != t03.Support() {
-			return false
+		// Chain: combine siblings at three levels. Level 2: (0,1), (0,2),
+		// (0,3); level 3 under (0,1): (0,1,2), (0,1,3); level 4: (0,1,2,3).
+		l2 := combineBlock(h, nil, hr[0], hr[1:4])
+		l3 := combineBlock(h, nil, l2[0], l2[1:])
+		l4 := combineBlock(h, nil, l3[0], l3[1:])
+		for k, n := range l2 {
+			checkNode(t, "level 2", rec, []int{0, 1 + k}, n, 0)
 		}
-		// Level 3 siblings under (0,1): (0,1,2), (0,1,3).
-		h012, t012 := h.Combine(h01, h02), td.Combine(t01, t02)
-		h013, t013 := h.Combine(h01, h03), td.Combine(t01, t03)
-		if h012.Support() != t012.Support() || h013.Support() != t013.Support() {
-			return false
+		for k, n := range l3 {
+			checkNode(t, "level 3", rec, []int{0, 1, 2 + k}, n, 0)
 		}
-		// Level 4: (0,1,2,3).
-		h0123, t0123 := h.Combine(h012, h013), td.Combine(t012, t013)
-		return h0123.Support() == t0123.Support()
+		checkNode(t, "level 4", rec, []int{0, 1, 2, 3}, l4[0], 0)
+		return true
 	}
 	if err := quick.Check(law, cfg); err != nil {
 		t.Errorf("hybrid vs tidset: %v", err)
@@ -109,7 +105,7 @@ func TestHybridSwitchesOnDenseData(t *testing.T) {
 	h := New(Hybrid)
 	roots := h.Roots(rec)
 	// {1,2} has support 21 of 22; t(1)=22, diffset rel {1} = 1 element.
-	n12 := h.Combine(roots[0], roots[1]).(*HybridNode)
+	n12 := combineBlock(h, nil, roots[0], roots[1:2])[0].(*HybridNode)
 	if !n12.IsDiffset() {
 		t.Error("dense combine did not switch to diffset")
 	}
@@ -145,14 +141,9 @@ func TestHybridFootprint(t *testing.T) {
 		roots := rep.Roots(rec)
 		total := 0
 		// Sum over all sibling pair-and-triple combines under item 0.
-		var pairs []Node
-		for j := 1; j < len(roots); j++ {
-			c := rep.Combine(roots[0], roots[j])
-			pairs = append(pairs, c)
-			total += c.Bytes()
-		}
-		for j := 1; j < len(pairs); j++ {
-			total += rep.Combine(pairs[0], pairs[j]).Bytes()
+		pairs := combineBlock(rep, nil, roots[0], roots[1:])
+		for _, n := range append(pairs, combineBlock(rep, nil, pairs[0], pairs[1:])...) {
+			total += n.Bytes()
 		}
 		return total
 	}

@@ -7,7 +7,7 @@ package vertical
 // recycling, never degrading, or dropping its kernel counters. This
 // test walks AllKinds(), the single canonical slice every new kind
 // must join, and fails loudly for any kind missing from New, ParseKind
-// and String, the Roots/Combine/CombineManyInto contract, the arena
+// and String, the Roots/CombineManyInto contract, the arena
 // Release switch, the degrade tables, or kcount's kind mirror.
 
 import (
@@ -19,10 +19,7 @@ import (
 
 func TestAllKindsCoverage(t *testing.T) {
 	rec := exampleRecoded(t, 1)
-	ref := New(Tidset)
-	refRoots := ref.Roots(rec)
-	refPair := ref.Combine(refRoots[0], refRoots[1])
-	refTriple := ref.Combine(refPair, ref.Combine(refRoots[0], refRoots[2]))
+	refTriple := len(rowTIDs(rec, []int{0, 1, 2}, -1))
 
 	seen := map[Kind]bool{}
 	for _, kind := range AllKinds() {
@@ -45,43 +42,31 @@ func TestAllKindsCoverage(t *testing.T) {
 			t.Fatalf("New(%v).Kind() = %v", kind, rep.Kind())
 		}
 
-		// Mining contract: Roots, Combine and the batched combine agree
-		// with the tidset reference on supports, two levels deep.
+		// Mining contract: Roots and the batched combine agree with the
+		// rows, two levels deep.
 		roots := rep.Roots(rec)
 		if len(roots) != len(rec.Items) {
 			t.Fatalf("%v: %d roots, want %d", kind, len(roots), len(rec.Items))
 		}
-		pair := rep.Combine(roots[0], roots[1])
-		if pair.Support() != refPair.Support() {
-			t.Fatalf("%v: pair support %d, want %d", kind, pair.Support(), refPair.Support())
+		pairs := combineBlock(rep, nil, roots[0], roots[1:4])
+		for i, n := range pairs {
+			checkNode(t, name, rec, []int{0, 1 + i}, n, 0)
 		}
-		sib := rep.Combine(roots[0], roots[2])
-		triple := rep.Combine(pair, sib)
-		if triple.Support() != refTriple.Support() {
-			t.Fatalf("%v: triple support %d, want %d", kind, triple.Support(), refTriple.Support())
-		}
-		pys := []Node{roots[1], roots[2], roots[3]}
-		out := make([]Node, len(pys))
-		rep.CombineManyInto(roots[0], pys, out, nil)
-		for i, py := range pys {
-			if want := rep.Combine(roots[0], py).Support(); out[i].Support() != want {
-				t.Fatalf("%v: batched child %d support %d, want %d", kind, i, out[i].Support(), want)
-			}
-		}
+		pair, sib := pairs[0], pairs[1]
+		triple := combineBlock(rep, nil, pair, []Node{sib})[0]
+		checkNode(t, name, rec, []int{0, 1, 2}, triple, 0)
 
-		// Arena coverage: a kind whose CombineInto draws nodes from the
-		// arena must also be accepted by the Release switch, or recycling
+		// Arena coverage: a kind whose combine draws nodes from the arena
+		// must also be accepted by the Release switch, or recycling
 		// silently never happens for it.
 		a := NewArena(0)
-		a.Release(rep.CombineInto(a, roots[0], roots[1]))
+		a.Release(combineBlock(rep, a, roots[0], roots[1:2])[0])
 		if a.Kernels.ArenaMisses != 0 {
-			c := rep.CombineInto(a, roots[0], roots[2])
+			c := combineBlock(rep, a, roots[0], roots[2:3])[0]
 			if a.Kernels.ArenaHits != 1 {
-				t.Fatalf("%v: Release/CombineInto recycled nothing (hits=%d) — kind missing from the Release switch?", kind, a.Kernels.ArenaHits)
+				t.Fatalf("%v: Release/CombineManyInto recycled nothing (hits=%d) — kind missing from the Release switch?", kind, a.Kernels.ArenaHits)
 			}
-			if want := rep.Combine(roots[0], roots[2]).Support(); c.Support() != want {
-				t.Fatalf("%v: recycled combine support %d, want %d", kind, c.Support(), want)
-			}
+			checkNode(t, name+" recycled", rec, []int{0, 2}, c, 0)
 		}
 
 		// Degrade coverage: Degradable(kind) must agree with the
@@ -102,10 +87,10 @@ func TestAllKindsCoverage(t *testing.T) {
 			if dr.Support() != roots[0].Support() {
 				t.Fatalf("%v: degraded root support %d, want %d", kind, dr.Support(), roots[0].Support())
 			}
-			ds := DegradeChild(roots[0], sib, nil).(*DiffsetNode)
-			dTriple := New(Diffset).Combine(dc, ds)
-			if dTriple.Support() != refTriple.Support() {
-				t.Fatalf("%v: post-degrade combine support %d, want %d", kind, dTriple.Support(), refTriple.Support())
+			ds := DegradeChild(roots[0], sib, nil)
+			dTriple := combineBlock(New(Diffset), nil, dc, []Node{ds})[0]
+			if dTriple.Support() != refTriple {
+				t.Fatalf("%v: post-degrade combine support %d, want %d", kind, dTriple.Support(), refTriple)
 			}
 		}
 
@@ -119,9 +104,9 @@ func TestAllKindsCoverage(t *testing.T) {
 			t.Fatalf("%v: CountRoots charged nodes_built_%s = %d, want %d — kcount kind mirror out of sync?", kind, name, got, len(roots))
 		}
 		shard := NewArena(0)
-		rep.CombineInto(shard, roots[0], roots[1])
+		combineBlock(rep, shard, roots[0], roots[1:2])
 		if shard.Kernels.Map()["nodes_built_"+name] == 0 {
-			t.Fatalf("%v: CombineInto charged no nodes_built_%s — kcount kind mirror out of sync?", kind, name)
+			t.Fatalf("%v: CombineManyInto charged no nodes_built_%s — kcount kind mirror out of sync?", kind, name)
 		}
 	}
 }

@@ -111,8 +111,6 @@ func infrequentPair(x, y *NodesetNode) (int, bool) {
 	return sup, ok && sup < x.Enc.MinSup
 }
 
-func (r nodesetRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }
-
 // getNodeset pops a recycled nodeset node (list truncated, capacity
 // kept) or allocates one. Nil-safe like its siblings. Recycled nodes
 // may have been roots; the root form is reset so the node can carry a
@@ -131,34 +129,6 @@ func (a *Arena) getNodeset() *NodesetNode {
 	}
 	a.Kernels.ArenaMisses++
 	return &NodesetNode{}
-}
-
-func (nodesetRep) CombineInto(a *Arena, px, py Node) Node {
-	x, y := px.(*NodesetNode), py.(*NodesetNode)
-	n := a.getNodeset()
-	n.Enc = x.Enc
-	var sum int
-	if levels(x, y) {
-		if sup, ok := infrequentPair(x, y); ok {
-			n.sup, n.DN = sup, n.DN[:0]
-			a.kernels().AddNode(kcount.Nodeset, 0)
-			return n
-		}
-		// Presize: DN(xy) ⊆ N(x).
-		if cap(n.DN) < len(x.L1) {
-			n.DN = make(nodeset.List, 0, len(x.L1))
-		}
-		n.DN, sum = nodeset.DiffL1Into(x.L1, y.L1, n.DN, a.kernels())
-	} else {
-		// Presize: |DN(PY) − DN(PX)| ≤ |DN(PY)|.
-		if cap(n.DN) < len(y.DN) {
-			n.DN = make(nodeset.List, 0, len(y.DN))
-		}
-		n.DN, sum = nodeset.DiffInto(y.DN, x.DN, n.DN, a.kernels()) // DN(PXY) = DN(PY) − DN(PX)
-	}
-	n.sup = x.sup - sum
-	a.kernels().AddNode(kcount.Nodeset, n.Bytes())
-	return n
 }
 
 // scratchNodesets returns the batched kernel's per-call slices: sibling

@@ -2,8 +2,8 @@
 // t(PY), support = cardinality) over the tile-partitioned layout of
 // tidset.Tiled — 128-TID tiles with exact occupancy summaries and a
 // per-tile sparse/dense payload switch. It is a full Representation
-// peer: its CombineInto and CombineManyInto recycle through the arena
-// and run the prefix-blocked batch path, and it is Degradable like the
+// peer: its CombineManyInto recycles through the arena and runs the
+// prefix-blocked batch path, and it is Degradable like the
 // other unbounded layouts. Everything above vertical (Eclat, Apriori, the
 // hybrid degrade machinery, runctl budgets) is layout-oblivious.
 
@@ -46,8 +46,6 @@ func (tiledRep) RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error) {
 	return nodes, nil
 }
 
-func (r tiledRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }
-
 // getTiled pops a recycled tiled node (backing arrays truncated,
 // capacity kept) or allocates one. Nil-safe like its siblings.
 func (a *Arena) getTiled() *TiledNode {
@@ -63,16 +61,6 @@ func (a *Arena) getTiled() *TiledNode {
 	}
 	a.Kernels.ArenaMisses++
 	return &TiledNode{T: &tidset.Tiled{}}
-}
-
-func (tiledRep) CombineInto(a *Arena, px, py Node) Node {
-	x, y := px.(*TiledNode), py.(*TiledNode)
-	n := a.getTiled()
-	// No presizing needed: IntersectInto rebuilds from length zero and
-	// the recycled arrays keep their high-water capacity.
-	x.T.IntersectInto(y.T, n.T, a.kernels())
-	a.kernels().AddNode(kcount.Tiled, n.Bytes())
-	return n
 }
 
 // scratchTileds returns two length-m *Tiled slices for the batched

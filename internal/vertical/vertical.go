@@ -5,16 +5,18 @@
 //
 // A Node is the per-itemset payload: whatever the representation needs to
 // compute the support of children. The only structural operation the
-// miners perform is Combine(PX, PY) → PXY, where PX and PY are k-itemsets
-// sharing a (k−1)-prefix P and PX's last item precedes PY's:
+// miners perform is the combine PX, PY → PXY, where PX and PY are
+// k-itemsets sharing a (k−1)-prefix P and PX's last item precedes PY's.
+// It runs one prefix block at a time: CombineManyInto joins one PX with
+// a run of its later siblings PY (batch.go).
 //
 //	tidset:    t(PXY) = t(PX) ∩ t(PY),        support = |t(PXY)|
 //	bitvector: b(PXY) = b(PX) AND b(PY),      support = popcount
 //	diffset:   d(PXY) = d(PY) − d(PX),        support = support(PX) − |d(PXY)|
 //
 // The diffset rule is Equation 1 of the paper (after Zaki & Gouda); the
-// operand order in Combine therefore matters for diffsets and the miners
-// are careful to pass the smaller-last-item parent first. As in Zaki &
+// operand order therefore matters for diffsets, and the shared parent of
+// a block is always the one whose last item orders first. As in Zaki &
 // Gouda's dEclat, a diffset root holds the shorter side of its item: a
 // sparse item keeps its tidset t(x), a dense one the complement
 // d(x) = D − t(x), and level 2 forms d(xy) = t(x) − t(y) from whichever
@@ -99,11 +101,13 @@ type Node interface {
 	Support() int
 	// Bytes returns the payload's memory footprint, the quantity the
 	// cost model uses as its NUMA-traffic proxy. Reading a
-	// parent during Combine moves this many bytes.
+	// parent during a combine moves this many bytes.
 	Bytes() int
 }
 
-// Representation builds and combines Nodes of one Kind.
+// Representation builds and combines Nodes of one Kind. Both miners
+// combine only through CombineManyInto, one prefix block per call; a
+// block may hold a single sibling (Eclat's level 2 runs one per pair).
 type Representation interface {
 	Kind() Kind
 	// Roots builds the level-1 node for every frequent item of rec,
@@ -115,26 +119,18 @@ type Representation interface {
 	// rec's row chunks (roots.go), checking p's Control at every chunk
 	// boundary. A stopped build returns the stop cause and no nodes.
 	RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error)
-	// Combine produces the node for candidate PXY from the nodes of PX
-	// and PY, where PX's last item orders before PY's. The result's
-	// Support is the candidate's support. It is CombineInto with no
-	// arena: fresh storage, nothing counted.
-	Combine(px, py Node) Node
-	// CombineInto is Combine with the child's node and backing buffer
-	// taken from arena when it can recycle them (arena.go), and the
-	// kernel work charged to the arena's counter shard. The result never
-	// shares backing memory with px or py. A nil arena allocates fresh
-	// storage and counts nothing. The tidset and diffset kernels stop as
-	// soon as the child cannot reach the arena's minimum support: such
-	// a child reports some support below it, not its exact support.
-	CombineInto(arena *Arena, px, py Node) Node
-	// CombineManyInto combines one parent px against every sibling of a
-	// prefix block, storing child i in out[i] (len(out) must be at
-	// least len(pys)). Semantically identical to len(pys) CombineInto
-	// calls, but the batched kernels stream the shared parent once per
-	// block (batch.go); node storage recycles through arena, and the
-	// kernel work is charged to its counter shard, when one is supplied
-	// — nil is allowed and falls back to fresh allocation.
+	// CombineManyInto combines one parent px, the node of PX, against
+	// every sibling PY of a prefix block, storing the node of PXY for
+	// pys[i] in out[i] (len(out) must be at least len(pys)); its Support
+	// is the candidate's support. The batched kernels stream the shared
+	// parent once per block (batch.go). Child nodes and their backing
+	// buffers come from arena when it can recycle them (arena.go), and
+	// the kernel work is charged to its counter shard; a nil arena
+	// allocates fresh storage and counts nothing. No child shares
+	// backing memory with px or any pys element. The tidset and diffset
+	// kernels stop as soon as a child cannot reach the arena's minimum
+	// support: such a child reports some support below it, not its
+	// exact support.
 	CombineManyInto(px Node, pys []Node, out []Node, arena *Arena)
 }
 
@@ -185,8 +181,6 @@ func (tidsetRep) RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error) {
 	return nodes, nil
 }
 
-func (r tidsetRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }
-
 // --- bitvector --------------------------------------------------------
 
 // BitvectorNode carries the transaction bitmask and a cached popcount.
@@ -217,8 +211,6 @@ func (bitvectorRep) RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error
 	}
 	return nodes, nil
 }
-
-func (r bitvectorRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }
 
 // --- diffset ----------------------------------------------------------
 
@@ -314,8 +306,6 @@ func (diffsetRep) RootsOn(rec *dataset.Recoded, p dataset.Pass) ([]Node, error) 
 	return nodes, nil
 }
 
-func (r diffsetRep) Combine(px, py Node) Node { return r.CombineInto(nil, px, py) }
-
 // Degradable reports whether a run over kind can degrade to diffsets
 // mid-run when its memory budget is crossed. Diffset needs no cure and
 // Hybrid already switches per node, so the representations that can
@@ -330,7 +320,7 @@ func Degradable(kind Kind) bool {
 // DegradeChild converts a node of a kind Degradable accepts (tidset,
 // bitvector, tiled or nodeset) into the equivalent DiffsetNode relative
 // to its generation parent: d(X) = t(parent) − t(X), the standard
-// diffset layout, so subsequent sibling Combines under diffsetRep are
+// diffset layout, so subsequent sibling combines under diffsetRep are
 // exact. Returns nil for kinds Degradable rejects. The conversion's
 // kernel work is charged to st (nil counts nothing).
 //
@@ -413,7 +403,7 @@ func NodesBytes(nodes []Node) int64 {
 	return b
 }
 
-// CombineCost returns the number of bytes Combine reads from its parents:
-// the quantity charged as communication when a parent lives on a remote
-// NUMA node. It is simply the sum of the parents' footprints.
+// CombineCost returns the number of bytes one child's combine reads from
+// its parents: the quantity charged as communication when a parent lives
+// on a remote NUMA node. It is simply the sum of the parents' footprints.
 func CombineCost(px, py Node) int { return px.Bytes() + py.Bytes() }

@@ -93,16 +93,16 @@ func TestCombineAgreesAcrossRepresentations(t *testing.T) {
 	for _, kind := range Kinds() {
 		rep := New(kind)
 		roots := rep.Roots(rec)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				pair := rep.Combine(roots[i], roots[j])
+		for i := 0; i+1 < n; i++ {
+			pairs := combineBlock(rep, nil, roots[i], roots[i+1:])
+			for a, pair := range pairs {
+				j := i + 1 + a
 				want := horizontalSupport(itemset.New(itemset.Item(i), itemset.Item(j)))
 				if pair.Support() != want {
 					t.Errorf("%v support({%d,%d}) = %d, want %d", kind, i, j, pair.Support(), want)
 				}
-				for k := j + 1; k < n; k++ {
-					pik := rep.Combine(roots[i], roots[k])
-					triple := rep.Combine(pair, pik)
+				for b, triple := range combineBlock(rep, nil, pair, pairs[a+1:]) {
+					k := j + 1 + b
 					want := horizontalSupport(itemset.New(itemset.Item(i), itemset.Item(j), itemset.Item(k)))
 					if triple.Support() != want {
 						t.Errorf("%v support({%d,%d,%d}) = %d, want %d", kind, i, j, k, triple.Support(), want)
@@ -145,7 +145,7 @@ func TestDiffsetPaperIdentities(t *testing.T) {
 	// matches the tidset intersection.
 	for i := 0; i < len(droots); i++ {
 		for j := i + 1; j < len(droots); j++ {
-			dxy := rep.Combine(droots[i], droots[j]).(*DiffsetNode)
+			dxy := combineBlock(rep, nil, droots[i], droots[j:j+1])[0].(*DiffsetNode)
 			tx := troots[i].(*TidsetNode).TIDs
 			ty := troots[j].(*TidsetNode).TIDs
 			if !dxy.Diff.Equal(tx.Diff(ty)) {
@@ -166,10 +166,8 @@ func TestDiffsetFootprintSmallerOnDenseData(t *testing.T) {
 	tRoots := New(Tidset).Roots(rec)
 	var dBytes, tBytes int
 	for i := range dRoots {
-		for j := i + 1; j < len(dRoots); j++ {
-			dBytes += New(Diffset).Combine(dRoots[i], dRoots[j]).Bytes()
-			tBytes += New(Tidset).Combine(tRoots[i], tRoots[j]).Bytes()
-		}
+		dBytes += int(NodesBytes(combineBlock(New(Diffset), nil, dRoots[i], dRoots[i+1:])))
+		tBytes += int(NodesBytes(combineBlock(New(Tidset), nil, tRoots[i], tRoots[i+1:])))
 	}
 	if dBytes >= tBytes {
 		t.Errorf("2-itemset diffsets (%dB) not smaller than tidsets (%dB) on dense data", dBytes, tBytes)
@@ -190,30 +188,27 @@ func TestBytesAccounting(t *testing.T) {
 		t.Errorf("CombineCost = %d", got)
 	}
 
-	// Nodeset level 2, on every combine path: a pair the matrix puts
-	// below minsup is born support-only (empty DN, zero bytes); a
-	// frequent pair carries its full DiffNodeset, charged at its real
-	// size. At minsup 4 the example has both kinds of pair.
+	// Nodeset level 2, in blocks of every later root and of one: a pair
+	// the matrix puts below minsup is born support-only (empty DN, zero
+	// bytes); a frequent pair carries its full DiffNodeset, charged at
+	// its real size. At minsup 4 the example has both kinds of pair.
 	rec = exampleRecoded(t, 4)
 	rep := New(Nodeset)
 	roots := rep.Roots(rec)
-	troots := New(Tidset).Roots(rec)
 	var infrequent, frequent int
 	for i := range roots {
 		x := roots[i].(*NodesetNode)
-		many := make([]Node, len(roots)-i-1)
-		rep.CombineManyInto(x, roots[i+1:], many, NewArena(0))
+		many := combineBlock(rep, NewArena(0), x, roots[i+1:])
 		for j := i + 1; j < len(roots); j++ {
 			y := roots[j].(*NodesetNode)
-			sup := New(Tidset).Combine(troots[i], troots[j]).Support()
+			sup := len(rowTIDs(rec, []int{i, j}, -1))
 			want, _ := nodeset.DiffL1Into(x.L1, y.L1, nil, nil)
 			for _, c := range []struct {
 				path string
 				n    Node
 			}{
-				{"Combine", rep.Combine(x, y)},
-				{"CombineInto", rep.CombineInto(NewArena(0), x, y)},
-				{"CombineManyInto", many[j-i-1]},
+				{"one sibling", combineBlock(rep, NewArena(0), x, roots[j:j+1])[0]},
+				{"block", many[j-i-1]},
 			} {
 				nd := c.n.(*NodesetNode)
 				if nd.Support() != sup {
@@ -240,8 +235,8 @@ func TestBytesAccounting(t *testing.T) {
 	}
 }
 
-// Property test: on random databases, all three representations agree on
-// the support of arbitrary combine chains.
+// Property test: on random databases, all three representations give the
+// rows' support for arbitrary combine chains.
 func TestQuickRepresentationAgreement(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	law := func(seed int64) bool {
@@ -276,14 +271,14 @@ func TestQuickRepresentationAgreement(t *testing.T) {
 		a := r.Intn(n - 2)
 		b := a + 1 + r.Intn(n-a-2)
 		c := b + 1 + r.Intn(n-b-1)
-		var sups [3]int
+		want := len(rowTIDs(rec, []int{a, b, c}, -1))
 		for i, rep := range reps {
-			ab := rep.Combine(roots[i][a], roots[i][b])
-			ac := rep.Combine(roots[i][a], roots[i][c])
-			abc := rep.Combine(ab, ac)
-			sups[i] = abc.Support()
+			pairs := combineBlock(rep, nil, roots[i][a], []Node{roots[i][b], roots[i][c]})
+			if combineBlock(rep, nil, pairs[0], pairs[1:])[0].Support() != want {
+				return false
+			}
 		}
-		return sups[0] == sups[1] && sups[1] == sups[2]
+		return true
 	}
 	if err := quick.Check(law, cfg); err != nil {
 		t.Errorf("representation agreement: %v", err)
@@ -299,9 +294,8 @@ func TestDiffsetEmptyChain(t *testing.T) {
 	rec := db.Recode(1)
 	rep := New(Diffset)
 	roots := rep.Roots(rec)
-	ab := rep.Combine(roots[0], roots[1])
-	ac := rep.Combine(roots[0], roots[2])
-	abc := rep.Combine(ab, ac)
+	pairs := combineBlock(rep, nil, roots[0], roots[1:3])
+	abc := combineBlock(rep, nil, pairs[0], pairs[1:])[0]
 	if abc.Support() != 2 {
 		t.Errorf("support = %d, want 2", abc.Support())
 	}
@@ -316,7 +310,7 @@ func TestTidsetSingleTransaction(t *testing.T) {
 	for _, kind := range Kinds() {
 		rep := New(kind)
 		roots := rep.Roots(rec)
-		pair := rep.Combine(roots[0], roots[1])
+		pair := combineBlock(rep, nil, roots[0], roots[1:2])[0]
 		if pair.Support() != 1 {
 			t.Errorf("%v: support = %d, want 1", kind, pair.Support())
 		}

@@ -214,3 +214,62 @@ func TestPairTablesBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestEclatPairLevelEvents: on both sides of the rule, Eclat's level 2
+// is the loop eclat/pairs at level 2 over all n(n−1)/2 root pairs, with
+// one task and one chunk per pair it combines: only the frequent ones
+// where the rule counts (the others are Pruned), every pair where it
+// combines. Its level_end counts the reference's frequent pairs.
+func TestEclatPairLevelEvents(t *testing.T) {
+	dense := runctlDB(t)
+	for _, side := range []struct {
+		db      *DB
+		minSup  int
+		kind    Representation
+		counted bool
+	}{
+		{pairRuleDB(), 20, Tidset, true},
+		{dense, dense.AbsoluteSupport(0.5), Bitvector, false},
+	} {
+		label := fmt.Sprintf("%s/%v", side.db.Name, side.kind)
+		rec := &EventRecorder{}
+		res, err := MineAbsolute(side.db, side.minSup, Options{Algorithm: Eclat, Representation: side.kind, Workers: 2, Observer: rec})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		n := len(res.Rec.Items)
+		pairs, frequent := n*(n-1)/2, 0
+		for _, c := range res.Counts {
+			if len(c.Items) == 2 {
+				frequent++
+			}
+		}
+		var got []Event
+		for _, e := range rec.Events() {
+			if e.Phase == "eclat/pairs" {
+				got = append(got, e)
+			}
+		}
+		if len(got) != 3 || got[0].Type != EventLevelStart || got[1].Type != EventPhaseEnd || got[2].Type != EventLevelEnd {
+			t.Fatalf("%s: eclat/pairs events %+v, want level_start, phase_end, level_end", label, got)
+		}
+		start, loop, end := got[0], got[1], got[2]
+		if start.Level != 2 || start.Candidates != pairs || end.Level != 2 || end.Candidates != pairs || end.Frequent != frequent {
+			t.Errorf("%s: level_start %+v, level_end %+v; want level 2, %d candidates, %d frequent", label, start, end, pairs, frequent)
+		}
+		combined := pairs
+		if side.counted {
+			combined = frequent
+		}
+		if end.Pruned != pairs-combined {
+			t.Errorf("%s: pruned %d, want %d", label, end.Pruned, pairs-combined)
+		}
+		var tasks, chunks int64
+		for _, w := range loop.Load {
+			tasks, chunks = tasks+w.Tasks, chunks+w.Chunks
+		}
+		if tasks != int64(combined) || chunks != int64(combined) {
+			t.Errorf("%s: %d tasks in %d chunks, want one each per combined pair (%d)", label, tasks, chunks, combined)
+		}
+	}
+}
