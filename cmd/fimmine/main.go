@@ -18,11 +18,9 @@
 // -events writes the structured JSON-lines event stream, -report writes
 // the final fim-run-report/v1 JSON document, -trace writes the span
 // timeline as Chrome trace-event JSON (load in ui.perfetto.dev: one row
-// per worker, one bar per scheduler chunk), and -metrics-addr serves
-// the live report and trace snapshots plus expvar and pprof. Itemsets
-// and rules are the only stdout output; every diagnostic (summary,
-// progress, stop reason, metrics address) goes to stderr, so piped
-// stdout stays clean.
+// per worker, one bar per scheduler chunk). Itemsets and rules are the
+// only stdout output; every diagnostic (summary, progress, stop reason)
+// goes to stderr, so piped stdout stays clean.
 package main
 
 import (
@@ -65,7 +63,6 @@ func main() {
 	eventsPath := flag.String("events", "", "write the run's JSON-lines event stream to this file")
 	reportPath := flag.String("report", "", "write the machine-readable run report (fim-run-report/v1) to this file")
 	tracePath := flag.String("trace", "", "write the run's span timeline as Chrome trace-event JSON to this file (open in ui.perfetto.dev)")
-	metricsAddr := flag.String("metrics-addr", "", "serve the live report, expvar and pprof over HTTP on this address (e.g. :8080; :0 picks a port)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
 	flag.Parse()
@@ -102,7 +99,7 @@ func main() {
 	opt.ProfileLabels = *cpuProfile != ""
 
 	// Observer sinks: progress printer (stderr), JSON-lines event file,
-	// and a report builder feeding -report and the HTTP endpoint.
+	// and a report builder feeding -report.
 	var sinks []fim.Observer
 	if *progress {
 		sinks = append(sinks, export.NewProgress(os.Stderr))
@@ -118,23 +115,15 @@ func main() {
 		sinks = append(sinks, events)
 	}
 	var builder *export.ReportBuilder
-	if *reportPath != "" || *metricsAddr != "" {
+	if *reportPath != "" {
 		builder = export.NewReportBuilder()
 		sinks = append(sinks, builder)
 	}
 	opt.Observer = fim.MultiObserver(sinks...)
 	var tracer *fim.SpanRecorder
-	if *tracePath != "" || *metricsAddr != "" {
+	if *tracePath != "" {
 		tracer = fim.NewSpanRecorder()
 		opt.SpanTrace = tracer
-	}
-	if *metricsAddr != "" {
-		srv, err := export.Serve(*metricsAddr, builder, tracer)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "fimmine: serving metrics on http://%s/\n", srv.Addr())
 	}
 
 	// SIGINT/SIGTERM cancel the mining context; the miners drain at the

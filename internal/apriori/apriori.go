@@ -90,7 +90,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		return res, err
 	}
 	vertical.CountRoots(kc, rep.Kind(), nodes)
-	tr := trie.NewRoot(itemSupports(rec))
+	tr := trie.NewRoot(rec.Items)
 
 	// Per-worker arenas for the combine loop: candidate payloads recycle
 	// within and across generations, so once the free lists warm up
@@ -107,14 +107,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		for _, a := range arenas {
 			kc.Merge(&a.Kernels)
 		}
-		sets, sups := tr.FrequentItemsets()
-		res.Counts = make([]core.ItemsetCount, len(sets))
-		for i := range sets {
-			res.Counts[i] = core.ItemsetCount{Items: sets[i], Support: sups[i]}
-			if len(sets[i]) > res.MaxK {
-				res.MaxK = len(sets[i])
-			}
-		}
+		res.Counts, res.MaxK = tr.Counts()
 		if err != nil {
 			res.Incomplete = true
 			res.StopCause = err
@@ -160,14 +153,14 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 			}
 		}
 		if gen >= 2 && generated > 0 {
-			// Subset pruning runs on the team: the k-level hash index is
-			// built once, the per-candidate checks fan out (a 2-itemset's
-			// only subsets are its parents, so generation 2 has nothing to
-			// check). The model charges pruning as the counting loop's
-			// serial work, so the check loop is measured but not replayed.
+			// Subset pruning runs on the team, each check descending the
+			// committed level tables (a 2-itemset's only subsets are its
+			// parents, so generation 2 has nothing to check). The model
+			// charges pruning as the counting loop's serial work, so the
+			// check loop is measured but not replayed.
 			prune := loops.OpenMeasured(fmt.Sprintf("apriori/prune%d", gen+1), schedule)
 			var err error
-			if pruned, err = tr.PruneParallel(cands, team, prune, schedule, rc); err != nil {
+			if pruned, err = tr.Prune(cands, team, prune, schedule, rc); err != nil {
 				return collect(err)
 			}
 		}
@@ -289,13 +282,4 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	}
 
 	return collect(nil)
-}
-
-// itemSupports extracts the per-item supports recorded by the recode pass.
-func itemSupports(rec *dataset.Recoded) []int {
-	sups := make([]int, len(rec.Items))
-	for i, fi := range rec.Items {
-		sups[i] = fi.Support
-	}
-	return sups
 }

@@ -148,10 +148,9 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		return finish(err)
 	}
 
-	private := make([][]core.ItemsetCount, team.Workers())
-	arenas := make([]*vertical.Arena, team.Workers())
-	for i := range arenas {
-		arenas[i] = vertical.NewArena(minSup)
+	workers := make([]*minerState, team.Workers())
+	for w := range workers {
+		workers[w] = &minerState{minSup: minSup, rc: rc, arena: vertical.NewArena(minSup)}
 	}
 	depth := opt.EclatDepth
 	if depth == 0 {
@@ -159,19 +158,14 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 	}
 	m := &flattenedMiner{rep: rep, minSup: minSup, depth: depth,
 		team: team, schedule: schedule, loops: opt.Record, rc: rc, o: opt.Observer,
-		opt: opt, res: res, private: private, arenas: arenas}
+		opt: opt, res: res, workers: workers}
 	err = m.run(roots)
-	// The team has joined: sum the workers' kernel counts.
-	for _, a := range arenas {
-		opt.Kernels.Merge(&a.Kernels)
-	}
-
-	for _, p := range private {
-		for _, c := range p {
+	// The team has joined: sum the workers' kernel counts and outputs.
+	for _, w := range workers {
+		opt.Kernels.Merge(&w.arena.Kernels)
+		for _, c := range w.out {
 			res.Counts = append(res.Counts, c)
-			if len(c.Items) > res.MaxK {
-				res.MaxK = len(c.Items)
-			}
+			res.MaxK = max(res.MaxK, len(c.Items))
 		}
 	}
 	return finish(err)
@@ -244,7 +238,8 @@ func maxClassBytes(classes []eqClass) int64 {
 }
 
 // flattenedMiner carries the state of one flattened Eclat run: the
-// (possibly degrading) representation, run control, and output sinks.
+// (possibly degrading) representation, run control, and each worker's
+// miner state.
 type flattenedMiner struct {
 	rep      vertical.Representation
 	minSup   int
@@ -256,8 +251,7 @@ type flattenedMiner struct {
 	o        obs.Observer
 	opt      core.Options // run-wide options core.Cure reads
 	res      *core.Result
-	private  [][]core.ItemsetCount
-	arenas   []*vertical.Arena
+	workers  []*minerState
 }
 
 // cure runs the memory-budget step at a flattened level boundary:
@@ -311,15 +305,17 @@ func (f *flattenedMiner) subtrees(classes []eqClass) error {
 		loop.Model.UniqueParent = maxClassBytes(classes)
 	}
 	var emitted atomic.Int64
+	f.startLoop(loop)
 	err := f.team.ForCtx(f.rc, loop, len(tasks), f.schedule, func(w, t int) {
 		e := tasks[t]
 		class := classes[e.class]
-		m := f.newMiner(loop, w, t)
+		m := f.workers[w]
+		m.task = t
+		before := len(m.out)
 		sub := m.expandOne(classes, e)
 		m.recurse(class.prefix.Extend(class.atoms[e.pos].item), sub)
 		m.releaseAtoms(sub)
-		emitted.Add(int64(len(m.out)))
-		f.private[w] = append(f.private[w], m.out...)
+		emitted.Add(int64(len(m.out) - before))
 	})
 	f.rc.ChargeMem(-levelBytes(classes))
 	if err == nil {
@@ -368,13 +364,14 @@ func (f *flattenedMiner) expandLevel(classes []eqClass, memberSize int) ([]eqCla
 		loop.Model.UniqueParent = maxClassBytes(classes)
 	}
 	next := make([][]atom, len(tasks))
+	f.startLoop(loop)
 	err := f.team.ForCtx(f.rc, loop, len(tasks), f.schedule, func(w, t int) {
 		// Frequent children become the next flattened level and stay
 		// live past this stage, so they are never released back; only
 		// the infrequent majority recycles through the arena.
-		m := f.newMiner(loop, w, t)
+		m := f.workers[w]
+		m.task = t
 		next[t] = m.expandOne(classes, tasks[t])
-		f.private[w] = append(f.private[w], m.out...)
 	})
 	if err != nil {
 		return nil, err
@@ -423,16 +420,18 @@ func (m *minerState) expandOne(classes []eqClass, e expansion) []atom {
 	return m.batchCombine(class.prefix.Extend(a.item), a.node, class.atoms[e.lo:e.hi], false)
 }
 
-// newMiner equips a task of loop running on worker w with that
-// worker's arena; task is the loop's model slot its modelled work is
-// charged to.
-func (f *flattenedMiner) newMiner(loop *sched.Loop, w, task int) *minerState {
-	return &minerState{rep: f.rep, minSup: f.minSup,
-		loop: loop, task: task, rc: f.rc, arena: f.arenas[w]}
+// startLoop points every worker's state at loop and at the current
+// representation, before the loop's tasks run.
+func (f *flattenedMiner) startLoop(loop *sched.Loop) {
+	for _, m := range f.workers {
+		m.rep, m.loop = f.rep, loop
+	}
 }
 
-// minerState carries one task's recursion context: its output buffer,
-// run control, and instrumentation coordinates.
+// minerState is one worker's mining context for the whole run: its
+// arena and output buffer, run control, and the instrumentation
+// coordinates of the task it is running (task is the loop's model slot
+// its modelled work is charged to).
 type minerState struct {
 	rep    vertical.Representation
 	minSup int
@@ -441,6 +440,7 @@ type minerState struct {
 	rc     *runctl.Control
 	arena  *vertical.Arena
 	out    []core.ItemsetCount
+	_      [64]byte // keeps the workers' states off each other's cache lines
 }
 
 // batchCombine is the class-extension loop, prefix-blocked: one

@@ -71,13 +71,13 @@ func Mine(rec *dataset.Recoded, minSup int, workers int, counting Counting, loop
 		Rec:       rec,
 	}
 
-	tr := trie.NewRoot(itemSupports(rec))
+	tr := trie.NewRoot(rec.Items)
 	transactions := rec.DB.Transactions
 	nTrans := len(transactions)
 
 	for gen := 1; tr.Levels[len(tr.Levels)-1].Len() != 0; gen++ {
 		cands := tr.Generate()
-		tr.Prune(cands)
+		tr.Prune(cands, team, nil, schedule, nil) // no control: cannot stop
 		n := cands.Len()
 		if n == 0 {
 			break
@@ -149,21 +149,6 @@ func Mine(rec *dataset.Recoded, minSup int, workers int, counting Counting, loop
 		tr.Commit(cands, minSup)
 	}
 
-	sets, sups := tr.FrequentItemsets()
-	res.Counts = make([]core.ItemsetCount, len(sets))
-	for i := range sets {
-		res.Counts[i] = core.ItemsetCount{Items: sets[i], Support: sups[i]}
-		if len(sets[i]) > res.MaxK {
-			res.MaxK = len(sets[i])
-		}
-	}
+	res.Counts, res.MaxK = tr.Counts()
 	return res
-}
-
-func itemSupports(rec *dataset.Recoded) []int {
-	sups := make([]int, len(rec.Items))
-	for i, fi := range rec.Items {
-		sups[i] = fi.Support
-	}
-	return sups
 }

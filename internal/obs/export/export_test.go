@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -207,68 +205,5 @@ func TestProgressWritesLines(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("progress output missing %q", want)
 		}
-	}
-}
-
-// TestServeEndpoints: the HTTP exposition serves the report snapshot,
-// expvar, and pprof with 200s on a :0 listener.
-func TestServeEndpoints(t *testing.T) {
-	b := NewReportBuilder()
-	for _, e := range sampleStream() {
-		b.Event(e)
-	}
-	tr := obs.NewTraceRecorder()
-	for _, e := range sampleStream() {
-		tr.Event(e)
-	}
-	tr.ChunkSpan("eclat/pairs", 0, 0, 8, 8, time.Now(), time.Millisecond)
-	srv, err := Serve("127.0.0.1:0", b, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	for _, path := range []string{"/", "/report", "/trace", "/debug/vars", "/debug/pprof/"} {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: status %d", path, resp.StatusCode)
-		}
-		if len(body) == 0 {
-			t.Errorf("%s: empty body", path)
-		}
-	}
-	resp, err := http.Get("http://" + srv.Addr() + "/report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadReport(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("/report did not validate: %v", err)
-	}
-	if rep.Itemsets != 120 {
-		t.Errorf("/report itemsets = %d", rep.Itemsets)
-	}
-	respT, err := http.Get("http://" + srv.Addr() + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf, err := ReadTraceFile(respT.Body)
-	respT.Body.Close()
-	if err != nil {
-		t.Fatalf("/trace did not validate: %v", err)
-	}
-	if rows := tf.WorkerRows(); len(rows) != 1 || rows[0] != 1 {
-		t.Errorf("/trace worker rows = %v, want [1]", rows)
-	}
-	if resp2, err := http.Get("http://" + srv.Addr() + "/nope"); err == nil {
-		if resp2.StatusCode != http.StatusNotFound {
-			t.Errorf("/nope: status %d, want 404", resp2.StatusCode)
-		}
-		resp2.Body.Close()
 	}
 }

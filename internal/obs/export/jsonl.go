@@ -1,8 +1,7 @@
 // Package export holds the ready-made sinks for the obs event stream:
 // a JSON-lines encoder, a human-readable live progress printer, a
-// machine-readable run-report builder with schema validation, an HTTP
-// exposition endpoint (report snapshot + expvar + pprof), SSE replay,
-// and Chrome trace-event timelines.
+// machine-readable run-report builder with schema validation, SSE
+// replay, and Chrome trace-event timelines.
 //
 // Everything here is an obs.Observer (or consumes one run's events), so
 // sinks compose through obs.Multi and attach to a run via

@@ -129,9 +129,8 @@ func (r *Report) MaxImbalance() float64 {
 }
 
 // ReportBuilder is an Observer that folds the event stream into a
-// Report as it arrives. It is safe for concurrent use; Snapshot may be
-// called at any time (the HTTP endpoint does), Report after the run
-// returns.
+// Report as it arrives. It is safe for concurrent use; Report is
+// called after the run returns.
 type ReportBuilder struct {
 	mu     sync.Mutex
 	r      Report
@@ -224,9 +223,8 @@ func (b *ReportBuilder) Event(e obs.Event) {
 	}
 }
 
-// Snapshot returns a deep copy of the report as built so far — valid
-// mid-run, which is what the HTTP /report endpoint serves.
-func (b *ReportBuilder) Snapshot() *Report {
+// snapshot returns a deep copy of the report as built so far.
+func (b *ReportBuilder) snapshot() *Report {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	cp := b.r
@@ -252,7 +250,7 @@ func (b *ReportBuilder) Snapshot() *Report {
 
 // Report finalizes and returns the report, stamping GeneratedUnixNS.
 func (b *ReportBuilder) Report() *Report {
-	r := b.Snapshot()
+	r := b.snapshot()
 	r.GeneratedUnixNS = time.Now().UnixNano()
 	return r
 }

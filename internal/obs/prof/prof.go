@@ -1,7 +1,6 @@
 // Package prof is the engine's CPU-attribution layer: pprof goroutine
 // labels that slice any profile of the process — fimmine -cpuprofile,
-// or /debug/pprof/ on fimserve and fimmine -metrics-addr — by mining
-// run and search phase.
+// or /debug/pprof/ on fimserve — by mining run and search phase.
 //
 // Labels answer the question the paper's scalability analysis keeps
 // asking — *where* does the CPU time go when the machine saturates —

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"time"
 
@@ -27,7 +28,14 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
-	export.HandlePprof(s.mux)
+	// The standard library's on-demand profiles. A served run's samples
+	// carry its fim_* labels (internal/obs/prof), so a CPU profile taken
+	// here can be sliced by run and phase with `go tool pprof -tagfocus`.
+	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
+	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // mineRequest is a parsed, validated, budget-clamped /mine request.

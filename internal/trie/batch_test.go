@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
+	"repro/internal/itemset"
 	"repro/internal/sched"
 )
 
@@ -43,7 +45,7 @@ func checkBlocks(t *testing.T, c *Candidates) {
 // its level-3 candidates — the smallest shape where pruning can fire.
 func randomTrie(r *rand.Rand) (*Trie, *Candidates) {
 	n := 2 + r.Intn(10)
-	tr := NewRoot(make([]int, n))
+	tr := NewRoot(make([]dataset.FrequentItem, n))
 	c := tr.Generate()
 	for i := 0; i < c.Len(); i++ {
 		if r.Intn(2) == 0 {
@@ -61,7 +63,7 @@ func TestBlocksInvariants(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tr, c := randomTrie(r)
 		checkBlocks(t, c)
-		tr.Prune(c)
+		prune(tr, c)
 		checkBlocks(t, c)
 	}
 }
@@ -75,10 +77,14 @@ func TestBlocksEmpty(t *testing.T) {
 	}
 }
 
-// TestPruneParallelMatchesSerial: the team-parallel prune removes the
-// identical candidate set (count AND rows) as the serial path, across
-// random tries, team sizes, and schedules.
-func TestPruneParallelMatchesSerial(t *testing.T) {
+// TestQuickPruneMatchesOracle grows random tries level by level to
+// levels 3–6, committing a random subset of each level's survivors,
+// and checks every prune against an oracle that shares none of the
+// trie's lookup: the committed itemsets are kept in a set of their own,
+// built from the candidate rows as they are committed. Prune must keep
+// exactly the candidates whose every k-subset is in that set, row by
+// row and in order, on teams of 1–4 under every schedule.
+func TestQuickPruneMatchesOracle(t *testing.T) {
 	schedules := []sched.Schedule{
 		{Policy: sched.Static},
 		{Policy: sched.Dynamic},
@@ -86,28 +92,61 @@ func TestPruneParallelMatchesSerial(t *testing.T) {
 	}
 	law := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		trSerial, cSerial := randomTrie(r)
-		r = rand.New(rand.NewSource(seed))
-		trPar, cPar := randomTrie(r)
-
-		wantRemoved := trSerial.Prune(cSerial)
-		pick := int(uint64(seed) % 12)
-		team := sched.NewTeam(1 + pick%4)
-		s := schedules[pick%len(schedules)]
-		gotRemoved, err := trPar.PruneParallel(cPar, team, nil, s, nil)
-		if err != nil || gotRemoved != wantRemoved || cPar.Len() != cSerial.Len() {
-			return false
+		top := 3 + r.Intn(4)
+		tr := NewRoot(make([]dataset.FrequentItem, top+r.Intn(6)))
+		// sets[k] lists the itemsets of level k's nodes, index-aligned;
+		// committed holds every committed itemset's key.
+		sets := [][]itemset.Itemset{nil, nil}
+		committed := make(map[string]bool)
+		for i := range tr.Level(1).Items {
+			sets[1] = append(sets[1], itemset.New(itemset.Item(i)))
+			committed[sets[1][i].Key()] = true
 		}
-		for i := 0; i < cPar.Len(); i++ {
-			if cPar.Px[i] != cSerial.Px[i] || cPar.Py[i] != cSerial.Py[i] ||
-				cPar.Level.Items[i] != cSerial.Level.Items[i] {
+		for k := 2; k <= top; k++ {
+			c := tr.Generate()
+			cands := make([]itemset.Itemset, c.Len())
+			for i := range cands {
+				cands[i] = sets[k-1][c.Px[i]].Extend(c.Level.Items[i])
+			}
+			type row struct{ px, py int32 }
+			var want []row
+			var wantSets []itemset.Itemset
+			for i, full := range cands {
+				ok := true
+				full.AllButOne(func(sub itemset.Itemset) {
+					ok = ok && committed[sub.Key()]
+				})
+				if ok {
+					want = append(want, row{c.Px[i], c.Py[i]})
+					wantSets = append(wantSets, full)
+				}
+			}
+			team := sched.NewTeam(1 + r.Intn(4))
+			removed, err := tr.Prune(c, team, nil, schedules[r.Intn(len(schedules))], nil)
+			if err != nil || removed != len(cands)-len(want) || c.Len() != len(want) {
 				return false
 			}
+			for i, w := range want {
+				if c.Px[i] != w.px || c.Py[i] != w.py || c.Level.Parents[i] != w.px ||
+					c.Level.Items[i] != wantSets[i][k-1] {
+					return false
+				}
+			}
+			checkBlocks(t, c)
+			// Commit a random subset of the survivors.
+			sets = append(sets, nil)
+			for i := range wantSets {
+				if r.Intn(5) > 0 {
+					c.Level.Supports[i] = 1
+					sets[k] = append(sets[k], wantSets[i])
+					committed[wantSets[i].Key()] = true
+				}
+			}
+			tr.Commit(c, 1)
 		}
-		checkBlocks(t, cPar)
 		return true
 	}
 	if err := quick.Check(law, &quick.Config{MaxCount: 120}); err != nil {
-		t.Errorf("parallel prune diverges from serial: %v", err)
+		t.Errorf("prune diverges from the oracle: %v", err)
 	}
 }

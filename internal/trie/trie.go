@@ -10,11 +10,16 @@
 //
 // Candidate generation follows the classic join: two level-k nodes that
 // share their level-(k−1) prefix node (i.e. are siblings) join into a
-// level-(k+1) candidate. Optional subset pruning removes candidates with
-// an infrequent k-subset before support counting is paid for them.
+// level-(k+1) candidate. Subset pruning removes candidates with an
+// infrequent k-subset before support counting is paid for them; the
+// tables are its only index: each committed level records where every
+// node of the level above starts its child run (Level.First), so the
+// check descends the tables one binary search per level.
 package trie
 
 import (
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/itemset"
 	"repro/internal/runctl"
 	"repro/internal/sched"
@@ -38,6 +43,10 @@ type Level struct {
 	// Supports holds each node's support once counted. Candidates start
 	// at 0; Apriori fills them in during support counting.
 	Supports []int
+	// First locates child runs: the children of node p of the level
+	// above are rows [First[p], First[p+1]) of this one. Commit builds
+	// it; level 1 has none, since its node i is item i.
+	First []int32
 }
 
 // Len returns the number of nodes in the level.
@@ -48,17 +57,17 @@ type Trie struct {
 	Levels []*Level
 }
 
-// NewRoot builds level 1 from the frequent items 0..n-1 (dense codes)
-// with the given supports.
-func NewRoot(supports []int) *Trie {
+// NewRoot builds level 1 from the first pass's frequent items, whose
+// dense codes are their positions 0..n-1.
+func NewRoot(items []dataset.FrequentItem) *Trie {
 	l := &Level{K: 1}
-	l.Items = make([]itemset.Item, len(supports))
-	l.Parents = make([]int32, len(supports))
-	l.Supports = make([]int, len(supports))
-	for i := range supports {
+	l.Items = make([]itemset.Item, len(items))
+	l.Parents = make([]int32, len(items))
+	l.Supports = make([]int, len(items))
+	for i, fi := range items {
 		l.Items[i] = itemset.Item(i)
 		l.Parents[i] = NoParent
-		l.Supports[i] = supports[i]
+		l.Supports[i] = fi.Support
 	}
 	return &Trie{Levels: []*Level{l}}
 }
@@ -136,82 +145,35 @@ func (t *Trie) Generate() *Candidates {
 	return out
 }
 
-// index maps a level's itemsets to node indices, for subset pruning.
-type index map[string]int32
-
-func (t *Trie) indexLevel(k int) index {
-	l := t.Levels[k-1]
-	idx := make(index, l.Len())
-	for i := int32(0); i < int32(l.Len()); i++ {
-		idx[t.ItemsetOf(k, i).Key()] = i
-	}
-	return idx
-}
-
 // Prune removes candidates that have an infrequent k-subset (the Apriori
 // property): a (k+1)-candidate survives only if all k+1 of its k-subsets
-// are nodes of the top level. The join already guarantees two of them;
-// the remaining k−1 are checked against a hash index of the top level.
-// Prune returns the number of candidates removed.
-func (t *Trie) Prune(c *Candidates) int {
-	k := c.Level.K - 1 // subset size to check
-	if k < 2 {
-		return 0 // 1-subsets of a 2-candidate are its items, frequent by construction
-	}
-	idx := t.indexLevel(k)
-	keep := make([]bool, c.Len())
-	removed := 0
-	for i := range keep {
-		keep[i] = t.subsetsFrequent(idx, c, k, i)
-		if !keep[i] {
-			removed++
-		}
-	}
-	if removed > 0 {
-		c.Filter(keep)
-	}
-	return removed
-}
-
-// subsetsFrequent checks candidate i's Apriori property against the
-// k-level hash index: every k-subset of the candidate must be a node
-// of the top level.
-func (t *Trie) subsetsFrequent(idx index, c *Candidates, k, i int) bool {
-	full := t.ItemsetOf(k, c.Px[i]).Extend(c.Level.Items[i])
-	ok := true
-	full.AllButOne(func(sub itemset.Itemset) {
-		if !ok {
-			return
-		}
-		// The two generating parents are sub without the last or
-		// second-to-last item; they exist by construction, but a map
-		// hit is cheap and the uniform check keeps the code simple.
-		if _, found := idx[sub.Key()]; !found {
-			ok = false
-		}
-	})
-	return ok
-}
-
-// PruneParallel is Prune with the per-candidate subset checks run on a
-// worker team — previously a serial Amdahl term charged to the phase
-// accounting as pure serial time. The k-level hash index is built once
-// (serially; it is a shared read-only map during the checks), the keep
-// bitmap is filled on the team, and the surviving rows are compacted
-// serially. It removes exactly the set of candidates Prune removes.
+// are nodes of the top level. The join already guarantees the two that
+// drop one of the last two items; the other k−1 are looked up in the
+// level tables themselves. The subset that drops the item at position j
+// shares the candidate's own prefix path down to level j, read off the
+// Parents chain; from there each level below is one binary search of
+// the next item inside the node's child run (Level.First). The checks
+// run on the team, each worker on its own scratch buffers, so no check
+// allocates; the surviving rows are compacted serially. Prune returns
+// the number of candidates removed.
+//
 // On cancellation the candidates are left unpruned (support counting
 // never runs, so no wrong answer can be observed) and the stop cause
 // is returned. loop, when non-nil, records the check loop (see
 // sched.Team.ForCtx).
-func (t *Trie) PruneParallel(c *Candidates, team *sched.Team, loop *sched.Loop, s sched.Schedule, rc *runctl.Control) (int, error) {
+func (t *Trie) Prune(c *Candidates, team *sched.Team, loop *sched.Loop, s sched.Schedule, rc *runctl.Control) (int, error) {
 	k := c.Level.K - 1 // subset size to check
 	if k < 2 {
-		return 0, rc.Err()
+		return 0, rc.Err() // 1-subsets of a 2-candidate are its items, frequent by construction
 	}
-	idx := t.indexLevel(k)
+	// One path and item buffer per worker, padded a cache line apart.
+	stride := k + 16
+	paths := make([]int32, team.Workers()*stride)
+	items := make([]itemset.Item, team.Workers()*stride)
 	keep := make([]bool, c.Len())
-	if err := team.ForCtx(rc, loop, c.Len(), s, func(_, i int) {
-		keep[i] = t.subsetsFrequent(idx, c, k, i)
+	if err := team.ForCtx(rc, loop, c.Len(), s, func(w, i int) {
+		at := w * stride
+		keep[i] = t.subsetsFrequent(c, i, paths[at:at+k], items[at:at+k+1])
 	}); err != nil {
 		return 0, err
 	}
@@ -225,6 +187,55 @@ func (t *Trie) PruneParallel(c *Candidates, team *sched.Team, loop *sched.Loop, 
 		c.Filter(keep)
 	}
 	return removed, nil
+}
+
+// subsetsFrequent reports whether candidate i's k-subsets that drop
+// one of positions 0..k−2 are all nodes of level k, where k = len(path).
+// path and items are scratch: they receive the nodes of the
+// candidate's prefix (path[l] at level l+1) and its k+1 items.
+func (t *Trie) subsetsFrequent(c *Candidates, i int, path []int32, items []itemset.Item) bool {
+	k := len(path)
+	items[k] = c.Level.Items[i]
+	node := c.Px[i]
+	for l := k - 1; l >= 0; l-- {
+		path[l] = node
+		items[l] = t.Levels[l].Items[node]
+		node = t.Levels[l].Parents[node]
+	}
+	// The deepest drop shares the longest path, so it is checked first.
+	for j := k - 2; j >= 0; j-- {
+		// Start from the shared prefix node at level j. Level 1 is
+		// indexed by item, so with no shared prefix the subset's first
+		// item is its own node.
+		m, node := 1, int32(items[1])
+		if j > 0 {
+			m, node = j, path[j-1]
+		}
+		for ; m < k; m++ {
+			if node = t.Levels[m].child(node, items[m+1]); node < 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// child returns the row of parent node p's child with last item x, or
+// −1 if p has no such child: a binary search of p's child run.
+func (l *Level) child(p int32, x itemset.Item) int32 {
+	lo, end := l.First[p], l.First[p+1]
+	for hi := end; lo < hi; {
+		mid := int32(uint32(lo+hi) >> 1)
+		if l.Items[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < end && l.Items[lo] == x {
+		return lo
+	}
+	return -1
 }
 
 // Filter compacts the candidate arrays to the rows keep marks, in
@@ -259,9 +270,9 @@ func (c *Candidates) Filter(keep []bool) {
 
 // Commit filters the candidates to those with Supports >= minSup
 // (candidate_pruning of Algorithm 1), pushes the surviving level onto the
-// trie, and returns it along with the kept candidate row indices
-// (positions into the pre-filter candidate arrays), which the miner uses
-// to carry vertical payloads forward.
+// trie with its First table, and returns it along with the kept candidate
+// row indices (positions into the pre-filter candidate arrays), which the
+// miner uses to carry vertical payloads forward.
 func (t *Trie) Commit(c *Candidates, minSup int) (*Level, []int32) {
 	var kept []int32
 	for i := 0; i < c.Len(); i++ {
@@ -278,24 +289,35 @@ func (t *Trie) Commit(c *Candidates, minSup int) (*Level, []int32) {
 		nl.Parents[w] = c.Level.Parents[i]
 		nl.Supports[w] = c.Level.Supports[i]
 	}
-	// Reindexing: Parents reference the previous level, which is
-	// unchanged — but only surviving *nodes of this level* matter for the
-	// next generation's sibling runs, and their prefix links are intact.
+	// Parents is non-decreasing, so First is a prefix sum of each parent
+	// node's child count.
+	nl.First = make([]int32, t.Levels[len(t.Levels)-1].Len()+1)
+	for _, p := range nl.Parents {
+		nl.First[p+1]++
+	}
+	for p := 1; p < len(nl.First); p++ {
+		nl.First[p] += nl.First[p-1]
+	}
 	t.Levels = append(t.Levels, nl)
 	return nl, kept
 }
 
-// FrequentItemsets enumerates every node of every committed level as a
-// (itemset, support) pair, in level order then lexicographic order.
-func (t *Trie) FrequentItemsets() ([]itemset.Itemset, []int) {
-	var sets []itemset.Itemset
-	var sups []int
+// Counts enumerates every node of every committed level with its
+// support, in level order then lexicographic order, and returns the size
+// of the largest (0 for an empty trie).
+func (t *Trie) Counts() ([]core.ItemsetCount, int) {
+	n := 0
+	for _, l := range t.Levels {
+		n += l.Len()
+	}
+	out := make([]core.ItemsetCount, 0, n)
+	maxK := 0
 	for k := 1; k <= len(t.Levels); k++ {
 		l := t.Levels[k-1]
 		for i := int32(0); i < int32(l.Len()); i++ {
-			sets = append(sets, t.ItemsetOf(k, i))
-			sups = append(sups, l.Supports[i])
+			out = append(out, core.ItemsetCount{Items: t.ItemsetOf(k, i), Support: l.Supports[i]})
+			maxK = k
 		}
 	}
-	return sets, sups
+	return out, maxK
 }

@@ -2,14 +2,35 @@ package trie
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/itemset"
+	"repro/internal/sched"
 )
 
+// roots returns first-pass frequent items with the given supports.
+func roots(supports ...int) []dataset.FrequentItem {
+	items := make([]dataset.FrequentItem, len(supports))
+	for i, s := range supports {
+		items[i] = dataset.FrequentItem{Original: itemset.Item(i), Support: s}
+	}
+	return items
+}
+
+// prune runs Prune on a one-worker team under the static schedule.
+func prune(tr *Trie, c *Candidates) int {
+	removed, err := tr.Prune(c, sched.NewTeam(1), nil, sched.Schedule{Policy: sched.Static}, nil)
+	if err != nil {
+		panic(err)
+	}
+	return removed
+}
+
 func TestNewRoot(t *testing.T) {
-	tr := NewRoot([]int{5, 7, 3})
+	tr := NewRoot(roots(5, 7, 3))
 	l := tr.Level(1)
 	if l == nil || l.Len() != 3 || l.K != 1 {
 		t.Fatalf("root level malformed: %+v", l)
@@ -28,7 +49,7 @@ func TestNewRoot(t *testing.T) {
 }
 
 func TestItemsetOf(t *testing.T) {
-	tr := NewRoot([]int{1, 1, 1})
+	tr := NewRoot(roots(1, 1, 1))
 	c := tr.Generate()
 	// candidates: {0,1},{0,2},{1,2}
 	for i := range c.Px {
@@ -44,7 +65,7 @@ func TestItemsetOf(t *testing.T) {
 }
 
 func TestGenerateLevel2(t *testing.T) {
-	tr := NewRoot([]int{1, 1, 1, 1})
+	tr := NewRoot(roots(1, 1, 1, 1))
 	c := tr.Generate()
 	if c.Len() != 6 { // C(4,2)
 		t.Fatalf("generated %d candidates, want 6", c.Len())
@@ -63,7 +84,7 @@ func TestGenerateLevel2(t *testing.T) {
 func TestGenerateRespectsSiblingRuns(t *testing.T) {
 	// Build level 2 = {0,1},{0,2},{1,2} then generate level 3:
 	// only {0,1} and {0,2} are siblings (parent 0), so one candidate {0,1,2}.
-	tr := NewRoot([]int{1, 1, 1})
+	tr := NewRoot(roots(1, 1, 1))
 	c := tr.Generate()
 	for i := range c.Px {
 		c.Level.Supports[i] = 1
@@ -80,7 +101,7 @@ func TestGenerateRespectsSiblingRuns(t *testing.T) {
 }
 
 func TestCommitFiltersByMinSup(t *testing.T) {
-	tr := NewRoot([]int{9, 9, 9})
+	tr := NewRoot(roots(9, 9, 9))
 	c := tr.Generate() // {0,1},{0,2},{1,2}
 	c.Level.Supports[0] = 5
 	c.Level.Supports[1] = 2
@@ -101,6 +122,10 @@ func TestCommitFiltersByMinSup(t *testing.T) {
 	if lvl.Supports[1] != 7 {
 		t.Errorf("support = %d", lvl.Supports[1])
 	}
+	// Root 0 keeps child {0,1}, root 1 keeps {1,2}, root 2 has none.
+	if want := []int32{0, 1, 2, 2}; !slices.Equal(lvl.First, want) {
+		t.Errorf("First = %v, want %v", lvl.First, want)
+	}
 }
 
 func TestPrune(t *testing.T) {
@@ -109,7 +134,7 @@ func TestPrune(t *testing.T) {
 	// from parent {0}: {0,1,2}; from parent {1}: {1,2,3}.
 	// {0,1,2}: subsets {0,1},{0,2},{1,2} all present -> keep.
 	// {1,2,3}: subset {2,3} missing -> pruned.
-	tr := NewRoot([]int{1, 1, 1, 1})
+	tr := NewRoot(roots(1, 1, 1, 1))
 	c := tr.Generate()
 	for i := 0; i < c.Len(); i++ {
 		full := tr.ItemsetOf(1, c.Px[i]).Extend(c.Level.Items[i])
@@ -123,7 +148,7 @@ func TestPrune(t *testing.T) {
 	if c3.Len() != 2 {
 		t.Fatalf("pre-prune candidates = %d, want 2", c3.Len())
 	}
-	removed := tr.Prune(c3)
+	removed := prune(tr, c3)
 	if removed != 1 || c3.Len() != 1 {
 		t.Fatalf("Prune removed %d, left %d", removed, c3.Len())
 	}
@@ -134,27 +159,27 @@ func TestPrune(t *testing.T) {
 }
 
 func TestPruneNoOpAtLevel2(t *testing.T) {
-	tr := NewRoot([]int{1, 1})
+	tr := NewRoot(roots(1, 1))
 	c := tr.Generate()
-	if removed := tr.Prune(c); removed != 0 {
+	if removed := prune(tr, c); removed != 0 {
 		t.Errorf("Prune removed %d at level 2", removed)
 	}
 }
 
 func TestFrequentItemsets(t *testing.T) {
-	tr := NewRoot([]int{4, 5})
+	tr := NewRoot(roots(4, 5))
 	c := tr.Generate()
 	c.Level.Supports[0] = 3
 	tr.Commit(c, 1)
-	sets, sups := tr.FrequentItemsets()
-	if len(sets) != 3 {
-		t.Fatalf("enumerated %d itemsets", len(sets))
+	counts, maxK := tr.Counts()
+	if len(counts) != 3 || maxK != 2 {
+		t.Fatalf("enumerated %d itemsets, maxK %d", len(counts), maxK)
 	}
 	wantSets := []itemset.Itemset{itemset.New(0), itemset.New(1), itemset.New(0, 1)}
 	wantSups := []int{4, 5, 3}
 	for i := range wantSets {
-		if !sets[i].Equal(wantSets[i]) || sups[i] != wantSups[i] {
-			t.Errorf("itemset %d = %v/%d, want %v/%d", i, sets[i], sups[i], wantSets[i], wantSups[i])
+		if !counts[i].Items.Equal(wantSets[i]) || counts[i].Support != wantSups[i] {
+			t.Errorf("itemset %d = %v/%d, want %v/%d", i, counts[i].Items, counts[i].Support, wantSets[i], wantSups[i])
 		}
 	}
 }
@@ -165,9 +190,8 @@ func TestEmptyRoot(t *testing.T) {
 	if c.Len() != 0 {
 		t.Errorf("generated %d candidates from empty root", c.Len())
 	}
-	sets, _ := tr.FrequentItemsets()
-	if len(sets) != 0 {
-		t.Errorf("enumerated %d itemsets from empty trie", len(sets))
+	if counts, maxK := tr.Counts(); len(counts) != 0 || maxK != 0 {
+		t.Errorf("enumerated %d itemsets (maxK %d) from empty trie", len(counts), maxK)
 	}
 }
 
@@ -178,7 +202,7 @@ func TestQuickGenerateSoundness(t *testing.T) {
 	law := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(10)
-		tr := NewRoot(make([]int, n))
+		tr := NewRoot(make([]dataset.FrequentItem, n))
 		// Commit a random subset of the 2-itemsets.
 		c := tr.Generate()
 		for i := 0; i < c.Len(); i++ {
@@ -215,14 +239,14 @@ func TestQuickGenerateSoundness(t *testing.T) {
 	}
 }
 
-// Property: Prune never removes a candidate whose every k-subset is
-// present, and always removes one with a missing subset.
+// Property: at level 3, Prune keeps exactly the candidates whose every
+// 2-subset is present, row for row and in order.
 func TestQuickPruneExact(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60}
 	law := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(6)
-		tr := NewRoot(make([]int, n))
+		tr := NewRoot(make([]dataset.FrequentItem, n))
 		c := tr.Generate()
 		present := make(map[string]bool)
 		for i := 0; i < c.Len(); i++ {
@@ -234,8 +258,8 @@ func TestQuickPruneExact(t *testing.T) {
 		}
 		tr.Commit(c, 1)
 		c3 := tr.Generate()
-		// Compute expected keeps before pruning.
-		var wantKeep []bool
+		// The expected survivors, as (Px, Py) rows, before pruning.
+		var want [][2]int32
 		for i := 0; i < c3.Len(); i++ {
 			full := tr.ItemsetOf(2, c3.Px[i]).Extend(c3.Level.Items[i])
 			ok := true
@@ -244,17 +268,20 @@ func TestQuickPruneExact(t *testing.T) {
 					ok = false
 				}
 			})
-			wantKeep = append(wantKeep, ok)
-		}
-		tr.Prune(c3)
-		// Survivors must equal the expected keeps, in order.
-		w := 0
-		for i := range wantKeep {
-			if wantKeep[i] {
-				w++
+			if ok {
+				want = append(want, [2]int32{c3.Px[i], c3.Py[i]})
 			}
 		}
-		return c3.Len() == w
+		prune(tr, c3)
+		if c3.Len() != len(want) {
+			return false
+		}
+		for i, w := range want {
+			if c3.Px[i] != w[0] || c3.Py[i] != w[1] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(law, cfg); err != nil {
 		t.Errorf("prune exactness: %v", err)
