@@ -569,12 +569,6 @@ func Rules(res *Result, minConfidence float64) []Rule {
 	return assoc.Generate(res, minConfidence)
 }
 
-// RulesParallel is Rules with the per-itemset search spread over a
-// worker team; output is identical.
-func RulesParallel(res *Result, minConfidence float64, workers int) []Rule {
-	return assoc.GenerateParallel(res, minConfidence, workers)
-}
-
 // DecodeRule maps a rule back to the database's original item codes.
 func DecodeRule(res *Result, r Rule) Rule {
 	return assoc.Decode(res, r)

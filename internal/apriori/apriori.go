@@ -200,20 +200,26 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		// footprint holds only frequent children and a later block reuses
 		// the buffer; the model still charges every candidate's payload.
 		childNodes := make([]vertical.Node, n)
-		nBlocks := len(cands.Blocks) - 1
-		weights := make([]int64, nBlocks)
-		for b := 0; b < nBlocks; b++ {
-			lo, hi := cands.Blocks[b], cands.Blocks[b+1]
-			w := int64(hi-lo) * int64(nodes[cands.Px[lo]].Bytes())
-			for i := lo; i < hi; i++ {
-				w += int64(nodes[cands.Py[i]].Bytes())
+		var blocks []int32 // the parent nodes with a non-empty child run
+		for p := range nodes {
+			if cands.First[p+1] > cands.First[p] {
+				blocks = append(blocks, int32(p))
+			}
+		}
+		weights := make([]int64, len(blocks))
+		for b, p := range blocks {
+			lo, hi := cands.First[p], cands.First[p+1]
+			w := int64(hi-lo) * int64(nodes[p].Bytes())
+			for _, py := range cands.Py[lo:hi] {
+				w += int64(nodes[py].Bytes())
 			}
 			weights[b] = w
 		}
-		err := team.ForWeightedCtx(rc, loop, nBlocks, weights, schedule, func(worker, b int) {
-			lo, hi := int(cands.Blocks[b]), int(cands.Blocks[b+1])
+		err := team.ForWeightedCtx(rc, loop, len(blocks), weights, schedule, func(worker, b int) {
+			p := blocks[b]
+			lo, hi := int(cands.First[p]), int(cands.First[p+1])
 			m := hi - lo
-			px := nodes[cands.Px[lo]]
+			px := nodes[p]
 			a := arenas[worker]
 			pys, out := a.NodeScratch(m)
 			for k := 0; k < m; k++ {
@@ -262,7 +268,7 @@ func Mine(rec *dataset.Recoded, minSup int, opt core.Options) (*core.Result, err
 		// infrequent children were recycled as they were built.
 		rep, err = core.Cure(opt, res, rep, gen+1, func(visit func(*vertical.Node, vertical.Node)) {
 			for w := range next {
-				visit(&next[w], nodes[cands.Px[kept[w]]])
+				visit(&next[w], nodes[level.Parents[w]])
 			}
 		})
 		if err != nil {

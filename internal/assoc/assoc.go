@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/itemset"
-	"repro/internal/sched"
 )
 
 // Rule is one association rule over dense item codes.
@@ -39,28 +38,13 @@ func (r Rule) String() string {
 
 // Generate derives every rule with confidence >= minConf from the
 // frequent itemsets of res. Rules are returned in a deterministic order
-// (by itemset, then consequent).
+// (by antecedent, then consequent).
 func Generate(res *core.Result, minConf float64) []Rule {
-	return GenerateParallel(res, minConf, 1)
-}
-
-// GenerateParallel is Generate with the per-itemset consequent search
-// spread over a worker team (each frequent itemset's rules are derived
-// independently; dynamic scheduling handles the skew between small and
-// large itemsets). The output is identical to Generate's, in the same
-// deterministic order.
-func GenerateParallel(res *core.Result, minConf float64, workers int) []Rule {
 	support := res.ByKey()
 	total := res.Rec.DB.NumTransactions()
-	sorted := res.Sorted()
-	team := sched.NewTeam(workers)
-	private := make([][]Rule, team.Workers())
-	team.For(len(sorted), sched.Schedule{Policy: sched.Dynamic, Chunk: 8}, func(w, i int) {
-		private[w] = appendRules(private[w], sorted[i], support, total, minConf)
-	})
 	var rules []Rule
-	for _, p := range private {
-		rules = append(rules, p...)
+	for _, c := range res.Counts {
+		rules = appendRules(rules, c, support, total, minConf)
 	}
 	slices.SortFunc(rules, func(a, b Rule) int {
 		if c := a.Antecedent.Compare(b.Antecedent); c != 0 {

@@ -248,39 +248,6 @@ func TestQuickRulesComplete(t *testing.T) {
 	}
 }
 
-func TestGenerateParallelMatchesSerial(t *testing.T) {
-	// A result with enough itemsets for real parallelism.
-	var sb strings.Builder
-	r := rand.New(rand.NewSource(31))
-	for i := 0; i < 60; i++ {
-		for it := 1; it <= 7; it++ {
-			if r.Intn(3) > 0 {
-				sb.WriteString(" ")
-				sb.WriteByte(byte('0' + it))
-			}
-		}
-		sb.WriteString("\n")
-	}
-	res := mined(t, sb.String(), 5)
-	serial := Generate(res, 0.4)
-	if len(serial) == 0 {
-		t.Fatal("no rules to compare")
-	}
-	for _, workers := range []int{2, 3, 8} {
-		par := GenerateParallel(res, 0.4, workers)
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d rules vs %d serial", workers, len(par), len(serial))
-		}
-		for i := range serial {
-			if !par[i].Antecedent.Equal(serial[i].Antecedent) ||
-				!par[i].Consequent.Equal(serial[i].Consequent) ||
-				par[i].Support != serial[i].Support {
-				t.Fatalf("workers=%d: rule %d differs: %v vs %v", workers, i, par[i], serial[i])
-			}
-		}
-	}
-}
-
 // must unwraps the miner's (result, error) pair.
 func must(res *core.Result, err error) *core.Result {
 	if err != nil {

@@ -417,14 +417,33 @@ type BaselineRow struct {
 	Dataset string
 	Support float64
 	// Seconds of serial mining on this host per engine.
-	VerticalTidset  float64
-	VerticalDiffset float64
-	HorizontalScan  float64 // per-transaction subset scanning (partial counters)
-	PointerTrie     float64 // Bodon-style trie-descent counting
+	VerticalTidset  Timing
+	VerticalDiffset Timing
+	HorizontalScan  Timing // per-transaction subset scanning (partial counters)
+	PointerTrie     Timing // Bodon-style trie-descent counting
 	// AtomicRemote is the shared-counter cache-line traffic the atomic
 	// variant records (the §III race-protection cost); partial counting
 	// records zero.
 	AtomicRemote int64
+}
+
+// Timing is the wall-clock seconds of baselineRuns runs of one engine.
+type Timing struct{ Median, Min, Max float64 }
+
+// baselineRuns is how often Baselines times each engine: one run's
+// wall-clock varies too much on a shared host to compare a change by.
+const baselineRuns = 5
+
+// timeRuns runs f baselineRuns times and returns its timing.
+func timeRuns(f func()) Timing {
+	secs := make([]float64, baselineRuns)
+	for i := range secs {
+		start := time.Now()
+		f()
+		secs[i] = time.Since(start).Seconds()
+	}
+	sort.Float64s(secs)
+	return Timing{Median: secs[len(secs)/2], Min: secs[0], Max: secs[len(secs)-1]}
 }
 
 // Baselines runs ablation A5/A6 on the dense datasets at reduced scale
@@ -443,21 +462,16 @@ func Baselines(cfg Config) []BaselineRow {
 		row := BaselineRow{Dataset: d.Name, Support: d.DefaultSupport}
 		// Every engine mines the one item order fim.Mine codes by, and
 		// each timing includes that engine's own recode.
-		timeIt := func(f func()) float64 {
-			start := time.Now()
-			f()
-			return time.Since(start).Seconds()
-		}
 		apriori := func(rep vertical.Kind) func() {
 			return func() {
 				mustMine(fim.MineAbsolute(db, minSup, fim.Options{Algorithm: core.Apriori, Representation: rep, Workers: 1}))
 			}
 		}
 		recode := func() *dataset.Recoded { return db.RecodeOrdered(minSup, dataset.ByFrequency) }
-		row.VerticalTidset = timeIt(apriori(vertical.Tidset))
-		row.VerticalDiffset = timeIt(apriori(vertical.Diffset))
-		row.HorizontalScan = timeIt(func() { horizontal.Mine(recode(), minSup, 1, horizontal.Partial, nil) })
-		row.PointerTrie = timeIt(func() { ptrie.Mine(recode(), minSup, 1) })
+		row.VerticalTidset = timeRuns(apriori(vertical.Tidset))
+		row.VerticalDiffset = timeRuns(apriori(vertical.Diffset))
+		row.HorizontalScan = timeRuns(func() { horizontal.Mine(recode(), minSup, 1, horizontal.Partial, nil) })
+		row.PointerTrie = timeRuns(func() { ptrie.Mine(recode(), minSup, 1) })
 		trace := &sched.Record{}
 		horizontal.Mine(recode(), minSup, 1, horizontal.Atomic, trace)
 		row.AtomicRemote = trace.TotalRemote()
@@ -469,14 +483,15 @@ func Baselines(cfg Config) []BaselineRow {
 // FormatBaselines renders ablation A5/A6.
 func FormatBaselines(rows []BaselineRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "A5/A6 — Horizontal baselines vs vertical Apriori (serial wall-clock on this host)\n")
-	fmt.Fprintf(&b, "%-22s %12s %12s %12s %12s %14s\n",
+	fmt.Fprintf(&b, "A5/A6 — Horizontal baselines vs vertical Apriori (serial wall-clock on this host, median s (min–max) of %d runs)\n", baselineRuns)
+	fmt.Fprintf(&b, "%-16s %21s %21s %21s %21s %14s\n",
 		"dataset@support", "vert/tidset", "vert/diffset", "horiz/scan", "ptrie", "atomicTraffic")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-22s %11.3fs %11.3fs %11.3fs %11.3fs %11.1fMB\n",
-			fmt.Sprintf("%s@%g", r.Dataset, r.Support),
-			r.VerticalTidset, r.VerticalDiffset, r.HorizontalScan, r.PointerTrie,
-			float64(r.AtomicRemote)/(1<<20))
+		fmt.Fprintf(&b, "%-16s", fmt.Sprintf("%s@%g", r.Dataset, r.Support))
+		for _, t := range []Timing{r.VerticalTidset, r.VerticalDiffset, r.HorizontalScan, r.PointerTrie} {
+			fmt.Fprintf(&b, " %21s", fmt.Sprintf("%.3f (%.3f–%.3f)", t.Median, t.Min, t.Max))
+		}
+		fmt.Fprintf(&b, " %12.1fMB\n", float64(r.AtomicRemote)/(1<<20))
 	}
 	return b.String()
 }

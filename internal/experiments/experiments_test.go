@@ -228,8 +228,10 @@ func TestBaselines(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	r := rows[0]
-	if r.VerticalTidset <= 0 || r.VerticalDiffset <= 0 || r.HorizontalScan <= 0 || r.PointerTrie <= 0 {
-		t.Errorf("non-positive timings: %+v", r)
+	for _, tm := range []Timing{r.VerticalTidset, r.VerticalDiffset, r.HorizontalScan, r.PointerTrie} {
+		if tm.Min <= 0 || tm.Min > tm.Median || tm.Median > tm.Max {
+			t.Errorf("timing not a positive min ≤ median ≤ max: %+v", r)
+		}
 	}
 	if r.AtomicRemote == 0 {
 		t.Error("atomic counting recorded no shared-counter traffic")

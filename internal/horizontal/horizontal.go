@@ -85,7 +85,7 @@ func Mine(rec *dataset.Recoded, minSup int, workers int, counting Counting, loop
 		// Materialize candidate itemsets once per generation.
 		sets := make([]itemset.Itemset, n)
 		for i := 0; i < n; i++ {
-			sets[i] = tr.ItemsetOf(cands.Level.K-1, cands.Px[i]).Extend(cands.Level.Items[i])
+			sets[i] = tr.ItemsetOf(cands.K-1, cands.Parents[i]).Extend(cands.Items[i])
 		}
 
 		loop := loops.Open(fmt.Sprintf("horizontal/gen%d", gen+1), schedule, nTrans, true)

@@ -2,6 +2,7 @@ package trie
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,70 +11,92 @@ import (
 	"repro/internal/sched"
 )
 
-// checkBlocks asserts the Blocks invariants: a sentinel-terminated,
-// strictly increasing cover of [0, Len()) whose every block holds a
-// single Px value and whose boundaries are exactly the Px change
-// points.
-func checkBlocks(t *testing.T, c *Candidates) {
+// checkFirst asserts the First invariants of level l under the level
+// above it: First has one entry per node above and one more, its run p
+// holds exactly the rows whose parent is p, in ascending item order,
+// and those runs cover [0, Len()). For candidates (py non-nil) the
+// sibling Py[c] is a later row of the level above with c's item.
+func checkFirst(t *testing.T, above, l *Level, py []int32) {
 	t.Helper()
-	if len(c.Blocks) == 0 {
-		t.Fatal("Blocks missing its sentinel")
+	if len(l.First) != above.Len()+1 || l.First[0] != 0 || l.First[above.Len()] != int32(l.Len()) {
+		t.Fatalf("level %d: First = %v over %d nodes, %d rows", l.K, l.First, above.Len(), l.Len())
 	}
-	if got := c.Blocks[len(c.Blocks)-1]; got != int32(c.Len()) {
-		t.Fatalf("Blocks sentinel = %d, want %d", got, c.Len())
-	}
-	if c.Blocks[0] != 0 && c.Len() > 0 {
-		t.Fatalf("first block starts at %d", c.Blocks[0])
-	}
-	for b := 0; b+1 < len(c.Blocks); b++ {
-		lo, hi := c.Blocks[b], c.Blocks[b+1]
-		if lo >= hi {
-			t.Fatalf("block %d is empty or inverted: [%d, %d)", b, lo, hi)
-		}
-		for i := lo; i < hi; i++ {
-			if c.Px[i] != c.Px[lo] {
-				t.Fatalf("block %d mixes Px %d and %d", b, c.Px[lo], c.Px[i])
+	for p := 0; p < above.Len(); p++ {
+		for c := l.First[p]; c < l.First[p+1]; c++ {
+			if l.Parents[c] != int32(p) {
+				t.Fatalf("level %d: row %d in run %d has parent %d", l.K, c, p, l.Parents[c])
+			}
+			if c > l.First[p] && l.Items[c] <= l.Items[c-1] {
+				t.Fatalf("level %d: run %d items do not ascend at row %d", l.K, p, c)
+			}
+			if py != nil && (py[c] <= l.Parents[c] || above.Items[py[c]] != l.Items[c]) {
+				t.Fatalf("level %d: row %d has prefix %d, sibling %d, item %d", l.K, c, l.Parents[c], py[c], l.Items[c])
 			}
 		}
-		if b > 0 && c.Px[lo] == c.Px[c.Blocks[b-1]] {
-			t.Fatalf("blocks %d and %d share Px %d", b-1, b, c.Px[lo])
+	}
+}
+
+// checkCommitted asserts that the top level of tr holds its First
+// invariants and no spare capacity: Commit copies the survivors out of
+// the candidate arrays at their exact size.
+func checkCommitted(t *testing.T, tr *Trie) {
+	t.Helper()
+	l := tr.Levels[len(tr.Levels)-1]
+	checkFirst(t, tr.Levels[len(tr.Levels)-2], l, nil)
+	if cap(l.Items) != len(l.Items) || cap(l.Parents) != len(l.Parents) ||
+		cap(l.Supports) != len(l.Supports) || cap(l.First) != len(l.First) {
+		t.Fatalf("level %d: committed arrays carry spare capacity", l.K)
+	}
+}
+
+// checkPairSlots asserts that generation 2's row t is the pair slot t
+// of dataset.PairIndex, which core.LevelTwo's keep is indexed by.
+func checkPairSlots(t *testing.T, c *Candidates) {
+	t.Helper()
+	n := len(c.First) - 1
+	for r := 0; r < c.Len(); r++ {
+		if dataset.PairIndex(int(c.Parents[r]), int(c.Py[r]), n) != r {
+			t.Fatalf("generation 2 row %d is pair (%d, %d)", r, c.Parents[r], c.Py[r])
 		}
 	}
 }
 
-// randomTrie builds a trie with a committed random level 2, returning
-// its level-3 candidates — the smallest shape where pruning can fire.
-func randomTrie(r *rand.Rand) (*Trie, *Candidates) {
-	n := 2 + r.Intn(10)
-	tr := NewRoot(make([]dataset.FrequentItem, n))
-	c := tr.Generate()
-	for i := 0; i < c.Len(); i++ {
-		if r.Intn(2) == 0 {
-			c.Level.Supports[i] = 1
-		}
-	}
-	tr.Commit(c, 1)
-	return tr, tr.Generate()
-}
-
-// TestBlocksInvariants: Generate and Prune's compaction both leave
-// Blocks consistent with the Px runs, on random tries.
-func TestBlocksInvariants(t *testing.T) {
+// TestFirstInvariants: Generate, Filter and Commit all leave First
+// consistent with the Parents runs, on random tries grown to level 4
+// through random filters and commits.
+func TestFirstInvariants(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		tr, c := randomTrie(r)
-		checkBlocks(t, c)
-		prune(tr, c)
-		checkBlocks(t, c)
+		tr := NewRoot(make([]dataset.FrequentItem, 2+r.Intn(10)))
+		checkFirst(t, &Level{Items: make([]itemset.Item, 1)}, tr.Level(1), nil)
+		for k := 2; k <= 4; k++ {
+			c := tr.Generate()
+			checkFirst(t, tr.Level(k-1), c.Level, c.Py)
+			if k == 2 {
+				checkPairSlots(t, c)
+			}
+			keep := make([]bool, c.Len())
+			for i := range keep {
+				keep[i] = r.Intn(4) > 0
+			}
+			c.Filter(keep)
+			checkFirst(t, tr.Level(k-1), c.Level, c.Py)
+			for i := range c.Supports {
+				c.Supports[i] = r.Intn(2)
+			}
+			tr.Commit(c, 1)
+			checkCommitted(t, tr)
+		}
 	}
 }
 
-// TestBlocksEmpty: an empty generation still carries the sentinel.
-func TestBlocksEmpty(t *testing.T) {
-	c := NewRoot(nil).Generate()
-	checkBlocks(t, c)
-	if len(c.Blocks) != 1 {
-		t.Fatalf("empty generation has %d block entries, want sentinel only", len(c.Blocks))
+// TestFirstEmpty: the empty trie's root and generation still carry the
+// one First entry past their (no) nodes.
+func TestFirstEmpty(t *testing.T) {
+	tr := NewRoot(nil)
+	c := tr.Generate()
+	if !slices.Equal(tr.Level(1).First, []int32{0, 0}) || !slices.Equal(c.First, []int32{0}) || c.Len() != 0 {
+		t.Fatalf("empty trie: root First %v, generation First %v, %d candidates", tr.Level(1).First, c.First, c.Len())
 	}
 }
 
@@ -104,9 +127,10 @@ func TestQuickPruneMatchesOracle(t *testing.T) {
 		}
 		for k := 2; k <= top; k++ {
 			c := tr.Generate()
+			checkFirst(t, tr.Level(k-1), c.Level, c.Py)
 			cands := make([]itemset.Itemset, c.Len())
 			for i := range cands {
-				cands[i] = sets[k-1][c.Px[i]].Extend(c.Level.Items[i])
+				cands[i] = sets[k-1][c.Parents[i]].Extend(c.Level.Items[i])
 			}
 			type row struct{ px, py int32 }
 			var want []row
@@ -117,7 +141,7 @@ func TestQuickPruneMatchesOracle(t *testing.T) {
 					ok = ok && committed[sub.Key()]
 				})
 				if ok {
-					want = append(want, row{c.Px[i], c.Py[i]})
+					want = append(want, row{c.Parents[i], c.Py[i]})
 					wantSets = append(wantSets, full)
 				}
 			}
@@ -127,12 +151,12 @@ func TestQuickPruneMatchesOracle(t *testing.T) {
 				return false
 			}
 			for i, w := range want {
-				if c.Px[i] != w.px || c.Py[i] != w.py || c.Level.Parents[i] != w.px ||
+				if c.Py[i] != w.py || c.Level.Parents[i] != w.px ||
 					c.Level.Items[i] != wantSets[i][k-1] {
 					return false
 				}
 			}
-			checkBlocks(t, c)
+			checkFirst(t, tr.Level(k-1), c.Level, c.Py)
 			// Commit a random subset of the survivors.
 			sets = append(sets, nil)
 			for i := range wantSets {
@@ -143,6 +167,7 @@ func TestQuickPruneMatchesOracle(t *testing.T) {
 				}
 			}
 			tr.Commit(c, 1)
+			checkCommitted(t, tr)
 		}
 		return true
 	}

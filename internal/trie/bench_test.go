@@ -11,15 +11,12 @@ import (
 	"repro/internal/vertical"
 )
 
-// BenchmarkPrune times the subset check of Apriori's apriori/prune4
-// loop: the level-4 candidates of the chess generator at 30% support,
-// recoded by ascending support as fim.Mine does, on a team of two
-// under Apriori's static schedule. Levels 2 and 3 commit exactly the
+// minedTrie recodes db at the relative support by ascending support, as
+// fim.Mine does, on team, and commits levels 2..top with exactly the
 // frequent itemsets an Eclat run finds.
-func BenchmarkPrune(b *testing.B) {
-	db := datasets.Chess(1)
-	minSup := db.AbsoluteSupport(0.30)
-	team := sched.NewTeam(2)
+func minedTrie(b *testing.B, db *dataset.DB, support float64, top int, team *sched.Team) *Trie {
+	b.Helper()
+	minSup := db.AbsoluteSupport(support)
 	rec, err := db.RecodeOn(dataset.Pass{Team: team}, minSup, dataset.ByFrequency)
 	if err != nil {
 		b.Fatal(err)
@@ -33,14 +30,23 @@ func BenchmarkPrune(b *testing.B) {
 		frequent[c.Items.Key()] = c.Support
 	}
 	tr := NewRoot(rec.Items)
-	for k := 2; k <= 3; k++ {
+	for k := 2; k <= top; k++ {
 		c := tr.Generate()
-		for i := range c.Px {
-			full := tr.ItemsetOf(k-1, c.Px[i]).Extend(c.Level.Items[i])
+		for i := 0; i < c.Len(); i++ {
+			full := tr.ItemsetOf(k-1, c.Level.Parents[i]).Extend(c.Level.Items[i])
 			c.Level.Supports[i] = frequent[full.Key()]
 		}
 		tr.Commit(c, minSup)
 	}
+	return tr
+}
+
+// BenchmarkPrune times the subset check of Apriori's apriori/prune4
+// loop: the level-4 candidates of the chess generator at 30% support,
+// on a team of two under Apriori's static schedule.
+func BenchmarkPrune(b *testing.B) {
+	team := sched.NewTeam(2)
+	tr := minedTrie(b, datasets.Chess(1), 0.30, 3, team)
 	s := sched.Schedule{Policy: sched.Static}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -51,5 +57,34 @@ func BenchmarkPrune(b *testing.B) {
 		if _, err := tr.Prune(c, team, nil, s, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// generated keeps BenchmarkGenerate's result live.
+var generated *Candidates
+
+// BenchmarkGenerate times candidate generation on the coordinator:
+// chess@0.30's level 4 (the candidates BenchmarkPrune checks) and the
+// root pairs of T40I10D100K at scale 0.05 and 4% support, the
+// benchmark's t40_wide workload.
+func BenchmarkGenerate(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		db      func(float64) *dataset.DB
+		scale   float64
+		support float64
+		top     int
+	}{
+		{"chess4", datasets.Chess, 1, 0.30, 3},
+		{"t40_2", datasets.T40I10D100K, 0.05, 0.04, 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			tr := minedTrie(b, bc.db(bc.scale), bc.support, bc.top, sched.NewTeam(2))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				generated = tr.Generate()
+			}
+		})
 	}
 }

@@ -8,13 +8,18 @@
 // "we represent the trie using a table that stores the nodes associated
 // with each level of the tree."
 //
+// Every level, level 1 included, records where each node of the level
+// above starts its child run (Level.First); level 1's nodes are the
+// children of the empty itemset, so its First is {0, n}. A candidate
+// generation is such a level too, plus each candidate's sibling (Py).
+//
 // Candidate generation follows the classic join: two level-k nodes that
 // share their level-(k−1) prefix node (i.e. are siblings) join into a
-// level-(k+1) candidate. Subset pruning removes candidates with an
-// infrequent k-subset before support counting is paid for them; the
-// tables are its only index: each committed level records where every
-// node of the level above starts its child run (Level.First), so the
-// check descends the tables one binary search per level.
+// level-(k+1) candidate, so the new First is a prefix sum of run sizes
+// and generation writes every array at its exact size. Subset pruning
+// removes candidates with an infrequent k-subset before support
+// counting is paid for them; First is its only index, so the check
+// descends the tables one binary search per level.
 package trie
 
 import (
@@ -24,9 +29,6 @@ import (
 	"repro/internal/runctl"
 	"repro/internal/sched"
 )
-
-// NoParent marks level-1 nodes, whose prefix is the empty itemset.
-const NoParent int32 = -1
 
 // Level is the table of all nodes of one trie level. Nodes are stored in
 // lexicographic itemset order; siblings (equal Parent) are contiguous and
@@ -38,14 +40,15 @@ type Level struct {
 	// Items holds each node's last item.
 	Items []itemset.Item
 	// Parents holds, for each node, the index of its prefix node in the
-	// previous level (NoParent at level 1).
+	// previous level. Level 1's prefix is the empty itemset, node 0 of
+	// the level above it that no table stores.
 	Parents []int32
 	// Supports holds each node's support once counted. Candidates start
 	// at 0; Apriori fills them in during support counting.
 	Supports []int
 	// First locates child runs: the children of node p of the level
-	// above are rows [First[p], First[p+1]) of this one. Commit builds
-	// it; level 1 has none, since its node i is item i.
+	// above are rows [First[p], First[p+1]) of this one, so it has one
+	// entry more than that level has nodes: {0, n} at level 1.
 	First []int32
 }
 
@@ -66,9 +69,9 @@ func NewRoot(items []dataset.FrequentItem) *Trie {
 	l.Supports = make([]int, len(items))
 	for i, fi := range items {
 		l.Items[i] = itemset.Item(i)
-		l.Parents[i] = NoParent
 		l.Supports[i] = fi.Support
 	}
+	l.First = []int32{0, int32(len(items))}
 	return &Trie{Levels: []*Level{l}}
 }
 
@@ -94,55 +97,47 @@ func (t *Trie) ItemsetOf(k int, idx int32) itemset.Itemset {
 }
 
 // Candidates is one generation's worth of joined candidates, before
-// support counting. The slices are parallel: candidate c has prefix node
-// Px[c] and sibling node Py[c] in the parent level, and its own row c in
-// Level. Px's last item always precedes Py's, which is the operand order
-// the diffset combine requires.
+// support counting: an ordinary level whose First indexes the child run
+// of every node of the top level, plus Py. Candidate c has prefix node
+// Parents[c] and sibling node Py[c] in the top level; the prefix's last
+// item always precedes the sibling's, which is the operand order the
+// diffset combine requires.
 type Candidates struct {
-	Level *Level
-	Px    []int32
-	Py    []int32
-	// Blocks marks the prefix-block boundaries: candidates sharing a Px
-	// are contiguous by construction (Px is non-decreasing across the
-	// generation), and block b spans rows [Blocks[b], Blocks[b+1]). The
-	// final entry is Len() — a sentinel, so len(Blocks)−1 is the number
-	// of blocks. Maintained by Generate and by pruning's compaction;
-	// this is the iteration space of the batched combine path.
-	Blocks []int32
+	*Level
+	Py []int32
 }
-
-// Len returns the number of candidates.
-func (c *Candidates) Len() int { return len(c.Px) }
 
 // Generate joins every sibling pair of the top level into the next
 // generation of candidates (paper Algorithm 1, candidate_generation).
-// It does not push the new level onto the trie; the caller does that
-// after pruning and support counting via Commit.
+// Node i of a sibling run ending at end has end−i−1 children, one per
+// later sibling, so the new First is a prefix sum of those counts and
+// every array is made at its exact size. Generate does not push the new
+// level onto the trie; the caller does that after pruning and support
+// counting via Commit.
 func (t *Trie) Generate() *Candidates {
-	parent := t.Levels[len(t.Levels)-1]
-	out := &Candidates{Level: &Level{K: parent.K + 1}}
-	n := parent.Len()
-	for runStart := 0; runStart < n; {
-		runEnd := runStart + 1
-		for runEnd < n && parent.Parents[runEnd] == parent.Parents[runStart] {
-			runEnd++
+	top := t.Levels[len(t.Levels)-1]
+	first := make([]int32, top.Len()+1)
+	for g := 1; g < len(top.First); g++ {
+		for i, end := top.First[g-1], top.First[g]; i < end; i++ {
+			first[i+1] = first[i] + end - i - 1
 		}
-		for i := runStart; i < runEnd; i++ {
-			if i+1 < runEnd {
-				out.Blocks = append(out.Blocks, int32(len(out.Px)))
-			}
-			for j := i + 1; j < runEnd; j++ {
-				out.Level.Items = append(out.Level.Items, parent.Items[j])
-				out.Level.Parents = append(out.Level.Parents, int32(i))
-				out.Px = append(out.Px, int32(i))
-				out.Py = append(out.Py, int32(j))
-			}
-		}
-		runStart = runEnd
 	}
-	out.Blocks = append(out.Blocks, int32(len(out.Px)))
-	out.Level.Supports = make([]int, len(out.Level.Items))
-	return out
+	n := first[top.Len()]
+	c := &Candidates{Level: &Level{
+		K:        top.K + 1,
+		Items:    make([]itemset.Item, n),
+		Parents:  make([]int32, n),
+		Supports: make([]int, n),
+		First:    first,
+	}, Py: make([]int32, n)}
+	for g := 1; g < len(top.First); g++ {
+		for i, end := top.First[g-1], top.First[g]; i < end; i++ {
+			for j, r := i+1, first[i]; j < end; j, r = j+1, r+1 {
+				c.Items[r], c.Parents[r], c.Py[r] = top.Items[j], i, j
+			}
+		}
+	}
+	return c
 }
 
 // Prune removes candidates that have an infrequent k-subset (the Apriori
@@ -196,7 +191,7 @@ func (t *Trie) Prune(c *Candidates, team *sched.Team, loop *sched.Loop, s sched.
 func (t *Trie) subsetsFrequent(c *Candidates, i int, path []int32, items []itemset.Item) bool {
 	k := len(path)
 	items[k] = c.Level.Items[i]
-	node := c.Px[i]
+	node := c.Parents[i]
 	for l := k - 1; l >= 0; l-- {
 		path[l] = node
 		items[l] = t.Levels[l].Items[node]
@@ -238,68 +233,71 @@ func (l *Level) child(p int32, x itemset.Item) int32 {
 	return -1
 }
 
-// Filter compacts the candidate arrays to the rows keep marks, in
-// order, and rebuilds the prefix blocks; len(keep) must be Len().
+// Filter compacts the candidates to the rows keep marks, in order, and
+// rebuilds First; len(keep) must be Len().
 func (c *Candidates) Filter(keep []bool) {
-	w := 0
-	for i := range keep {
-		if keep[i] {
-			c.Level.Items[w] = c.Level.Items[i]
-			c.Level.Parents[w] = c.Level.Parents[i]
-			c.Level.Supports[w] = c.Level.Supports[i]
-			c.Px[w] = c.Px[i]
-			c.Py[w] = c.Py[i]
-			w++
+	n := 0
+	for _, ok := range keep {
+		if ok {
+			n++
 		}
 	}
-	c.Level.Items = c.Level.Items[:w]
-	c.Level.Parents = c.Level.Parents[:w]
-	c.Level.Supports = c.Level.Supports[:w]
-	c.Px = c.Px[:w]
-	c.Py = c.Py[:w]
-	// Rebuild the prefix blocks: compaction preserves Px order, so the
-	// kept rows' Px change points are the new block starts.
-	c.Blocks = c.Blocks[:0]
-	for i := 0; i < w; i++ {
-		if i == 0 || c.Px[i] != c.Px[i-1] {
-			c.Blocks = append(c.Blocks, int32(i))
-		}
-	}
-	c.Blocks = append(c.Blocks, int32(w))
-}
-
-// Commit filters the candidates to those with Supports >= minSup
-// (candidate_pruning of Algorithm 1), pushes the surviving level onto the
-// trie with its First table, and returns it along with the kept candidate
-// row indices (positions into the pre-filter candidate arrays), which the
-// miner uses to carry vertical payloads forward.
-func (t *Trie) Commit(c *Candidates, minSup int) (*Level, []int32) {
-	var kept []int32
-	for i := 0; i < c.Len(); i++ {
-		if c.Level.Supports[i] >= minSup {
+	kept := make([]int32, 0, n)
+	for i, ok := range keep {
+		if ok {
 			kept = append(kept, int32(i))
 		}
 	}
-	nl := &Level{K: c.Level.K}
-	nl.Items = make([]itemset.Item, len(kept))
-	nl.Parents = make([]int32, len(kept))
-	nl.Supports = make([]int, len(kept))
+	c.Level.compact(c.Level, kept)
 	for w, i := range kept {
-		nl.Items[w] = c.Level.Items[i]
-		nl.Parents[w] = c.Level.Parents[i]
-		nl.Supports[w] = c.Level.Supports[i]
+		c.Py[w] = c.Py[i]
 	}
-	// Parents is non-decreasing, so First is a prefix sum of each parent
-	// node's child count.
-	nl.First = make([]int32, t.Levels[len(t.Levels)-1].Len()+1)
-	for _, p := range nl.Parents {
-		nl.First[p+1]++
+	c.Py = c.Py[:n]
+}
+
+// Commit filters the candidates to those with Supports >= minSup
+// (candidate_pruning of Algorithm 1), copies the survivors into a new
+// level of exactly their size, pushes it onto the trie and returns it
+// along with the kept candidate row indices (positions into the
+// candidate arrays), which the miner uses to carry vertical payloads
+// forward. The candidate arrays are not kept.
+func (t *Trie) Commit(c *Candidates, minSup int) (*Level, []int32) {
+	var kept []int32
+	for i, s := range c.Supports {
+		if s >= minSup {
+			kept = append(kept, int32(i))
+		}
 	}
-	for p := 1; p < len(nl.First); p++ {
-		nl.First[p] += nl.First[p-1]
+	nl := &Level{
+		K:        c.K,
+		Items:    make([]itemset.Item, len(kept)),
+		Parents:  make([]int32, len(kept)),
+		Supports: make([]int, len(kept)),
+		First:    make([]int32, len(c.First)),
 	}
+	c.Level.compact(nl, kept)
 	t.Levels = append(t.Levels, nl)
 	return nl, kept
+}
+
+// compact moves l's rows kept (ascending) to the front of dst's arrays,
+// which may be l's own, and rebuilds dst.First over the same nodes of
+// the level above. A kept row keeps its parent and Parents stays
+// non-decreasing, so First is a prefix sum of each parent's kept
+// children.
+func (l *Level) compact(dst *Level, kept []int32) {
+	for w, i := range kept {
+		dst.Items[w], dst.Parents[w], dst.Supports[w] = l.Items[i], l.Parents[i], l.Supports[i]
+	}
+	n := len(kept)
+	dst.Items, dst.Parents, dst.Supports = dst.Items[:n], dst.Parents[:n], dst.Supports[:n]
+	clear(dst.First)
+	for _, p := range dst.Parents {
+		dst.First[p+1]++
+	}
+	for p := 1; p < len(dst.First); p++ {
+		dst.First[p] += dst.First[p-1]
+	}
 }
 
 // Counts enumerates every node of every committed level with its

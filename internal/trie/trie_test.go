@@ -36,7 +36,7 @@ func TestNewRoot(t *testing.T) {
 		t.Fatalf("root level malformed: %+v", l)
 	}
 	for i := 0; i < 3; i++ {
-		if l.Items[i] != itemset.Item(i) || l.Parents[i] != NoParent {
+		if l.Items[i] != itemset.Item(i) || l.Parents[i] != 0 {
 			t.Errorf("node %d = (%d, %d)", i, l.Items[i], l.Parents[i])
 		}
 	}
@@ -52,7 +52,7 @@ func TestItemsetOf(t *testing.T) {
 	tr := NewRoot(roots(1, 1, 1))
 	c := tr.Generate()
 	// candidates: {0,1},{0,2},{1,2}
-	for i := range c.Px {
+	for i := range c.Parents {
 		c.Level.Supports[i] = 1
 	}
 	tr.Commit(c, 1)
@@ -72,8 +72,8 @@ func TestGenerateLevel2(t *testing.T) {
 	}
 	want := [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
 	for i, w := range want {
-		if c.Px[i] != w[0] || c.Py[i] != w[1] {
-			t.Errorf("candidate %d parents = (%d,%d), want %v", i, c.Px[i], c.Py[i], w)
+		if c.Parents[i] != w[0] || c.Py[i] != w[1] {
+			t.Errorf("candidate %d parents = (%d,%d), want %v", i, c.Parents[i], c.Py[i], w)
 		}
 		if c.Level.Parents[i] != w[0] || c.Level.Items[i] != itemset.Item(w[1]) {
 			t.Errorf("candidate %d node = (parent %d, item %d)", i, c.Level.Parents[i], c.Level.Items[i])
@@ -86,7 +86,7 @@ func TestGenerateRespectsSiblingRuns(t *testing.T) {
 	// only {0,1} and {0,2} are siblings (parent 0), so one candidate {0,1,2}.
 	tr := NewRoot(roots(1, 1, 1))
 	c := tr.Generate()
-	for i := range c.Px {
+	for i := range c.Parents {
 		c.Level.Supports[i] = 1
 	}
 	tr.Commit(c, 1)
@@ -94,7 +94,7 @@ func TestGenerateRespectsSiblingRuns(t *testing.T) {
 	if c3.Len() != 1 {
 		t.Fatalf("level-3 candidates = %d, want 1", c3.Len())
 	}
-	full := tr.ItemsetOf(2, c3.Px[0]).Extend(c3.Level.Items[0])
+	full := tr.ItemsetOf(2, c3.Parents[0]).Extend(c3.Level.Items[0])
 	if !full.Equal(itemset.New(0, 1, 2)) {
 		t.Errorf("candidate = %v", full)
 	}
@@ -137,7 +137,7 @@ func TestPrune(t *testing.T) {
 	tr := NewRoot(roots(1, 1, 1, 1))
 	c := tr.Generate()
 	for i := 0; i < c.Len(); i++ {
-		full := tr.ItemsetOf(1, c.Px[i]).Extend(c.Level.Items[i])
+		full := tr.ItemsetOf(1, c.Parents[i]).Extend(c.Level.Items[i])
 		switch full.String() {
 		case "{0, 1}", "{0, 2}", "{1, 2}", "{1, 3}":
 			c.Level.Supports[i] = 1
@@ -152,7 +152,7 @@ func TestPrune(t *testing.T) {
 	if removed != 1 || c3.Len() != 1 {
 		t.Fatalf("Prune removed %d, left %d", removed, c3.Len())
 	}
-	full := tr.ItemsetOf(2, c3.Px[0]).Extend(c3.Level.Items[0])
+	full := tr.ItemsetOf(2, c3.Parents[0]).Extend(c3.Level.Items[0])
 	if !full.Equal(itemset.New(0, 1, 2)) {
 		t.Errorf("surviving candidate = %v", full)
 	}
@@ -196,7 +196,7 @@ func TestEmptyRoot(t *testing.T) {
 }
 
 // Property: generated candidates are exactly the joins of sibling pairs —
-// sorted lexicographically, unique, with Px < Py and matching items.
+// sorted lexicographically, unique, with prefix node < Py and matching items.
 func TestQuickGenerateSoundness(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80}
 	law := func(seed int64) bool {
@@ -216,7 +216,7 @@ func TestQuickGenerateSoundness(t *testing.T) {
 		// lexicographically increasing and unique.
 		var prev itemset.Itemset
 		for i := 0; i < c3.Len(); i++ {
-			px, py := c3.Px[i], c3.Py[i]
+			px, py := c3.Parents[i], c3.Py[i]
 			if px >= py || int(py) >= lvl2.Len() {
 				return false
 			}
@@ -252,16 +252,16 @@ func TestQuickPruneExact(t *testing.T) {
 		for i := 0; i < c.Len(); i++ {
 			if r.Intn(3) > 0 {
 				c.Level.Supports[i] = 1
-				full := tr.ItemsetOf(1, c.Px[i]).Extend(c.Level.Items[i])
+				full := tr.ItemsetOf(1, c.Parents[i]).Extend(c.Level.Items[i])
 				present[full.Key()] = true
 			}
 		}
 		tr.Commit(c, 1)
 		c3 := tr.Generate()
-		// The expected survivors, as (Px, Py) rows, before pruning.
+		// The expected survivors, as (prefix, Py) rows, before pruning.
 		var want [][2]int32
 		for i := 0; i < c3.Len(); i++ {
-			full := tr.ItemsetOf(2, c3.Px[i]).Extend(c3.Level.Items[i])
+			full := tr.ItemsetOf(2, c3.Parents[i]).Extend(c3.Level.Items[i])
 			ok := true
 			full.AllButOne(func(sub itemset.Itemset) {
 				if !present[sub.Clone().Key()] {
@@ -269,7 +269,7 @@ func TestQuickPruneExact(t *testing.T) {
 				}
 			})
 			if ok {
-				want = append(want, [2]int32{c3.Px[i], c3.Py[i]})
+				want = append(want, [2]int32{c3.Parents[i], c3.Py[i]})
 			}
 		}
 		prune(tr, c3)
@@ -277,7 +277,7 @@ func TestQuickPruneExact(t *testing.T) {
 			return false
 		}
 		for i, w := range want {
-			if c3.Px[i] != w[0] || c3.Py[i] != w[1] {
+			if c3.Parents[i] != w[0] || c3.Py[i] != w[1] {
 				return false
 			}
 		}
